@@ -6,8 +6,8 @@
     ahilb clusters "1/11(1,2,8)" [--triangle ID] [--json PATH]
     ahilb verify   ["1/11(1,2,8)"] [--random N --max-order B --seed S]
 
-Exit codes: 0 success, 1 invalid group specification, 2 a cross-check or
-invariant failed.
+Exit codes: 0 success, 1 invalid group specification or argument, 2 a
+cross-check or invariant failed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import json
 import sys
 
 from .clusters import cluster_system, equations_text
+from .corners import long_side
 from .draw import render_svg
 from .errors import GroupSpecError, InvariantError
-from .fan import build_fan, dp6_count, surface_census
+from .fan import Fan, dp6_count
 from .lattice import LatticeContext, lattice_context, parse_group_spec
-from .monomials import dual_basis, triangle_ratios
-from .partition import build_partition
+from .resolution import Resolution
 from .verify import run_checks, run_random_suite
 
 
@@ -30,12 +30,24 @@ def _tag_json(tag) -> list:
     return list(tag)
 
 
+def _fan_json(fan: Fan) -> dict:
+    return {
+        "rays": [list(r) for r in fan.rays],
+        "cones": [
+            {
+                "vertices": [list(v) for v in c.vertices],
+                "kind": c.kind,
+                "parent": c.parent,
+            }
+            for c in fan.cones
+        ],
+    }
+
+
 def build_document(ctx: LatticeContext) -> dict:
     """The full report with deterministic field and element order."""
-    part = build_partition(ctx)
-    fan = build_fan(ctx, part)
-    parents = [triangle_ratios(ctx, tri) for tri in part.triangles]
-    census = surface_census(ctx, fan, part)
+    res = Resolution(ctx)
+    part = res.partition
 
     doc = {
         "group": ctx.spec.canonical_text,
@@ -64,7 +76,7 @@ def build_document(ctx: LatticeContext) -> dict:
         {
             "vertices": [list(v) for v in tri.vertices],
             "side": tri.r,
-            "case": parents[t].case,
+            "case": res.ratios[t].case,
             "catchment": owner.get(t),
             "lines": [_tag_json(tag) for tag in tri.side_lines],
         }
@@ -79,17 +91,7 @@ def build_document(ctx: LatticeContext) -> dict:
         champ["side"] = part.champions.side
         champ["c"] = part.champions.c
     doc["champions"] = champ
-    doc["fan"] = {
-        "rays": [list(r) for r in fan.rays],
-        "cones": [
-            {
-                "vertices": [list(v) for v in c.vertices],
-                "kind": c.kind,
-                "parent": c.parent,
-            }
-            for c in fan.cones
-        ],
-    }
+    doc["fan"] = _fan_json(res.fan)
     doc["census"] = [
         {
             "vertex": list(s.vertex),
@@ -97,24 +99,17 @@ def build_document(ctx: LatticeContext) -> dict:
             "b": list(s.b),
             "label": s.label,
         }
-        for s in census
+        for s in res.census
     ]
     doc["dp6_count"] = dp6_count(part)
-    clusters = []
-    for idx, cell in enumerate(fan.cones):
-        db = dual_basis(ctx, part.triangles[cell.parent], parents[cell.parent],
-                        cell)
-        sysm = cluster_system(ctx, db)
-        clusters.append(
-            {
-                "cone": idx,
-                "mode": sysm.mode,
-                "exponents": dict(
-                    zip("abcdeflmn", sysm.exponents())
-                ),
-            }
-        )
-    doc["clusters"] = clusters
+    doc["clusters"] = [
+        {
+            "cone": idx,
+            "mode": sysm.mode,
+            "exponents": dict(zip("abcdeflmn", sysm.exponents())),
+        }
+        for idx, sysm in enumerate(res.systems)
+    ]
     return doc
 
 
@@ -135,13 +130,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_fan(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
-    doc = build_document(ctx)
     _dump(
         {
-            "group": doc["group"],
-            "denominator": doc["denominator"],
-            "order": doc["order"],
-            "fan": doc["fan"],
+            "group": ctx.spec.canonical_text,
+            "denominator": ctx.n,
+            "order": ctx.order,
+            "fan": _fan_json(Resolution(ctx).fan),
         },
         args.json,
     )
@@ -150,9 +144,8 @@ def _cmd_fan(args) -> int:
 
 def _cmd_draw(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
-    part = build_partition(ctx)
-    fan = build_fan(ctx, part)
-    svg = render_svg(ctx, part, fan, ratios=args.ratios)
+    res = Resolution(ctx)
+    svg = render_svg(ctx, res.partition, res.fan, ratios=args.ratios)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
@@ -160,32 +153,28 @@ def _cmd_draw(args) -> int:
 
 def _cmd_clusters(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
-    part = build_partition(ctx)
-    fan = build_fan(ctx, part)
-    parents = [triangle_ratios(ctx, tri) for tri in part.triangles]
-    if args.triangle is not None and not 0 <= args.triangle < len(fan.cones):
+    res = Resolution(ctx)
+    cones = res.fan.cones
+    if args.triangle is not None and not 0 <= args.triangle < len(cones):
         sys.stderr.write(
-            f"triangle id out of range; valid ids are 0..{len(fan.cones) - 1}\n"
+            f"triangle id out of range; valid ids are 0..{len(cones) - 1}\n"
         )
         return 1
-    wanted = (
-        range(len(fan.cones)) if args.triangle is None else [args.triangle]
-    )
-    docs = []
-    for idx in wanted:
-        cell = fan.cones[idx]
-        db = dual_basis(ctx, part.triangles[cell.parent], parents[cell.parent],
-                        cell)
-        sysm = cluster_system(ctx, db)
-        docs.append(
-            {
-                "cone": idx,
-                "vertices": [list(v) for v in cell.vertices],
-                "mode": sysm.mode,
-                "exponents": dict(zip("abcdeflmn", sysm.exponents())),
-                "equations": equations_text(sysm),
-            }
-        )
+    if args.triangle is None:
+        wanted = enumerate(res.systems)
+    else:
+        idx = args.triangle
+        wanted = [(idx, cluster_system(ctx, res.dual(idx)))]
+    docs = [
+        {
+            "cone": idx,
+            "vertices": [list(v) for v in cones[idx].vertices],
+            "mode": sysm.mode,
+            "exponents": dict(zip("abcdeflmn", sysm.exponents())),
+            "equations": equations_text(sysm),
+        }
+        for idx, sysm in wanted
+    ]
     if args.json:
         _dump({"group": ctx.spec.canonical_text, "systems": docs}, args.json)
     else:
@@ -210,9 +199,9 @@ def _cmd_verify(args) -> int:
             status = "pass" if res.ok else f"FAIL ({res.detail})"
             sys.stdout.write(f"{res.name}: {status}\n")
         failures += [r for r in results if not r.ok]
-        part = build_partition(ctx)
-        if part.long_side:
-            s, c = part.long_side
+        side = long_side(ctx, Resolution(ctx).fans)
+        if side:
+            s, c = side
             names = {1: "e1e2", 2: "e2e3", 3: "e3e1"}
             sys.stdout.write(
                 f"long side {names[s]} c={c}; its catchment is empty\n"
@@ -229,8 +218,27 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument in one stderr line with exit code 1, like any
+    other invalid input; argparse's own code 2 would read as a failed
+    cross-check."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ahilb",
         description=(
             "Exact partition, resolution fan, invariant ratios and cluster "
@@ -265,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("spec", nargs="?")
-    p.add_argument("--random", type=int, metavar="N", default=0)
-    p.add_argument("--max-order", type=int, default=60)
+    p.add_argument("--random", type=_at_least(0), metavar="N", default=0)
+    p.add_argument("--max-order", type=_at_least(1), default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 

@@ -13,15 +13,19 @@ the up or down dependency relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 
 from .errors import InvariantError
 from .fan import BasicTriangle, Fan
-from .lattice import LatticeContext, Vec3, dot, vadd
-from .monomials import DualBasis, _permute
-
-_PERMS = tuple(sorted(permutations(range(3))))
+from .lattice import (
+    PERMS,
+    LatticeContext,
+    Vec3,
+    dot,
+    permute,
+    scaled_dual,
+    vadd,
+)
+from .monomials import DualBasis
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
 
@@ -227,9 +231,9 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
 
     found = None
     for case in ("a", "b"):
-        for perm in _PERMS:
+        for perm in PERMS:
             vecs = tuple(
-                _permute(perm, base_vecs[perm[t]]) for t in range(3)
+                permute(perm, base_vecs[perm[t]]) for t in range(3)
             )
             if mode == "up":
                 a2, b2, c2, d2, e2, f2, *_ = _up_exponents_from_vectors(vecs)
@@ -264,26 +268,7 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
 
 def _host_lookup(ctx: LatticeContext, vecs, fan: Fan) -> BasicTriangle:
     """Invert the dual basis: the chart's cone vertices are n * D^{-1}."""
-    det = (
-        vecs[0][0] * (vecs[1][1] * vecs[2][2] - vecs[1][2] * vecs[2][1])
-        - vecs[0][1] * (vecs[1][0] * vecs[2][2] - vecs[1][2] * vecs[2][0])
-        + vecs[0][2] * (vecs[1][0] * vecs[2][1] - vecs[1][1] * vecs[2][0])
-    )
-    if det == 0:
-        raise InvariantError("cluster vectors are not independent")
-    cols = []
-    for s in range(3):
-        u, w = vecs[(s + 1) % 3], vecs[(s + 2) % 3]
-        cof = (
-            u[1] * w[2] - u[2] * w[1],
-            u[2] * w[0] - u[0] * w[2],
-            u[0] * w[1] - u[1] * w[0],
-        )
-        col = tuple(Fraction(ctx.n * x, det) for x in cof)
-        if not all(v.denominator == 1 for v in col):
-            raise InvariantError("cluster chart cone is not integral")
-        cols.append(tuple(int(v) for v in col))
-    key = tuple(sorted(cols))
+    key = tuple(sorted(scaled_dual(vecs, ctx.n)))
     for cell in fan.cones:
         if cell.key() == key:
             return cell

@@ -20,6 +20,7 @@ from .lattice import (
     chart,
     cross2,
     junior_points,
+    multiple,
     primitive_vector,
     smul,
     vadd,
@@ -61,19 +62,6 @@ class CornerFan:
     @property
     def k(self) -> int:
         return len(self.strengths)
-
-
-def _parallel_multiple(target: Vec3, base: Vec3) -> int | None:
-    """Integer a with target = a*base, or None."""
-    if cross2(chart(target), chart(base)) != 0:
-        return None
-    for t in range(3):
-        if base[t]:
-            if target[t] % base[t]:
-                return None
-            a = target[t] // base[t]
-            return a if smul(a, base) == target else None
-    return None
 
 
 def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
@@ -132,7 +120,7 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
 
     strengths = []
     for j in range(1, len(chain) - 1):
-        a = _parallel_multiple(vadd(chain[j - 1], chain[j + 1]), chain[j])
+        a = multiple(vadd(chain[j - 1], chain[j + 1]), chain[j])
         if a is None or a < 2:
             raise InvariantError(
                 f"corner {corner}: hull chain violates the recursion at ray {j}"
@@ -204,10 +192,21 @@ def junction_c(ctx: LatticeContext, side: int,
     f_next = fans[ip1].vectors
     f_prev = fans[i].vectors
     diff = vsub(f_next[1], f_prev[-2])
-    c = _parallel_multiple(diff, f_next[0])
+    c = multiple(diff, f_next[0])
     if c is None or c < 1:
         raise InvariantError(f"side {side}: no junction constant (corner fan bug)")
     return c, f_next[0]
+
+
+def long_side(ctx: LatticeContext,
+              fans: dict[int, CornerFan]) -> tuple[int, int] | None:
+    """The long side as (side, c), or None when every side is short.
+    Raises InvariantError when more than one side is long."""
+    longs = [(s, junction_c(ctx, s, fans)[0]) for s in (1, 2, 3)]
+    longs = [(s, c) for s, c in longs if c >= 2]
+    if len(longs) > 1:
+        raise InvariantError("more than one long side")
+    return longs[0] if longs else None
 
 
 def cyclic_word(ctx: LatticeContext,

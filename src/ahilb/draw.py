@@ -11,8 +11,16 @@ from __future__ import annotations
 
 from math import sqrt
 
-from .fan import Fan
-from .lattice import LatticeContext, Vec3, primitive_vector, smul, vadd, vsub
+from .fan import Fan, on_simplex_boundary
+from .lattice import (
+    LatticeContext,
+    Vec3,
+    cross3,
+    primitive_vector,
+    smul,
+    vadd,
+    vsub,
+)
 from .monomials import primitive_in_monomial_lattice, ratio_str
 from .partition import Partition
 
@@ -78,7 +86,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
     if ratios:
         inner_edges = sorted(
             tuple(sorted(e)) for e in fan.edges
-            if not _boundary_edge(tuple(sorted(e)))
+            if not on_simplex_boundary(*e)
         )
         for a, b in inner_edges:
             label = ratio_str(_edge_ratio(ctx, a, b))
@@ -99,15 +107,8 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
     return "\n".join(out) + "\n"
 
 
-def _boundary_edge(edge) -> bool:
-    a, b = edge
-    return any(a[t] == 0 and b[t] == 0 for t in range(3))
-
-
 def _edge_ratio(ctx: LatticeContext, a: Vec3, b: Vec3) -> Vec3:
-    from .monomials import _cross3
-
-    m = primitive_in_monomial_lattice(ctx, _cross3(a, b))
+    m = primitive_in_monomial_lattice(ctx, cross3(a, b))
     nz = next(x for x in m if x)
     return m if nz > 0 else smul(-1, m)
 

@@ -14,7 +14,9 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
+    det3,
     dot,
+    multiple,
     smul,
     vadd,
     vsub,
@@ -138,7 +140,7 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
             raise InvariantError("an edge borders more than two cones")
         if mult == 1:
             a, b = tuple(e)
-            if not _on_simplex_boundary(a, b):
+            if not on_simplex_boundary(a, b):
                 raise InvariantError(
                     f"interior edge {tuple(e)} borders only one cone: "
                     "tesselations do not match across triangles"
@@ -147,7 +149,8 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
     return Fan(tuple(verts), tuple(cones), frozenset(edges), frozenset(boundary))
 
 
-def _on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
+def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
+    """Do a and b lie on one side of the simplex?"""
     return any(a[t] == 0 and b[t] == 0 for t in range(3))
 
 
@@ -175,11 +178,7 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
             for row, val in zip(ctx.monomial_basis, col):
                 if dot(row, p) != val * n:
                     out.append(f"cone vertex {p} pairs fractionally")
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        det = det3(m)
         if det not in (1, -1):
             out.append(f"cone {c.vertices} is not unimodular (det {det})")
     # Unit areas exhausting the simplex.
@@ -262,25 +261,14 @@ def surface_census(ctx: LatticeContext, fan: Fan,
                 vsub(star[(idx - 1) % t], v), vsub(star[(idx + 1) % t], v)
             )
             mid = vsub(star[idx], v)
-            b = _exact_multiple(ctx, lhs, mid)
+            b = multiple(lhs, mid)
+            if b is None:
+                raise InvariantError(f"star relation at {v} is not integral")
             bs.append(b)
         cs = tuple(b - 2 for b in bs)
         label = _surface_label(ctx, part, v, t, bs)
         out.append(SurfaceClass(v, t, star, tuple(bs), cs, label))
     return out
-
-
-def _exact_multiple(ctx: LatticeContext, lhs: Vec3, mid: Vec3) -> int:
-    a = ctx.plane_coords(lhs)
-    m = ctx.plane_coords(mid)
-    if cross2(a, m) != 0:
-        raise InvariantError("star relation is not parallel")
-    for t in range(2):
-        if m[t]:
-            if a[t] % m[t]:
-                raise InvariantError("star relation is fractional")
-            return a[t] // m[t]
-    raise InvariantError("zero star direction")
 
 
 def _interior_to_some_tesselation(ctx: LatticeContext, part: Partition,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 from .errors import GroupSpecError, InvariantError
@@ -20,7 +20,13 @@ Vec3 = tuple[int, int, int]
 
 DEFAULT_ORDER_CAP = 10**6
 
-_TERM_RE = re.compile(r"1/(\d+)\(([+-]?\d+),([+-]?\d+),([+-]?\d+)\)")
+# [0-9], not \d: \d also matches non-ASCII digits such as full-width ones.
+_TERM_RE = re.compile(
+    r"1/([0-9]+)\(([+-]?[0-9]+),([+-]?[0-9]+),([+-]?[0-9]+)\)"
+)
+
+# The six coordinate permutations, in lexicographic order.
+PERMS = tuple(sorted(permutations(range(3))))
 
 
 def vadd(u: Vec3, v: Vec3) -> Vec3:
@@ -50,6 +56,48 @@ def chart(v: Vec3) -> tuple[int, int]:
 
 def cross2(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def cross3(u: Vec3, v: Vec3) -> Vec3:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def det3(rows) -> int:
+    """Determinant of the 3x3 integer matrix with the given rows."""
+    return dot(rows[0], cross3(rows[1], rows[2]))
+
+
+def scaled_dual(rows, n: int) -> list[Vec3]:
+    """The integral rows of n * (rows^T)^-1: row s pairs to n with rows[s]
+    and to 0 with the other two.  Raises InvariantError when the rows are
+    dependent or the result is not integral."""
+    d = det3(rows)
+    if d == 0:
+        raise InvariantError("singular matrix")
+    out = []
+    for s in range(3):
+        cof = cross3(rows[(s + 1) % 3], rows[(s + 2) % 3])
+        if any(n * c % d for c in cof):
+            raise InvariantError(f"scaled dual of {tuple(rows)} is fractional")
+        out.append(tuple(n * c // d for c in cof))
+    return out
+
+
+def multiple(target: Vec3, base: Vec3) -> int | None:
+    """The integer k with target = k * base, or None."""
+    for t in range(3):
+        if base[t]:
+            k, rem = divmod(target[t], base[t])
+            return k if rem == 0 and smul(k, base) == target else None
+    return None
+
+
+def permute(perm, v: Vec3) -> Vec3:
+    return (v[perm[0]], v[perm[1]], v[perm[2]])
 
 
 def _divisors_desc(k: int) -> list[int]:
@@ -215,29 +263,6 @@ def _hnf_rows(rows: list[Vec3]) -> list[Vec3]:
     return [tuple(r) for r in basis]
 
 
-def _det3(m: list[Vec3]) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _inverse3(m: list[Vec3]) -> list[list[Fraction]]:
-    d = _det3(m)
-    if d == 0:
-        raise InvariantError("singular matrix")
-    cof = [
-        [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return [[Fraction(cof[i][j], d) for j in range(3)] for i in range(3)]
-
-
 def _kernel_of_functional(c: Vec3) -> tuple[Vec3, Vec3]:
     """Basis of the saturated integer kernel of x -> c.x (c nonzero)."""
     # Column-reduce c by a unimodular matrix tracked alongside.
@@ -299,21 +324,13 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
     # dual (monomial) lattice and the translation-lattice basis.
     rows = [(n, 0, 0), (0, n, 0), (0, 0, n)] + sorted(table - {(0, 0, 0)})
     hnf = _hnf_rows(rows)
-    det = abs(_det3(hnf))
+    det = abs(det3(hnf))
     if det * order != n**3:
         raise InvariantError("overlattice index does not match group order")
 
     # Monomial lattice M = n * (H^T)^{-1}, rows canonicalized by HNF.
-    ht = [tuple(hnf[r][c] for r in range(3)) for c in range(3)]
-    inv = _inverse3(ht)
-    mrows = []
-    for i in range(3):
-        row = [inv[i][j] * n for j in range(3)]
-        if not all(f.denominator == 1 for f in row):
-            raise InvariantError("monomial lattice basis is not integral")
-        mrows.append(tuple(int(f) for f in row))
-    mbasis = tuple(_hnf_rows(mrows))
-    if abs(_det3(list(mbasis))) != order:
+    mbasis = tuple(_hnf_rows(scaled_dual(hnf, n)))
+    if abs(det3(mbasis)) != order:
         raise InvariantError("monomial basis determinant is not the order")
 
     # Translation lattice: row combinations of hnf with zero coordinate sum.
@@ -385,11 +402,7 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
 
 def lattice_length(ctx: LatticeContext, v: Vec3) -> int:
     """Number of primitive steps making up v."""
-    p = primitive_vector(ctx, v)
-    for t in range(3):
-        if p[t]:
-            return v[t] // p[t]
-    raise InvariantError("zero vector has no length")
+    return multiple(v, primitive_vector(ctx, v))
 
 
 def pair_index(ctx: LatticeContext, v: Vec3, w: Vec3) -> int:

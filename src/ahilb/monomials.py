@@ -9,32 +9,25 @@ is invariant under the group and primitive in the invariant lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .errors import InvariantError
 from .fan import BasicTriangle, barycentric_steps
 from .lattice import (
+    PERMS,
     LatticeContext,
     Vec3,
+    cross3,
     dot,
+    multiple,
+    permute,
+    scaled_dual,
     smul,
     vadd,
     vneg,
     vsub,
 )
 from .partition import Line, RegularTriangle
-
-_PERMS = tuple(sorted(permutations(range(3))))
-
-
-def _cross3(u: Vec3, v: Vec3) -> Vec3:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _content(v: Vec3) -> int:
@@ -60,7 +53,7 @@ def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
 def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
     """Primitive invariant generator of the exponents vanishing on the
     line, signed to evaluate positively on positive_side."""
-    raw = _cross3(line.anchor, vadd(line.anchor, line.direction))
+    raw = cross3(line.anchor, vadd(line.anchor, line.direction))
     if raw == (0, 0, 0):
         raise InvariantError("line data is degenerate")
     m = primitive_in_monomial_lattice(ctx, raw)
@@ -78,10 +71,6 @@ def parallel_ratio(base: Vec3, i: int) -> Vec3:
     triangle arise this way.
     """
     return vsub(base, (i, i, i))
-
-
-def _permute(perm, v: Vec3) -> Vec3:
-    return (v[perm[0]], v[perm[1]], v[perm[2]])
 
 
 def _unpermute(perm, v: Vec3) -> Vec3:
@@ -125,7 +114,7 @@ def _side_ratios(ctx: LatticeContext, tri: RegularTriangle) -> list[Vec3]:
     out = []
     for t in range(3):
         p, q = tri.side_of(t)
-        raw = _cross3(p, q)
+        raw = cross3(p, q)
         m = primitive_in_monomial_lattice(ctx, raw)
         val = dot(m, tri.vertices[t])
         if val == 0:
@@ -136,7 +125,7 @@ def _side_ratios(ctx: LatticeContext, tri: RegularTriangle) -> list[Vec3]:
 
 def _match_case(ctx, tri, side_ratios, perm, case):
     """Try to read the permuted side ratios in the given normal form."""
-    permuted = [_permute(perm, m) for m in side_ratios]
+    permuted = [permute(perm, m) for m in side_ratios]
     roles = [None, None, None]
     for t, m in enumerate(permuted):
         pos = [u for u in range(3) if m[u] > 0]
@@ -173,11 +162,11 @@ def _match_case(ctx, tri, side_ratios, perm, case):
     # normal-form triples must be integral and all equal.
     ks = []
     for role in range(3):
-        v = _permute(perm, tri.side_directions[roles[role]])
-        k = _positive_multiple(raws[role], v)
-        if k is None:
+        v = permute(perm, tri.side_directions[roles[role]])
+        k = multiple(raws[role], v)
+        if not k:
             return None
-        ks.append(k)
+        ks.append(abs(k))
     if len(set(ks)) != 1:
         return None
     K = ks[0]
@@ -197,19 +186,6 @@ def _match_case(ctx, tri, side_ratios, perm, case):
     )
 
 
-def _positive_multiple(target: Vec3, v: Vec3) -> int | None:
-    """k > 0 with target = k*v or target = -k*v, else None."""
-    for sign in (1, -1):
-        w = smul(sign, v)
-        for t in range(3):
-            if w[t]:
-                k, rem = divmod(target[t], w[t])
-                break
-        if rem == 0 and k > 0 and smul(k, w) == target:
-            return k
-    return None
-
-
 def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios:
     """Normal form of the triangle's invariant side ratios.
 
@@ -218,7 +194,7 @@ def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios
     """
     side_ratios = _side_ratios(ctx, tri)
     for case in ("a", "b"):
-        for perm in _PERMS:
+        for perm in PERMS:
             res = _match_case(ctx, tri, side_ratios, perm, case)
             if res is not None:
                 return res
@@ -235,26 +211,6 @@ class DualBasis:
     cell: BasicTriangle
     monomials: tuple[Vec3, Vec3, Vec3]
     steps: tuple[int, int, int]  # role-aligned tesselation depths
-
-
-def _direct_dual(ctx: LatticeContext, cell: BasicTriangle) -> list[Vec3]:
-    p = cell.vertices
-    det = (
-        p[0][0] * (p[1][1] * p[2][2] - p[1][2] * p[2][1])
-        - p[1][0] * (p[0][1] * p[2][2] - p[0][2] * p[2][1])
-        + p[2][0] * (p[0][1] * p[1][2] - p[0][2] * p[1][1])
-    )
-    if det == 0:
-        raise InvariantError("degenerate cone")
-    rows = []
-    for s in range(3):
-        u, w = p[(s + 1) % 3], p[(s + 2) % 3]
-        cof = _cross3(u, w)
-        row = tuple(Fraction(ctx.n * c, det) for c in cof)
-        if not all(f.denominator == 1 for f in row):
-            raise InvariantError("dual basis is not integral")
-        rows.append(tuple(int(f) for f in row))
-    return rows
 
 
 def formula_dual(ctx: LatticeContext, parent: TriangleRatios,
@@ -304,7 +260,7 @@ def dual_basis(ctx: LatticeContext, tri: RegularTriangle,
                parent: TriangleRatios, cell: BasicTriangle) -> DualBasis:
     """Dual basis of a basic triangle, computed by exact linear solve and
     by the closed formulas; a disagreement is a hard error."""
-    direct = _direct_dual(ctx, cell)
+    direct = scaled_dual(cell.vertices, ctx.n)
     steps = cell_steps(ctx, tri, parent, cell)
     formula = formula_dual(ctx, parent, cell, steps)
     if sorted(direct) != sorted(formula):
@@ -346,7 +302,7 @@ def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None
     def normalized(line):
         own = line.tag[1] - 1
         pos_coord = (own + 2) % 3  # coordinate of the preceding corner
-        raw = _cross3(line.anchor, vadd(line.anchor, line.direction))
+        raw = cross3(line.anchor, vadd(line.anchor, line.direction))
         m = primitive_in_monomial_lattice(ctx, raw)
         if m[pos_coord] == 0 or m[own] != 0:
             raise InvariantError("ratio normalization failed")

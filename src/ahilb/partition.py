@@ -20,6 +20,7 @@ from .corners import (
     Tag,
     cyclic_word,
     junction_c,
+    long_side as find_long_side,
     newton_polygon,
     side_corners,
 )
@@ -29,6 +30,7 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
+    multiple,
     pair_index,
     primitive_vector,
     smul,
@@ -103,14 +105,10 @@ def _inside_simplex(p: RatPoint) -> bool:
 
 def _step_count(ctx: LatticeContext, frm: Vec3, to: Vec3, direction: Vec3) -> int:
     """Number of primitive steps of `direction` from frm to to (signed)."""
-    v = vsub(to, frm)
-    for t in range(3):
-        if direction[t]:
-            k, rem = divmod(v[t], direction[t])
-            if rem or smul(k, direction) != v:
-                raise InvariantError("points are not joined by the direction")
-            return k
-    raise InvariantError("zero direction")
+    k = multiple(vsub(to, frm), direction)
+    if k is None:
+        raise InvariantError("points are not joined by the direction")
+    return k
 
 
 @dataclass(frozen=True)
@@ -299,10 +297,12 @@ def _interiors_disjoint(tri_a: RegularTriangle, tri_b: RegularTriangle) -> bool:
     return False
 
 
-def build_partition(ctx: LatticeContext) -> Partition:
+def build_partition(ctx: LatticeContext,
+                    fans: dict[int, CornerFan] | None = None) -> Partition:
     """Enumerate the partition, cross-check it against the contraction game,
     validate coverage, and fill catchment areas and champions."""
-    fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
+    if fans is None:
+        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
     word = cyclic_word(ctx, fans)
     lines = rays(ctx, fans)
 
@@ -343,11 +343,7 @@ def build_partition(ctx: LatticeContext) -> Partition:
             raise InvariantError("triangle interiors overlap")
 
     # Champions.
-    longs = [(s, junction_c(ctx, s, fans)[0]) for s in (1, 2, 3)]
-    longs = [(s, c) for s, c in longs if c >= 2]
-    if len(longs) > 1:
-        raise InvariantError("more than one long side")
-    long_side = longs[0] if longs else None
+    long_side = find_long_side(ctx, fans)
     champs2 = [t for t in triples.values() if t.type_tag == "champion"]
     if long_side is not None:
         if champs2:
@@ -461,30 +457,17 @@ def _fill_defeat_points(ctx: LatticeContext, part: Partition) -> Partition:
     return replace(part, lines=lines)
 
 
-def champions(part: Partition) -> ChampionsReport:
-    return part.champions
-
-
 def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
     """Check the knock-out rule at every interior crossing: the strongest
     arrival extends (strength dropping by one per defeated rival), ties all
     die.  Returns a list of violations (empty when consistent)."""
-    inner = [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
-    fars = {
-        line.tag: _step_count(ctx, line.anchor, line.defeat_point, line.direction)
-        for line in inner
-    }
+    inner = _interior_lines(part)
+    fars = {line.tag: _extent(ctx, line) for line in inner}
 
     # Reachable pairwise crossings, grouped by location.
     events: dict[RatPoint, set[Tag]] = {}
-    for la, lb in combinations(inner, 2):
-        if la.tag[1] == lb.tag[1]:
-            continue
-        x = meet(la, lb)
-        if x is None or not all(c > 0 for c in x[0]):
-            continue
-        if all(0 <= _param_at(l, x) <= fars[l.tag] for l in (la, lb)):
-            events.setdefault(x, set()).update((la.tag, lb.tag))
+    for la, lb, x in crossings(ctx, part):
+        events.setdefault(x, set()).update((la.tag, lb.tag))
 
     violations = []
     for x, tags in sorted(events.items()):
@@ -523,6 +506,32 @@ def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
                    for x, tags in events.items()):
             violations.append(f"line {line.tag} dies at {end} with no rival")
     return violations
+
+
+def crossings(ctx: LatticeContext,
+              part: Partition) -> list[tuple[Line, Line, RatPoint]]:
+    """Every (la, lb, x) where interior lines from two different corners
+    meet at x strictly inside the simplex, within both lines' extents."""
+    inner = _interior_lines(part)
+    fars = {line.tag: _extent(ctx, line) for line in inner}
+    out = []
+    for la, lb in combinations(inner, 2):
+        if la.tag[1] == lb.tag[1]:
+            continue
+        x = meet(la, lb)
+        if x is None or not all(c > 0 for c in x[0]):
+            continue
+        if all(0 <= _param_at(l, x) <= fars[l.tag] for l in (la, lb)):
+            out.append((la, lb, x))
+    return out
+
+
+def _interior_lines(part: Partition) -> list[Line]:
+    return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
+
+
+def _extent(ctx: LatticeContext, line: Line) -> int:
+    return _step_count(ctx, line.anchor, line.defeat_point, line.direction)
 
 
 def _param_at(line: Line, p: RatPoint) -> Fraction:

@@ -1,0 +1,63 @@
+"""The pipeline of one group as a single object whose stages are computed
+on first use and kept: corner fans and cyclic word -> partition -> fan ->
+census, invariant ratios, dual bases and cluster systems."""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from .clusters import ClusterSystem, cluster_system
+from .corners import CornerFan, CyclicWord, cyclic_word, newton_polygon
+from .fan import Fan, SurfaceClass, build_fan, surface_census
+from .lattice import LatticeContext
+from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
+from .partition import Partition, build_partition
+
+
+class Resolution:
+    """Every stage of the resolution of one group, each computed at most
+    once.  A stage that raises is not kept, so reading it again raises
+    again."""
+
+    def __init__(self, ctx: LatticeContext):
+        self.ctx = ctx
+
+    @cached_property
+    def fans(self) -> dict[int, CornerFan]:
+        return {i: newton_polygon(self.ctx, i) for i in (1, 2, 3)}
+
+    @cached_property
+    def word(self) -> CyclicWord:
+        return cyclic_word(self.ctx, self.fans)
+
+    @cached_property
+    def partition(self) -> Partition:
+        return build_partition(self.ctx, self.fans)
+
+    @cached_property
+    def fan(self) -> Fan:
+        return build_fan(self.ctx, self.partition)
+
+    @cached_property
+    def census(self) -> list[SurfaceClass]:
+        return surface_census(self.ctx, self.fan, self.partition)
+
+    @cached_property
+    def ratios(self) -> list[TriangleRatios]:
+        """Normal form of every partition triangle, by triangle index."""
+        return [triangle_ratios(self.ctx, tri)
+                for tri in self.partition.triangles]
+
+    def dual(self, idx: int) -> DualBasis:
+        """Dual basis of fan cone idx (not kept)."""
+        cell = self.fan.cones[idx]
+        return dual_basis(self.ctx, self.partition.triangles[cell.parent],
+                          self.ratios[cell.parent], cell)
+
+    @cached_property
+    def duals(self) -> list[DualBasis]:
+        return [self.dual(idx) for idx in range(len(self.fan.cones))]
+
+    @cached_property
+    def systems(self) -> list[ClusterSystem]:
+        return [cluster_system(self.ctx, db) for db in self.duals]

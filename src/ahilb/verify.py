@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
-from .clusters import classify_cluster, cluster_system, tripod_basis, verify_cluster
-from .corners import cyclic_matrix_product, cyclic_word, hj_expand, junction_c
+from .clusters import classify_cluster, tripod_basis
+from .corners import cyclic_matrix_product, hj_expand, long_side
 from .errors import AhilbError, GroupSpecError, InvariantError
-from .fan import build_fan, dp6_count, surface_census, verify_fan
+from .fan import dp6_count, verify_fan
 from .lattice import (
     GroupSpec,
     LatticeContext,
@@ -27,14 +26,9 @@ from .lattice import (
     parse_group_spec,
 )
 from .mmp import run_mmp, triple_set
-from .monomials import crossing_rule_check, dual_basis, triangle_ratios
-from .partition import (
-    _param_at,
-    _step_count,
-    build_partition,
-    knockout_report,
-    meet,
-)
+from .monomials import crossing_rule_check
+from .partition import crossings, knockout_report
+from .resolution import Resolution
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
             return fn
         return wrap
 
-    state = {}
+    res = Resolution(ctx)
 
     @check("lattice: junior point count matches group order")
     def _counts():
@@ -77,30 +71,26 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
         w = ctx.spec.generators[0].weights
         if ctx.n != ctx.spec.generators[0].order:
             return
-        part = _partition(ctx, state)
         for i in (1, 2, 3):
             u, v = w[i % 3], w[(i + 1) % 3]
             if r == 1 or gcd(u, r) != 1 or gcd(v, r) != 1:
                 continue
             alpha = (v * pow(u, -1, r)) % r
-            if part.fans[i].strengths != tuple(hj_expand(r, alpha)):
+            if res.fans[i].strengths != tuple(hj_expand(r, alpha)):
                 raise InvariantError(f"corner {i} disagrees with {r}/{alpha}")
 
     @check("corners: cyclic word matrix product is minus the identity")
     def _product():
-        word = cyclic_word(ctx)
-        if cyclic_matrix_product(word) != ((-1, 0), (0, -1)):
-            raise InvariantError(f"word {word.values()} product is wrong")
+        if cyclic_matrix_product(res.word) != ((-1, 0), (0, -1)):
+            raise InvariantError(f"word {res.word.values()} product is wrong")
 
     @check("corners: at most one long side")
     def _long():
-        longs = [s for s in (1, 2, 3) if junction_c(ctx, s)[0] >= 2]
-        if len(longs) > 1:
-            raise InvariantError(f"long sides at {longs}")
+        long_side(ctx, res.fans)
 
     @check("mmp: triple set is independent of contraction order")
     def _orders():
-        word = cyclic_word(ctx)
+        word = res.word
         base = set(triple_set(run_mmp(word)).keys())
         s = sum(word.values())
         if len(base) != s // 3:
@@ -113,20 +103,18 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
 
     @check("partition: enumeration and contraction game agree, areas exact")
     def _partition_check():
-        part = _partition(ctx, state)
-        if sum(t.r * t.r for t in part.triangles) != ctx.order:
+        if sum(t.r * t.r for t in res.partition.triangles) != ctx.order:
             raise InvariantError("areas do not sum to the group order")
 
     @check("partition: knock-out bookkeeping consistent at every crossing")
     def _knockout():
-        part = _partition(ctx, state)
-        bad = knockout_report(ctx, part)
+        bad = knockout_report(ctx, res.partition)
         if bad:
             raise InvariantError("; ".join(bad))
 
     @check("partition: catchments tile the complement of the champions")
     def _catchments():
-        part = _partition(ctx, state)
+        part = res.partition
         assigned = {t for members in part.catchment.values() for t in members}
         total = set(range(len(part.triangles)))
         rest = total - assigned
@@ -140,52 +128,40 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
 
     @check("fan: crepant, unimodular, complete")
     def _fan_ok():
-        bad = verify_fan(ctx, _fan(ctx, state))
+        bad = verify_fan(ctx, res.fan)
         if bad:
             raise InvariantError("; ".join(bad))
 
     @check("fan: census valencies and surface counts")
     def _census():
-        part, fan = _partition(ctx, state), _fan(ctx, state)
-        census = surface_census(ctx, fan, part)
-        for s in census:
+        for s in res.census:
             if not 3 <= s.valency <= 6:
                 raise InvariantError(f"valency {s.valency} at {s.vertex}")
-        want = dp6_count(part)
-        got = sum(1 for s in census if s.label == "dP6")
+        want = dp6_count(res.partition)
+        got = sum(1 for s in res.census if s.label == "dP6")
         if want != got:
             raise InvariantError(f"dP6 formula {want} vs census {got}")
 
     @check("monomials: ratio normal form on every triangle")
     def _ratios():
-        _parents(ctx, state)
+        res.ratios
 
     @check("monomials: dual bases solve and closed form agree")
     def _duals():
-        _duals_list(ctx, state)
+        res.duals
 
     @check("monomials: exponent knock-out rule matches defeat data")
     def _crossings():
-        part = _partition(ctx, state)
-        inner = [l for t, l in part.lines.items() if t[0] == "corner"]
-        fars = {
-            l.tag: _step_count(ctx, l.anchor, l.defeat_point, l.direction)
-            for l in inner
-        }
-        for la, lb in combinations(inner, 2):
-            if la.tag[1] == lb.tag[1]:
-                continue
-            x = meet(la, lb)
-            if x is None or not all(c > 0 for c in x[0]):
-                continue
-            ta, tb = _param_at(la, x), _param_at(lb, x)
-            if min(ta, tb) < 0 or ta > fars[la.tag] or tb > fars[lb.tag]:
-                continue
+        for la, lb, x in crossings(ctx, res.partition):
             winner = crossing_rule_check(ctx, la, lb)
+            # Within its extent a line ends at x exactly when x is its
+            # defeat point.
+            ends_a = x == (la.defeat_point, 1)
+            ends_b = x == (lb.defeat_point, 1)
             geom = None
-            if ta < fars[la.tag] and tb == fars[lb.tag]:
+            if ends_b and not ends_a:
                 geom = la.tag
-            if tb < fars[lb.tag] and ta == fars[la.tag]:
+            if ends_a and not ends_b:
                 geom = lb.tag
             if winner != geom:
                 raise InvariantError(
@@ -195,51 +171,15 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
 
     @check("clusters: systems verified, tripods exact, classification returns")
     def _clusters():
-        part, fan = _partition(ctx, state), _fan(ctx, state)
-        for db in _duals_list(ctx, state):
-            sysm = cluster_system(ctx, db)
-            verify_cluster(ctx, sysm)
+        for sysm in res.systems:
             tripod_basis(ctx, sysm)
-            cls = classify_cluster(ctx, sysm.exponents(), fan)
-            if cls.host.key() != db.cell.key():
+            cls = classify_cluster(ctx, sysm.exponents(), res.fan)
+            if cls.host.key() != sysm.host.key():
                 raise InvariantError("classification returned the wrong chart")
-            if cls.r != part.triangles[db.cell.parent].r:
+            if cls.r != res.partition.triangles[sysm.host.parent].r:
                 raise InvariantError("classification recovered the wrong side")
 
     return results
-
-
-def _partition(ctx, state):
-    if "part" not in state:
-        state["part"] = build_partition(ctx)
-    return state["part"]
-
-
-def _fan(ctx, state):
-    if "fan" not in state:
-        state["fan"] = build_fan(ctx, _partition(ctx, state))
-    return state["fan"]
-
-
-def _parents(ctx, state):
-    if "parents" not in state:
-        part = _partition(ctx, state)
-        state["parents"] = [
-            triangle_ratios(ctx, tri) for tri in part.triangles
-        ]
-    return state["parents"]
-
-
-def _duals_list(ctx, state):
-    if "duals" not in state:
-        part, fan = _partition(ctx, state), _fan(ctx, state)
-        parents = _parents(ctx, state)
-        state["duals"] = [
-            dual_basis(ctx, part.triangles[cell.parent],
-                       parents[cell.parent], cell)
-            for cell in fan.cones
-        ]
-    return state["duals"]
 
 
 def random_group_spec(rng: random.Random, max_order: int) -> GroupSpec:

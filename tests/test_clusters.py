@@ -174,7 +174,7 @@ def test_classification_substitution_consistency():
         from ahilb.clusters import (_down_exponents_from_vectors,
                                     _up_exponents_from_vectors,
                                     _vectors_by_variable)
-        from ahilb.monomials import _permute
+        from ahilb.lattice import permute as _permute
 
         base = _vectors_by_variable(cls.mode, sys.exponents())
         vecs = tuple(_permute(cls.perm, base[cls.perm[t]]) for t in range(3))

@@ -40,7 +40,8 @@ def test_parse_rejects_sl_violation():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1/5", "1/5(1,2)", "2/5(1,2,2)", "1/5(1,2,2)x"):
+    for bad in ("", "1/5", "1/5(1,2)", "2/5(1,2,2)", "1/5(1,2,2)x",
+                "1/\uff15(1,1,3)", "1/\u0665(1,1,3)", "1/5(\uff11,1,3)"):
         with pytest.raises(GroupSpecError):
             parse_group_spec(bad)
 

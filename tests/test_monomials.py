@@ -185,7 +185,7 @@ def test_dual_basis_corner_triangle_formula():
         if c.parent == part.triangle_index(tri.key()) and c.kind == "up"
     )
     db = dual_basis(ctx, tri, tr, cell)
-    from ahilb.monomials import _permute
+    from ahilb.lattice import permute as _permute
 
     sigma = {tuple(_permute(tr.perm, m)) for m in db.monomials}
     a, b, c = tr.a, tr.b, tr.c
