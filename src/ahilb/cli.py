@@ -6,8 +6,8 @@
     ahilb clusters "1/11(1,2,8)" [--triangle ID] [--json PATH]
     ahilb verify   ["1/11(1,2,8)"] [--random N --max-order B --seed S]
 
-Exit codes: 0 success, 1 invalid group specification or argument, 2 a
-cross-check or invariant failed.
+Exit codes: 0 success, 1 invalid group specification or argument or an
+unwritable output path, 2 a cross-check or invariant failed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from .clusters import cluster_system, equations_text
 from .corners import long_side
 from .draw import render_svg
-from .errors import GroupSpecError, InvariantError
+from .errors import GroupSpecError, InvariantError, OutputError
 from .fan import Fan, dp6_count
 from .lattice import LatticeContext, lattice_context, parse_group_spec
 from .resolution import Resolution
@@ -113,11 +113,18 @@ def build_document(ctx: LatticeContext) -> dict:
     return doc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _dump(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, separators=(",", ":"))
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(path, text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -145,9 +152,7 @@ def _cmd_fan(args) -> int:
 def _cmd_draw(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
     res = Resolution(ctx)
-    svg = render_svg(ctx, res.partition, res.fan, ratios=args.ratios)
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.svg, render_svg(ctx, res.partition, res.fan, ratios=args.ratios))
     return 0
 
 
@@ -283,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except GroupSpecError as exc:
         sys.stderr.write(f"invalid group: {exc}\n")
+        return 1
+    except OutputError as exc:
+        sys.stderr.write(f"{exc}\n")
         return 1
     except InvariantError as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")

@@ -12,7 +12,7 @@ the up or down dependency relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvariantError
 from .fan import BasicTriangle, Fan
@@ -258,21 +258,17 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
     if found is None:
         raise InvariantError(f"no permutation normalizes exponents {exps}")
 
-    host = None
-    if fan is not None:
-        host = _host_lookup(ctx, base_vecs, fan)
-    return Classification(found.mode, found.case, found.perm, found.A,
-                          found.B, found.C, found.i, found.j, found.k,
-                          found.r, host)
+    if fan is None:
+        return found
+    return replace(found, host=_host_lookup(ctx, base_vecs, fan))
 
 
 def _host_lookup(ctx: LatticeContext, vecs, fan: Fan) -> BasicTriangle:
     """Invert the dual basis: the chart's cone vertices are n * D^{-1}."""
     key = tuple(sorted(scaled_dual(vecs, ctx.n)))
-    for cell in fan.cones:
-        if cell.key() == key:
-            return cell
-    raise InvariantError(f"no fan cone has vertices {key}")
+    if key not in fan.cone_by_key:
+        raise InvariantError(f"no fan cone has vertices {key}")
+    return fan.cone_by_key[key]
 
 
 def equations_text(sys: ClusterSystem) -> list[str]:

@@ -14,3 +14,7 @@ class GroupSpecError(AhilbError):
 class InvariantError(AhilbError):
     """An internal consistency check failed (differential-test mismatch,
     broken structural invariant).  Maps to CLI exit code 2."""
+
+
+class OutputError(AhilbError):
+    """An output file cannot be written.  Maps to CLI exit code 1."""

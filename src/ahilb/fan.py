@@ -4,7 +4,7 @@ fan, crepancy checks and the census of exceptional surfaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import comb
 
@@ -90,28 +90,6 @@ def _grid_step(ctx: LatticeContext, frm: Vec3, to: Vec3, r: int) -> Vec3:
     return step
 
 
-def barycentric_steps(ctx: LatticeContext, tri: RegularTriangle,
-                      point: Vec3) -> tuple[int, int, int]:
-    """Integer barycentrics of a lattice point w.r.t. a regular triangle:
-    component t is the number of lattice steps from the side opposite
-    vertex t; the components sum to r."""
-    w1, w2, w3 = tri.vertices
-    r = tri.r
-    u = ctx.plane_coords(vsub(w2, w1))
-    w = ctx.plane_coords(vsub(w3, w1))
-    p = ctx.plane_coords(vsub(point, w1))
-    d = cross2(u, w)
-    beta_num = cross2(p, w)
-    gamma_num = cross2(u, p)
-    if d < 0:
-        beta_num, gamma_num, d = -beta_num, -gamma_num, -d
-    if beta_num * r % d or gamma_num * r % d:
-        raise InvariantError("point is not on the triangle's step grid")
-    beta = beta_num * r // d
-    gamma = gamma_num * r // d
-    return (r - beta - gamma, beta, gamma)
-
-
 @dataclass(frozen=True)
 class Fan:
     """The junior-plane cross-section of the resolution fan."""
@@ -120,6 +98,11 @@ class Fan:
     cones: tuple[BasicTriangle, ...]
     edges: frozenset[frozenset]  # two-element frozensets of ray points
     boundary_rays: frozenset[Vec3]
+    interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
+
+    @cached_property
+    def cone_by_key(self) -> dict[tuple[Vec3, Vec3, Vec3], BasicTriangle]:
+        return {c.key(): c for c in self.cones}
 
 
 def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
@@ -130,6 +113,13 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
     if len(cones) != ctx.order:
         raise InvariantError("cone count differs from the group order")
     verts = sorted({v for c in cones for v in c.vertices})
+    # Vertex t of a cell sits at steps + e_t (up) or steps - e_t (down).
+    interior = set()
+    for c in cones:
+        sign = 1 if c.kind == "up" else -1
+        for t, v in enumerate(c.vertices):
+            if all(s + sign * (u == t) > 0 for u, s in enumerate(c.steps)):
+                interior.add(v)
     edges: dict[frozenset, int] = {}
     for c in cones:
         for a, b in combinations(c.vertices, 2):
@@ -146,7 +136,8 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
                     "tesselations do not match across triangles"
                 )
             boundary.update((a, b))
-    return Fan(tuple(verts), tuple(cones), frozenset(edges), frozenset(boundary))
+    return Fan(tuple(verts), tuple(cones), frozenset(edges),
+               frozenset(boundary), frozenset(interior))
 
 
 def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
@@ -247,8 +238,7 @@ def vertex_stars(ctx: LatticeContext, fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
     return out
 
 
-def surface_census(ctx: LatticeContext, fan: Fan,
-                   part: Partition) -> list[SurfaceClass]:
+def surface_census(ctx: LatticeContext, fan: Fan) -> list[SurfaceClass]:
     """Classify the surface at every interior vertex of the fan."""
     out = []
     for v, star in sorted(vertex_stars(ctx, fan).items()):
@@ -266,24 +256,12 @@ def surface_census(ctx: LatticeContext, fan: Fan,
                 raise InvariantError(f"star relation at {v} is not integral")
             bs.append(b)
         cs = tuple(b - 2 for b in bs)
-        label = _surface_label(ctx, part, v, t, bs)
+        label = _surface_label(fan, v, t, bs)
         out.append(SurfaceClass(v, t, star, tuple(bs), cs, label))
     return out
 
 
-def _interior_to_some_tesselation(ctx: LatticeContext, part: Partition,
-                                  v: Vec3) -> bool:
-    for tri in part.triangles:
-        try:
-            a, b, c = barycentric_steps(ctx, tri, v)
-        except InvariantError:
-            continue
-        if a > 0 and b > 0 and c > 0:
-            return True
-    return False
-
-
-def _surface_label(ctx, part, v, valency, bs) -> str:
+def _surface_label(fan, v, valency, bs) -> str:
     if valency == 3:
         if bs != [-1, -1, -1]:
             raise InvariantError(f"valency-3 star at {v} is not a plane")
@@ -295,7 +273,7 @@ def _surface_label(ctx, part, v, valency, bs) -> str:
         return f"F{n}"
     if valency == 5:
         return "scroll-blowup-1"
-    if _interior_to_some_tesselation(ctx, part, v):
+    if v in fan.interior:
         if bs != [1] * 6:
             raise InvariantError(
                 f"tesselation-interior vertex {v} without hexagonal star"

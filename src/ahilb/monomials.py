@@ -9,10 +9,10 @@ is invariant under the group and primitive in the invariant lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantError
-from .fan import BasicTriangle, barycentric_steps
+from .fan import BasicTriangle
 from .lattice import (
     PERMS,
     LatticeContext,
@@ -40,14 +40,10 @@ def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
         raise InvariantError("zero exponent vector")
     g = _content(m)
     base = (m[0] // g, m[1] // g, m[2] // g)
-    # The primitive invariant multiple divides the group order.
-    for k in range(1, ctx.order + 1):
-        if ctx.order % k:
-            continue
-        cand = smul(k, base)
-        if ctx.is_invariant_monomial(cand):
-            return cand
-    raise InvariantError("no invariant multiple up to the group order")
+    # k*base is invariant exactly when every n / gcd(n, base.g) divides k.
+    n = ctx.n
+    return smul(lcm(*(n // gcd(n, dot(base, gen)) for gen in ctx.generators)),
+                base)
 
 
 def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
@@ -218,42 +214,15 @@ def formula_dual(ctx: LatticeContext, parent: TriangleRatios,
                  steps: tuple[int, int, int]) -> list[Vec3]:
     """Closed-form dual basis from the parent normal form and the cell's
     role-aligned depths (i, j, k)."""
-    i, j, k = steps
     a, b, c, d, e, f = parent.a, parent.b, parent.c, parent.d, parent.e, parent.f
     if parent.case == "a":
-        up = [
-            (d - i, -(b + i), -i),
-            (-(a + j), e - j, -j),
-            (-k, -(c + k), f - k),
-        ]
+        bases = [(d, -b, 0), (-a, e, 0), (0, -c, f)]
     else:
-        up = [
-            (d - i, -(b + i), -i),
-            (-j, e - j, -(c + j)),
-            (-(a + k), -k, f - k),
-        ]
+        bases = [(d, -b, 0), (0, e, -c), (-a, 0, f)]
+    up = [parallel_ratio(base, s) for base, s in zip(bases, steps)]
     if cell.kind == "down":
         up = [vneg(m) for m in up]
     return [_unpermute(parent.perm, m) for m in up]
-
-
-def cell_steps(ctx: LatticeContext, tri: RegularTriangle,
-               parent: TriangleRatios, cell: BasicTriangle) -> tuple[int, int, int]:
-    """Role-aligned inward depths of a cell: component t counts lattice
-    steps from the side playing role t (plus one for down cells)."""
-    shift = 1 if cell.kind == "down" else 0
-    out = []
-    for role in range(3):
-        side_idx = parent.roles[role]
-        depth = min(
-            barycentric_steps(ctx, tri, v)[side_idx] for v in cell.vertices
-        )
-        out.append(depth + shift)
-    total = sum(out)
-    want = tri.r - 1 if cell.kind == "up" else tri.r + 1
-    if total != want:
-        raise InvariantError("cell depths do not sum to the expected value")
-    return tuple(out)
 
 
 def dual_basis(ctx: LatticeContext, tri: RegularTriangle,
@@ -261,7 +230,7 @@ def dual_basis(ctx: LatticeContext, tri: RegularTriangle,
     """Dual basis of a basic triangle, computed by exact linear solve and
     by the closed formulas; a disagreement is a hard error."""
     direct = scaled_dual(cell.vertices, ctx.n)
-    steps = cell_steps(ctx, tri, parent, cell)
+    steps = tuple(cell.steps[side] for side in parent.roles)
     formula = formula_dual(ctx, parent, cell, steps)
     if sorted(direct) != sorted(formula):
         raise InvariantError(
@@ -300,13 +269,12 @@ def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None
     shared = next(t for t in range(3) if t not in (first - 1, last - 1))
 
     def normalized(line):
-        own = line.tag[1] - 1
-        pos_coord = (own + 2) % 3  # coordinate of the preceding corner
-        raw = cross3(line.anchor, vadd(line.anchor, line.direction))
-        m = primitive_in_monomial_lattice(ctx, raw)
-        if m[pos_coord] == 0 or m[own] != 0:
+        own = line.tag[1]
+        # Positive on the corner that precedes the line's own corner.
+        m = line_ratio(ctx, line, ctx.corner((own + 1) % 3 + 1))
+        if m[own - 1] != 0:
             raise InvariantError("ratio normalization failed")
-        return m if m[pos_coord] > 0 else vneg(m)
+        return m
 
     m_first = normalized(by_corner[first])
     m_last = normalized(by_corner[last])

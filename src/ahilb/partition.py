@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -243,11 +244,14 @@ class Partition:
     fans: dict[int, CornerFan]
     concurrency: ConcurrencyPoint | None
 
+    @cached_property
+    def index_by_key(self) -> dict[tuple, int]:
+        return {tri.key(): t for t, tri in enumerate(self.triangles)}
+
     def triangle_index(self, key: tuple) -> int:
-        for t, tri in enumerate(self.triangles):
-            if tri.key() == key:
-                return t
-        raise InvariantError("triangle key not in partition")
+        if key not in self.index_by_key:
+            raise InvariantError("triangle key not in partition")
+        return self.index_by_key[key]
 
 
 def _protected_run(word: CyclicWord, side: int) -> tuple[CyclicWord, list[RegularTriple]]:
@@ -313,10 +317,11 @@ def build_partition(ctx: LatticeContext,
     triples = triple_set(trace)
     for tr in triples.values():
         validate_triple(ctx, tr)
+    realized: dict[tuple, RegularTriangle | ConcurrencyPoint] = {}
     realized_keys = set()
     concurrency = None
-    for tr in triples.values():
-        res = realize_triple(ctx, lines, tr)
+    for canon, tr in triples.items():
+        res = realized[canon] = realize_triple(ctx, lines, tr)
         if isinstance(res, ConcurrencyPoint):
             if concurrency is not None:
                 raise InvariantError("two degenerate triples in one group")
@@ -344,7 +349,7 @@ def build_partition(ctx: LatticeContext,
 
     # Champions.
     long_side = find_long_side(ctx, fans)
-    champs2 = [t for t in triples.values() if t.type_tag == "champion"]
+    champs2 = [k for k, t in triples.items() if t.type_tag == "champion"]
     if long_side is not None:
         if champs2:
             raise InvariantError("champion triple found despite a long side")
@@ -360,7 +365,7 @@ def build_partition(ctx: LatticeContext,
             raise InvariantError(
                 f"expected a unique champion triple, found {len(champs2)}"
             )
-        res = realize_triple(ctx, lines, champs2[0])
+        res = realized[champs2[0]]
         if isinstance(res, ConcurrencyPoint):
             champions = ChampionsReport("concurrent", point=res.point)
             champion_key = None
@@ -383,7 +388,12 @@ def build_partition(ctx: LatticeContext,
             continue
         _, eaten = _protected_run(word, s)
         for tr in eaten:
-            res = realize_triple(ctx, lines, tr)
+            canon = tr.canonical()
+            if canon not in realized or set(triples[canon].tags) != set(tr.tags):
+                raise InvariantError(
+                    f"side run triple {tr.tags} is not one of the game's"
+                )
+            res = realized[canon]
             if isinstance(res, ConcurrencyPoint):
                 raise InvariantError("side run realized a degenerate triple")
             eaten_from.setdefault(res.key(), s)

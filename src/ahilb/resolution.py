@@ -40,7 +40,7 @@ class Resolution:
 
     @cached_property
     def census(self) -> list[SurfaceClass]:
-        return surface_census(self.ctx, self.fan, self.partition)
+        return surface_census(self.ctx, self.fan)
 
     @cached_property
     def ratios(self) -> list[TriangleRatios]:

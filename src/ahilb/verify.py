@@ -210,13 +210,17 @@ def random_group_spec(rng: random.Random, max_order: int) -> GroupSpec:
 def run_random_suite(count: int, max_order: int, seed: int,
                      mmp_orders: int = 10) -> tuple[int, list[str]]:
     """Run the full suite over seeded random groups; returns the number of
-    groups tested and a list of failure descriptions."""
+    groups tested and a list of failure descriptions, each ending in the
+    command that reruns its group with the same seed."""
     rng = random.Random(seed)
     failures = []
     for t in range(count):
         spec = random_group_spec(rng, max_order)
         ctx = lattice_context(spec, max_order=max_order)
+        repro = f'ahilb verify "{spec.canonical_text}" --seed {seed + t}'
         for res in run_checks(ctx, mmp_orders=mmp_orders, seed=seed + t):
             if not res.ok:
-                failures.append(f"{spec.canonical_text}: {res.name}: {res.detail}")
+                failures.append(
+                    f"{spec.canonical_text}: {res.name}: {res.detail}; {repro}"
+                )
     return count, failures

@@ -1,11 +1,15 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 from hashlib import sha256
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import ahilb
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document, main
 from ahilb.draw import render_svg
@@ -114,6 +118,27 @@ def test_draw_trivial_group(tmp_path):
     out = tmp_path / "fig.svg"
     assert main(["draw", "1/1(0,0,0)", "--svg", str(out)]) == 0
     assert "<line" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "1/11(1,2,8)", "--json"],
+    ["fan", "1/11(1,2,8)", "--json"],
+    ["clusters", "1/11(1,2,8)", "--json"],
+    ["draw", "1/11(1,2,8)", "--svg"],
+])
+def test_unwritable_output_path(argv, tmp_path):
+    target = str(tmp_path / "missing" / "out")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ahilb.cli", *argv, target],
+        capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(ahilb.__file__).parent.parent)},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"cannot write {target}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_document_deterministic():

@@ -3,7 +3,6 @@ from math import comb
 
 from ahilb import junior_points, lattice_context, parse_group_spec
 from ahilb.fan import (
-    barycentric_steps,
     build_fan,
     dp6_count,
     surface_census,
@@ -114,7 +113,7 @@ def test_verify_fan_detects_non_unimodular_cone():
 
 def test_census_p2_at_center_of_z3():
     ctx, part, fan = pipeline("1/3(1,1,1)")
-    census = surface_census(ctx, fan, part)
+    census = surface_census(ctx, fan)
     assert len(census) == 1
     entry = census[0]
     assert entry.vertex == (1, 1, 1)
@@ -126,7 +125,7 @@ def test_census_p2_at_center_of_z3():
 
 def test_census_dp6_at_center_of_z3z3():
     ctx, part, fan = pipeline("1/3(1,2,0)+1/3(0,1,2)")
-    census = surface_census(ctx, fan, part)
+    census = surface_census(ctx, fan)
     assert [s.label for s in census] == ["dP6"]
     assert census[0].vertex == (1, 1, 1)
     assert census[0].valency == 6
@@ -137,14 +136,14 @@ def test_census_valencies_in_range():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx, part, fan = pipeline(text)
-        for s in surface_census(ctx, fan, part):
+        for s in surface_census(ctx, fan):
             assert 3 <= s.valency <= 6
 
 
 def test_census_star_relations():
     # u_{t-1} + u_{t+1} = b_t u_t - c_t v, summing scaled points exactly.
     ctx, part, fan = pipeline("1/11(1,2,8)")
-    for s in surface_census(ctx, fan, part):
+    for s in surface_census(ctx, fan):
         t = s.valency
         for idx in range(t):
             lhs = vadd(s.neighbors[(idx - 1) % t], s.neighbors[(idx + 1) % t])
@@ -164,7 +163,7 @@ def test_dp6_count_formula():
     ):
         ctx, part, fan = pipeline(text)
         assert dp6_count(part) == expect
-        census = surface_census(ctx, fan, part)
+        census = surface_census(ctx, fan)
         assert sum(1 for s in census if s.label == "dP6") == expect
 
 
@@ -173,14 +172,20 @@ def test_dp6_formula_is_binomial():
     assert dp6_count(part) == sum(comb(t.r - 1, 2) for t in part.triangles)
 
 
-def test_barycentric_steps_roundtrip():
-    ctx, part, fan = pipeline("1/4(1,3,0)+1/4(0,1,3)")
-    tri = part.triangles[0]
-    for c in tesselate(ctx, tri):
-        for v in c.vertices:
-            a, b, g = barycentric_steps(ctx, tri, v)
-            assert a + b + g == tri.r
-            assert min(a, b, g) >= 0
+def test_interior_vertices_have_one_parent():
+    # A vertex strictly inside one triangle's tesselation sees only that
+    # triangle's cells; one on a partition edge sees at least two parents.
+    for text in ("1/11(1,2,8)", "1/3(1,2,0)+1/3(0,1,2)",
+                 "1/4(1,3,0)+1/4(0,1,3)", "1/101(1,7,93)"):
+        ctx, part, fan = pipeline(text)
+        parents = {}
+        for c in fan.cones:
+            for v in c.vertices:
+                parents.setdefault(v, set()).add(c.parent)
+        assert fan.interior == {
+            v for v, ps in parents.items() if 0 not in v and len(ps) == 1
+        }
+        assert len(fan.interior) == dp6_count(part)
 
 
 def test_stars_close_up():

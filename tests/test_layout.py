@@ -1,11 +1,16 @@
-"""Module layout: an ahilb module uses only the public names of another."""
+"""Module layout: an ahilb module uses only the public names of another,
+and every span the benchmark traces names a module-level function."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import ahilb
 
 PACKAGE = Path(ahilb.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -33,3 +38,19 @@ def test_no_private_cross_module_imports():
     for path in sorted(PACKAGE.glob("*.py")):
         found += _private_imports(path)
     assert found == []
+
+
+def test_traced_spans_name_module_level_functions():
+    # The benchmark's --trace 1 wraps these by module and name; a renamed
+    # or nested function would leave its span silently empty.
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for span, (module, name) in tracing.SPANS.items():
+        mod = importlib.import_module(f"ahilb.{module}")
+        fn = vars(mod).get(name)
+        if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                and fn.__qualname__ == name):
+            missing.append(span)
+    assert missing == []

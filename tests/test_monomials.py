@@ -1,11 +1,12 @@
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import dot, vadd, vneg, vsub
+from ahilb.lattice import dot, smul, vadd, vneg, vsub
 from ahilb.monomials import (
     crossing_rule_check,
     dual_basis,
@@ -269,6 +270,30 @@ def test_primitive_in_monomial_lattice():
     ctx = lattice_context(parse_group_spec("1/11(1,2,8)"))
     assert primitive_in_monomial_lattice(ctx, (4, -2, 0)) == (2, -1, 0)
     assert primitive_in_monomial_lattice(ctx, (1, 0, 0)) == (11, 0, 0)
+
+
+def _primitive_by_search(ctx, m):
+    """Reference: the smallest divisor k of the order with k*base
+    invariant, base being m divided by its content."""
+    g = 0
+    for c in m:
+        g = gcd(g, abs(c))
+    base = (m[0] // g, m[1] // g, m[2] // g)
+    for k in range(1, ctx.order + 1):
+        if ctx.order % k == 0 and ctx.is_invariant_monomial(smul(k, base)):
+            return smul(k, base)
+    raise AssertionError("no invariant multiple")
+
+
+def test_primitive_in_monomial_lattice_matches_search():
+    vectors = [m for m in product(range(-4, 5), repeat=3) if m != (0, 0, 0)]
+    for text in ("1/11(1,2,8)", "1/30(25,2,3)", "1/12(1,3,8)",
+                 "1/2(1,1,0)+1/2(0,1,1)", "1/6(1,2,3)+1/2(1,1,0)",
+                 "1/4(1,3,0)+1/4(0,1,3)", "1/1(0,0,0)"):
+        ctx = lattice_context(parse_group_spec(text))
+        for m in vectors:
+            assert primitive_in_monomial_lattice(ctx, m) == \
+                _primitive_by_search(ctx, m)
 
 
 def test_ratio_str():

@@ -1,3 +1,6 @@
+import pytest
+
+import ahilb.partition
 from ahilb import lattice_context, parse_group_spec
 from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
@@ -236,3 +239,20 @@ def test_long_side_subdivided_by_rival_line():
     end = part.lines[("corner", 3, 1)].defeat_point
     assert end == (5, 10, 0)
     assert end[2] == 0  # on side e1 e2
+
+
+@pytest.mark.parametrize("spec", [
+    "1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)", "1/101(1,7,93)",
+])
+def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
+    # The champion and the side runs reuse the game's realized triangles.
+    ctx = ctx_of(spec)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return realize_triple(*args)
+
+    monkeypatch.setattr(ahilb.partition, "realize_triple", counted)
+    build_partition(ctx)
+    assert len(calls) == len(triple_set(run_mmp(cyclic_word(ctx))))

@@ -1,7 +1,13 @@
 import random
 
+import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
-from ahilb.verify import random_group_spec, run_checks, run_random_suite
+from ahilb.verify import (
+    CheckResult,
+    random_group_spec,
+    run_checks,
+    run_random_suite,
+)
 
 
 def test_run_checks_names_are_stable():
@@ -45,3 +51,19 @@ def test_suite_deterministic():
     a = run_random_suite(8, 30, seed=9)
     b = run_random_suite(8, 30, seed=9)
     assert a == b
+
+
+def test_random_failures_end_in_their_repro(monkeypatch):
+    seen = []
+
+    def failing(ctx, mmp_orders=10, seed=0):
+        seen.append((ctx.spec.canonical_text, seed))
+        return [CheckResult("fake: always fails", False, "boom")]
+
+    monkeypatch.setattr(ahilb.verify, "run_checks", failing)
+    count, failures = run_random_suite(4, 30, seed=17)
+    assert count == 4 and len(failures) == 4
+    assert [seed for _, seed in seen] == [17, 18, 19, 20]
+    for line, (spec, seed) in zip(failures, seen):
+        assert line.startswith(f"{spec}: fake: always fails: boom")
+        assert line.endswith(f'ahilb verify "{spec}" --seed {seed}')
