@@ -56,14 +56,14 @@ def build_document(ctx: LatticeContext) -> dict:
         "corners": [
             {
                 "corner": i,
-                "vectors": [list(v) for v in part.fans[i].vectors],
-                "strengths": list(part.fans[i].strengths),
+                "vectors": [list(v) for v in res.fans[i].vectors],
+                "strengths": list(res.fans[i].strengths),
             }
             for i in (1, 2, 3)
         ],
         "cyclic_word": [
             {"value": e.value, "tag": _tag_json(e.tag), "vector": list(e.vector)}
-            for e in part.word.entries
+            for e in res.word.entries
         ],
     }
     if part.long_side is not None:
@@ -199,12 +199,13 @@ def _cmd_verify(args) -> int:
     failures = []
     if args.spec is not None:
         ctx = lattice_context(parse_group_spec(args.spec))
-        results = run_checks(ctx, seed=args.seed)
-        for res in results:
-            status = "pass" if res.ok else f"FAIL ({res.detail})"
-            sys.stdout.write(f"{res.name}: {status}\n")
+        res = Resolution(ctx)
+        results = run_checks(res, seed=args.seed)
+        for result in results:
+            status = "pass" if result.ok else f"FAIL ({result.detail})"
+            sys.stdout.write(f"{result.name}: {status}\n")
         failures += [r for r in results if not r.ok]
-        side = long_side(ctx, Resolution(ctx).fans)
+        side = long_side(ctx, res.fans)
         if side:
             s, c = side
             names = {1: "e1e2", 2: "e2e3", 3: "e3e1"}

@@ -62,6 +62,14 @@ class ClusterSystem:
             "pi": (1, 1, 1),
         }
 
+    def dual_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
+        """The three ratio vectors of the chart's dual basis, in variable
+        order: (xi, eta, zeta) in up mode, (lam, mu, nu) in down mode."""
+        v = self.ratio_vectors()
+        if self.mode == "up":
+            return (v["xi"], v["eta"], v["zeta"])
+        return (v["lam"], v["mu"], v["nu"])
+
 
 def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]:
     """Read (a..f, l, m, n) off up-mode dual vectors (xi, eta, zeta)."""
@@ -195,21 +203,6 @@ class Classification:
     host: BasicTriangle | None
 
 
-def _vectors_by_variable(sys_mode: str, exps: tuple[int, ...]):
-    a, b, c, d, e, f, l, m, n = exps
-    if sys_mode == "up":
-        return (
-            (l + 1, -b, -f),
-            (-d, m + 1, -c),
-            (-a, -e, n + 1),
-        )
-    return (
-        (-l, b + 1, f + 1),
-        (d + 1, -m, c + 1),
-        (a + 1, e + 1, -n),
-    )
-
-
 def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                      fan: Fan | None = None) -> Classification:
     """Recover mode, coordinate permutation, the parent normal-form data
@@ -227,7 +220,7 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
         raise InvariantError(
             f"exponents {exps} satisfy neither the up nor the down relations"
         )
-    base_vecs = _vectors_by_variable(mode, exps)
+    base_vecs = ClusterSystem(mode, *exps).dual_vectors()
 
     found = None
     for case in ("a", "b"):

@@ -183,11 +183,9 @@ class CyclicWord:
 
 
 def junction_c(ctx: LatticeContext, side: int,
-               fans: dict[int, CornerFan] | None = None) -> tuple[int, Vec3]:
+               fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
     """Junction constant c of side (i, i+1) and the side's inward vector at
     e_{i+1}; the side is long exactly when c >= 2."""
-    if fans is None:
-        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
     i, ip1 = side_corners(side)
     f_next = fans[ip1].vectors
     f_prev = fans[i].vectors
@@ -209,8 +207,7 @@ def long_side(ctx: LatticeContext,
     return longs[0] if longs else None
 
 
-def cyclic_word(ctx: LatticeContext,
-                fans: dict[int, CornerFan] | None = None) -> CyclicWord:
+def cyclic_word(ctx: LatticeContext, fans: dict[int, CornerFan]) -> CyclicWord:
     """Concatenate the three corner chains into the cyclic word.
 
     Order: junction(e3 e1), strengths at e1, junction(e1 e2), strengths at
@@ -218,8 +215,6 @@ def cyclic_word(ctx: LatticeContext,
     blade signs so that consecutive entries satisfy
     v_{j-1} + v_{j+1} = value_j * v_j, with a sign flip on wraparound.
     """
-    if fans is None:
-        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
     entries: list[WordEntry] = []
     signs = {1: 1, 2: -1, 3: 1}
     for i in (1, 2, 3):

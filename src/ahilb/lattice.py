@@ -140,7 +140,8 @@ def parse_group_spec(text: str) -> GroupSpec:
     if not squashed:
         raise GroupSpecError("empty group specification")
     gens = []
-    for term in squashed.split("+"):
+    # A weight may carry its own sign, so terms are split only at ")+".
+    for term in re.split(r"(?<=\))\+", squashed):
         m = _TERM_RE.fullmatch(term)
         if m is None:
             raise GroupSpecError(f"cannot parse term {term!r}")

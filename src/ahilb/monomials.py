@@ -225,8 +225,8 @@ def formula_dual(ctx: LatticeContext, parent: TriangleRatios,
     return [_unpermute(parent.perm, m) for m in up]
 
 
-def dual_basis(ctx: LatticeContext, tri: RegularTriangle,
-               parent: TriangleRatios, cell: BasicTriangle) -> DualBasis:
+def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
+               cell: BasicTriangle) -> DualBasis:
     """Dual basis of a basic triangle, computed by exact linear solve and
     by the closed formulas; a disagreement is a hard error."""
     direct = scaled_dual(cell.vertices, ctx.n)

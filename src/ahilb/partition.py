@@ -19,10 +19,8 @@ from .corners import (
     CornerFan,
     CyclicWord,
     Tag,
-    cyclic_word,
     junction_c,
     long_side as find_long_side,
-    newton_polygon,
     side_corners,
 )
 from .errors import InvariantError
@@ -38,7 +36,7 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .mmp import RegularTriple, run_mmp, triple_set, validate_triple
+from .mmp import RegularTriple, contract, run_mmp, triple_set, validate_triple
 
 RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
@@ -55,11 +53,8 @@ class Line:
     defeat_point: Vec3 | None = None
 
 
-def rays(ctx: LatticeContext,
-         fans: dict[int, CornerFan] | None = None) -> dict[Tag, Line]:
+def rays(ctx: LatticeContext, fans: dict[int, CornerFan]) -> dict[Tag, Line]:
     """One line per interior corner ray plus the three sides."""
-    if fans is None:
-        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
     lines: dict[Tag, Line] = {}
     for i in (1, 2, 3):
         fan = fans[i]
@@ -104,7 +99,7 @@ def _inside_simplex(p: RatPoint) -> bool:
     return all(c >= 0 for c in p[0])
 
 
-def _step_count(ctx: LatticeContext, frm: Vec3, to: Vec3, direction: Vec3) -> int:
+def _step_count(frm: Vec3, to: Vec3, direction: Vec3) -> int:
     """Number of primitive steps of `direction` from frm to to (signed)."""
     k = multiple(vsub(to, frm), direction)
     if k is None:
@@ -166,7 +161,7 @@ def _triangle_from_lines(ctx: LatticeContext,
         v = vsub(b, a)
         d = primitive_vector(ctx, v)
         dirs.append(d)
-        lens.append(_step_count(ctx, a, b, d))
+        lens.append(_step_count(a, b, d))
     lens = [abs(x) for x in lens]
     if lens[0] != lens[1] or lens[1] != lens[2] or lens[0] < 1:
         return None
@@ -182,11 +177,9 @@ def _triangle_from_lines(ctx: LatticeContext,
 
 
 def enumerate_triangles(ctx: LatticeContext,
-                        lines: dict[Tag, Line] | None = None) -> list[RegularTriangle]:
+                        lines: dict[Tag, Line]) -> list[RegularTriangle]:
     """Brute force over all line triples; the regular triangles tile the
     simplex, so collecting every one of them yields the partition."""
-    if lines is None:
-        lines = rays(ctx)
     ordered = [lines[t] for t in sorted(lines)]
     found: dict[tuple, RegularTriangle] = {}
     for trio in combinations(ordered, 3):
@@ -240,8 +233,6 @@ class Partition:
     champions: ChampionsReport
     catchment: dict[int, tuple[int, ...]]  # side -> triangle indexes
     lines: dict[Tag, Line]
-    word: CyclicWord
-    fans: dict[int, CornerFan]
     concurrency: ConcurrencyPoint | None
 
     @cached_property
@@ -253,12 +244,28 @@ class Partition:
             raise InvariantError("triangle key not in partition")
         return self.index_by_key[key]
 
+    @cached_property
+    def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
+        """Every (la, lb, x) where interior lines from two different
+        corners meet at x strictly inside the simplex, within both lines'
+        extents."""
+        inner = _interior_lines(self)
+        fars = {line.tag: _extent(line) for line in inner}
+        out = []
+        for la, lb in combinations(inner, 2):
+            if la.tag[1] == lb.tag[1]:
+                continue
+            x = meet(la, lb)
+            if x is None or not all(c > 0 for c in x[0]):
+                continue
+            if all(0 <= _param_at(l, x) <= fars[l.tag] for l in (la, lb)):
+                out.append((la, lb, x))
+        return out
+
 
 def _protected_run(word: CyclicWord, side: int) -> tuple[CyclicWord, list[RegularTriple]]:
     """Eat triangles along one side: contract any 1 except the other two
     junction entries, until none is available."""
-    from .mmp import contract
-
     protected = {("junction", s) for s in (1, 2, 3) if s != side}
     cur = word
     out = []
@@ -301,13 +308,11 @@ def _interiors_disjoint(tri_a: RegularTriangle, tri_b: RegularTriangle) -> bool:
     return False
 
 
-def build_partition(ctx: LatticeContext,
-                    fans: dict[int, CornerFan] | None = None) -> Partition:
+def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
+                    word: CyclicWord) -> Partition:
     """Enumerate the partition, cross-check it against the contraction game,
-    validate coverage, and fill catchment areas and champions."""
-    if fans is None:
-        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
-    word = cyclic_word(ctx, fans)
+    validate coverage, and fill catchment areas and champions.  word is the
+    cyclic word of the corner fans."""
     lines = rays(ctx, fans)
 
     enumerated = enumerate_triangles(ctx, lines)
@@ -417,8 +422,6 @@ def build_partition(ctx: LatticeContext,
         champions=champions,
         catchment=catchment,
         lines=lines,
-        word=word,
-        fans=fans,
         concurrency=concurrency,
     )
     return _fill_defeat_points(ctx, part)
@@ -437,12 +440,12 @@ def line_extent(ctx: LatticeContext, part: Partition, tag: Tag) -> int:
             if tri.side_lines[t] != tag:
                 continue
             a, b = tri.side_of(t)
-            ta = _step_count(ctx, line.anchor, a, line.direction)
-            tb = _step_count(ctx, line.anchor, b, line.direction)
+            ta = _step_count(line.anchor, a, line.direction)
+            tb = _step_count(line.anchor, b, line.direction)
             segs.add((min(ta, tb), max(ta, tb)))
     if not segs:
         if part.concurrency is not None and tag in part.concurrency.tags:
-            return _step_count(ctx, line.anchor, part.concurrency.point,
+            return _step_count(line.anchor, part.concurrency.point,
                                line.direction)
         raise InvariantError(f"line {tag} hosts no triangle side")
     merged = sorted(segs)
@@ -472,11 +475,11 @@ def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
     arrival extends (strength dropping by one per defeated rival), ties all
     die.  Returns a list of violations (empty when consistent)."""
     inner = _interior_lines(part)
-    fars = {line.tag: _extent(ctx, line) for line in inner}
+    fars = {line.tag: _extent(line) for line in inner}
 
     # Reachable pairwise crossings, grouped by location.
     events: dict[RatPoint, set[Tag]] = {}
-    for la, lb, x in crossings(ctx, part):
+    for la, lb, x in part.crossings:
         events.setdefault(x, set()).update((la.tag, lb.tag))
 
     violations = []
@@ -518,30 +521,12 @@ def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
     return violations
 
 
-def crossings(ctx: LatticeContext,
-              part: Partition) -> list[tuple[Line, Line, RatPoint]]:
-    """Every (la, lb, x) where interior lines from two different corners
-    meet at x strictly inside the simplex, within both lines' extents."""
-    inner = _interior_lines(part)
-    fars = {line.tag: _extent(ctx, line) for line in inner}
-    out = []
-    for la, lb in combinations(inner, 2):
-        if la.tag[1] == lb.tag[1]:
-            continue
-        x = meet(la, lb)
-        if x is None or not all(c > 0 for c in x[0]):
-            continue
-        if all(0 <= _param_at(l, x) <= fars[l.tag] for l in (la, lb)):
-            out.append((la, lb, x))
-    return out
-
-
 def _interior_lines(part: Partition) -> list[Line]:
     return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
 
 
-def _extent(ctx: LatticeContext, line: Line) -> int:
-    return _step_count(ctx, line.anchor, line.defeat_point, line.direction)
+def _extent(line: Line) -> int:
+    return _step_count(line.anchor, line.defeat_point, line.direction)
 
 
 def _param_at(line: Line, p: RatPoint) -> Fraction:
@@ -583,14 +568,14 @@ def is_semiregular(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],
 def _semiregular_oriented(ctx, a, b, c):
     v_ab = vsub(b, a)
     d_ab = primitive_vector(ctx, v_ab)
-    r = abs(_step_count(ctx, a, b, d_ab))
+    r = abs(_step_count(a, b, d_ab))
     v_ca = vsub(a, c)
     d_ca = primitive_vector(ctx, v_ca)
-    if abs(_step_count(ctx, c, a, d_ca)) != r:
+    if abs(_step_count(c, a, d_ca)) != r:
         return None
     v_bc = vsub(c, b)
     d_bc = primitive_vector(ctx, v_bc)
-    steps_bc = abs(_step_count(ctx, b, c, d_bc))
+    steps_bc = abs(_step_count(b, c, d_bc))
     if steps_bc % r:
         return None
     cc = steps_bc // r

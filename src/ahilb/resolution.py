@@ -1,6 +1,8 @@
 """The pipeline of one group as a single object whose stages are computed
 on first use and kept: corner fans and cyclic word -> partition -> fan ->
-census, invariant ratios, dual bases and cluster systems."""
+census, invariant ratios, dual bases and cluster systems.  The stage
+functions take their inputs explicitly; this object is where they are
+wired together."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ class Resolution:
 
     @cached_property
     def partition(self) -> Partition:
-        return build_partition(self.ctx, self.fans)
+        return build_partition(self.ctx, self.fans, self.word)
 
     @cached_property
     def fan(self) -> Fan:
@@ -51,8 +53,7 @@ class Resolution:
     def dual(self, idx: int) -> DualBasis:
         """Dual basis of fan cone idx (not kept)."""
         cell = self.fan.cones[idx]
-        return dual_basis(self.ctx, self.partition.triangles[cell.parent],
-                          self.ratios[cell.parent], cell)
+        return dual_basis(self.ctx, self.ratios[cell.parent], cell)
 
     @cached_property
     def duals(self) -> list[DualBasis]:

@@ -20,14 +20,13 @@ from .errors import AhilbError, GroupSpecError, InvariantError
 from .fan import dp6_count, verify_fan
 from .lattice import (
     GroupSpec,
-    LatticeContext,
     junior_points,
     lattice_context,
     parse_group_spec,
 )
 from .mmp import run_mmp, triple_set
 from .monomials import crossing_rule_check
-from .partition import crossings, knockout_report
+from .partition import knockout_report
 from .resolution import Resolution
 
 
@@ -38,9 +37,11 @@ class CheckResult:
     detail: str = ""
 
 
-def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
+def run_checks(res: Resolution, mmp_orders: int = 10,
                seed: int = 0) -> list[CheckResult]:
-    """Run the whole invariant suite on one group."""
+    """Run the whole invariant suite on one group, reading every stage
+    from its resolution."""
+    ctx = res.ctx
     results: list[CheckResult] = []
 
     def check(name):
@@ -52,8 +53,6 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
                 results.append(CheckResult(name, False, str(exc)))
             return fn
         return wrap
-
-    res = Resolution(ctx)
 
     @check("lattice: junior point count matches group order")
     def _counts():
@@ -152,7 +151,7 @@ def run_checks(ctx: LatticeContext, mmp_orders: int = 10,
 
     @check("monomials: exponent knock-out rule matches defeat data")
     def _crossings():
-        for la, lb, x in crossings(ctx, res.partition):
+        for la, lb, x in res.partition.crossings:
             winner = crossing_rule_check(ctx, la, lb)
             # Within its extent a line ends at x exactly when x is its
             # defeat point.
@@ -218,9 +217,11 @@ def run_random_suite(count: int, max_order: int, seed: int,
         spec = random_group_spec(rng, max_order)
         ctx = lattice_context(spec, max_order=max_order)
         repro = f'ahilb verify "{spec.canonical_text}" --seed {seed + t}'
-        for res in run_checks(ctx, mmp_orders=mmp_orders, seed=seed + t):
-            if not res.ok:
+        for result in run_checks(Resolution(ctx), mmp_orders=mmp_orders,
+                                 seed=seed + t):
+            if not result.ok:
                 failures.append(
-                    f"{spec.canonical_text}: {res.name}: {res.detail}; {repro}"
+                    f"{spec.canonical_text}: {result.name}: {result.detail}; "
+                    f"{repro}"
                 )
     return count, failures

@@ -8,14 +8,14 @@ import time
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document
-from ahilb.corners import cyclic_word, newton_polygon
+from ahilb.corners import newton_polygon
 from ahilb.clusters import cluster_system, tripod_basis, verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan, dp6_count, surface_census, verify_fan
 from ahilb.lattice import vadd, vsub
 from ahilb.mmp import run_linear, run_mmp, triple_set
 from ahilb.monomials import dual_basis, line_ratio, ratio_str, triangle_ratios
-from ahilb.partition import build_partition
+from ahilb.resolution import Resolution
 from ahilb.verify import run_checks, run_random_suite
 
 
@@ -38,7 +38,7 @@ def test_acceptance_1_group_11_1_2_8():
         assert newton_polygon(ctx, 1).strengths == (3, 4)
         assert newton_polygon(ctx, 2).strengths == (2, 3, 2, 2)
         assert newton_polygon(ctx, 3).strengths == (6, 2)
-        word = cyclic_word(ctx)
+        word = Resolution(ctx).word
         assert word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
         triples = triple_set(run_mmp(word))
@@ -56,7 +56,7 @@ def test_acceptance_1_group_11_1_2_8():
         }
         assert term.canonical() in triples
 
-        part = build_partition(ctx)
+        part = Resolution(ctx).partition
         assert len(part.triangles) == 8
         assert sorted(t.r for t in part.triangles) == [1] * 7 + [2]
         assert sum(t.r**2 for t in part.triangles) == 11
@@ -73,9 +73,9 @@ def test_acceptance_1_group_11_1_2_8():
 def test_acceptance_2_group_15_1_2_12():
     def body():
         ctx = ctx_of("1/15(1,2,12)")
-        part = build_partition(ctx)
+        part = Resolution(ctx).partition
         assert part.long_side == (1, 2)  # side e1e2, c = 2
-        assert cyclic_word(ctx).values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
+        assert Resolution(ctx).word.values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
         assert len(part.triangles) == 9
         assert sorted(t.r for t in part.triangles) == [1] * 7 + [2, 2]
         # No triangle is deleted along the long side: its catchment is
@@ -94,7 +94,7 @@ def test_acceptance_3_group_30_25_2_3():
         assert newton_polygon(ctx, 1).strengths == (5,)
         assert newton_polygon(ctx, 2).strengths == (2,)
         assert newton_polygon(ctx, 3).strengths == (2, 2)
-        part = build_partition(ctx)
+        part = Resolution(ctx).partition
         assert sorted(t.r for t in part.triangles) == [2, 2, 2, 3, 3]
         # Catchment of e1e3 (side 3) = the three side-2 triangles;
         # catchment of e1e2 (side 1) = the two side-3 triangles.
@@ -124,14 +124,14 @@ def test_acceptance_5_maximal_groups():
     def body():
         for r, dp6 in ((2, 0), (3, 1), (4, 3)):
             ctx = ctx_of(f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})")
-            part = build_partition(ctx)
+            part = Resolution(ctx).partition
             assert len(part.triangles) == 1 and part.triangles[0].r == r
             fan = build_fan(ctx, part)
             assert len(fan.cones) == r * r
             assert verify_fan(ctx, fan) == []
             parent = triangle_ratios(ctx, part.triangles[0])
             for cell in fan.cones:
-                db = dual_basis(ctx, part.triangles[0], parent, cell)
+                db = dual_basis(ctx, parent, cell)
                 mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
                 if cell.kind == "up":
                     i, j, k = mins
@@ -170,7 +170,7 @@ def test_acceptance_7_homework_example_under_a_second():
     def body():
         start = time.perf_counter()
         ctx = ctx_of("1/101(1,7,93)")
-        results = run_checks(ctx)
+        results = run_checks(Resolution(ctx))
         elapsed = time.perf_counter() - start
         assert all(r.ok for r in results), [r for r in results if not r.ok]
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -188,7 +188,7 @@ def test_acceptance_8_determinism():
                 ctx = ctx_of(text)
                 docs.append(json.dumps(build_document(ctx),
                                        separators=(",", ":")))
-                part = build_partition(ctx)
+                part = Resolution(ctx).partition
                 fan = build_fan(ctx, part)
                 svgs.append(render_svg(ctx, part, fan, ratios=True))
             assert docs[0] == docs[1]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from hashlib import sha256
 from importlib import resources
 from pathlib import Path
@@ -14,7 +15,8 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document, main
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan
-from ahilb.partition import build_partition
+from ahilb.partition import Partition
+from ahilb.resolution import Resolution
 
 
 def doc_of(text):
@@ -150,7 +152,7 @@ def test_document_deterministic():
 
 def test_svg_deterministic():
     ctx = lattice_context(parse_group_spec("1/15(1,2,12)"))
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     fan = build_fan(ctx, part)
     assert render_svg(ctx, part, fan, ratios=True) == render_svg(
         ctx, part, fan, ratios=True
@@ -268,16 +270,54 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+class _RecordedCrossings:
+    """Stands in for the cached Partition.crossings: counts computations
+    and records, per read, the reading function and the object it got.
+    It defines __set__ so that the value cached in the instance dict does
+    not hide later reads from it."""
+
+    def __init__(self):
+        original = Partition.__dict__["crossings"]
+        self.computed = []
+        self.reads = []
+
+        def counted(part):
+            self.computed.append(part)
+            return original.func(part)
+
+        self.cached = cached_property(counted)
+        self.cached.__set_name__(Partition, "crossings")
+
+    def __get__(self, part, owner=None):
+        if part is None:
+            return self
+        value = self.cached.__get__(part, owner)
+        self.reads.append((sys._getframe(1).f_code.co_name, value))
+        return value
+
+    def __set__(self, part, value):
+        raise AttributeError("crossings is read-only")
+
+
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/15(1,2,12)"])
 def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
+    words = _count_calls(monkeypatch, "corners", "cyclic_word")
     checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
+    crossings = _RecordedCrossings()
+    monkeypatch.setattr(Partition, "crossings", crossings)
     assert main(["verify", spec]) == 0
     assert len(builds) == 1
-    assert len(polygons) <= 6
+    assert len(polygons) == 3
+    assert len(words) == 1
     # The fan has one cone per group element.
     assert len(checked) == lattice_context(parse_group_spec(spec)).order
+    # The knock-out report and the exponent-rule check share one list.
+    assert len(crossings.computed) == 1
+    readers = [reader for reader, _ in crossings.reads]
+    assert sorted(readers) == ["_crossings", "knockout_report"]
+    assert crossings.reads[0][1] is crossings.reads[1][1]
 
 
 def test_fan_command_skips_duals_and_clusters(monkeypatch, capsys):

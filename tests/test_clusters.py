@@ -12,12 +12,12 @@ from ahilb.clusters import (
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
 from ahilb.monomials import dual_basis, triangle_ratios
-from ahilb.partition import build_partition
+from ahilb.resolution import Resolution
 
 
 def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     fan = build_fan(ctx, part)
     parents = {t: triangle_ratios(ctx, tri) for t, tri in enumerate(part.triangles)}
     return ctx, part, fan, parents
@@ -27,7 +27,7 @@ def systems_of(text):
     ctx, part, fan, parents = pipeline(text)
     out = []
     for cell in fan.cones:
-        db = dual_basis(ctx, part.triangles[cell.parent], parents[cell.parent], cell)
+        db = dual_basis(ctx, parents[cell.parent], cell)
         out.append(cluster_system(ctx, db))
     return ctx, fan, out
 
@@ -37,7 +37,7 @@ def test_cluster_system_zrzr_up_pattern():
     for r in (2, 3):
         ctx, part, fan, parents = pipeline(f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})")
         for cell in fan.cones:
-            db = dual_basis(ctx, part.triangles[0], parents[0], cell)
+            db = dual_basis(ctx, parents[0], cell)
             sys = cluster_system(ctx, db)
             mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
             if cell.kind == "up":
@@ -62,7 +62,7 @@ def test_cluster_corner_triangle_redundant_system():
     ]
     assert corner_cells
     cell = corner_cells[0]
-    db = dual_basis(ctx, part.triangles[cell.parent], parents[cell.parent], cell)
+    db = dual_basis(ctx, parents[cell.parent], cell)
     sys = cluster_system(ctx, db)
     assert sys.mode == "up"
     assert 0 in (sys.l, sys.m, sys.n)  # one pure power is linear
@@ -104,7 +104,7 @@ def test_tripod_z2z2_up_cell():
         c for c in fan.cones
         if c.kind == "up" and min(v[0] for v in c.vertices) == 1
     )
-    db = dual_basis(ctx, part.triangles[0], parents[0], cell)
+    db = dual_basis(ctx, parents[0], cell)
     sys = cluster_system(ctx, db)
     basis = tripod_basis(ctx, sys)
     assert basis == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
@@ -144,16 +144,14 @@ def test_classification_round_trips_to_host():
     for text in ("1/11(1,2,8)", "1/30(25,2,3)", "1/2(1,1,0)+1/2(0,1,1)"):
         ctx, part, fan, parents = pipeline(text)
         for cell in fan.cones:
-            db = dual_basis(ctx, part.triangles[cell.parent],
-                            parents[cell.parent], cell)
+            db = dual_basis(ctx, parents[cell.parent], cell)
             sys = cluster_system(ctx, db)
             cls = classify_cluster(ctx, sys.exponents(), fan)
             assert cls.host.key() == cell.key()
             assert cls.mode == cell.kind
             assert cls.r == part.triangles[cell.parent].r
             # Rebuilding the system from the host gives back the exponents.
-            db2 = dual_basis(ctx, part.triangles[cls.host.parent],
-                             parents[cls.host.parent], cls.host)
+            db2 = dual_basis(ctx, parents[cls.host.parent], cls.host)
             assert cluster_system(ctx, db2).exponents() == sys.exponents()
 
 
@@ -172,11 +170,10 @@ def test_classification_substitution_consistency():
             expect = (A + k - shift, B + i - shift, C + j - shift,
                       j - shift, k - shift, i - shift)
         from ahilb.clusters import (_down_exponents_from_vectors,
-                                    _up_exponents_from_vectors,
-                                    _vectors_by_variable)
+                                    _up_exponents_from_vectors)
         from ahilb.lattice import permute as _permute
 
-        base = _vectors_by_variable(cls.mode, sys.exponents())
+        base = sys.dual_vectors()
         vecs = tuple(_permute(cls.perm, base[cls.perm[t]]) for t in range(3))
         reader = (_up_exponents_from_vectors if cls.mode == "up"
                   else _down_exponents_from_vectors)

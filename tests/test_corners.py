@@ -3,13 +3,13 @@ import pytest
 from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
     cyclic_matrix_product,
-    cyclic_word,
     hj_expand,
     junction_c,
     newton_polygon,
 )
 from ahilb.errors import InvariantError
 from ahilb.lattice import smul, vadd
+from ahilb.resolution import Resolution
 
 
 def ctx_of(text):
@@ -125,42 +125,45 @@ def test_newton_polygon_matches_hj_on_coprime_corners():
 
 def test_junction_c_15_long_side():
     ctx = ctx_of("1/15(1,2,12)")
-    c, vec = junction_c(ctx, 1)  # side e1 e2
+    fans = Resolution(ctx).fans
+    c, vec = junction_c(ctx, 1, fans)  # side e1 e2
     assert c == 2
     assert vec == (5, -5, 0)
-    assert junction_c(ctx, 2)[0] == 1
-    assert junction_c(ctx, 3)[0] == 1
+    assert junction_c(ctx, 2, fans)[0] == 1
+    assert junction_c(ctx, 3, fans)[0] == 1
 
 
 def test_junction_c_11_all_short():
     ctx = ctx_of("1/11(1,2,8)")
-    assert [junction_c(ctx, s)[0] for s in (1, 2, 3)] == [1, 1, 1]
+    fans = Resolution(ctx).fans
+    assert [junction_c(ctx, s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_junction_c_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    assert [junction_c(ctx, s)[0] for s in (1, 2, 3)] == [1, 1, 1]
+    fans = Resolution(ctx).fans
+    assert [junction_c(ctx, s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_cyclic_word_11():
     ctx = ctx_of("1/11(1,2,8)")
-    assert cyclic_word(ctx).values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
+    assert Resolution(ctx).word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
 
 def test_cyclic_word_15():
     ctx = ctx_of("1/15(1,2,12)")
-    assert cyclic_word(ctx).values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
+    assert Resolution(ctx).word.values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
 
 
 def test_cyclic_word_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    assert cyclic_word(ctx).values() == (1, 1, 1)
+    assert Resolution(ctx).word.values() == (1, 1, 1)
 
 
 def test_cyclic_word_half_exponent_group():
     # 1/2(0,1,1): the side e2 e3 carries the midpoint, so it is the long one.
     ctx = ctx_of("1/2(0,1,1)")
-    word = cyclic_word(ctx)
+    word = Resolution(ctx).word
     assert word.values() == (1, 2, 1, 2)
     tags = [e.tag for e in word.entries]
     assert tags[3] == ("junction", 2)
@@ -172,7 +175,7 @@ def test_matrix_product_is_minus_identity():
         "1/2(1,1,0)+1/2(0,1,1)", "1/1(0,0,0)", "1/2(0,1,1)",
         "1/101(1,7,93)",
     ):
-        word = cyclic_word(ctx_of(text))
+        word = Resolution(ctx_of(text)).word
         assert cyclic_matrix_product(word) == ((-1, 0), (0, -1))
 
 
@@ -182,11 +185,13 @@ def test_at_most_one_long_side():
         "1/6(2,2,2)", "1/4(0,2,2)",
     ):
         ctx = ctx_of(text)
-        longs = [s for s in (1, 2, 3) if junction_c(ctx, s)[0] >= 2]
+        fans = Resolution(ctx).fans
+        longs = [s for s in (1, 2, 3) if junction_c(ctx, s, fans)[0] >= 2]
         assert len(longs) <= 1
 
 
 def test_coprime_groups_have_no_long_side():
     for text in ("1/11(1,2,8)", "1/7(1,2,4)", "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx = ctx_of(text)
-        assert all(junction_c(ctx, s)[0] == 1 for s in (1, 2, 3))
+        fans = Resolution(ctx).fans
+        assert all(junction_c(ctx, s, fans)[0] == 1 for s in (1, 2, 3))

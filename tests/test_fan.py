@@ -11,12 +11,12 @@ from ahilb.fan import (
     vertex_stars,
 )
 from ahilb.lattice import vadd, vsub
-from ahilb.partition import build_partition
+from ahilb.resolution import Resolution
 
 
 def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     return ctx, part, build_fan(ctx, part)
 
 

@@ -41,9 +41,19 @@ def test_parse_rejects_sl_violation():
 
 def test_parse_rejects_garbage():
     for bad in ("", "1/5", "1/5(1,2)", "2/5(1,2,2)", "1/5(1,2,2)x",
-                "1/\uff15(1,1,3)", "1/\u0665(1,1,3)", "1/5(\uff11,1,3)"):
+                "1/\uff15(1,1,3)", "1/\u0665(1,1,3)", "1/5(\uff11,1,3)",
+                "1/3(1,1,1)++1/3(1,1,1)", "1/3(1,1,1)+", "+1/3(1,1,1)"):
         with pytest.raises(GroupSpecError):
             parse_group_spec(bad)
+
+
+def test_parse_accepts_signed_weights():
+    # A "+" inside a term is a sign, not a term separator.
+    for text in ("1/7(+1,2,4)", "1/7(+1,+2,4)"):
+        assert parse_group_spec(text) == parse_group_spec("1/7(1,2,4)")
+    assert parse_group_spec("1/7(+1,2,4)+1/2(1,+1,0)") == parse_group_spec(
+        "1/7(1,2,4)+1/2(1,1,0)"
+    )
 
 
 def test_parse_reduces_negative_weights():

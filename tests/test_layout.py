@@ -1,5 +1,6 @@
 """Module layout: an ahilb module uses only the public names of another,
-and every span the benchmark traces names a module-level function."""
+imports only at module level, and every span the benchmark traces names a
+module-level function."""
 
 import ast
 import importlib
@@ -37,6 +38,25 @@ def test_no_private_cross_module_imports():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _private_imports(path)
+    assert found == []
+
+
+def _function_level_imports(path: Path) -> list[str]:
+    """Import statements inside a function body of path, at any depth."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        out += [f"{path.stem}.{node.name}:{inner.lineno}"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return out
+
+
+def test_no_function_level_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _function_level_imports(path)
     assert found == []
 
 

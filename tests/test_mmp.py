@@ -1,7 +1,7 @@
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
-from ahilb.corners import cyclic_word, newton_polygon
+from ahilb.corners import newton_polygon
 from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
 from ahilb.mmp import (
@@ -12,6 +12,7 @@ from ahilb.mmp import (
     triple_set,
     validate_triple,
 )
+from ahilb.resolution import Resolution
 
 
 def ctx_of(text):
@@ -19,7 +20,7 @@ def ctx_of(text):
 
 
 def word_of(text):
-    return cyclic_word(ctx_of(text))
+    return Resolution(ctx_of(text)).word
 
 
 def test_contract_values_middle():
@@ -61,7 +62,7 @@ def test_contract_rejects_non_one():
 
 def test_run_mmp_11_counts():
     ctx = ctx_of("1/11(1,2,8)")
-    trace = run_mmp(cyclic_word(ctx))
+    trace = run_mmp(Resolution(ctx).word)
     assert trace.strength_sum == 27
     assert len(trace.steps) == 8
     triples = triple_set(trace)
@@ -75,7 +76,7 @@ def test_run_mmp_terminal_triple_11():
     # champion triple f_{1,2} + f_{2,2} + f_{3,1} = 0.
     ctx = ctx_of("1/11(1,2,8)")
     fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
-    trace = run_mmp(cyclic_word(ctx), [3, 3, 6, 5, 4, 0, 4, 0])
+    trace = run_mmp(Resolution(ctx).word, [3, 3, 6, 5, 4, 0, 4, 0])
     term = trace.terminal_triple
     assert term.type_tag == "champion"
     assert set(term.tags) == {("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)}
@@ -84,13 +85,13 @@ def test_run_mmp_terminal_triple_11():
     )
     assert expected == (0, 0, 0)
     # Any other order still emits that triple somewhere.
-    leftmost = run_mmp(cyclic_word(ctx))
+    leftmost = run_mmp(Resolution(ctx).word)
     assert term.canonical() in triple_set(leftmost)
 
 
 def test_run_mmp_z2z2_terminal_only():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    trace = run_mmp(cyclic_word(ctx))
+    trace = run_mmp(Resolution(ctx).word)
     assert len(trace.steps) == 0
     triples = triple_set(trace)
     assert len(triples) == 1

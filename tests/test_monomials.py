@@ -16,12 +16,13 @@ from ahilb.monomials import (
     ratio_str,
     triangle_ratios,
 )
-from ahilb.partition import _param_at, _step_count, build_partition, meet
+from ahilb.partition import _param_at, _step_count, meet
+from ahilb.resolution import Resolution
 
 
 def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     return ctx, part
 
 
@@ -156,7 +157,7 @@ def test_dual_basis_zrzr_up_and_down():
         tr = triangle_ratios(ctx, tri)
         fan = build_fan(ctx, part)
         for cell in fan.cones:
-            db = dual_basis(ctx, tri, tr, cell)
+            db = dual_basis(ctx, tr, cell)
             mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
             if cell.kind == "up":
                 i, j, k = mins
@@ -185,7 +186,7 @@ def test_dual_basis_corner_triangle_formula():
         c for c in fan.cones
         if c.parent == part.triangle_index(tri.key()) and c.kind == "up"
     )
-    db = dual_basis(ctx, tri, tr, cell)
+    db = dual_basis(ctx, tr, cell)
     from ahilb.lattice import permute as _permute
 
     sigma = {tuple(_permute(tr.perm, m)) for m in db.monomials}
@@ -204,8 +205,7 @@ def test_dual_basis_pairing_and_product_everywhere():
             for t, tri in enumerate(part.triangles)
         }
         for cell in fan.cones:
-            db = dual_basis(ctx, part.triangles[cell.parent],
-                            parents[cell.parent], cell)
+            db = dual_basis(ctx, parents[cell.parent], cell)
             for s, m in enumerate(db.monomials):
                 for t, p in enumerate(cell.vertices):
                     assert dot(m, p) == (ctx.n if s == t else 0)
@@ -245,7 +245,7 @@ def test_crossing_rule_matches_partition_everywhere():
         ctx, part = pipeline(text)
         inner = [l for t, l in part.lines.items() if t[0] == "corner"]
         fars = {
-            l.tag: _step_count(ctx, l.anchor, l.defeat_point, l.direction)
+            l.tag: _step_count(l.anchor, l.defeat_point, l.direction)
             for l in inner
         }
         for la, lb in combinations(inner, 2):

@@ -5,7 +5,6 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
-    build_partition,
     enumerate_triangles,
     is_semiregular,
     knockout_report,
@@ -13,24 +12,28 @@ from ahilb.partition import (
     rays,
     realize_triple,
 )
-from ahilb.corners import cyclic_word
+from ahilb.resolution import Resolution
 
 
 def ctx_of(text):
     return lattice_context(parse_group_spec(text))
 
 
+def rays_of(ctx):
+    return rays(ctx, Resolution(ctx).fans)
+
+
 def test_rays_counts():
-    assert len([t for t in rays(ctx_of("1/11(1,2,8)")) if t[0] == "corner"]) == 8
-    assert len([t for t in rays(ctx_of("1/2(1,1,0)+1/2(0,1,1)")) if t[0] == "corner"]) == 0
-    assert len([t for t in rays(ctx_of("1/30(25,2,3)")) if t[0] == "corner"]) == 4
+    assert len([t for t in rays_of(ctx_of("1/11(1,2,8)")) if t[0] == "corner"]) == 8
+    assert len([t for t in rays_of(ctx_of("1/2(1,1,0)+1/2(0,1,1)")) if t[0] == "corner"]) == 0
+    assert len([t for t in rays_of(ctx_of("1/30(25,2,3)")) if t[0] == "corner"]) == 4
     # Sides are always present.
-    assert len([t for t in rays(ctx_of("1/11(1,2,8)")) if t[0] == "junction"]) == 3
+    assert len([t for t in rays_of(ctx_of("1/11(1,2,8)")) if t[0] == "junction"]) == 3
 
 
 def test_enumerate_11():
     ctx = ctx_of("1/11(1,2,8)")
-    tris = enumerate_triangles(ctx)
+    tris = enumerate_triangles(ctx, rays_of(ctx))
     assert len(tris) == 8
     assert sorted(t.r for t in tris) == [1] * 7 + [2]
     assert sum(t.r**2 for t in tris) == 11
@@ -38,21 +41,21 @@ def test_enumerate_11():
 
 def test_enumerate_30():
     ctx = ctx_of("1/30(25,2,3)")
-    tris = enumerate_triangles(ctx)
+    tris = enumerate_triangles(ctx, rays_of(ctx))
     assert sorted(t.r for t in tris) == [2, 2, 2, 3, 3]
 
 
 def test_enumerate_15():
     ctx = ctx_of("1/15(1,2,12)")
-    tris = enumerate_triangles(ctx)
+    tris = enumerate_triangles(ctx, rays_of(ctx))
     assert len(tris) == 9
     assert sorted(t.r for t in tris) == [1] * 7 + [2, 2]
 
 
 def test_realize_terminal_concurrency_11():
     ctx = ctx_of("1/11(1,2,8)")
-    word = cyclic_word(ctx)
-    lines = rays(ctx)
+    word = Resolution(ctx).word
+    lines = rays_of(ctx)
     # Area oracle: the eight nondegenerate triangles exhaust the area, so
     # the champion triple must realize with zero size.
     tris = enumerate_triangles(ctx, lines)
@@ -67,22 +70,22 @@ def test_realize_terminal_concurrency_11():
 
 def test_realize_whole_simplex_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    trace = run_mmp(cyclic_word(ctx))
-    res = realize_triple(ctx, rays(ctx), trace.terminal_triple)
+    trace = run_mmp(Resolution(ctx).word)
+    res = realize_triple(ctx, rays_of(ctx), trace.terminal_triple)
     assert res.r == 2
     assert set(res.vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
 
 
 def test_realize_terminal_15_nondegenerate():
     ctx = ctx_of("1/15(1,2,12)")
-    trace = run_mmp(cyclic_word(ctx))
-    res = realize_triple(ctx, rays(ctx), trace.terminal_triple)
+    trace = run_mmp(Resolution(ctx).word)
+    res = realize_triple(ctx, rays_of(ctx), trace.terminal_triple)
     assert not isinstance(res, ConcurrencyPoint)
 
 
 def test_partition_11():
     ctx = ctx_of("1/11(1,2,8)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     assert len(part.triangles) == 8
     assert part.long_side is None
     assert part.champions.kind == "concurrent"
@@ -91,7 +94,7 @@ def test_partition_11():
 
 def test_partition_15_long_side():
     ctx = ctx_of("1/15(1,2,12)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     assert part.long_side == (1, 2)
     assert part.champions.kind == "long_side"
     # No triangle is eaten from the long side; its catchment is empty.
@@ -106,7 +109,7 @@ def test_partition_15_long_side():
 
 def test_partition_30_catchments():
     ctx = ctx_of("1/30(25,2,3)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     assert part.champions.kind == "long_side"
     assert part.long_side[0] == 2
     side13 = [part.triangles[t] for t in part.catchment[3]]
@@ -117,7 +120,7 @@ def test_partition_30_catchments():
 
 
 def test_partition_trivial():
-    part = build_partition(ctx_of("1/1(0,0,0)"))
+    part = Resolution(ctx_of("1/1(0,0,0)")).partition
     assert len(part.triangles) == 1
     assert part.triangles[0].r == 1
     assert part.champions.kind == "simplex"
@@ -126,14 +129,14 @@ def test_partition_trivial():
 def test_partition_whole_simplex_zrzr():
     for r in (2, 3, 4):
         spec = f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})"
-        part = build_partition(ctx_of(spec))
+        part = Resolution(ctx_of(spec)).partition
         assert len(part.triangles) == 1
         assert part.triangles[0].r == r
         assert part.champions.kind == "simplex"
 
 
 def test_partition_cocked_hat_exists():
-    part = build_partition(ctx_of("1/101(1,7,93)"))
+    part = Resolution(ctx_of("1/101(1,7,93)")).partition
     assert part.champions.kind == "cocked_hat"
     key = part.champions.triangle_key
     tri = part.triangles[part.triangle_index(key)]
@@ -156,7 +159,7 @@ def test_semiregular_travels_with_scale():
 
 def test_semiregular_regular_triangle():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     tri = part.triangles[0]
     for pref in range(3):
         assert is_semiregular(ctx, tri.vertices, pref) == (2, 1)
@@ -181,10 +184,10 @@ def test_semiregular_group_word_and_partition():
     # regular triangles of side r, and the word is [1,2,...,2,1,c].
     r, c = 2, 3
     ctx = ctx_of(f"1/{r}(1,{r-1},0)+1/{r*c}(0,1,{r*c-1})")
-    word = cyclic_word(ctx)
+    word = Resolution(ctx).word
     vals = list(word.values())
     assert sorted(vals) == sorted([1] + [2] * (c - 1) + [1, c])
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     assert sorted(t.r for t in part.triangles) == [r] * c
     results = [
         is_semiregular(ctx, tuple(p for p in ctx.corners), pref)
@@ -197,14 +200,14 @@ def test_knockout_consistency_fixtures():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/101(1,7,93)", "1/14(1,9,4)", "1/12(1,4,7)"):
         ctx = ctx_of(text)
-        part = build_partition(ctx)
+        part = Resolution(ctx).partition
         assert knockout_report(ctx, part) == []
 
 
 def test_knockout_first_crossing_11():
     # Strength 3 from e1 meets strength 2 from e3; the e1 line extends.
     ctx = ctx_of("1/11(1,2,8)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     l11 = part.lines[("corner", 1, 1)]
     l32 = part.lines[("corner", 3, 2)]
     x = meet(l11, l32)
@@ -217,7 +220,7 @@ def test_knockout_first_crossing_11():
 def test_defeat_points_are_lattice_points():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/101(1,7,93)"):
         ctx = ctx_of(text)
-        part = build_partition(ctx)
+        part = Resolution(ctx).partition
         for tag, line in part.lines.items():
             if tag[0] != "corner":
                 continue
@@ -227,7 +230,7 @@ def test_defeat_points_are_lattice_points():
 
 def test_champion_lines_die_at_concurrency():
     ctx = ctx_of("1/11(1,2,8)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     for tag in (("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)):
         assert part.lines[tag].defeat_point == (3, 6, 2)
 
@@ -235,7 +238,7 @@ def test_champion_lines_die_at_concurrency():
 def test_long_side_subdivided_by_rival_line():
     # The strength-8 line out of e3 ends on the long side.
     ctx = ctx_of("1/15(1,2,12)")
-    part = build_partition(ctx)
+    part = Resolution(ctx).partition
     end = part.lines[("corner", 3, 1)].defeat_point
     assert end == (5, 10, 0)
     assert end[2] == 0  # on side e1 e2
@@ -254,5 +257,5 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
         return realize_triple(*args)
 
     monkeypatch.setattr(ahilb.partition, "realize_triple", counted)
-    build_partition(ctx)
-    assert len(calls) == len(triple_set(run_mmp(cyclic_word(ctx))))
+    Resolution(ctx).partition
+    assert len(calls) == len(triple_set(run_mmp(Resolution(ctx).word)))

@@ -2,6 +2,7 @@ import random
 
 import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
+from ahilb.resolution import Resolution
 from ahilb.verify import (
     CheckResult,
     random_group_spec,
@@ -12,7 +13,7 @@ from ahilb.verify import (
 
 def test_run_checks_names_are_stable():
     ctx = lattice_context(parse_group_spec("1/11(1,2,8)"))
-    results = run_checks(ctx)
+    results = run_checks(Resolution(ctx))
     assert all(r.ok for r in results)
     names = [r.name.split(":")[0] for r in results]
     assert names == [
@@ -56,8 +57,8 @@ def test_suite_deterministic():
 def test_random_failures_end_in_their_repro(monkeypatch):
     seen = []
 
-    def failing(ctx, mmp_orders=10, seed=0):
-        seen.append((ctx.spec.canonical_text, seed))
+    def failing(res, mmp_orders=10, seed=0):
+        seen.append((res.ctx.spec.canonical_text, seed))
         return [CheckResult("fake: always fails", False, "boom")]
 
     monkeypatch.setattr(ahilb.verify, "run_checks", failing)
