@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
             status = "pass" if result.ok else f"FAIL ({result.detail})"
             sys.stdout.write(f"{result.name}: {status}\n")
         failures += [r for r in results if not r.ok]
-        side = long_side(ctx, res.fans)
+        side = long_side(res.fans)
         if side:
             s, c = side
             names = {1: "e1e2", 2: "e2e3", 3: "e3e1"}

@@ -86,7 +86,7 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
         if q == apex:
             continue
         v = vsub(q, apex)
-        if not _in_corner_triangle(ctx, v, d0, d1):
+        if not _in_corner_triangle(v, d0, d1):
             continue
         key = primitive_vector(ctx, v)
         if key not in cands or _closer(v, cands[key]):
@@ -129,7 +129,7 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
     return CornerFan(corner, tuple(chain), tuple(strengths))
 
 
-def _in_corner_triangle(ctx, v: Vec3, d0: Vec3, d1: Vec3) -> bool:
+def _in_corner_triangle(v: Vec3, d0: Vec3, d1: Vec3) -> bool:
     """Is v inside the cone triangle {s*d0 + t*d1 : s,t >= 0, s+t <= 1}?"""
     d = cross2(chart(d0), chart(d1))
     s_num = cross2(chart(v), chart(d1))
@@ -182,8 +182,7 @@ class CyclicWord:
         return len(self.entries)
 
 
-def junction_c(ctx: LatticeContext, side: int,
-               fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
+def junction_c(side: int, fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
     """Junction constant c of side (i, i+1) and the side's inward vector at
     e_{i+1}; the side is long exactly when c >= 2."""
     i, ip1 = side_corners(side)
@@ -196,18 +195,17 @@ def junction_c(ctx: LatticeContext, side: int,
     return c, f_next[0]
 
 
-def long_side(ctx: LatticeContext,
-              fans: dict[int, CornerFan]) -> tuple[int, int] | None:
+def long_side(fans: dict[int, CornerFan]) -> tuple[int, int] | None:
     """The long side as (side, c), or None when every side is short.
     Raises InvariantError when more than one side is long."""
-    longs = [(s, junction_c(ctx, s, fans)[0]) for s in (1, 2, 3)]
+    longs = [(s, junction_c(s, fans)[0]) for s in (1, 2, 3)]
     longs = [(s, c) for s, c in longs if c >= 2]
     if len(longs) > 1:
         raise InvariantError("more than one long side")
     return longs[0] if longs else None
 
 
-def cyclic_word(ctx: LatticeContext, fans: dict[int, CornerFan]) -> CyclicWord:
+def cyclic_word(fans: dict[int, CornerFan]) -> CyclicWord:
     """Concatenate the three corner chains into the cyclic word.
 
     Order: junction(e3 e1), strengths at e1, junction(e1 e2), strengths at
@@ -219,7 +217,7 @@ def cyclic_word(ctx: LatticeContext, fans: dict[int, CornerFan]) -> CyclicWord:
     signs = {1: 1, 2: -1, 3: 1}
     for i in (1, 2, 3):
         side_in = (i + 1) % 3 + 1  # side (i-1, i)
-        c, vec = junction_c(ctx, side_in, fans)
+        c, vec = junction_c(side_in, fans)
         sgn = signs[i]
         entries.append(WordEntry(c, junction_tag(side_in), smul(sgn, vec)))
         fan = fans[i]

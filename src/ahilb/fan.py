@@ -212,7 +212,7 @@ class SurfaceClass:
     label: str
 
 
-def vertex_stars(ctx: LatticeContext, fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
+def vertex_stars(fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
     """Cyclically ordered neighbor lists of the interior vertices."""
     nbrs: dict[Vec3, set[Vec3]] = {}
     for e in fan.edges:
@@ -238,10 +238,10 @@ def vertex_stars(ctx: LatticeContext, fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
     return out
 
 
-def surface_census(ctx: LatticeContext, fan: Fan) -> list[SurfaceClass]:
+def surface_census(fan: Fan) -> list[SurfaceClass]:
     """Classify the surface at every interior vertex of the fan."""
     out = []
-    for v, star in sorted(vertex_stars(ctx, fan).items()):
+    for v, star in sorted(vertex_stars(fan).items()):
         t = len(star)
         if not 3 <= t <= 6:
             raise InvariantError(f"vertex {v} has valency {t}")

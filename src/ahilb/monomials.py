@@ -209,8 +209,7 @@ class DualBasis:
     steps: tuple[int, int, int]  # role-aligned tesselation depths
 
 
-def formula_dual(ctx: LatticeContext, parent: TriangleRatios,
-                 cell: BasicTriangle,
+def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
                  steps: tuple[int, int, int]) -> list[Vec3]:
     """Closed-form dual basis from the parent normal form and the cell's
     role-aligned depths (i, j, k)."""
@@ -231,7 +230,7 @@ def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
     by the closed formulas; a disagreement is a hard error."""
     direct = scaled_dual(cell.vertices, ctx.n)
     steps = tuple(cell.steps[side] for side in parent.roles)
-    formula = formula_dual(ctx, parent, cell, steps)
+    formula = formula_dual(parent, cell, steps)
     if sorted(direct) != sorted(formula):
         raise InvariantError(
             f"dual bases disagree on cell {cell.vertices}: "

@@ -10,7 +10,6 @@ the package's central differential test.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -64,7 +63,7 @@ def rays(ctx: LatticeContext, fans: dict[int, CornerFan]) -> dict[Tag, Line]:
                               fan.strengths[j - 1])
     for s in (1, 2, 3):
         i, ip1 = side_corners(s)
-        c, _ = junction_c(ctx, s, fans)
+        c, _ = junction_c(s, fans)
         tag = ("junction", s)
         d = primitive_vector(ctx, vsub(ctx.corner(ip1), ctx.corner(i)))
         lines[tag] = Line(tag, ctx.corner(i), d, c)
@@ -248,17 +247,18 @@ class Partition:
     def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
         """Every (la, lb, x) where interior lines from two different
         corners meet at x strictly inside the simplex, within both lines'
-        extents."""
-        inner = _interior_lines(self)
-        fars = {line.tag: _extent(line) for line in inner}
+        extents: x has not passed either line's defeat point in the line's
+        own-corner coordinate."""
         out = []
-        for la, lb in combinations(inner, 2):
+        for la, lb in combinations(_interior_lines(self), 2):
             if la.tag[1] == lb.tag[1]:
                 continue
             x = meet(la, lb)
             if x is None or not all(c > 0 for c in x[0]):
                 continue
-            if all(0 <= _param_at(l, x) <= fars[l.tag] for l in (la, lb)):
+            num, den = x
+            if all(num[l.tag[1] - 1] >= den * l.defeat_point[l.tag[1] - 1]
+                   for l in (la, lb)):
                 out.append((la, lb, x))
         return out
 
@@ -353,7 +353,7 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
             raise InvariantError("triangle interiors overlap")
 
     # Champions.
-    long_side = find_long_side(ctx, fans)
+    long_side = find_long_side(fans)
     champs2 = [k for k, t in triples.items() if t.type_tag == "champion"]
     if long_side is not None:
         if champs2:
@@ -424,86 +424,84 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         lines=lines,
         concurrency=concurrency,
     )
-    return _fill_defeat_points(ctx, part)
+    return _fill_defeat_points(part)
 
 
-def line_extent(ctx: LatticeContext, part: Partition, tag: Tag) -> int:
-    """Primitive-step length of the line's realized extent from its corner.
+def line_extent(part: Partition, tag: Tag) -> Vec3:
+    """Far end of the line's realized extent from its corner.
 
     The union of triangle sides on the line must be one contiguous segment
-    starting at the corner.
+    starting at the corner.  A line out of e_i loses some of its i-th
+    coordinate at every step, so that coordinate orders its points.
     """
     line = part.lines[tag]
+    own = tag[1] - 1
     segs = set()
     for tri in part.triangles:
         for t in range(3):
-            if tri.side_lines[t] != tag:
-                continue
-            a, b = tri.side_of(t)
-            ta = _step_count(line.anchor, a, line.direction)
-            tb = _step_count(line.anchor, b, line.direction)
-            segs.add((min(ta, tb), max(ta, tb)))
+            if tri.side_lines[t] == tag:
+                segs.add(tuple(sorted(tri.side_of(t), key=lambda p: -p[own])))
     if not segs:
         if part.concurrency is not None and tag in part.concurrency.tags:
-            return _step_count(line.anchor, part.concurrency.point,
-                               line.direction)
+            return part.concurrency.point
         raise InvariantError(f"line {tag} hosts no triangle side")
-    merged = sorted(segs)
-    if merged[0][0] != 0:
+    merged = sorted(segs, key=lambda seg: -seg[0][own])
+    if merged[0][0] != line.anchor:
         raise InvariantError(f"line {tag} extent does not start at its corner")
     far = merged[0][1]
-    for lo, hi in merged[1:]:
-        if lo > far:
+    for near, end in merged[1:]:
+        if near[own] < far[own]:
             raise InvariantError(f"line {tag} extent has a gap")
-        far = max(far, hi)
+        if end[own] < far[own]:
+            far = end
     return far
 
 
-def _fill_defeat_points(ctx: LatticeContext, part: Partition) -> Partition:
+def _fill_defeat_points(part: Partition) -> Partition:
     lines = dict(part.lines)
     for tag, line in lines.items():
-        if tag[0] != "corner":
-            continue
-        far = line_extent(ctx, part, tag)
-        end = vadd(line.anchor, smul(far, line.direction))
-        lines[tag] = replace(line, defeat_point=end)
+        if tag[0] == "corner":
+            lines[tag] = replace(line, defeat_point=line_extent(part, tag))
     return replace(part, lines=lines)
 
 
-def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
+def knockout_report(part: Partition) -> list[str]:
     """Check the knock-out rule at every interior crossing: the strongest
     arrival extends (strength dropping by one per defeated rival), ties all
     die.  Returns a list of violations (empty when consistent)."""
-    inner = _interior_lines(part)
-    fars = {line.tag: _extent(line) for line in inner}
-
     # Reachable pairwise crossings, grouped by location.
     events: dict[RatPoint, set[Tag]] = {}
     for la, lb, x in part.crossings:
         events.setdefault(x, set()).update((la.tag, lb.tag))
+
+    def dies_at(tag: Tag, x: RatPoint) -> bool:
+        return x == (part.lines[tag].defeat_point, 1)
+
+    # Walk each line's lattice crossings from its corner outward (falling
+    # own-corner coordinate).  A meet off the lattice is nobody's defeat
+    # point, so it leaves every strength as it is.
+    visits: dict[Tag, list[RatPoint]] = {}
+    for x, tags in events.items():
+        if x[1] == 1:
+            for tag in tags:
+                visits.setdefault(tag, []).append(x)
+    arrival: dict[tuple[RatPoint, Tag], int] = {}
+    for tag, xs in visits.items():
+        strength = part.lines[tag].strength
+        for x in sorted(xs, key=lambda x: -x[0][tag[1] - 1]):
+            arrival[x, tag] = strength
+            strength -= sum(1 for o in events[x] if o != tag and dies_at(o, x))
 
     violations = []
     for x, tags in sorted(events.items()):
         if x[1] != 1:
             violations.append(f"meet at non-lattice point {x}")
             continue
-        arrivals = {}
-        for tag in tags:
-            line = part.lines[tag]
-            strength = line.strength
-            t_here = _param_at(line, x)
-            for y, ytags in events.items():
-                if tag not in ytags or _param_at(line, y) >= t_here:
-                    continue
-                strength -= sum(
-                    1 for o in ytags
-                    if o != tag and _param_at(part.lines[o], y) == fars[o]
-                )
-            arrivals[tag] = strength
+        arrivals = {tag: arrival[x, tag] for tag in sorted(tags)}
         top = max(arrivals.values())
         winners = [t for t, s in arrivals.items() if s == top]
-        for tag in tags:
-            dies = _param_at(part.lines[tag], x) == fars[tag]
+        for tag in arrivals:
+            dies = dies_at(tag, x)
             should_die = len(winners) > 1 or tag not in winners
             if dies != should_die:
                 violations.append(
@@ -511,38 +509,17 @@ def knockout_report(ctx: LatticeContext, part: Partition) -> list[str]:
                     f"extent {'ends' if dies else 'continues'}"
                 )
     # Every interior defeat point lies on the boundary or at a crossing.
-    for line in inner:
+    for line in _interior_lines(part):
         end = line.defeat_point
         if 0 in end:
             continue
-        if not any(x[0] == end and line.tag in tags and x[1] == 1
-                   for x, tags in events.items()):
+        if line.tag not in events.get((end, 1), ()):
             violations.append(f"line {line.tag} dies at {end} with no rival")
     return violations
 
 
 def _interior_lines(part: Partition) -> list[Line]:
     return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
-
-
-def _extent(line: Line) -> int:
-    return _step_count(line.anchor, line.defeat_point, line.direction)
-
-
-def _param_at(line: Line, p: RatPoint) -> Fraction:
-    """Exact parameter of p along the line (in primitive steps)."""
-    num, den = p
-    v = vsub(num, smul(den, line.anchor))
-    for t in range(3):
-        if line.direction[t]:
-            val = Fraction(v[t], den * line.direction[t])
-            break
-    else:
-        raise InvariantError("zero direction")
-    for t in range(3):
-        if Fraction(v[t]) != val * den * line.direction[t]:
-            raise InvariantError("point is not on the line")
-    return val
 
 
 def is_semiregular(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],

@@ -30,7 +30,7 @@ class Resolution:
 
     @cached_property
     def word(self) -> CyclicWord:
-        return cyclic_word(self.ctx, self.fans)
+        return cyclic_word(self.fans)
 
     @cached_property
     def partition(self) -> Partition:
@@ -42,7 +42,7 @@ class Resolution:
 
     @cached_property
     def census(self) -> list[SurfaceClass]:
-        return surface_census(self.ctx, self.fan)
+        return surface_census(self.fan)
 
     @cached_property
     def ratios(self) -> list[TriangleRatios]:

@@ -85,7 +85,7 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
 
     @check("corners: at most one long side")
     def _long():
-        long_side(ctx, res.fans)
+        long_side(res.fans)
 
     @check("mmp: triple set is independent of contraction order")
     def _orders():
@@ -107,7 +107,7 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
 
     @check("partition: knock-out bookkeeping consistent at every crossing")
     def _knockout():
-        bad = knockout_report(ctx, res.partition)
+        bad = knockout_report(res.partition)
         if bad:
             raise InvariantError("; ".join(bad))
 

@@ -150,7 +150,7 @@ def test_acceptance_5_maximal_groups():
                     assert (sysm.l + 1, sysm.b, sysm.f) == (r - i, i, i)
                 assert len(tripod_basis(ctx, sysm)) == r * r
             assert dp6_count(part) == dp6
-            census = surface_census(ctx, fan)
+            census = surface_census(fan)
             assert sum(1 for s in census if s.label == "dP6") == dp6
 
     _report(5, "Z/r+Z/r for r=2,3,4: single triangle, tesselation fan, "

@@ -126,23 +126,23 @@ def test_newton_polygon_matches_hj_on_coprime_corners():
 def test_junction_c_15_long_side():
     ctx = ctx_of("1/15(1,2,12)")
     fans = Resolution(ctx).fans
-    c, vec = junction_c(ctx, 1, fans)  # side e1 e2
+    c, vec = junction_c(1, fans)  # side e1 e2
     assert c == 2
     assert vec == (5, -5, 0)
-    assert junction_c(ctx, 2, fans)[0] == 1
-    assert junction_c(ctx, 3, fans)[0] == 1
+    assert junction_c(2, fans)[0] == 1
+    assert junction_c(3, fans)[0] == 1
 
 
 def test_junction_c_11_all_short():
     ctx = ctx_of("1/11(1,2,8)")
     fans = Resolution(ctx).fans
-    assert [junction_c(ctx, s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
+    assert [junction_c(s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_junction_c_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
     fans = Resolution(ctx).fans
-    assert [junction_c(ctx, s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
+    assert [junction_c(s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_cyclic_word_11():
@@ -186,7 +186,7 @@ def test_at_most_one_long_side():
     ):
         ctx = ctx_of(text)
         fans = Resolution(ctx).fans
-        longs = [s for s in (1, 2, 3) if junction_c(ctx, s, fans)[0] >= 2]
+        longs = [s for s in (1, 2, 3) if junction_c(s, fans)[0] >= 2]
         assert len(longs) <= 1
 
 
@@ -194,4 +194,4 @@ def test_coprime_groups_have_no_long_side():
     for text in ("1/11(1,2,8)", "1/7(1,2,4)", "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx = ctx_of(text)
         fans = Resolution(ctx).fans
-        assert all(junction_c(ctx, s, fans)[0] == 1 for s in (1, 2, 3))
+        assert all(junction_c(s, fans)[0] == 1 for s in (1, 2, 3))

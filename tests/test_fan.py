@@ -113,7 +113,7 @@ def test_verify_fan_detects_non_unimodular_cone():
 
 def test_census_p2_at_center_of_z3():
     ctx, part, fan = pipeline("1/3(1,1,1)")
-    census = surface_census(ctx, fan)
+    census = surface_census(fan)
     assert len(census) == 1
     entry = census[0]
     assert entry.vertex == (1, 1, 1)
@@ -125,7 +125,7 @@ def test_census_p2_at_center_of_z3():
 
 def test_census_dp6_at_center_of_z3z3():
     ctx, part, fan = pipeline("1/3(1,2,0)+1/3(0,1,2)")
-    census = surface_census(ctx, fan)
+    census = surface_census(fan)
     assert [s.label for s in census] == ["dP6"]
     assert census[0].vertex == (1, 1, 1)
     assert census[0].valency == 6
@@ -136,14 +136,14 @@ def test_census_valencies_in_range():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx, part, fan = pipeline(text)
-        for s in surface_census(ctx, fan):
+        for s in surface_census(fan):
             assert 3 <= s.valency <= 6
 
 
 def test_census_star_relations():
     # u_{t-1} + u_{t+1} = b_t u_t - c_t v, summing scaled points exactly.
     ctx, part, fan = pipeline("1/11(1,2,8)")
-    for s in surface_census(ctx, fan):
+    for s in surface_census(fan):
         t = s.valency
         for idx in range(t):
             lhs = vadd(s.neighbors[(idx - 1) % t], s.neighbors[(idx + 1) % t])
@@ -163,7 +163,7 @@ def test_dp6_count_formula():
     ):
         ctx, part, fan = pipeline(text)
         assert dp6_count(part) == expect
-        census = surface_census(ctx, fan)
+        census = surface_census(fan)
         assert sum(1 for s in census if s.label == "dP6") == expect
 
 
@@ -190,7 +190,7 @@ def test_interior_vertices_have_one_parent():
 
 def test_stars_close_up():
     ctx, part, fan = pipeline("1/30(25,2,3)")
-    stars = vertex_stars(ctx, fan)
+    stars = vertex_stars(fan)
     for v, star in stars.items():
         # Every consecutive pair spans a cone of the fan with v.
         cone_keys = {c.key() for c in fan.cones}

@@ -1,6 +1,6 @@
 """Module layout: an ahilb module uses only the public names of another,
-imports only at module level, and every span the benchmark traces names a
-module-level function."""
+imports only at module level, reads every parameter it declares, and every
+span the benchmark traces names a module-level function."""
 
 import ast
 import importlib
@@ -57,6 +57,35 @@ def test_no_function_level_imports():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _function_level_imports(path)
+    assert found == []
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """Parameters of path's module-level functions and methods that their
+    bodies never read."""
+    funcs = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            funcs += [(f"{node.name}.", f) for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs.append(("", node))
+    out = []
+    for prefix, fn in funcs:
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{path.stem}.{prefix}{fn.name}({p.arg})"
+                for p in params if p.arg not in read]
+    return out
+
+
+def test_no_unused_parameters():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _unused_parameters(path)
     assert found == []
 
 

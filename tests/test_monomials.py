@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import dot, smul, vadd, vneg, vsub
+from ahilb.lattice import dot, multiple, smul, vadd, vneg, vsub
 from ahilb.monomials import (
     crossing_rule_check,
     dual_basis,
@@ -16,7 +17,7 @@ from ahilb.monomials import (
     ratio_str,
     triangle_ratios,
 )
-from ahilb.partition import _param_at, _step_count, meet
+from ahilb.partition import meet
 from ahilb.resolution import Resolution
 
 
@@ -239,13 +240,22 @@ def test_crossing_rule_rejects_same_corner():
         )
 
 
+def _param_at(line, p):
+    """Exact parameter of the rational point p along line, in primitive
+    steps from its anchor."""
+    num, den = p
+    v = vsub(num, smul(den, line.anchor))
+    t = next(t for t in range(3) if line.direction[t])
+    return Fraction(v[t], den * line.direction[t])
+
+
 def test_crossing_rule_matches_partition_everywhere():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx, part = pipeline(text)
         inner = [l for t, l in part.lines.items() if t[0] == "corner"]
         fars = {
-            l.tag: _step_count(l.anchor, l.defeat_point, l.direction)
+            l.tag: multiple(vsub(l.defeat_point, l.anchor), l.direction)
             for l in inner
         }
         for la, lb in combinations(inner, 2):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 import ahilb.partition
 from ahilb import lattice_context, parse_group_spec
+from ahilb.lattice import smul, vadd
 from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
@@ -201,7 +208,67 @@ def test_knockout_consistency_fixtures():
                  "1/101(1,7,93)", "1/14(1,9,4)", "1/12(1,4,7)"):
         ctx = ctx_of(text)
         part = Resolution(ctx).partition
-        assert knockout_report(ctx, part) == []
+        assert knockout_report(part) == []
+
+
+def shifted(part, tag, steps):
+    """part with the defeat point of line tag moved by steps primitive
+    steps along the line (positive: away from its corner)."""
+    line = part.lines[tag]
+    end = vadd(line.defeat_point, smul(steps, line.direction))
+    lines = {**part.lines, tag: replace(line, defeat_point=end)}
+    return replace(part, lines=lines)
+
+
+@pytest.mark.parametrize("tag, steps, violations", [
+    (("corner", 3, 2), 1, [
+        "line ('corner', 3, 2) at (6, 1, 4): strengths "
+        "{('corner', 1, 1): 3, ('corner', 3, 2): 2}, extent continues",
+        "meet at non-lattice point ((18, 3, 1), 2)",
+        "line ('corner', 3, 2) dies at (12, 2, -3) with no rival",
+    ]),
+    (("corner", 1, 1), -1, [
+        "line ('corner', 3, 1) at (3, 6, 2): strengths "
+        "{('corner', 1, 2): 3, ('corner', 2, 2): 3, ('corner', 3, 1): 4}, "
+        "extent ends",
+        "line ('corner', 1, 1) at (6, 1, 4): strengths "
+        "{('corner', 1, 1): 3, ('corner', 3, 2): 2}, extent ends",
+    ]),
+])
+def test_knockout_report_catches_a_shifted_defeat_point(tag, steps, violations):
+    part = Resolution(ctx_of("1/11(1,2,8)")).partition
+    assert knockout_report(shifted(part, tag, steps)) == violations
+
+
+_TIED_REPORT = """
+from dataclasses import replace
+from ahilb import lattice_context, parse_group_spec
+from ahilb.lattice import vadd
+from ahilb.partition import knockout_report
+from ahilb.resolution import Resolution
+
+part = Resolution(lattice_context(parse_group_spec("1/3(1,1,1)"))).partition
+line = part.lines[("corner", 1, 1)]
+end = vadd(line.defeat_point, line.direction)
+lines = {**part.lines, line.tag: replace(line, defeat_point=end)}
+print(knockout_report(replace(part, lines=lines)))
+"""
+
+
+def test_knockout_report_text_is_independent_of_the_hash_seed():
+    # Tags hold strings, so a set of tags iterates in a seed-dependent
+    # order; the three tied champion lines of 1/3(1,1,1) expose it.
+    src = str(Path(ahilb.__file__).parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIED_REPORT],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        outputs.append(proc.stdout)
+    assert "strengths" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_knockout_first_crossing_11():
