@@ -1,10 +1,12 @@
 """Realizing regular triples inside the simplex and the partition into
 regular triangles.
 
-Two independent algorithms produce the partition: brute-force enumeration
-over line triples (authoritative) and realization of the contraction-game
-triples (mandatory cross-check).  A mismatch raises InvariantError: this is
-the package's central differential test.
+Two independent algorithms produce the partition: enumeration of the
+regular triangles cut out by the lines, searching only line triples whose
+directions can sum to zero (authoritative), and realization of the
+contraction-game triples (mandatory cross-check).  A mismatch raises
+InvariantError: this is the package's central differential test.  The
+tiling is then checked by edge matching and exact areas.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .lattice import (
     primitive_vector,
     smul,
     vadd,
+    vneg,
     vsub,
 )
 from .mmp import RegularTriple, contract, run_mmp, triple_set, validate_triple
@@ -175,14 +178,43 @@ def _triangle_from_lines(ctx: LatticeContext,
     )
 
 
+def _sign_fixed(d: Vec3) -> Vec3:
+    """d or -d, whichever has its first nonzero coordinate positive."""
+    return d if d > (0, 0, 0) else vneg(d)
+
+
 def enumerate_triangles(ctx: LatticeContext,
                         lines: dict[Tag, Line]) -> list[RegularTriangle]:
-    """Brute force over all line triples; the regular triangles tile the
-    simplex, so collecting every one of them yields the partition."""
+    """Every regular triangle cut out by three of the lines; they tile the
+    simplex, so this is the partition.
+
+    The search by direction is complete.  The side vectors r*u, r*v, r*w
+    of a regular triangle sum to zero, and each of u, v, w is +- the
+    direction of the line hosting that side.  Of those three signs two
+    agree, say on the hosts a, b of u, v; then d_a + d_b = +-(u + v) =
+    -+w, the third host's direction up to sign.  Hosts a and b meet at a
+    lattice point of the simplex, the vertex opposite w.  So it suffices
+    to try, for each pair of lines meeting at such a point, the lines in
+    the direction class of d_a + d_b as the third line, each tag triple
+    once, in sorted tag order.
+    """
     ordered = [lines[t] for t in sorted(lines)]
+    by_direction: dict[Vec3, list[Tag]] = {}
+    for line in ordered:
+        by_direction.setdefault(_sign_fixed(line.direction), []).append(line.tag)
+    trios = set()
+    for la, lb in combinations(ordered, 2):
+        third = by_direction.get(_sign_fixed(vadd(la.direction, lb.direction)))
+        if third is None:
+            continue
+        p = meet(la, lb)
+        if p is None or not _inside_simplex(p) or _lattice_point_of(ctx, p) is None:
+            continue
+        for tc in third:
+            trios.add(tuple(sorted((la.tag, lb.tag, tc))))
     found: dict[tuple, RegularTriangle] = {}
-    for trio in combinations(ordered, 3):
-        tri = _triangle_from_lines(ctx, trio)
+    for tags in sorted(trios):
+        tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
         if tri is None:
             continue
         if tri.key() in found:
@@ -287,25 +319,42 @@ def _triangle_area2(ctx: LatticeContext, tri: RegularTriangle) -> int:
     return abs(cross2(ctx.plane_coords(vsub(b, a)), ctx.plane_coords(vsub(c, a))))
 
 
-def _interiors_disjoint(tri_a: RegularTriangle, tri_b: RegularTriangle) -> bool:
-    """Exact separating-line test on two lattice triangles."""
-    for tri1, tri2 in ((tri_a, tri_b), (tri_b, tri_a)):
-        pts = tri1.vertices
-        for t in range(3):
-            p, q = chart(pts[t]), chart(pts[(t + 1) % 3])
-            third = chart(pts[(t + 2) % 3])
-            s_in = cross2((q[0] - p[0], q[1] - p[1]),
-                          (third[0] - p[0], third[1] - p[1]))
-            edge = (q[0] - p[0], q[1] - p[1])
-            sides = [
-                cross2(edge, (chart(v)[0] - p[0], chart(v)[1] - p[1]))
-                for v in tri2.vertices
-            ]
-            if s_in > 0 and all(s <= 0 for s in sides):
-                return True
-            if s_in < 0 and all(s >= 0 for s in sides):
-                return True
-    return False
+def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]):
+    """The triangle's boundary, counter-clockwise in chart, in unit lattice
+    steps: ((p, q), +1) for a step from p to q with p < q, else ((q, p), -1)."""
+    a, b, c = vertices
+    if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
+        b, c = c, b
+    for p, q in ((a, b), (b, c), (c, a)):
+        step = primitive_vector(ctx, vsub(q, p))
+        for _ in range(_step_count(p, q, step)):
+            nxt = vadd(p, step)
+            yield ((p, nxt), 1) if p < nxt else ((nxt, p), -1)
+            p = nxt
+
+
+def _check_tiling(ctx: LatticeContext,
+                  triangles: list[RegularTriangle]) -> None:
+    """Raise unless the triangles tile the simplex.
+
+    The areas must sum to the simplex's.  The sides must match: each unit
+    segment of a side is traversed by the triangles, oriented as 2-chains,
+    as often as by the simplex's boundary, so a segment off that boundary
+    is shared by two triangles on opposite sides.  Then the triangles'
+    boundary is the simplex's, and every point off the edges is covered
+    once inside the simplex and never outside it."""
+    area2 = sum(_triangle_area2(ctx, tri) for tri in triangles)
+    covol = abs(cross2(ctx.plane_coords(vsub(ctx.corner(2), ctx.corner(1))),
+                       ctx.plane_coords(vsub(ctx.corner(3), ctx.corner(1)))))
+    if area2 != covol or sum(t.r * t.r for t in triangles) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
+    count: dict[tuple[Vec3, Vec3], int] = {}
+    chains = [(tri.vertices, 1) for tri in triangles] + [(ctx.corners, -1)]
+    for vertices, sign in chains:
+        for seg, s in _unit_edges(ctx, vertices):
+            count[seg] = count.get(seg, 0) + sign * s
+    if any(count.values()):
+        raise InvariantError("triangle interiors overlap")
 
 
 def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
@@ -342,15 +391,7 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
             f"{sorted(realized_keys)}"
         )
 
-    # Coverage: disjoint interiors and total area equal to the group order.
-    area2 = sum(_triangle_area2(ctx, tri) for tri in enumerated)
-    covol = abs(cross2(ctx.plane_coords(vsub(ctx.corner(2), ctx.corner(1))),
-                       ctx.plane_coords(vsub(ctx.corner(3), ctx.corner(1)))))
-    if area2 != covol or sum(t.r * t.r for t in enumerated) != ctx.order:
-        raise InvariantError("triangle areas do not exhaust the simplex")
-    for ta, tb in combinations(enumerated, 2):
-        if not _interiors_disjoint(ta, tb):
-            raise InvariantError("triangle interiors overlap")
+    _check_tiling(ctx, enumerated)
 
     # Champions.
     long_side = find_long_side(fans)

@@ -143,6 +143,21 @@ def test_unwritable_output_path(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_package_runs_as_a_module():
+    # The repro lines `ahilb verify "<spec>" --seed N` also run from a
+    # source checkout as `python -m ahilb ...`.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ahilb", "verify", "1/3(1,1,1)"],
+        capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(ahilb.__file__).parent.parent)},
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith(": pass") for line in lines)
+    assert proc.stderr == ""
+
+
 def test_document_deterministic():
     for text in ("1/11(1,2,8)", "1/30(25,2,3)", "1/2(1,1,0)+1/2(0,1,1)"):
         a = json.dumps(doc_of(text))
