@@ -21,7 +21,12 @@ from .corners import long_side
 from .draw import render_svg
 from .errors import GroupSpecError, InvariantError, OutputError
 from .fan import Fan, dp6_count
-from .lattice import LatticeContext, lattice_context, parse_group_spec
+from .lattice import (
+    DEFAULT_ORDER_CAP,
+    LatticeContext,
+    lattice_context,
+    parse_group_spec,
+)
 from .resolution import Resolution
 from .verify import run_checks, run_random_suite
 
@@ -233,11 +238,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(low: int):
+def _bounded(low: int, high: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or high is not None and value > high:
+            upper = "" if high is None else f" and <= {high}"
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}{upper}, got {value}")
         return value
 
     return integer
@@ -279,8 +286,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("spec", nargs="?")
-    p.add_argument("--random", type=_at_least(0), metavar="N", default=0)
-    p.add_argument("--max-order", type=_at_least(1), default=60)
+    p.add_argument("--random", type=_bounded(0), metavar="N", default=0)
+    p.add_argument("--max-order", type=_bounded(1, DEFAULT_ORDER_CAP),
+                   default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 

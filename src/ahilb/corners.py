@@ -22,6 +22,7 @@ from .lattice import (
     junior_points,
     multiple,
     primitive_vector,
+    segment_points,
     smul,
     vadd,
     vneg,
@@ -112,11 +113,7 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
 
     chain: list[Vec3] = [hull[0]]
     for a, b in zip(hull, hull[1:]):
-        step = primitive_vector(ctx, vsub(b, a))
-        cur = a
-        while cur != b:
-            cur = vadd(cur, step)
-            chain.append(cur)
+        chain += segment_points(ctx, a, b)[1:]
 
     strengths = []
     for j in range(1, len(chain) - 1):

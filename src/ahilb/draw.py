@@ -12,15 +12,7 @@ from __future__ import annotations
 from math import sqrt
 
 from .fan import Fan, on_simplex_boundary
-from .lattice import (
-    LatticeContext,
-    Vec3,
-    cross3,
-    primitive_vector,
-    smul,
-    vadd,
-    vsub,
-)
+from .lattice import LatticeContext, Vec3, cross3, segment_points, sign_fixed
 from .monomials import primitive_in_monomial_lattice, ratio_str
 from .partition import Partition
 
@@ -108,9 +100,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
 
 
 def _edge_ratio(ctx: LatticeContext, a: Vec3, b: Vec3) -> Vec3:
-    m = primitive_in_monomial_lattice(ctx, cross3(a, b))
-    nz = next(x for x in m if x)
-    return m if nz > 0 else smul(-1, m)
+    return sign_fixed(primitive_in_monomial_lattice(ctx, cross3(a, b)))
 
 
 def _partition_edges(ctx: LatticeContext, part: Partition) -> set:
@@ -119,11 +109,6 @@ def _partition_edges(ctx: LatticeContext, part: Partition) -> set:
     edges = set()
     for tri in part.triangles:
         for t in range(3):
-            a, b = tri.side_of(t)
-            step = primitive_vector(ctx, vsub(b, a))
-            cur = a
-            while cur != b:
-                nxt = vadd(cur, step)
-                edges.add(tuple(sorted((cur, nxt))))
-                cur = nxt
+            pts = segment_points(ctx, *tri.side_of(t))
+            edges.update(tuple(sorted(e)) for e in zip(pts, pts[1:]))
     return edges

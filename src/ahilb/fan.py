@@ -12,6 +12,7 @@ from .errors import InvariantError
 from .lattice import (
     LatticeContext,
     Vec3,
+    area2,
     chart,
     cross2,
     det3,
@@ -175,21 +176,11 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
     # Unit areas exhausting the simplex.
     total = 0
     for c in fan.cones:
-        a, b, d = c.vertices
         try:
-            total += abs(
-                cross2(ctx.plane_coords(vsub(b, a)),
-                       ctx.plane_coords(vsub(d, a)))
-            )
+            total += area2(ctx, c.vertices)
         except InvariantError as exc:
             out.append(f"cone {c.vertices}: {exc}")
-    covol = abs(
-        cross2(
-            ctx.plane_coords(vsub(ctx.corner(2), ctx.corner(1))),
-            ctx.plane_coords(vsub(ctx.corner(3), ctx.corner(1))),
-        )
-    )
-    if total != covol:
+    if total != area2(ctx, ctx.corners):
         out.append("cone areas do not exhaust the simplex")
     return out
 

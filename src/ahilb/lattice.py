@@ -5,6 +5,11 @@ All geometry is exact.  A point of the junior plane is stored as an integer
 triple summing to the denominator ``n``; a translation vector is an integer
 triple summing to zero.  A triple ``q`` belongs to the overlattice exactly
 when ``q mod n`` is one of the group residues.
+
+The lattice geometry the other modules share lives here, once:
+``segment_points`` (the lattice points of a segment), ``sign_fixed`` (a
+direction up to sign), ``pair_index`` and ``area2`` (lattice indexes and
+doubled triangle areas; every use of ``plane_coords`` goes through them).
 """
 
 from __future__ import annotations
@@ -294,7 +299,12 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
 
     Raises GroupSpecError when the group order exceeds max_order.
     """
-    n0 = lcm(*(g.order for g in spec.generators)) if spec.generators else 1
+    # Each generator's order divides the exponent, which is at most the
+    # group order: a too-large lcm fails before the element search.
+    if lcm(*(g.order // gcd(g.order, *g.weights)
+             for g in spec.generators)) > max_order:
+        raise GroupSpecError(f"group order exceeds the cap of {max_order}")
+    n0 = lcm(*(g.order for g in spec.generators))
     gens0 = [smul(n0 // g.order, g.weights) for g in spec.generators]
     table = {(0, 0, 0)}
     frontier = [(0, 0, 0)]
@@ -315,7 +325,7 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
     # than the lcm of the written generator orders.
     n = 1
     for g in table:
-        n = lcm(n, n0 // gcd(n0, gcd(g[0], gcd(g[1], g[2]))))
+        n = lcm(n, n0 // gcd(n0, *g))
     if n != n0:
         k = n0 // n
         table = {(g[0] // k, g[1] // k, g[2] // k) for g in table}
@@ -393,8 +403,7 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
         raise InvariantError("zero vector has no primitive direction")
     if not ctx.is_translation(v):
         raise InvariantError(f"{v} is not a translation of the junior lattice")
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    for k in _divisors_desc(g):
+    for k in _divisors_desc(gcd(*v)):
         cand = (v[0] // k, v[1] // k, v[2] // k)
         if ctx.is_translation(cand):
             return cand
@@ -406,7 +415,28 @@ def lattice_length(ctx: LatticeContext, v: Vec3) -> int:
     return multiple(v, primitive_vector(ctx, v))
 
 
+def segment_points(ctx: LatticeContext, a: Vec3, b: Vec3) -> list[Vec3]:
+    """The lattice points from a to b (a != b) in order, both ends
+    included."""
+    v = vsub(b, a)
+    step = primitive_vector(ctx, v)
+    return [vadd(a, smul(k, step)) for k in range(multiple(v, step) + 1)]
+
+
+def sign_fixed(v: Vec3) -> Vec3:
+    """v or -v, whichever has its first nonzero coordinate positive."""
+    return v if v > (0, 0, 0) else vneg(v)
+
+
 def pair_index(ctx: LatticeContext, v: Vec3, w: Vec3) -> int:
     """Index of the sublattice spanned by v, w inside the translation
     lattice; 0 when the vectors are parallel."""
     return abs(cross2(ctx.plane_coords(v), ctx.plane_coords(w)))
+
+
+def area2(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]) -> int:
+    """Twice the lattice area of a triangle: the pair index of two of its
+    sides, so a unimodular triangle has 1 and the simplex the group
+    order."""
+    a, b, c = vertices
+    return pair_index(ctx, vsub(b, a), vsub(c, a))

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 from .corners import CyclicWord, Tag, WordEntry
 from .errors import InvariantError
-from .lattice import LatticeContext, Vec3, pair_index, vadd, vneg
+from .lattice import (
+    LatticeContext,
+    Vec3,
+    pair_index,
+    sign_fixed,
+    smul,
+    vadd,
+    vneg,
+)
 
 Strategy = str | tuple[str, int] | list[int]
 
@@ -30,11 +38,7 @@ class RegularTriple:
 
     def canonical(self) -> tuple[Vec3, Vec3, Vec3]:
         """Vectors normalized up to sign and order (identifies +-v)."""
-        out = []
-        for v in self.vectors:
-            nz = next(t for t in v if t)
-            out.append(v if nz > 0 else vneg(v))
-        return tuple(sorted(out))
+        return tuple(sorted(sign_fixed(v) for v in self.vectors))
 
 
 def classify_triple(tags) -> str:
@@ -185,7 +189,7 @@ def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
     s = triple.signs
     total = (0, 0, 0)
     for t in range(3):
-        total = vadd(total, (s[t] * v[t][0], s[t] * v[t][1], s[t] * v[t][2]))
+        total = vadd(total, smul(s[t], v[t]))
     if total != (0, 0, 0):
         raise InvariantError("triple sign relation does not vanish")
     for a in range(3):

@@ -4,6 +4,8 @@ basic triangles, and the exponent form of the knock-out rule.
 A ratio is stored as a signed Laurent exponent triple: positive entries
 make the numerator, negative entries the denominator.  Every emitted ratio
 is invariant under the group and primitive in the invariant lattice.
+``ratio_through`` is the one computation of the ratio of the line through
+two points; line ratios and triangle side ratios both go through it.
 """
 
 from __future__ import annotations
@@ -30,15 +32,11 @@ from .lattice import (
 from .partition import Line, RegularTriangle
 
 
-def _content(v: Vec3) -> int:
-    return gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-
-
 def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
     """Scale m to the primitive invariant exponent vector on its ray."""
     if m == (0, 0, 0):
         raise InvariantError("zero exponent vector")
-    g = _content(m)
+    g = gcd(*m)
     base = (m[0] // g, m[1] // g, m[2] // g)
     # k*base is invariant exactly when every n / gcd(n, base.g) divides k.
     n = ctx.n
@@ -46,17 +44,24 @@ def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
                 base)
 
 
-def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
-    """Primitive invariant generator of the exponents vanishing on the
-    line, signed to evaluate positively on positive_side."""
-    raw = cross3(line.anchor, vadd(line.anchor, line.direction))
+def ratio_through(ctx: LatticeContext, p: Vec3, q: Vec3,
+                  positive_at: Vec3) -> Vec3:
+    """Primitive invariant generator of the exponents vanishing on the line
+    through p and q, signed to evaluate positively at positive_at."""
+    raw = cross3(p, q)
     if raw == (0, 0, 0):
         raise InvariantError("line data is degenerate")
     m = primitive_in_monomial_lattice(ctx, raw)
-    val = dot(m, positive_side)
+    val = dot(m, positive_at)
     if val == 0:
         raise InvariantError("positive_side is parallel to the line")
     return m if val > 0 else vneg(m)
+
+
+def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
+    """ratio_through two points of the line."""
+    return ratio_through(ctx, line.anchor, vadd(line.anchor, line.direction),
+                         positive_side)
 
 
 def parallel_ratio(base: Vec3, i: int) -> Vec3:
@@ -107,16 +112,8 @@ class TriangleRatios:
 
 def _side_ratios(ctx: LatticeContext, tri: RegularTriangle) -> list[Vec3]:
     """Ratio of each side, positive on the triangle, indexed like vertices."""
-    out = []
-    for t in range(3):
-        p, q = tri.side_of(t)
-        raw = cross3(p, q)
-        m = primitive_in_monomial_lattice(ctx, raw)
-        val = dot(m, tri.vertices[t])
-        if val == 0:
-            raise InvariantError("side ratio vanishes on the opposite vertex")
-        out.append(m if val > 0 else vneg(m))
-    return out
+    return [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
+            for t in range(3)]
 
 
 def _match_case(ctx, tri, side_ratios, perm, case):

@@ -28,14 +28,16 @@ from .errors import InvariantError
 from .lattice import (
     LatticeContext,
     Vec3,
+    area2,
     chart,
     cross2,
     multiple,
     pair_index,
     primitive_vector,
+    segment_points,
+    sign_fixed,
     smul,
     vadd,
-    vneg,
     vsub,
 )
 from .mmp import RegularTriple, contract, run_mmp, triple_set, validate_triple
@@ -86,27 +88,16 @@ def meet(l1: Line, l2: Line) -> RatPoint | None:
     num = vadd(smul(d, l1.anchor), smul(t, l1.direction))
     if d < 0:
         num, d = (-num[0], -num[1], -num[2]), -d
-    g = gcd(gcd(gcd(abs(num[0]), abs(num[1])), abs(num[2])), d)
+    g = gcd(*num, d)
     return ((num[0] // g, num[1] // g, num[2] // g), d // g)
 
 
-def _lattice_point_of(ctx: LatticeContext, p: RatPoint) -> Vec3 | None:
-    num, den = p
-    if den != 1 or not ctx.is_lattice_point(num):
+def _simplex_point(ctx: LatticeContext, p: RatPoint | None) -> Vec3 | None:
+    """The meet p as a lattice point of the simplex, or None when it is
+    not one (or there is no meet)."""
+    if p is None or p[1] != 1 or min(p[0]) < 0:
         return None
-    return num
-
-
-def _inside_simplex(p: RatPoint) -> bool:
-    return all(c >= 0 for c in p[0])
-
-
-def _step_count(frm: Vec3, to: Vec3, direction: Vec3) -> int:
-    """Number of primitive steps of `direction` from frm to to (signed)."""
-    k = multiple(vsub(to, frm), direction)
-    if k is None:
-        raise InvariantError("points are not joined by the direction")
-    return k
+    return p[0] if ctx.is_lattice_point(p[0]) else None
 
 
 @dataclass(frozen=True)
@@ -147,40 +138,26 @@ def _triangle_from_lines(ctx: LatticeContext,
     """The regular triangle cut out by three lines, if there is one."""
     pts = []
     for a, b in ((1, 2), (0, 2), (0, 1)):
-        p = meet(lines[a], lines[b])
-        if p is None or not _inside_simplex(p):
-            return None
-        q = _lattice_point_of(ctx, p)
+        q = _simplex_point(ctx, meet(lines[a], lines[b]))
         if q is None:
             return None
         pts.append(q)
-    if len({tuple(p) for p in pts}) != 3:
+    if len(set(pts)) != 3:
         return None
-    dirs = []
-    lens = []
-    for t in range(3):
-        a, b = [pts[u] for u in range(3) if u != t]
-        v = vsub(b, a)
-        d = primitive_vector(ctx, v)
-        dirs.append(d)
-        lens.append(_step_count(a, b, d))
-    lens = [abs(x) for x in lens]
-    if lens[0] != lens[1] or lens[1] != lens[2] or lens[0] < 1:
+    sides = (vsub(pts[2], pts[1]), vsub(pts[2], pts[0]), vsub(pts[1], pts[0]))
+    dirs = tuple(primitive_vector(ctx, v) for v in sides)
+    lens = {multiple(v, d) for v, d in zip(sides, dirs)}
+    if len(lens) != 1:
         return None
     for a, b in combinations(range(3), 2):
         if pair_index(ctx, dirs[a], dirs[b]) != 1:
             return None
     return RegularTriangle(
         vertices=tuple(pts),
-        r=lens[0],
+        r=lens.pop(),
         side_lines=tuple(l.tag for l in lines),
-        side_directions=tuple(dirs),
+        side_directions=dirs,
     )
-
-
-def _sign_fixed(d: Vec3) -> Vec3:
-    """d or -d, whichever has its first nonzero coordinate positive."""
-    return d if d > (0, 0, 0) else vneg(d)
 
 
 def enumerate_triangles(ctx: LatticeContext,
@@ -201,14 +178,11 @@ def enumerate_triangles(ctx: LatticeContext,
     ordered = [lines[t] for t in sorted(lines)]
     by_direction: dict[Vec3, list[Tag]] = {}
     for line in ordered:
-        by_direction.setdefault(_sign_fixed(line.direction), []).append(line.tag)
+        by_direction.setdefault(sign_fixed(line.direction), []).append(line.tag)
     trios = set()
     for la, lb in combinations(ordered, 2):
-        third = by_direction.get(_sign_fixed(vadd(la.direction, lb.direction)))
-        if third is None:
-            continue
-        p = meet(la, lb)
-        if p is None or not _inside_simplex(p) or _lattice_point_of(ctx, p) is None:
+        third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
+        if third is None or _simplex_point(ctx, meet(la, lb)) is None:
             continue
         for tc in third:
             trios.add(tuple(sorted((la.tag, lb.tag, tc))))
@@ -231,9 +205,10 @@ def realize_triple(ctx: LatticeContext, lines: dict[Tag, Line],
     if any(p is None for p in pts):
         raise InvariantError("host lines of a regular triple are parallel")
     if pts[0] == pts[1] == pts[2]:
-        q = _lattice_point_of(ctx, pts[0])
+        q = _simplex_point(ctx, pts[0])
         if q is None:
-            raise InvariantError("concurrency point is not a lattice point")
+            raise InvariantError(
+                "concurrency point is not a lattice point of the simplex")
         if triple.type_tag != "champion":
             raise InvariantError("only the champion triple may degenerate")
         return ConcurrencyPoint(q, triple.tags)
@@ -314,11 +289,6 @@ def _protected_run(word: CyclicWord, side: int) -> tuple[CyclicWord, list[Regula
     return cur, out
 
 
-def _triangle_area2(ctx: LatticeContext, tri: RegularTriangle) -> int:
-    a, b, c = tri.vertices
-    return abs(cross2(ctx.plane_coords(vsub(b, a)), ctx.plane_coords(vsub(c, a))))
-
-
 def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]):
     """The triangle's boundary, counter-clockwise in chart, in unit lattice
     steps: ((p, q), +1) for a step from p to q with p < q, else ((q, p), -1)."""
@@ -326,11 +296,9 @@ def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]):
     if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
         b, c = c, b
     for p, q in ((a, b), (b, c), (c, a)):
-        step = primitive_vector(ctx, vsub(q, p))
-        for _ in range(_step_count(p, q, step)):
-            nxt = vadd(p, step)
-            yield ((p, nxt), 1) if p < nxt else ((nxt, p), -1)
-            p = nxt
+        pts = segment_points(ctx, p, q)
+        for u, w in zip(pts, pts[1:]):
+            yield ((u, w), 1) if u < w else ((w, u), -1)
 
 
 def _check_tiling(ctx: LatticeContext,
@@ -343,10 +311,9 @@ def _check_tiling(ctx: LatticeContext,
     is shared by two triangles on opposite sides.  Then the triangles'
     boundary is the simplex's, and every point off the edges is covered
     once inside the simplex and never outside it."""
-    area2 = sum(_triangle_area2(ctx, tri) for tri in triangles)
-    covol = abs(cross2(ctx.plane_coords(vsub(ctx.corner(2), ctx.corner(1))),
-                       ctx.plane_coords(vsub(ctx.corner(3), ctx.corner(1)))))
-    if area2 != covol or sum(t.r * t.r for t in triangles) != ctx.order:
+    total = sum(area2(ctx, tri.vertices) for tri in triangles)
+    if (total != area2(ctx, ctx.corners)
+            or sum(t.r * t.r for t in triangles) != ctx.order):
         raise InvariantError("triangle areas do not exhaust the simplex")
     count: dict[tuple[Vec3, Vec3], int] = {}
     chains = [(tri.vertices, 1) for tri in triangles] + [(ctx.corners, -1)]
@@ -364,8 +331,8 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     cyclic word of the corner fans."""
     lines = rays(ctx, fans)
 
-    enumerated = enumerate_triangles(ctx, lines)
-    by_key = {tri.key(): tri for tri in enumerated}
+    enumerated = enumerate_triangles(ctx, lines)  # sorted by key
+    index_of = {tri.key(): t for t, tri in enumerate(enumerated)}
 
     trace = run_mmp(word)
     triples = triple_set(trace)
@@ -384,10 +351,10 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
             if res.key() in realized_keys:
                 raise InvariantError("two triples realize the same triangle")
             realized_keys.add(res.key())
-    if realized_keys != set(by_key):
+    if realized_keys != set(index_of):
         raise InvariantError(
             "partition mismatch: enumeration found "
-            f"{sorted(by_key)} but the contraction game realizes "
+            f"{sorted(index_of)} but the contraction game realizes "
             f"{sorted(realized_keys)}"
         )
 
@@ -422,8 +389,6 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     # Catchment areas: eat each side on a fresh word (the other junctions
     # fence the front in).  A triangle reachable from two sides -- the
     # middle of a semiregular strip -- goes to the smaller side index.
-    order = sorted(by_key)
-    index_of = {k: t for t, k in enumerate(order)}
     initial_c = {
         s: next(e.value for e in word.entries if e.tag == ("junction", s))
         for s in (1, 2, 3)
@@ -449,16 +414,15 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         for s in (1, 2, 3)
     }
     seen = set(eaten_from)
-    unassigned = set(by_key) - seen
+    unassigned = set(index_of) - seen
     if champion_key is not None:
         if unassigned != {champion_key}:
             raise InvariantError("catchments must leave exactly the champion")
     elif unassigned:
         raise InvariantError(f"triangles outside every catchment: {unassigned}")
 
-    triangles = tuple(by_key[k] for k in order)
     part = Partition(
-        triangles=triangles,
+        triangles=tuple(enumerated),
         long_side=long_side,
         champions=champions,
         catchment=catchment,
@@ -584,20 +548,13 @@ def is_semiregular(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],
 
 
 def _semiregular_oriented(ctx, a, b, c):
-    v_ab = vsub(b, a)
-    d_ab = primitive_vector(ctx, v_ab)
-    r = abs(_step_count(a, b, d_ab))
-    v_ca = vsub(a, c)
-    d_ca = primitive_vector(ctx, v_ca)
-    if abs(_step_count(c, a, d_ca)) != r:
-        return None
-    v_bc = vsub(c, b)
-    d_bc = primitive_vector(ctx, v_bc)
-    steps_bc = abs(_step_count(b, c, d_bc))
-    if steps_bc % r:
+    sides = (vsub(c, b), vsub(a, c), vsub(b, a))
+    dirs = [primitive_vector(ctx, v) for v in sides]
+    steps_bc, steps_ca, r = (multiple(v, d) for v, d in zip(sides, dirs))
+    if steps_ca != r or steps_bc % r:
         return None
     cc = steps_bc // r
-    v1, v2, v3 = d_bc, d_ca, d_ab
+    v1, v2, v3 = dirs
     if pair_index(ctx, v1, v2) != 1:
         return None
     if vadd(vadd(smul(cc, v1), v2), v3) != (0, 0, 0):

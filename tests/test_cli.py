@@ -80,6 +80,7 @@ def test_verify_needs_input(capsys):
     ["verify", "--random", "-3"],
     ["verify", "--random", "1", "--max-order", "0"],
     ["verify", "--random", "2", "--max-order", "-5"],
+    ["verify", "--random", "1", "--max-order", "1000001"],
 ])
 def test_verify_rejects_out_of_range_options(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -346,3 +347,76 @@ def test_report_builds_partition_once(monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
     assert main(["report", "1/11(1,2,8)"]) == 0
     assert len(builds) == 1
+
+
+# Every cyclic 1/r(a,b,c) with r <= 24 and 0 <= a <= b <= c < r (980
+# groups), plus 8 products: 988 groups.
+SWEEP = [
+    f"1/{r}({a},{b},{c})"
+    for r in range(1, 25)
+    for a in range(r)
+    for b in range(a, r)
+    for c in range(b, r)
+    if (a + b + c) % r == 0
+] + [
+    "1/2(1,1,0)+1/2(0,1,1)",
+    "1/3(1,2,0)+1/3(0,1,2)",
+    "1/4(1,3,0)+1/4(0,1,3)",
+    "1/5(1,4,0)+1/5(0,1,4)",
+    "1/2(1,1,0)+1/4(0,1,3)",
+    "1/3(1,1,1)+1/3(1,2,0)",
+    "1/6(1,2,3)+1/2(1,1,0)",
+    "1/2(1,0,1)+1/3(1,1,1)",
+]
+
+# SHA-256 over the sweep of each command's output, every group's bytes
+# preceded by its spec and a newline.
+PINNED_SWEEP = {
+    "report": (
+        "40eab04e91ad90e77a2773c5bb8d64db"
+        "ce00af44de930c689fdcb0c62af395e8"
+    ),
+    "fan": (
+        "2236c9e732ea3639b19eecb759b231a2"
+        "849256a7bb1abf3244b2c01d328394fd"
+    ),
+    "clusters": (
+        "d729a6cdd3b92825fabea448707120f6"
+        "7eaeb72be96b10b2dc0a1395548f8d8c"
+    ),
+    "verify": (
+        "bd8c6230174a5950974f7a8b1fc2d0bd"
+        "e5cb0022e780a3817f4fb355d3853515"
+    ),
+    "draw": (
+        "394e1892ca2c8746fd3d11c729b33cdb"
+        "6513acc652e112b66ca8be2d6de61e42"
+    ),
+}
+
+
+@pytest.mark.deep
+def test_outputs_pinned_sweep(tmp_path, capsys):
+    # Each output goes to a fresh file, removed once read: on some
+    # filesystems truncating an existing file is far slower than making one.
+    digests = {cmd: sha256() for cmd in PINNED_SWEEP}
+
+    def read_once(path):
+        data = path.read_bytes()
+        path.unlink()
+        return data
+
+    out = tmp_path / "out"
+    for spec in SWEEP:
+        tag = f"{spec}\n".encode()
+        for cmd in ("report", "fan", "clusters"):
+            assert main([cmd, spec, "--json", str(out)]) == 0
+            digests[cmd].update(tag + read_once(out))
+        capsys.readouterr()
+        assert main(["verify", spec]) == 0
+        digests["verify"].update(tag + capsys.readouterr().out.encode())
+        assert main(["draw", spec, "--svg", str(out), "--ratios"]) == 0
+        digests["draw"].update(tag + read_once(out))
+    assert len(SWEEP) == 988
+    got = {cmd: h.hexdigest() for cmd, h in digests.items()}
+    assert got == PINNED_SWEEP

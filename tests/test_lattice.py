@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ahilb import (
@@ -8,7 +10,18 @@ from ahilb import (
     parse_group_spec,
     primitive_vector,
 )
-from ahilb.lattice import chart, cross2, dot, lattice_length, smul, vsub
+from ahilb.lattice import (
+    chart,
+    cross2,
+    dot,
+    lattice_length,
+    segment_points,
+    sign_fixed,
+    smul,
+    vadd,
+    vneg,
+    vsub,
+)
 
 
 def ctx_of(text, **kw):
@@ -31,6 +44,19 @@ def test_parse_two_generators_order_four():
     for g in table:
         for h in table:
             assert tuple((a + b) % 2 for a, b in zip(g, h)) in table
+
+
+def test_over_cap_group_fails_before_the_element_search():
+    # The generator order 10**12 alone exceeds the cap; enumerating even
+    # the cap's 10**6 elements would take some 200 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSpecError, match="exceeds the cap"):
+            ctx_of("1/1000000000000(1,1,999999999998)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_parse_rejects_sl_violation():
@@ -179,6 +205,22 @@ def test_lattice_length():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
     assert lattice_length(ctx, (-2, 2, 0)) == 2
     assert lattice_length(ctx, (-1, 1, 0)) == 1
+    for text, a, b, length in (
+        ("1/2(1,1,0)+1/2(0,1,1)", (0, 2, 0), (2, 0, 0), 2),
+        ("1/5(1,4,0)", (5, 0, 0), (0, 5, 0), 5),
+        ("1/7(1,2,4)", (4, 1, 2), (0, 7, 0), 2),
+    ):
+        ctx = ctx_of(text)
+        v = vsub(b, a)
+        pts = segment_points(ctx, a, b)
+        assert pts[0] == a and pts[-1] == b
+        assert len(pts) == lattice_length(ctx, v) + 1 == length + 1
+        step = primitive_vector(ctx, v)
+        assert all(vadd(p, step) == q for p, q in zip(pts, pts[1:]))
+    for v in ((0, 2, -2), (0, -2, 2), (-1, 3, -2), (1, 0, -1)):
+        w = sign_fixed(v)
+        assert w in (v, vneg(v))
+        assert next(c for c in w if c) > 0
 
 
 def _index_oracle(ctx, v, w):
