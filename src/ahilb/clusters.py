@@ -20,7 +20,6 @@ from .lattice import (
     PERMS,
     LatticeContext,
     Vec3,
-    dot,
     permute,
     scaled_dual,
     vadd,
@@ -154,35 +153,63 @@ def verify_cluster(ctx: LatticeContext, sys: ClusterSystem) -> list[str]:
     return ["counts", "parameter relations", "syzygy", "characters"]
 
 
-def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
-    """Monomials outside the system's initial ideal: the staircase under
-    x^(l+1), y^(m+1), z^(n+1), the three wall generators and xyz.
-
-    Exactly N monomials, hitting every character once (the cluster's ring
-    is the regular representation).
-    """
+def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
+    """The tripod's monomials as nine boxes of exponents (p, q, s): the
+    three axes, then two rectangles in each coordinate plane, split where
+    the wall generator's exponent starts to bound the row."""
     a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
     l, m, n = sys.l, sys.m, sys.n
-    out = [(p, 0, 0) for p in range(l + 1)]
-    out += [(0, q, 0) for q in range(1, m + 1)]
-    out += [(0, 0, s) for s in range(1, n + 1)]
-    for p in range(1, l + 1):
-        q_max = m if p <= a else min(m, e)
-        out += [(p, q, 0) for q in range(1, q_max + 1)]
-    for q in range(1, m + 1):
-        s_max = n if q <= b else min(n, f)
-        out += [(0, q, s) for s in range(1, s_max + 1)]
-    for s in range(1, n + 1):
-        p_max = l if s <= c else min(l, d)
-        out += [(p, 0, s) for p in range(1, p_max + 1)]
-    if len(out) != ctx.order:
+    zero = range(1)
+    return [
+        (range(l + 1), zero, zero),
+        (zero, range(1, m + 1), zero),
+        (zero, zero, range(1, n + 1)),
+        (range(1, min(a, l) + 1), range(1, m + 1), zero),
+        (range(a + 1, l + 1), range(1, min(m, e) + 1), zero),
+        (zero, range(1, min(b, m) + 1), range(1, n + 1)),
+        (zero, range(b + 1, m + 1), range(1, min(n, f) + 1)),
+        (range(1, l + 1), zero, range(1, min(c, n) + 1)),
+        (range(1, min(l, d) + 1), zero, range(c + 1, n + 1)),
+    ]
+
+
+def tripod_characters(ctx: LatticeContext, sys: ClusterSystem) -> list[int]:
+    """The characters of the tripod's monomials, in staircase order.
+
+    The character of x^p y^q z^s is its residues (p*g[0] + q*g[1] +
+    s*g[2]) % n, one per generator g, read as one mixed-radix integer
+    r_0 + n*r_1 + n^2*r_2 + ...  Raises unless there are exactly N
+    monomials and their characters are pairwise distinct (the cluster's
+    ring is the regular representation).
+    """
+    n = ctx.n
+    boxes = _staircase(sys)
+    keys = None
+    for u, v, w in reversed(ctx.generators):
+        res = []
+        for ps, qs, ss in boxes:
+            res += [(p * u + q * v + s * w) % n
+                    for p in ps for q in qs for s in ss]
+        keys = res if keys is None else [
+            r + n * k for r, k in zip(res, keys)]
+    if len(keys) != ctx.order:
         raise InvariantError(
-            f"tripod has {len(out)} monomials for a group of order {ctx.order}"
+            f"tripod has {len(keys)} monomials for a group of order {ctx.order}"
         )
-    chars = {tuple(dot(mono, g) % ctx.n for g in ctx.generators) for mono in out}
-    if len(chars) != ctx.order:
+    if len(set(keys)) != ctx.order:
         raise InvariantError("tripod characters do not fill the dual group")
-    return sorted(out)
+    return keys
+
+
+def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
+    """Monomials outside the system's initial ideal: the staircase under
+    x^(l+1), y^(m+1), z^(n+1), the three wall generators and xyz, sorted.
+
+    Raises as tripod_characters does.
+    """
+    tripod_characters(ctx, sys)
+    return sorted((p, q, s) for ps, qs, ss in _staircase(sys)
+                  for p in ps for q in qs for s in ss)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,8 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
     words = _count_calls(monkeypatch, "corners", "cyclic_word")
     checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
+    tripods = _count_calls(monkeypatch, "clusters", "tripod_characters")
+    bases = _count_calls(monkeypatch, "clusters", "tripod_basis")
     crossings = _RecordedCrossings()
     monkeypatch.setattr(Partition, "crossings", crossings)
     assert main(["verify", spec]) == 0
@@ -328,7 +330,11 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     assert len(polygons) == 3
     assert len(words) == 1
     # The fan has one cone per group element.
-    assert len(checked) == lattice_context(parse_group_spec(spec)).order
+    order = lattice_context(parse_group_spec(spec)).order
+    assert len(checked) == order
+    # One tripod check per cone, without building the monomials.
+    assert len({sysm.host.key() for _, sysm in tripods}) == len(tripods) == order
+    assert bases == []
     # The knock-out report and the exponent-rule check share one list.
     assert len(crossings.computed) == 1
     readers = [reader for reader, _ in crossings.reads]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
@@ -7,12 +9,15 @@ from ahilb.clusters import (
     cluster_system,
     equations_text,
     tripod_basis,
+    tripod_characters,
     verify_cluster,
 )
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
+from ahilb.lattice import dot
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
+from test_tiling import cyclic_groups
 
 
 def pipeline(text):
@@ -123,6 +128,75 @@ def test_tripod_sizes_and_characters_11():
             for p, q, s in basis
         }
         assert len(chars) == 11
+
+
+def oracle_tripod(ctx, sys):
+    """The staircase built row by row, sorted, and the sorted characters of
+    its monomials, each a tuple of dot products with the generators read
+    as the mixed-radix integer r_0 + n*r_1 + n^2*r_2 + ..."""
+    a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
+    l, m, n = sys.l, sys.m, sys.n
+    out = [(p, 0, 0) for p in range(l + 1)]
+    out += [(0, q, 0) for q in range(1, m + 1)]
+    out += [(0, 0, s) for s in range(1, n + 1)]
+    for p in range(1, l + 1):
+        q_max = m if p <= a else min(m, e)
+        out += [(p, q, 0) for q in range(1, q_max + 1)]
+    for q in range(1, m + 1):
+        s_max = n if q <= b else min(n, f)
+        out += [(0, q, s) for s in range(1, s_max + 1)]
+    for s in range(1, n + 1):
+        p_max = l if s <= c else min(l, d)
+        out += [(p, 0, s) for p in range(1, p_max + 1)]
+    chars = [tuple(dot(mono, g) % ctx.n for g in ctx.generators)
+             for mono in out]
+    keys = [sum(r * ctx.n ** j for j, r in enumerate(char)) for char in chars]
+    return sorted(out), sorted(keys)
+
+
+# Two products and one with a redundant third generator (the sum of the
+# first two), so the characters have two and three mixed-radix digits.
+PRODUCTS = ["1/2(1,1,0)+1/2(0,1,1)", "1/4(1,3,0)+1/4(0,1,3)",
+            "1/2(1,1,0)+1/2(0,1,1)+1/2(1,0,1)"]
+
+
+def check_tripods_against_oracle(specs):
+    for spec in specs:
+        ctx = lattice_context(parse_group_spec(spec))
+        for sys in Resolution(ctx).systems:
+            monomials, keys = oracle_tripod(ctx, sys)
+            assert tripod_basis(ctx, sys) == monomials, spec
+            assert sorted(tripod_characters(ctx, sys)) == keys, spec
+
+
+def test_tripod_characters_match_oracle_up_to_16():
+    check_tripods_against_oracle(cyclic_groups(16) + PRODUCTS)
+
+
+@pytest.mark.deep
+def test_tripod_characters_match_oracle_up_to_24():
+    check_tripods_against_oracle(cyclic_groups(24) + PRODUCTS)
+
+
+def test_tripod_with_extra_monomial_raises():
+    ctx, fan, systems = systems_of("1/11(1,2,8)")
+    # The chart with x^11 = xi: its tripod is 1, x, ..., x^10.
+    sys = next(s for s in systems if (s.l, s.m, s.n) == (10, 0, 0))
+    assert len(tripod_characters(ctx, sys)) == 11
+    with pytest.raises(InvariantError,
+                       match="^tripod has 12 monomials for a group of order 11$"):
+        tripod_characters(ctx, replace(sys, l=sys.l + 1))
+
+
+def test_tripod_with_colliding_characters_raises():
+    ctx, fan, systems = systems_of("1/11(1,2,8)")
+    sys = next(s for s in systems if (s.l, s.m, s.n) == (10, 0, 0))
+    # 1/11(0,1,10) acts trivially on x, so its 11 monomials 1, x, ...,
+    # x^10 all have the trivial character.
+    other = lattice_context(parse_group_spec("1/11(0,1,10)"))
+    with pytest.raises(InvariantError,
+                       match="^tripod characters do not fill the dual group$"):
+        tripod_characters(other, sys)
 
 
 def test_classification_paper_sign_rule():

@@ -1,6 +1,7 @@
 """Module layout: an ahilb module uses only the public names of another,
-imports only at module level, reads every parameter it declares, and every
-span the benchmark traces names a module-level function."""
+imports only at module level, reads every name it imports and every
+parameter it declares, and every span the benchmark traces names a
+module-level function."""
 
 import ast
 import importlib
@@ -86,6 +87,33 @@ def test_no_unused_parameters():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _unused_parameters(path)
+    assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that path's module-level imports bind and that the module
+    never reads; a name listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{path.stem}.{name}" for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _unused_imports(path)
     assert found == []
 
 
