@@ -128,7 +128,7 @@ def _write(path: str, text: str) -> None:
 
 def _dump(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, separators=(",", ":"))
-    if path:
+    if path is not None:
         _write(path, text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -185,7 +185,7 @@ def _cmd_clusters(args) -> int:
         }
         for idx, sysm in wanted
     ]
-    if args.json:
+    if args.json is not None:
         _dump({"group": ctx.spec.canonical_text, "systems": docs}, args.json)
     else:
         for d in docs:

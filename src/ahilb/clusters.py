@@ -23,6 +23,7 @@ from .lattice import (
     permute,
     scaled_dual,
     vadd,
+    vsub,
 )
 from .monomials import DualBasis
 
@@ -79,14 +80,6 @@ def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]
     return (a, b, c, d, e, f, l, m, n)
 
 
-def _down_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]:
-    lam, mu, nu = vecs
-    l, b, f = -lam[0], lam[1] - 1, lam[2] - 1
-    m, d, c = -mu[1], mu[0] - 1, mu[2] - 1
-    n, a, e = -nu[2], nu[0] - 1, nu[1] - 1
-    return (a, b, c, d, e, f, l, m, n)
-
-
 def _roles_by_sign(monomials, mode: str) -> tuple[Vec3, Vec3, Vec3]:
     """Order the three dual monomials as (x-role, y-role, z-role)."""
     out = [None, None, None]
@@ -105,10 +98,10 @@ def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     """The equation system of one basic triangle, read off its dual basis."""
     cell = dual.cell
     roles = _roles_by_sign(dual.monomials, cell.kind)
-    if cell.kind == "up":
-        exps = _up_exponents_from_vectors(roles)
-    else:
-        exps = _down_exponents_from_vectors(roles)
+    if cell.kind == "down":
+        # lam * xi = pi: (xi, eta, zeta) = (1,1,1) - (lam, mu, nu).
+        roles = tuple(vsub((1, 1, 1), v) for v in roles)
+    exps = _up_exponents_from_vectors(roles)
     if min(exps) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
     sys = ClusterSystem(cell.kind, *exps, host=cell)
@@ -247,18 +240,17 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
         raise InvariantError(
             f"exponents {exps} satisfy neither the up nor the down relations"
         )
-    base_vecs = ClusterSystem(mode, *exps).dual_vectors()
+    sys = ClusterSystem(mode, *exps)
+    ratios = sys.ratio_vectors()
+    up_vecs = (ratios["xi"], ratios["eta"], ratios["zeta"])
 
     found = None
     for case in ("a", "b"):
         for perm in PERMS:
             vecs = tuple(
-                permute(perm, base_vecs[perm[t]]) for t in range(3)
+                permute(perm, up_vecs[perm[t]]) for t in range(3)
             )
-            if mode == "up":
-                a2, b2, c2, d2, e2, f2, *_ = _up_exponents_from_vectors(vecs)
-            else:
-                a2, b2, c2, d2, e2, f2, *_ = _down_exponents_from_vectors(vecs)
+            a2, b2, c2, d2, e2, f2, *_ = _up_exponents_from_vectors(vecs)
             shift = 0 if mode == "up" else 1
             if case == "a":
                 if not (b2 >= f2 and d2 >= c2 and e2 >= a2):
@@ -280,7 +272,7 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
 
     if fan is None:
         return found
-    return replace(found, host=_host_lookup(ctx, base_vecs, fan))
+    return replace(found, host=_host_lookup(ctx, sys.dual_vectors(), fan))
 
 
 def _host_lookup(ctx: LatticeContext, vecs, fan: Fan) -> BasicTriangle:

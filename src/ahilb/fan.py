@@ -98,7 +98,6 @@ class Fan:
     rays: tuple[Vec3, ...]  # all cone generators, scaled by n
     cones: tuple[BasicTriangle, ...]
     edges: frozenset[frozenset]  # two-element frozensets of ray points
-    boundary_rays: frozenset[Vec3]
     interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
 
     @cached_property
@@ -125,7 +124,6 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
     for c in cones:
         for a, b in combinations(c.vertices, 2):
             edges[frozenset((a, b))] = edges.get(frozenset((a, b)), 0) + 1
-    boundary = set()
     for e, mult in edges.items():
         if mult > 2:
             raise InvariantError("an edge borders more than two cones")
@@ -136,9 +134,8 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
                     f"interior edge {tuple(e)} borders only one cone: "
                     "tesselations do not match across triangles"
                 )
-            boundary.update((a, b))
     return Fan(tuple(verts), tuple(cones), frozenset(edges),
-               frozenset(boundary), frozenset(interior))
+               frozenset(interior))
 
 
 def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:

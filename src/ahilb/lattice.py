@@ -410,11 +410,6 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
     raise InvariantError("unreachable: k = 1 always divides")
 
 
-def lattice_length(ctx: LatticeContext, v: Vec3) -> int:
-    """Number of primitive steps making up v."""
-    return multiple(v, primitive_vector(ctx, v))
-
-
 def segment_points(ctx: LatticeContext, a: Vec3, b: Vec3) -> list[Vec3]:
     """The lattice points from a to b (a != b) in order, both ends
     included."""

@@ -86,16 +86,14 @@ def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
     return CyclicWord(tuple(new)), triple
 
 
-def contract_values(values: list[int], pos: int, cyclic: bool = False) -> list[int]:
-    """Bare value-list contraction.  In linear (half-plane) mode a missing
-    neighbor at either end is the fixed anchor ray and absorbs nothing."""
+def contract_values(values: list[int], pos: int) -> list[int]:
+    """Bare linear (half-plane) value-list contraction: a missing neighbor
+    at either end is the fixed anchor ray and absorbs nothing."""
     if values[pos] != 1:
         raise InvariantError(f"entry at {pos} has value {values[pos]}, not 1")
     out = list(values)
     for nb in (pos - 1, pos + 1):
-        if cyclic:
-            nb %= len(out)
-        elif not 0 <= nb < len(out):
+        if not 0 <= nb < len(out):
             continue
         if out[nb] <= 1:
             raise InvariantError("contraction would drop a strength below 1")

@@ -113,7 +113,6 @@ class RegularTriangle:
     r: int
     side_lines: tuple[Tag, Tag, Tag]
     side_directions: tuple[Vec3, Vec3, Vec3]
-    case_tag: str | None = None
 
     def key(self) -> tuple[Vec3, Vec3, Vec3]:
         return tuple(sorted(self.vertices))
@@ -526,37 +525,3 @@ def knockout_report(part: Partition) -> list[str]:
 def _interior_lines(part: Partition) -> list[Line]:
     return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
 
-
-def is_semiregular(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],
-                   preferred: int) -> tuple[int, int] | None:
-    """Test equivalence to the triangle {(r,0),(0,0),(0,cr)} with the
-    preferred vertex at (r,0); returns (r, c) or None.
-
-    Diagnostic: with v1 along the side opposite the preferred vertex and
-    v2, v3 following cyclically, v1 and v2 must base the translation
-    lattice and c*v1 + v2 + v3 = 0.
-    """
-    a = vertices[preferred]
-    b, c_pt = [vertices[t] for t in range(3) if t != preferred]
-    if cross2(chart(vsub(b, a)), chart(vsub(c_pt, a))) == 0:
-        raise InvariantError("degenerate triangle")
-    for bb, cc in ((b, c_pt), (c_pt, b)):
-        res = _semiregular_oriented(ctx, a, bb, cc)
-        if res is not None:
-            return res
-    return None
-
-
-def _semiregular_oriented(ctx, a, b, c):
-    sides = (vsub(c, b), vsub(a, c), vsub(b, a))
-    dirs = [primitive_vector(ctx, v) for v in sides]
-    steps_bc, steps_ca, r = (multiple(v, d) for v, d in zip(sides, dirs))
-    if steps_ca != r or steps_bc % r:
-        return None
-    cc = steps_bc // r
-    v1, v2, v3 = dirs
-    if pair_index(ctx, v1, v2) != 1:
-        return None
-    if vadd(vadd(smul(cc, v1), v2), v3) != (0, 0, 0):
-        return None
-    return (r, cc)

@@ -144,6 +144,21 @@ def test_unwritable_output_path(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "1/3(1,1,1)", "--json"],
+    ["fan", "1/3(1,1,1)", "--json"],
+    ["clusters", "1/3(1,1,1)", "--json"],
+    ["draw", "1/3(1,1,1)", "--svg"],
+])
+def test_empty_output_path(argv, capsys):
+    # An empty path names no file; it does not mean stdout.
+    assert main([*argv, ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("cannot write : ")
+
+
 def test_package_runs_as_a_module():
     # The repro lines `ahilb verify "<spec>" --seed N` also run from a
     # source checkout as `python -m ahilb ...`.

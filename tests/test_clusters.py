@@ -243,15 +243,14 @@ def test_classification_substitution_consistency():
         else:
             expect = (A + k - shift, B + i - shift, C + j - shift,
                       j - shift, k - shift, i - shift)
-        from ahilb.clusters import (_down_exponents_from_vectors,
-                                    _up_exponents_from_vectors)
-        from ahilb.lattice import permute as _permute
+        from ahilb.clusters import _up_exponents_from_vectors
+        from ahilb.lattice import permute as _permute, vsub
 
         base = sys.dual_vectors()
         vecs = tuple(_permute(cls.perm, base[cls.perm[t]]) for t in range(3))
-        reader = (_up_exponents_from_vectors if cls.mode == "up"
-                  else _down_exponents_from_vectors)
-        assert reader(vecs)[:6] == expect
+        if cls.mode == "down":  # (xi, eta, zeta) = (1,1,1) - (lam, mu, nu)
+            vecs = tuple(vsub((1, 1, 1), v) for v in vecs)
+        assert _up_exponents_from_vectors(vecs)[:6] == expect
 
 
 def test_classification_rejects_bad_counts():

@@ -14,7 +14,7 @@ from ahilb.lattice import (
     chart,
     cross2,
     dot,
-    lattice_length,
+    multiple,
     segment_points,
     sign_fixed,
     smul,
@@ -203,8 +203,8 @@ def test_primitive_vector_idempotent():
 
 def test_lattice_length():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    assert lattice_length(ctx, (-2, 2, 0)) == 2
-    assert lattice_length(ctx, (-1, 1, 0)) == 1
+    assert primitive_vector(ctx, (-2, 2, 0)) == (-1, 1, 0)
+    assert primitive_vector(ctx, (-1, 1, 0)) == (-1, 1, 0)
     for text, a, b, length in (
         ("1/2(1,1,0)+1/2(0,1,1)", (0, 2, 0), (2, 0, 0), 2),
         ("1/5(1,4,0)", (5, 0, 0), (0, 5, 0), 5),
@@ -214,8 +214,8 @@ def test_lattice_length():
         v = vsub(b, a)
         pts = segment_points(ctx, a, b)
         assert pts[0] == a and pts[-1] == b
-        assert len(pts) == lattice_length(ctx, v) + 1 == length + 1
         step = primitive_vector(ctx, v)
+        assert len(pts) == multiple(v, step) + 1 == length + 1
         assert all(vadd(p, step) == q for p, q in zip(pts, pts[1:]))
     for v in ((0, 2, -2), (0, -2, 2), (-1, 3, -2), (1, 0, -1)):
         w = sign_fixed(v)

@@ -1,18 +1,28 @@
 """Module layout: an ahilb module uses only the public names of another,
 imports only at module level, reads every name it imports and every
 parameter it declares, and every span the benchmark traces names a
-module-level function."""
+module-level function.
+
+Every module-level function and every non-dunder method has a reader:
+its name is referenced somewhere in the package outside its own body,
+or it is listed in `ahilb.__all__`, or it is named in backticks in
+README.md. A method that overrides a base class method counts as read.
+Code that only tests reach does not belong in the package."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
+from collections import Counter
 from pathlib import Path
 
 import ahilb
 
 PACKAGE = Path(ahilb.__file__).parent
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -131,3 +141,54 @@ def test_traced_spans_name_module_level_functions():
                 and fn.__qualname__ == name):
             missing.append(span)
     assert missing == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under node, as bare names or as attributes."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+        and isinstance(n.ctx, ast.Load))
+
+
+def _readme_names() -> set[str]:
+    """Identifiers inside inline backtick spans of README.md."""
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                  flags=re.S)
+    return {name for span in re.findall(r"`([^`]+)`", text)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _overrides(module: str, cls: str, name: str) -> bool:
+    klass = getattr(importlib.import_module(f"ahilb.{module}"), cls)
+    return any(name in vars(base) for base in klass.__mro__[1:])
+
+
+def _unread_functions() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    known = set(ahilb.__all__) | _readme_names()
+    out = []
+    for module, tree in trees.items():
+        defs = [("", None, node) for node in tree.body]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.", node.name, f) for f in node.body]
+        for prefix, cls, fn in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = fn.name
+            if name.startswith("__") and name.endswith("__") or name in known:
+                continue
+            if total[name] > _references(fn)[name]:
+                continue
+            if cls is not None and _overrides(module, cls, name):
+                continue
+            out.append(f"{module}.{prefix}{name}")
+    return out
+
+
+def test_every_function_has_a_reader():
+    assert _unread_functions() == []

@@ -155,21 +155,6 @@ def test_count_law():
         assert len(triple_set(run_mmp(word))) == s // 3
 
 
-def _cyclic_equal(a, b):
-    a, b = list(a), list(b)
-    return len(a) == len(b) and any(
-        b == a[i:] + a[:i] for i in range(len(a))
-    )
-
-
-def test_cyclic_toy_word_126():
-    # Pure rewrite bookkeeping on a synthetic cyclic value list.  (The toy
-    # is not a geometric word: those satisfy sum = 3*len - 6, so no full
-    # run to [1,1,1] exists from it.)
-    w = contract_values([1, 2, 1, 2, 1, 2], 0, cyclic=True)
-    assert _cyclic_equal(w, [1, 1, 1, 2, 1])
-
-
 def test_cyclic_word_131313():
     # 1/3(1,1,1): strength sum 12, so three contractions then the terminal
     # triple; the three lines from the corners meet at the center.

@@ -13,7 +13,6 @@ from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
     enumerate_triangles,
-    is_semiregular,
     knockout_report,
     meet,
     rays,
@@ -153,39 +152,6 @@ def test_partition_cocked_hat_exists():
     assert tri.r >= 1
 
 
-def test_semiregular_travels_with_scale():
-    # {(4,0),(0,0),(0,12)} embedded in the trivial-group plane x+y+z = 1.
-    ctx = ctx_of("1/1(0,0,0)")
-
-    def emb(x, y):
-        return (1 - x - y, x, y)
-
-    verts = (emb(4, 0), emb(0, 0), emb(0, 12))
-    assert is_semiregular(ctx, verts, 0) == (4, 3)
-
-
-def test_semiregular_regular_triangle():
-    ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    part = Resolution(ctx).partition
-    tri = part.triangles[0]
-    for pref in range(3):
-        assert is_semiregular(ctx, tri.vertices, pref) == (2, 1)
-
-
-def test_semiregular_rejects_skew():
-    ctx = ctx_of("1/1(0,0,0)")
-
-    def emb(x, y):
-        return (1 - x - y, x, y)
-
-    # Sides 1, 1, but hypotenuse not a lattice multiple: not semiregular.
-    verts = (emb(0, 0), emb(1, 0), emb(1, 1))
-    results = {p: is_semiregular(ctx, verts, p) for p in range(3)}
-    assert results[1] == (1, 1)  # right-angle corner works: basic triangle
-    verts2 = (emb(0, 0), emb(2, 0), emb(1, 3))
-    assert all(is_semiregular(ctx, verts2, p) is None for p in range(3))
-
-
 def test_semiregular_group_word_and_partition():
     # Z/r + Z/cr: the simplex is an (r, cr)-semiregular triangle made of c
     # regular triangles of side r, and the word is [1,2,...,2,1,c].
@@ -196,11 +162,6 @@ def test_semiregular_group_word_and_partition():
     assert sorted(vals) == sorted([1] + [2] * (c - 1) + [1, c])
     part = Resolution(ctx).partition
     assert sorted(t.r for t in part.triangles) == [r] * c
-    results = [
-        is_semiregular(ctx, tuple(p for p in ctx.corners), pref)
-        for pref in range(3)
-    ]
-    assert (r, c) in results
 
 
 def test_knockout_consistency_fixtures():
