@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .clusters import cluster_system, equations_text
 from .corners import long_side
@@ -250,7 +251,10 @@ def _bounded(low: int, high: int | None = None):
     return integer
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = _Parser(
         prog="ahilb",
         description=(
@@ -291,8 +295,11 @@ def main(argv: list[str] | None = None) -> int:
                    default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except GroupSpecError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .corners import CyclicWord, Tag, WordEntry
 from .errors import InvariantError
@@ -50,20 +51,20 @@ def classify_triple(tags) -> str:
     return "side"
 
 
-def _emit_triple(entries: tuple[WordEntry, ...], pos: int) -> RegularTriple:
-    m = len(entries)
-    left = entries[(pos - 1) % m]
-    mid = entries[pos]
-    right = entries[(pos + 1) % m]
-    lv = vneg(left.vector) if pos == 0 else left.vector
-    rv = vneg(right.vector) if pos == m - 1 else right.vector
+def _relation(left: WordEntry, mid: WordEntry, right: WordEntry,
+              left_wraps: bool, right_wraps: bool) -> RegularTriple:
+    """The triple certified by contracting mid between its neighbors; a
+    neighbor reached across the end of the word is negated."""
+    lv = vneg(left.vector) if left_wraps else left.vector
+    rv = vneg(right.vector) if right_wraps else right.vector
     if vadd(lv, rv) != mid.vector:
         raise InvariantError("contraction relation failed; corrupted word")
+    tags = (left.tag, mid.tag, right.tag)
     return RegularTriple(
         vectors=(lv, mid.vector, rv),
         signs=(1, -1, 1),
-        tags=(left.tag, mid.tag, right.tag),
-        type_tag=classify_triple((left.tag, mid.tag, right.tag)),
+        tags=tags,
+        type_tag=classify_triple(tags),
     )
 
 
@@ -75,7 +76,8 @@ def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
         raise InvariantError("cyclic words of length < 4 are terminal")
     if entries[pos].value != 1:
         raise InvariantError(f"entry at {pos} has value {entries[pos].value}, not 1")
-    triple = _emit_triple(entries, pos)
+    triple = _relation(entries[(pos - 1) % m], entries[pos],
+                       entries[(pos + 1) % m], pos == 0, pos == m - 1)
     new = list(entries)
     for nb in ((pos - 1) % m, (pos + 1) % m):
         e = new[nb]
@@ -115,15 +117,8 @@ def run_linear(values: list[int]) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class MMPStep:
-    values_before: tuple[int, ...]
-    pos: int
-    triple: RegularTriple
-
-
-@dataclass(frozen=True)
 class MMPTrace:
-    steps: tuple[MMPStep, ...]
+    steps: tuple[RegularTriple, ...]  # one triple per contraction
     terminal_triple: RegularTriple
     strength_sum: int
 
@@ -131,7 +126,100 @@ class MMPTrace:
 def terminal_triple(word: CyclicWord) -> RegularTriple:
     if word.values() != (1, 1, 1):
         raise InvariantError("terminal triple requires the word [1,1,1]")
-    return _emit_triple(word.entries, 1)
+    return _relation(*word.entries, False, False)
+
+
+def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
+                 protected: frozenset[Tag] = frozenset(),
+                 ) -> tuple[list[RegularTriple], CyclicWord]:
+    """Contract 1s until three entries are left or no entry tagged outside
+    protected is a 1.  Returns the triple of every step and the word left.
+
+    strategy picks the next 1: "leftmost" (the first in the word),
+    ("random", seed) (uniformly among them), or an explicit list of
+    positions in the current word, which must be used up exactly.
+
+    The word is never copied: each original entry keeps its value and its
+    links to the current neighbors, and the contractible entries are kept
+    as they change, so a step costs O(1) (O(log m) for "leftmost", O(m)
+    for an explicit position).  Contraction keeps the entries' relative
+    order, so the current word is the live entries in original order, the
+    leftmost 1 is the one of least original index, and a neighbor is
+    reached across the end of the word exactly when its original index
+    lies on the wrong side.
+    """
+    entries = word.entries
+    m = len(entries)
+    values = [e.value for e in entries]
+    prev = [(i - 1) % m for i in range(m)]
+    nxt = [(i + 1) % m for i in range(m)]
+    head = 0  # the live entry of least original index
+    cands: list[int] = []  # contractible entries, unordered
+    slot: dict[int, int] = {}  # entry -> its place in cands
+    heap: list[int] = []  # for "leftmost": cands, plus removed entries
+
+    def add(i: int) -> None:
+        if values[i] == 1 and entries[i].tag not in protected:
+            slot[i] = len(cands)
+            cands.append(i)
+            heappush(heap, i)
+
+    def remove(i: int) -> None:
+        place = slot.pop(i)
+        last = cands.pop()
+        if last != i:
+            cands[place] = last
+            slot[last] = place
+
+    rng = random.Random(strategy[1]) if isinstance(strategy, tuple) else None
+    positions = strategy if isinstance(strategy, list) else None
+    for i in range(m):
+        add(i)
+    triples = []
+    while m > 3 and cands:
+        if positions is not None:
+            if len(triples) == len(positions):
+                raise InvariantError(
+                    f"position list ran out after {len(triples)} steps")
+            pos = positions[len(triples)]
+            if not 0 <= pos < m:
+                raise InvariantError(
+                    f"position {pos} is outside a word of length {m}")
+            i = head
+            for _ in range(pos):
+                i = nxt[i]
+            if i not in slot:
+                raise InvariantError(
+                    f"entry at {pos} has value {values[i]}, not 1")
+        elif rng is not None:
+            i = rng.choice(cands)
+        else:
+            while heap[0] not in slot:
+                heappop(heap)
+            i = heap[0]
+        left, right = prev[i], nxt[i]
+        triples.append(_relation(entries[left], entries[i], entries[right],
+                                 left > i, right < i))
+        if values[left] <= 1 or values[right] <= 1:
+            raise InvariantError("contraction would drop a strength below 1")
+        remove(i)
+        nxt[left], prev[right] = right, left
+        if i == head:
+            head = right
+        m -= 1
+        for nb in (left, right):
+            values[nb] -= 1
+            add(nb)
+    if positions is not None and len(positions) > len(triples):
+        raise InvariantError(
+            f"{len(positions) - len(triples)} positions left over after "
+            f"{len(triples)} steps")
+    rest = []
+    i = head
+    for _ in range(m):
+        rest.append(WordEntry(values[i], entries[i].tag, entries[i].vector))
+        i = nxt[i]
+    return triples, CyclicWord(tuple(rest))
 
 
 def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
@@ -141,30 +229,12 @@ def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
     strategy: "leftmost", ("random", seed), or an explicit position list.
     """
     s0 = sum(word.values())
-    rng = None
-    positions: list[int] | None = None
-    if isinstance(strategy, tuple):
-        rng = random.Random(strategy[1])
-    elif isinstance(strategy, list):
-        positions = list(strategy)
-    steps = []
-    cur = word
-    while len(cur) > 3:
-        ones = [t for t, e in enumerate(cur.entries) if e.value == 1]
-        if not ones:
-            raise InvariantError("no contractible entry before reaching [1,1,1]")
-        if positions is not None:
-            pos = positions.pop(0)
-        elif rng is not None:
-            pos = rng.choice(ones)
-        else:
-            pos = ones[0]
-        before = cur.values()
-        cur, triple = contract(cur, pos)
-        steps.append(MMPStep(before, pos, triple))
-    if cur.values() != (1, 1, 1):
-        raise InvariantError(f"terminal word is {cur.values()}, not [1,1,1]")
-    trace = MMPTrace(tuple(steps), terminal_triple(cur), s0)
+    steps, rest = contract_run(word, strategy)
+    if len(rest) > 3:
+        raise InvariantError("no contractible entry before reaching [1,1,1]")
+    if rest.values() != (1, 1, 1):
+        raise InvariantError(f"terminal word is {rest.values()}, not [1,1,1]")
+    trace = MMPTrace(tuple(steps), terminal_triple(rest), s0)
     if len(steps) != (s0 - 3) // 3:
         raise InvariantError("step count does not match the strength sum")
     return trace
@@ -173,7 +243,7 @@ def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
 def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
     """Triples of a run keyed by canonical form; a repeat is an error."""
     out: dict[tuple, RegularTriple] = {}
-    for triple in [s.triple for s in trace.steps] + [trace.terminal_triple]:
+    for triple in trace.steps + (trace.terminal_triple,):
         key = triple.canonical()
         if key in out:
             raise InvariantError("regular triple emitted twice in one run")

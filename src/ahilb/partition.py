@@ -40,7 +40,13 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .mmp import RegularTriple, contract, run_mmp, triple_set, validate_triple
+from .mmp import (
+    RegularTriple,
+    contract_run,
+    run_mmp,
+    triple_set,
+    validate_triple,
+)
 
 RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
@@ -250,6 +256,15 @@ class Partition:
         return self.index_by_key[key]
 
     @cached_property
+    def sides_by_line(self) -> dict[Tag, list[tuple[Vec3, Vec3]]]:
+        """The endpoints of every triangle side, by the tag of its line."""
+        out: dict[Tag, list[tuple[Vec3, Vec3]]] = {}
+        for tri in self.triangles:
+            for t, tag in enumerate(tri.side_lines):
+                out.setdefault(tag, []).append(tri.side_of(t))
+        return out
+
+    @cached_property
     def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
         """Every (la, lb, x) where interior lines from two different
         corners meet at x strictly inside the simplex, within both lines'
@@ -267,25 +282,6 @@ class Partition:
                    for l in (la, lb)):
                 out.append((la, lb, x))
         return out
-
-
-def _protected_run(word: CyclicWord, side: int) -> tuple[CyclicWord, list[RegularTriple]]:
-    """Eat triangles along one side: contract any 1 except the other two
-    junction entries, until none is available."""
-    protected = {("junction", s) for s in (1, 2, 3) if s != side}
-    cur = word
-    out = []
-    while len(cur) > 3:
-        pos = next(
-            (t for t, e in enumerate(cur.entries)
-             if e.value == 1 and e.tag not in protected),
-            None,
-        )
-        if pos is None:
-            break
-        cur, triple = contract(cur, pos)
-        out.append(triple)
-    return cur, out
 
 
 def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]):
@@ -332,6 +328,11 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
     index_of = {tri.key(): t for t, tri in enumerate(enumerated)}
+    # A game triple whose host lines are an enumerated triangle's side
+    # lines realizes as that triangle: _triangle_from_lines is a function
+    # of the three lines, and its key, r and None-ness do not depend on
+    # their order.  Only the other triples are intersected here.
+    by_lines = {tuple(sorted(tri.side_lines)): tri for tri in enumerated}
 
     trace = run_mmp(word)
     triples = triple_set(trace)
@@ -341,7 +342,10 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     realized_keys = set()
     concurrency = None
     for canon, tr in triples.items():
-        res = realized[canon] = realize_triple(ctx, lines, tr)
+        res = by_lines.get(tuple(sorted(tr.tags)))
+        if res is None:
+            res = realize_triple(ctx, lines, tr)
+        realized[canon] = res
         if isinstance(res, ConcurrencyPoint):
             if concurrency is not None:
                 raise InvariantError("two degenerate triples in one group")
@@ -396,7 +400,10 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     for s in (1, 2, 3):
         if initial_c[s] != 1:
             continue
-        _, eaten = _protected_run(word, s)
+        # Eat triangles along side s: contract any 1 except the other two
+        # junction entries, until none is available.
+        fence = frozenset(("junction", o) for o in (1, 2, 3) if o != s)
+        eaten, _ = contract_run(word, protected=fence)
         for tr in eaten:
             canon = tr.canonical()
             if canon not in realized or set(triples[canon].tags) != set(tr.tags):
@@ -440,11 +447,8 @@ def line_extent(part: Partition, tag: Tag) -> Vec3:
     """
     line = part.lines[tag]
     own = tag[1] - 1
-    segs = set()
-    for tri in part.triangles:
-        for t in range(3):
-            if tri.side_lines[t] == tag:
-                segs.add(tuple(sorted(tri.side_of(t), key=lambda p: -p[own])))
+    segs = {tuple(sorted(side, key=lambda p: -p[own]))
+            for side in part.sides_by_line.get(tag, ())}
     if not segs:
         if part.concurrency is not None and tag in part.concurrency.tags:
             return part.concurrency.point

@@ -90,9 +90,9 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
     @check("mmp: triple set is independent of contraction order")
     def _orders():
         word = res.word
-        base = set(triple_set(run_mmp(word)).keys())
-        s = sum(word.values())
-        if len(base) != s // 3:
+        trace = run_mmp(word)
+        base = set(triple_set(trace).keys())
+        if len(base) != trace.strength_sum // 3:
             raise InvariantError("triple count differs from strength sum / 3")
         rng = random.Random(seed)
         for _ in range(mmp_orders):

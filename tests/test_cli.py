@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import ahilb
+import ahilb.cli
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document, main
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan
 from ahilb.partition import Partition
 from ahilb.resolution import Resolution
+from ahilb.verify import run_checks
 
 
 def doc_of(text):
@@ -70,6 +72,23 @@ def test_verify_command_random(capsys):
                  "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "5 groups" in out and "0 failures" in out
+
+
+def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    # The parser is built once per process; an option given to one call
+    # must not carry over to the next.
+    seeds = []
+
+    def recorded(res, seed=0):
+        seeds.append(seed)
+        return run_checks(res, seed=seed)
+
+    monkeypatch.setattr(ahilb.cli, "run_checks", recorded)
+    assert main(["verify", "1/11(1,2,8)", "--seed", "3"]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "1/11(1,2,8)"]) == 0
+    assert capsys.readouterr().out == first
+    assert seeds == [3, 0]
 
 
 def test_verify_needs_input(capsys):

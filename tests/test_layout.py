@@ -7,7 +7,9 @@ Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
 or it is listed in `ahilb.__all__`, or it is named in backticks in
 README.md. A method that overrides a base class method counts as read.
-Code that only tests reach does not belong in the package."""
+Every dataclass field has a reader in the same sense: its name is read
+somewhere in the package, listed, or named. Code and data that only
+tests reach do not belong in the package."""
 
 import ast
 import importlib
@@ -165,11 +167,17 @@ def _overrides(module: str, cls: str, name: str) -> bool:
     return any(name in vars(base) for base in klass.__mro__[1:])
 
 
-def _unread_functions() -> list[str]:
+def _package_names() -> tuple[dict[str, ast.Module], Counter, set[str]]:
+    """The package's module trees, the names read in them, and the names
+    listed in `ahilb.__all__` or named in README.md."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     total = sum((_references(tree) for tree in trees.values()), Counter())
-    known = set(ahilb.__all__) | _readme_names()
+    return trees, total, set(ahilb.__all__) | _readme_names()
+
+
+def _unread_functions() -> list[str]:
+    trees, total, known = _package_names()
     out = []
     for module, tree in trees.items():
         defs = [("", None, node) for node in tree.body]
@@ -190,5 +198,31 @@ def _unread_functions() -> list[str]:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else target.id
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields() -> list[str]:
+    """Dataclass fields whose name is read nowhere in the package and is
+    neither listed in `ahilb.__all__` nor named in README.md."""
+    trees, total, known = _package_names()
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            out += [f"{module}.{node.name}.{f.target.id}" for f in node.body
+                    if isinstance(f, ast.AnnAssign)
+                    and isinstance(f.target, ast.Name)
+                    and not total[f.target.id] and f.target.id not in known]
+    return out
+
+
 def test_every_function_has_a_reader():
     assert _unread_functions() == []
+    assert _unread_fields() == []

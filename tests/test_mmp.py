@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from test_cli import SWEEP
+from test_tiling import cyclic_groups
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.corners import newton_polygon
@@ -6,6 +10,7 @@ from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
 from ahilb.mmp import (
     contract,
+    contract_run,
     contract_values,
     run_linear,
     run_mmp,
@@ -163,3 +168,67 @@ def test_cyclic_word_131313():
     trace = run_mmp(word)
     assert len(trace.steps) == 3
     assert len(triple_set(trace)) == 4
+
+
+@pytest.mark.parametrize("positions, message", [
+    ([3, 3, 6], "position list ran out after 3 steps"),
+    ([3, 11], "position 11 is outside a word of length 10"),
+    ([-1], "position -1 is outside a word of length 11"),
+    ([3, 3, 6, 5, 4, 0, 4, 0, 0], "1 positions left over after 8 steps"),
+])
+def test_explicit_positions_must_fit_the_run(positions, message):
+    word = word_of("1/11(1,2,8)")
+    assert len(word) == 11
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        run_mmp(word, positions)
+
+
+def oracle_run(word, choose, protected=frozenset()):
+    """The contraction game one copied word at a time: scan the whole word
+    for the 1s not tagged in protected and `contract` the one that
+    choose(ones) picks, until three entries are left or no such 1 is.
+    Returns the triples, the positions taken and the word left."""
+    triples, taken = [], []
+    cur = word
+    while len(cur) > 3:
+        ones = [t for t, e in enumerate(cur.entries)
+                if e.value == 1 and e.tag not in protected]
+        if not ones:
+            break
+        pos = choose(ones)
+        cur, triple = contract(cur, pos)
+        triples.append(triple)
+        taken.append(pos)
+    return triples, taken, cur
+
+
+def check_engine_against_oracle(spec):
+    word = word_of(spec)
+    leftmost, _, rest = oracle_run(word, lambda ones: ones[0])
+    trace = run_mmp(word)
+    assert list(trace.steps) == leftmost, spec
+    assert contract_run(word)[1] == rest, spec
+    base = set(triple_set(trace))
+    rng = random.Random(spec)
+    for seed in range(3):
+        picked, taken, _ = oracle_run(word, rng.choice)
+        assert list(run_mmp(word, taken).steps) == picked, spec
+        assert set(triple_set(run_mmp(word, ("random", seed)))) == base, spec
+    for side in (1, 2, 3):
+        fence = frozenset(("junction", s) for s in (1, 2, 3) if s != side)
+        eaten, _, rest = oracle_run(word, lambda ones: ones[0], fence)
+        assert contract_run(word, protected=fence) == (eaten, rest), spec
+
+
+PRODUCTS = [spec for spec in SWEEP if "+" in spec]
+
+
+def test_engine_matches_oracle_up_to_24():
+    for spec in cyclic_groups(24) + PRODUCTS:
+        check_engine_against_oracle(spec)
+
+
+@pytest.mark.deep
+def test_engine_matches_oracle_up_to_40():
+    for spec in cyclic_groups(40) + PRODUCTS:
+        check_engine_against_oracle(spec)

@@ -272,11 +272,18 @@ def test_long_side_subdivided_by_rival_line():
     assert end[2] == 0  # on side e1 e2
 
 
-@pytest.mark.parametrize("spec", [
-    "1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)", "1/101(1,7,93)",
-])
+# Game triples whose host lines are no enumerated triangle's side lines:
+# the concurrency point of 1/11(1,2,8); none where the champions form a
+# cocked hat (1/101(1,7,93)) or a long side exists.
+INTERSECTED = {"1/11(1,2,8)": 1, "1/15(1,2,12)": 0, "1/30(25,2,3)": 0,
+               "1/101(1,7,93)": 0}
+
+
+@pytest.mark.parametrize("spec", sorted(INTERSECTED))
 def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
-    # The champion and the side runs reuse the game's realized triangles.
+    # A game triple whose host lines are an enumerated triangle's side
+    # lines takes that triangle; only the others are intersected, once
+    # each.  The champion and the side runs reuse the game's realizations.
     ctx = ctx_of(spec)
     calls = []
 
@@ -286,4 +293,9 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
 
     monkeypatch.setattr(ahilb.partition, "realize_triple", counted)
     Resolution(ctx).partition
-    assert len(calls) == len(triple_set(run_mmp(Resolution(ctx).word)))
+    named = {tuple(sorted(tri.side_lines))
+             for tri in enumerate_triangles(ctx, rays_of(ctx))}
+    triples = triple_set(run_mmp(Resolution(ctx).word)).values()
+    unnamed = [tr for tr in triples if tuple(sorted(tr.tags)) not in named]
+    assert [args[2] for args in calls] == unnamed
+    assert len(unnamed) == INTERSECTED[spec]

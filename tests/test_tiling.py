@@ -161,6 +161,8 @@ def age_counts(ctx):
     ("1/600(1,1,598)", 602, 600, 600, 299),
     ("1/2003(1,100,1902)", 79, 77, 2003, 1001),
     ("1/32(1,0,31)+1/32(0,1,31)", 3, 1, 1024, 465),
+    pytest.param("1/2000(1,1,1998)", 2002, 2000, 2000, 999,
+                 marks=pytest.mark.deep),
 ])
 def test_large_order_pins(spec, lines, triangles, cones, surfaces):
     ctx = lattice_context(parse_group_spec(spec))
@@ -174,5 +176,5 @@ def test_large_order_pins(spec, lines, triangles, cones, surfaces):
     assert sum(ages.values()) == ctx.order
     assert len(res.fan.rays) - 3 == ages[1]
     assert len(res.census) == ages[2]
-    if spec == "1/600(1,1,598)":
+    if spec in ("1/600(1,1,598)", "1/2000(1,1,1998)"):
         assert all(result.ok for result in run_checks(res))
