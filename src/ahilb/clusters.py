@@ -22,6 +22,7 @@ from .lattice import (
     Vec3,
     permute,
     scaled_dual,
+    smith_columns,
     vadd,
     vsub,
 )
@@ -166,41 +167,112 @@ def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
     ]
 
 
-def tripod_characters(ctx: LatticeContext, sys: ClusterSystem) -> list[int]:
-    """The characters of the tripod's monomials, in staircase order.
+class CharacterLayout:
+    """The character group A^ = Z^3 / M of one group laid out on N bits.
 
-    The character of x^p y^q z^s is its residues (p*g[0] + q*g[1] +
-    s*g[2]) % n, one per generator g, read as one mixed-radix integer
-    r_0 + n*r_1 + n^2*r_2 + ...  Raises unless there are exactly N
-    monomials and their characters are pairwise distinct (the cluster's
-    ring is the regular representation).
+    M is the invariant exponent lattice, spanned by ctx.monomial_basis.
+    It contains (1,1,1), so A^ is a quotient of Z^2 and its Smith form is
+    Z/n x Z/m with m = N/n: the character of x^p y^q z^s is a pair
+    (r_0, r_1) of Smith coordinates, and its code r_0 + n*r_1 is one of
+    N bit positions.  A set of characters is an N-bit int, m rows of n
+    bits, and translating it by a character rotates each row by r_0 and
+    then the whole int by n*r_1.  Prefix masks, the sets {j*chi_t : j <
+    L} of the axis characters chi_t, are kept as they are first asked
+    for, so one layout serves every cone of a group.
     """
-    n = ctx.n
-    boxes = _staircase(sys)
-    keys = None
-    for u, v, w in reversed(ctx.generators):
-        res = []
-        for ps, qs, ss in boxes:
-            res += [(p * u + q * v + s * w) % n
-                    for p in ps for q in qs for s in ss]
-        keys = res if keys is None else [
-            r + n * k for r, k in zip(res, keys)]
-    if len(keys) != ctx.order:
+
+    def __init__(self, ctx: LatticeContext):
+        (unit, m, n), (_, phi1, phi0) = smith_columns(ctx.monomial_basis)
+        if unit != 1 or n != ctx.n or n * m != ctx.order:
+            raise InvariantError(
+                f"character group is not Z/{ctx.n} x Z/{ctx.order // ctx.n}"
+            )
+        self.n, self.m, self.order = n, m, ctx.order
+        self.phi0, self.phi1 = phi0, phi1
+        self.chi = tuple((phi0[t] % n, phi1[t] % m) for t in range(3))
+        self.full = (1 << ctx.order) - 1
+        # Bit 0 of every row.
+        self.rows = self.full // ((1 << n) - 1)
+        self.prefixes: dict[tuple[int, int], int] = {}
+
+    def character(self, v: Vec3) -> tuple[int, int]:
+        """The Smith coordinates (r_0, r_1) of the character of x^v."""
+        p, q, s = v
+        (a, b, c), (d, e, f) = self.phi0, self.phi1
+        return (p * a + q * b + s * c) % self.n, (p * d + q * e + s * f) % self.m
+
+    def shift(self, mask: int, r0: int, r1: int) -> int:
+        """The set of characters mask translated by the character
+        (r0, r1)."""
+        n = self.n
+        if r0:
+            low = mask & self.rows * ((1 << (n - r0)) - 1)
+            mask = (low << r0) | ((mask ^ low) >> (n - r0))
+        if r1:
+            k = n * r1
+            mask = ((mask << k) & self.full) | (mask >> (self.order - k))
+        return mask
+
+    def sweep(self, mask: int, axis: int, length: int) -> int:
+        """The union of mask translated by j*chi_axis for j < length, by
+        doubling: O(log length) shifts."""
+        n, m = self.n, self.m
+        x, y = self.chi[axis]
+        out, k = mask, 1
+        for bit in bin(length)[3:]:
+            out |= self.shift(out, k * x % n, k * y % m)
+            k *= 2
+            if bit == "1":
+                out |= self.shift(mask, k * x % n, k * y % m)
+                k += 1
+        return out
+
+    def prefix(self, axis: int, length: int) -> int:
+        """The set {j*chi_axis : j < length}."""
+        key = (axis, length)
+        if key not in self.prefixes:
+            self.prefixes[key] = self.sweep(1, axis, length)
+        return self.prefixes[key]
+
+
+def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
+    """Raise unless the tripod has exactly N monomials whose characters
+    are pairwise distinct, so that they fill the dual group and the
+    cluster's ring is the regular representation.
+
+    Each staircase box is its longest axis's prefix mask, translated to
+    the box's corner and swept along its other axis; the union of the
+    nine boxes has N bits set exactly when the N characters are
+    distinct.
+    """
+    count = total = 0
+    for ps, qs, ss in _staircase(sys):
+        size = (len(ps), len(qs), len(ss))
+        count += size[0] * size[1] * size[2]
+        if 0 in size:
+            continue
+        t = size.index(max(size))
+        corner = layout.character((ps.start, qs.start, ss.start))
+        mask = layout.shift(layout.prefix(t, size[t]), *corner)
+        for u in range(3):
+            if u != t and size[u] > 1:
+                mask = layout.sweep(mask, u, size[u])
+        total |= mask
+    if count != layout.order:
         raise InvariantError(
-            f"tripod has {len(keys)} monomials for a group of order {ctx.order}"
+            f"tripod has {count} monomials for a group of order {layout.order}"
         )
-    if len(set(keys)) != ctx.order:
+    if total.bit_count() != layout.order:
         raise InvariantError("tripod characters do not fill the dual group")
-    return keys
 
 
 def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
     """Monomials outside the system's initial ideal: the staircase under
     x^(l+1), y^(m+1), z^(n+1), the three wall generators and xyz, sorted.
 
-    Raises as tripod_characters does.
+    Raises as check_tripod does.
     """
-    tripod_characters(ctx, sys)
+    check_tripod(CharacterLayout(ctx), sys)
     return sorted((p, q, s) for ps, qs, ss in _staircase(sys)
                   for p in ps for q in qs for s in ss)
 

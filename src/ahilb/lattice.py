@@ -269,6 +269,52 @@ def _hnf_rows(rows: list[Vec3]) -> list[Vec3]:
     return [tuple(r) for r in basis]
 
 
+def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
+    """Smith form of the lattice spanned by three independent rows.
+
+    Returns the invariants (d_0, d_1, d_2), each dividing the next, and
+    three integer columns V_t of a unimodular matrix such that
+    v -> (v.V_t mod d_t) maps Z^3 onto the product of the Z/d_t with
+    kernel exactly the row lattice.  Raises InvariantError on dependent
+    rows.
+    """
+    a = [list(r) for r in rows]
+    cols = [[int(i == j) for j in range(3)] for i in range(3)]  # V, by column
+
+    def add_col(dst, src, q):  # column dst -= q * column src, in a and V
+        for row in a:
+            row[dst] -= q * row[src]
+        cols[dst] = [x - q * y for x, y in zip(cols[dst], cols[src])]
+
+    for k in range(3):
+        while True:
+            live = [(abs(a[i][j]), i, j) for i in range(k, 3)
+                    for j in range(k, 3) if a[i][j]]
+            if not live:
+                raise InvariantError("lattice basis computation lost rank")
+            _, i, j = min(live)
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            cols[k], cols[j] = cols[j], cols[k]
+            piv = a[k][k]
+            for i in range(k + 1, 3):
+                q = a[i][k] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, 3):
+                add_col(j, k, a[k][j] // piv)
+            if any(a[i][k] for i in range(k + 1, 3)) or any(a[k][k + 1:]):
+                continue
+            # The pivot must divide what is left, or a smaller one exists.
+            bad = [i for i in range(k + 1, 3)
+                   if any(x % piv for x in a[i][k + 1:])]
+            if not bad:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad[0]])]
+    diag = tuple(abs(a[k][k]) for k in range(3))
+    return diag, tuple(tuple(c) for c in cols)
+
+
 def _kernel_of_functional(c: Vec3) -> tuple[Vec3, Vec3]:
     """Basis of the saturated integer kernel of x -> c.x (c nonzero)."""
     # Column-reduce c by a unimodular matrix tracked alongside.

@@ -68,26 +68,6 @@ def _relation(left: WordEntry, mid: WordEntry, right: WordEntry,
     )
 
 
-def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
-    """Contract the value-1 entry at pos; neighbors are decremented."""
-    entries = word.entries
-    m = len(entries)
-    if m < 4:
-        raise InvariantError("cyclic words of length < 4 are terminal")
-    if entries[pos].value != 1:
-        raise InvariantError(f"entry at {pos} has value {entries[pos].value}, not 1")
-    triple = _relation(entries[(pos - 1) % m], entries[pos],
-                       entries[(pos + 1) % m], pos == 0, pos == m - 1)
-    new = list(entries)
-    for nb in ((pos - 1) % m, (pos + 1) % m):
-        e = new[nb]
-        if e.value <= 1:
-            raise InvariantError("contraction would drop a strength below 1")
-        new[nb] = WordEntry(e.value - 1, e.tag, e.vector)
-    del new[pos]
-    return CyclicWord(tuple(new)), triple
-
-
 def contract_values(values: list[int], pos: int) -> list[int]:
     """Bare linear (half-plane) value-list contraction: a missing neighbor
     at either end is the fixed anchor ray and absorbs nothing."""

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .clusters import classify_cluster, tripod_characters
+from .clusters import CharacterLayout, check_tripod, classify_cluster
 from .corners import cyclic_matrix_product, hj_expand, long_side
 from .errors import AhilbError, GroupSpecError, InvariantError
 from .fan import dp6_count, verify_fan
@@ -170,8 +170,9 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
 
     @check("clusters: systems verified, tripods exact, classification returns")
     def _clusters():
+        layout = CharacterLayout(ctx)
         for sysm in res.systems:
-            tripod_characters(ctx, sysm)
+            check_tripod(layout, sysm)
             cls = classify_cluster(ctx, sysm.exponents(), res.fan)
             if cls.host.key() != sysm.host.key():
                 raise InvariantError("classification returned the wrong chart")

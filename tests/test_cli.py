@@ -355,7 +355,8 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
     words = _count_calls(monkeypatch, "corners", "cyclic_word")
     checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
-    tripods = _count_calls(monkeypatch, "clusters", "tripod_characters")
+    layouts = _count_calls(monkeypatch, "clusters", "CharacterLayout")
+    tripods = _count_calls(monkeypatch, "clusters", "check_tripod")
     bases = _count_calls(monkeypatch, "clusters", "tripod_basis")
     crossings = _RecordedCrossings()
     monkeypatch.setattr(Partition, "crossings", crossings)
@@ -366,8 +367,11 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     # The fan has one cone per group element.
     order = lattice_context(parse_group_spec(spec)).order
     assert len(checked) == order
-    # One tripod check per cone, without building the monomials.
+    # One tripod check per cone, all on the one character layout of the
+    # group, without building the monomials.
     assert len({sysm.host.key() for _, sysm in tripods}) == len(tripods) == order
+    assert len(layouts) == 1
+    assert len({id(layout) for layout, _ in tripods}) == 1
     assert bases == []
     # The knock-out report and the exponent-rule check share one list.
     assert len(crossings.computed) == 1

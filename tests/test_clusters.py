@@ -4,17 +4,19 @@ import pytest
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.clusters import (
+    CharacterLayout,
     ClusterSystem,
+    _staircase,
+    check_tripod,
     classify_cluster,
     cluster_system,
     equations_text,
     tripod_basis,
-    tripod_characters,
     verify_cluster,
 )
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import dot
+from ahilb.lattice import dot, vadd
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
 from test_tiling import cyclic_groups
@@ -130,10 +132,16 @@ def test_tripod_sizes_and_characters_11():
         assert len(chars) == 11
 
 
-def oracle_tripod(ctx, sys):
-    """The staircase built row by row, sorted, and the sorted characters of
-    its monomials, each a tuple of dot products with the generators read
-    as the mixed-radix integer r_0 + n*r_1 + n^2*r_2 + ..."""
+def character_key(ctx, mono):
+    """The character of a monomial as its dot products with the
+    generators mod n, read as the mixed-radix integer
+    r_0 + n*r_1 + n^2*r_2 + ..."""
+    return sum(dot(mono, g) % ctx.n * ctx.n ** j
+               for j, g in enumerate(ctx.generators))
+
+
+def oracle_staircase(sys):
+    """The tripod's monomials, built row by row."""
     a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
     l, m, n = sys.l, sys.m, sys.n
     out = [(p, 0, 0) for p in range(l + 1)]
@@ -148,44 +156,172 @@ def oracle_tripod(ctx, sys):
     for s in range(1, n + 1):
         p_max = l if s <= c else min(l, d)
         out += [(p, 0, s) for p in range(1, p_max + 1)]
-    chars = [tuple(dot(mono, g) % ctx.n for g in ctx.generators)
-             for mono in out]
-    keys = [sum(r * ctx.n ** j for j, r in enumerate(char)) for char in chars]
-    return sorted(out), sorted(keys)
+    return out
+
+
+def oracle_tripod(ctx, sys):
+    """The staircase sorted, and the sorted characters of its monomials."""
+    out = oracle_staircase(sys)
+    return sorted(out), sorted(character_key(ctx, mono) for mono in out)
+
+
+def residue_walk(ctx, sys):
+    """The tripod check as a residue walk over the staircase boxes: per
+    generator g, the residues (p*g[0] + q*g[1] + s*g[2]) % n of every
+    monomial, read as one mixed-radix int per monomial.  Raises unless
+    there are N monomials with distinct characters; returns the
+    characters in staircase order."""
+    n = ctx.n
+    boxes = _staircase(sys)
+    keys = None
+    for u, v, w in reversed(ctx.generators):
+        res = []
+        for ps, qs, ss in boxes:
+            res += [(p * u + q * v + s * w) % n
+                    for p in ps for q in qs for s in ss]
+        keys = res if keys is None else [
+            r + n * k for r, k in zip(res, keys)]
+    if len(keys) != ctx.order:
+        raise InvariantError(
+            f"tripod has {len(keys)} monomials for a group of order {ctx.order}"
+        )
+    if len(set(keys)) != ctx.order:
+        raise InvariantError("tripod characters do not fill the dual group")
+    return keys
+
+
+def code(layout, mono):
+    """The bit position r_0 + n*r_1 of the character of a monomial."""
+    r0, r1 = layout.character(mono)
+    return r0 + layout.n * r1
+
+
+def verdict(check, *args):
+    """None when check(*args) passes, else the InvariantError message."""
+    try:
+        check(*args)
+    except InvariantError as exc:
+        return str(exc)
+    return None
 
 
 # Two products and one with a redundant third generator (the sum of the
-# first two), so the characters have two and three mixed-radix digits.
+# first two), so the characters have two and three mixed-radix digits;
+# then Z/210 written with four generators, where mixed-radix characters
+# would take 210^4 values.
+Z210 = "1/2(1,1,0)+1/3(1,1,1)+1/5(1,2,2)+1/7(1,2,4)"
 PRODUCTS = ["1/2(1,1,0)+1/2(0,1,1)", "1/4(1,3,0)+1/4(0,1,3)",
-            "1/2(1,1,0)+1/2(0,1,1)+1/2(1,0,1)"]
+            "1/2(1,1,0)+1/2(0,1,1)+1/2(1,0,1)", Z210]
 
 
 def check_tripods_against_oracle(specs):
     for spec in specs:
         ctx = lattice_context(parse_group_spec(spec))
+        layout = CharacterLayout(ctx)
         for sys in Resolution(ctx).systems:
             monomials, keys = oracle_tripod(ctx, sys)
             assert tripod_basis(ctx, sys) == monomials, spec
-            assert sorted(tripod_characters(ctx, sys)) == keys, spec
+            assert sorted(residue_walk(ctx, sys)) == keys, spec
+            assert check_tripod(layout, sys) is None, spec
 
 
 def test_tripod_characters_match_oracle_up_to_16():
     check_tripods_against_oracle(cyclic_groups(16) + PRODUCTS)
 
 
+FIELDS = ("a", "b", "c", "d", "e", "f", "l", "m", "n")
+
+
+def mutants(sys):
+    """Every system one exponent away from sys by +-1, staying
+    nonnegative."""
+    for name in FIELDS:
+        for step in (-1, 1):
+            if getattr(sys, name) + step >= 0:
+                yield replace(sys, **{name: getattr(sys, name) + step})
+
+
+def swapped_mutants(sys):
+    """Every system with one exponent raised by 1 and another lowered by
+    1: the tripod often keeps N monomials, so collisions show."""
+    for up in FIELDS:
+        for down in FIELDS:
+            if up != down and getattr(sys, down) > 0:
+                yield replace(sys, **{up: getattr(sys, up) + 1,
+                                      down: getattr(sys, down) - 1})
+
+
+def check_mutants_against_residue_walk(specs, make):
+    verdicts = set()
+    for spec in specs:
+        ctx = lattice_context(parse_group_spec(spec))
+        layout = CharacterLayout(ctx)
+        for sys in Resolution(ctx).systems:
+            for bad in make(sys):
+                want = verdict(residue_walk, ctx, bad)
+                assert verdict(check_tripod, layout, bad) == want, (spec, bad)
+                verdicts.add(want and want.split()[1])
+    return verdicts
+
+
+def test_tripod_mutants_match_the_residue_walk():
+    # The bitset check and the residue walk give the same verdict and
+    # message on every mutant: single steps up to r = 12, swaps up to 10.
+    assert check_mutants_against_residue_walk(
+        cyclic_groups(12) + PRODUCTS, mutants) == {None, "has"}
+    assert check_mutants_against_residue_walk(
+        cyclic_groups(10) + PRODUCTS[:3], swapped_mutants) == {
+            None, "has", "characters"}
+
+
 @pytest.mark.deep
 def test_tripod_characters_match_oracle_up_to_24():
     check_tripods_against_oracle(cyclic_groups(24) + PRODUCTS)
+    assert check_mutants_against_residue_walk(
+        cyclic_groups(24), mutants) == {None, "has"}
+    assert check_mutants_against_residue_walk(
+        cyclic_groups(16), swapped_mutants) == {None, "has", "characters"}
+
+
+def test_character_layout_matches_the_generators():
+    for spec in cyclic_groups(16) + PRODUCTS:
+        ctx = lattice_context(parse_group_spec(spec))
+        layout = CharacterLayout(ctx)
+        assert (layout.order, layout.n * layout.m) == (ctx.order, ctx.order)
+        for v in ctx.monomial_basis + ((1, 1, 1),):
+            assert code(layout, v) == 0, spec
+        # Codes add like characters: the bit of u, shifted by the code of
+        # v, is the bit of u + v.
+        vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 5, 3), (-1, 4, -7))
+        for u in vectors:
+            for v in vectors:
+                shifted = layout.shift(1 << code(layout, u),
+                                       *layout.character(v))
+                assert shifted == 1 << code(layout, vadd(u, v)), spec
+        for sys in Resolution(ctx).systems:
+            stair = oracle_staircase(sys)
+            codes = {code(layout, mono) for mono in stair}
+            assert codes == set(range(ctx.order)), spec
+            # The staircase and its three unit translates hold repeated
+            # characters: codes and oracle keys must split them alike.
+            monos = {vadd(mono, e) for mono in stair
+                     for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))}
+            pairs = {(code(layout, mono), character_key(ctx, mono))
+                     for mono in monos}
+            assert len(pairs) == len({c for c, _ in pairs}) == len(
+                {k for _, k in pairs}), spec
+    assert CharacterLayout(lattice_context(parse_group_spec(Z210))).order == 210
 
 
 def test_tripod_with_extra_monomial_raises():
     ctx, fan, systems = systems_of("1/11(1,2,8)")
     # The chart with x^11 = xi: its tripod is 1, x, ..., x^10.
     sys = next(s for s in systems if (s.l, s.m, s.n) == (10, 0, 0))
-    assert len(tripod_characters(ctx, sys)) == 11
+    layout = CharacterLayout(ctx)
+    assert check_tripod(layout, sys) is None
     with pytest.raises(InvariantError,
                        match="^tripod has 12 monomials for a group of order 11$"):
-        tripod_characters(ctx, replace(sys, l=sys.l + 1))
+        check_tripod(layout, replace(sys, l=sys.l + 1))
 
 
 def test_tripod_with_colliding_characters_raises():
@@ -196,7 +332,7 @@ def test_tripod_with_colliding_characters_raises():
     other = lattice_context(parse_group_spec("1/11(0,1,10)"))
     with pytest.raises(InvariantError,
                        match="^tripod characters do not fill the dual group$"):
-        tripod_characters(other, sys)
+        check_tripod(CharacterLayout(other), sys)
 
 
 def test_classification_paper_sign_rule():

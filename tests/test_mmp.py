@@ -5,11 +5,12 @@ from test_cli import SWEEP
 from test_tiling import cyclic_groups
 
 from ahilb import lattice_context, parse_group_spec
-from ahilb.corners import newton_polygon
+from ahilb.corners import CyclicWord, WordEntry, newton_polygon
 from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
 from ahilb.mmp import (
-    contract,
+    RegularTriple,
+    _relation,
     contract_run,
     contract_values,
     run_linear,
@@ -26,6 +27,27 @@ def ctx_of(text):
 
 def word_of(text):
     return Resolution(ctx_of(text)).word
+
+
+def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
+    """One step of the contraction game on a copied word: contract the
+    value-1 entry at pos; neighbors are decremented."""
+    entries = word.entries
+    m = len(entries)
+    if m < 4:
+        raise InvariantError("cyclic words of length < 4 are terminal")
+    if entries[pos].value != 1:
+        raise InvariantError(f"entry at {pos} has value {entries[pos].value}, not 1")
+    triple = _relation(entries[(pos - 1) % m], entries[pos],
+                       entries[(pos + 1) % m], pos == 0, pos == m - 1)
+    new = list(entries)
+    for nb in ((pos - 1) % m, (pos + 1) % m):
+        e = new[nb]
+        if e.value <= 1:
+            raise InvariantError("contraction would drop a strength below 1")
+        new[nb] = WordEntry(e.value - 1, e.tag, e.vector)
+    del new[pos]
+    return CyclicWord(tuple(new)), triple
 
 
 def test_contract_values_middle():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
 from ahilb.resolution import Resolution
@@ -21,6 +23,16 @@ def test_run_checks_names_are_stable():
         "partition", "partition", "fan", "fan", "monomials", "monomials",
         "monomials", "clusters",
     ]
+
+
+@pytest.mark.deep
+def test_run_checks_passes_at_order_8009():
+    # 8009 cones with tripods of 8009 monomials each: the group where a
+    # per-monomial tripod check is quadratic in the order.
+    ctx = lattice_context(parse_group_spec("1/8009(1,100,7908)"))
+    results = run_checks(Resolution(ctx))
+    assert len(results) == 14
+    assert [r for r in results if not r.ok] == []
 
 
 def test_sampler_is_deterministic():
