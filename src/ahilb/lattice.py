@@ -6,10 +6,16 @@ triple summing to the denominator ``n``; a translation vector is an integer
 triple summing to zero.  A triple ``q`` belongs to the overlattice exactly
 when ``q mod n`` is one of the group residues.
 
+One integer normal form, ``smith_columns``, serves every lattice question.
+``lattice_context`` takes the Smith form of n*L, and its columns give the
+monomial lattice M; the primitive step and the index of two translations
+follow from M and the group order by closed forms (see ``primitive_vector``
+and ``pair_index``).
+
 The lattice geometry the other modules share lives here, once:
 ``segment_points`` (the lattice points of a segment), ``sign_fixed`` (a
 direction up to sign), ``pair_index`` and ``area2`` (lattice indexes and
-doubled triangle areas; every use of ``plane_coords`` goes through them).
+doubled triangle areas).
 """
 
 from __future__ import annotations
@@ -105,17 +111,6 @@ def permute(perm, v: Vec3) -> Vec3:
     return (v[perm[0]], v[perm[1]], v[perm[2]])
 
 
-def _divisors_desc(k: int) -> list[int]:
-    divs = set()
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            divs.add(d)
-            divs.add(k // d)
-        d += 1
-    return sorted(divs, reverse=True)
-
-
 @dataclass(frozen=True)
 class Generator:
     """One cyclic factor 1/r(a1,a2,a3) with weights reduced mod r."""
@@ -171,8 +166,12 @@ class LatticeContext:
     order        -- |A|, also the index of Z^3 in the overlattice.
     generators   -- generator residues scaled to denominator n.
     element_table -- all group residues, scaled to denominator n.
-    monomial_basis -- three rows generating the invariant-monomial lattice.
-    trans_basis  -- a basis of the translation lattice of the junior plane.
+    monomial_basis -- three rows generating the invariant-monomial lattice
+                    M, read off the Smith form of n*L.
+
+    The translation lattice T of the junior plane needs no basis: membership
+    is a residue lookup (``is_translation``) and its indexes have a closed
+    form (``pair_index``).
     """
 
     spec: GroupSpec
@@ -181,7 +180,6 @@ class LatticeContext:
     generators: tuple[Vec3, ...]
     element_table: frozenset[Vec3]
     monomial_basis: tuple[Vec3, Vec3, Vec3]
-    trans_basis: tuple[Vec3, Vec3]
 
     @property
     def corners(self) -> tuple[Vec3, Vec3, Vec3]:
@@ -210,73 +208,16 @@ class LatticeContext:
         element?"""
         return all(dot(m, g) % self.n == 0 for g in self.generators)
 
-    def plane_coords(self, v: Vec3) -> tuple[int, int]:
-        """Coordinates of a translation vector in trans_basis.  Exact; raises
-        InvariantError if v is not in the translation lattice."""
-        b1, b2 = self.trans_basis
-        d = cross2(chart(b1), chart(b2))
-        x_num = cross2(chart(v), chart(b2))
-        y_num = cross2(chart(b1), chart(v))
-        if x_num % d or y_num % d:
-            raise InvariantError(f"{v} is not in the translation lattice")
-        x, y = x_num // d, y_num // d
-        if vadd(smul(x, b1), smul(y, b2)) != v:
-            raise InvariantError(f"{v} is not in the translation lattice")
-        return (x, y)
-
-
-def _hnf_rows(rows: list[Vec3]) -> list[Vec3]:
-    """Hermite-style row normal form of the lattice spanned by the rows.
-
-    Returns a lower-triangular basis with positive diagonal and the
-    below-diagonal entries reduced into [0, diag).  Requires full rank 3.
-    """
-    mat = [list(r) for r in rows]
-    basis: list[list[int]] = []
-    for col in range(3):
-        # Euclid on the working rows to isolate a pivot in this column.
-        while True:
-            live = [r for r in mat if any(r[col:])]
-            nonzero = [r for r in live if r[col] != 0]
-            if not nonzero:
-                break
-            piv = min(nonzero, key=lambda r: abs(r[col]))
-            done = True
-            for r in nonzero:
-                if r is piv:
-                    continue
-                q = r[col] // piv[col]
-                for t in range(3):
-                    r[t] -= q * piv[t]
-                if r[col] != 0:
-                    done = False
-            if done:
-                if piv[col] < 0:
-                    for t in range(3):
-                        piv[t] = -piv[t]
-                basis.append(piv)
-                mat = [r for r in mat if r is not piv]
-                break
-    if len(basis) != 3:
-        raise InvariantError("lattice basis computation lost rank")
-    # Order by pivot column, then reduce below-diagonal entries.
-    basis.sort(key=lambda r: next(t for t in range(3) if r[t] != 0))
-    for i in range(1, 3):
-        for j in range(i):
-            q = basis[i][j] // basis[j][j]
-            for t in range(3):
-                basis[i][t] -= q * basis[j][t]
-    return [tuple(r) for r in basis]
-
 
 def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
-    """Smith form of the lattice spanned by three independent rows.
+    """Smith form of the lattice spanned by the rows, which must span a
+    full-rank lattice in Z^3 (any number of rows, zero rows allowed).
 
     Returns the invariants (d_0, d_1, d_2), each dividing the next, and
     three integer columns V_t of a unimodular matrix such that
     v -> (v.V_t mod d_t) maps Z^3 onto the product of the Z/d_t with
-    kernel exactly the row lattice.  Raises InvariantError on dependent
-    rows.
+    kernel exactly the row lattice.  Raises InvariantError when the rows
+    span less than rank 3.
     """
     a = [list(r) for r in rows]
     cols = [[int(i == j) for j in range(3)] for i in range(3)]  # V, by column
@@ -288,7 +229,7 @@ def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
 
     for k in range(3):
         while True:
-            live = [(abs(a[i][j]), i, j) for i in range(k, 3)
+            live = [(abs(a[i][j]), i, j) for i in range(k, len(a))
                     for j in range(k, 3) if a[i][j]]
             if not live:
                 raise InvariantError("lattice basis computation lost rank")
@@ -298,15 +239,15 @@ def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
                 row[k], row[j] = row[j], row[k]
             cols[k], cols[j] = cols[j], cols[k]
             piv = a[k][k]
-            for i in range(k + 1, 3):
+            for i in range(k + 1, len(a)):
                 q = a[i][k] // piv
                 a[i] = [x - q * y for x, y in zip(a[i], a[k])]
             for j in range(k + 1, 3):
                 add_col(j, k, a[k][j] // piv)
-            if any(a[i][k] for i in range(k + 1, 3)) or any(a[k][k + 1:]):
+            if any(a[i][k] for i in range(k + 1, len(a))) or any(a[k][k + 1:]):
                 continue
             # The pivot must divide what is left, or a smaller one exists.
-            bad = [i for i in range(k + 1, 3)
+            bad = [i for i in range(k + 1, len(a))
                    if any(x % piv for x in a[i][k + 1:])]
             if not bad:
                 break
@@ -315,33 +256,13 @@ def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
     return diag, tuple(tuple(c) for c in cols)
 
 
-def _kernel_of_functional(c: Vec3) -> tuple[Vec3, Vec3]:
-    """Basis of the saturated integer kernel of x -> c.x (c nonzero)."""
-    # Column-reduce c by a unimodular matrix tracked alongside.
-    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    c = list(c)
-    while True:
-        nz = [t for t in range(3) if c[t] != 0]
-        if len(nz) <= 1:
-            break
-        i = min(nz, key=lambda t: abs(c[t]))
-        for t in nz:
-            if t == i:
-                continue
-            q = c[t] // c[i]
-            c[t] -= q * c[i]
-            for row in range(3):
-                u[row][t] -= q * u[row][i]
-    nz = [t for t in range(3) if c[t] != 0]
-    if not nz:
-        raise InvariantError("zero functional has no rank-2 kernel")
-    ker_cols = [t for t in range(3) if t not in nz]
-    return tuple(tuple(u[row][t] for row in range(3)) for t in ker_cols)
-
-
 def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> LatticeContext:
-    """Materialize the group: exponent, element table, monomial lattice and a
-    translation-lattice basis.
+    """Materialize the group: exponent, element table and monomial lattice.
+
+    One Smith form of n*L = <n*e_i> + <generators> gives both the index
+    check and M: with invariants d_t and columns V_t, n*L is the set of v
+    with v.V_t = 0 mod d_t, so M = {m : m.(n*L) in nZ} is spanned by the
+    rows (n/d_t)*V_t.
 
     Raises GroupSpecError when the group order exceeds max_order.
     """
@@ -377,28 +298,14 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
         table = {(g[0] // k, g[1] // k, g[2] // k) for g in table}
         gens0 = [(g[0] // k, g[1] // k, g[2] // k) for g in gens0]
 
-    # Row lattice n*L = <n*e_i> + <group residues>; its HNF feeds both the
-    # dual (monomial) lattice and the translation-lattice basis.
-    rows = [(n, 0, 0), (0, n, 0), (0, 0, n)] + sorted(table - {(0, 0, 0)})
-    hnf = _hnf_rows(rows)
-    det = abs(det3(hnf))
-    if det * order != n**3:
+    # n*L, the overlattice scaled by n, is spanned by the n*e_i and the
+    # generators; the other residues are their sums.
+    diag, cols = smith_columns([(n, 0, 0), (0, n, 0), (0, 0, n)] + gens0)
+    if diag[0] * diag[1] * diag[2] * order != n**3:
         raise InvariantError("overlattice index does not match group order")
-
-    # Monomial lattice M = n * (H^T)^{-1}, rows canonicalized by HNF.
-    mbasis = tuple(_hnf_rows(scaled_dual(hnf, n)))
+    mbasis = tuple(smul(n // d, col) for d, col in zip(diag, cols))
     if abs(det3(mbasis)) != order:
         raise InvariantError("monomial basis determinant is not the order")
-
-    # Translation lattice: row combinations of hnf with zero coordinate sum.
-    sums = tuple(sum(r) for r in hnf)
-    k1, k2 = _kernel_of_functional(sums)
-    tb = []
-    for coeffs in (k1, k2):
-        v = (0, 0, 0)
-        for c, row in zip(coeffs, hnf):
-            v = vadd(v, smul(c, row))
-        tb.append(v)
 
     ctx = LatticeContext(
         spec=spec,
@@ -407,14 +314,10 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
         generators=tuple(gens0) if gens0 else ((0, 0, 0),),
         element_table=frozenset(table),
         monomial_basis=mbasis,
-        trans_basis=tuple(tb),
     )
     for m in mbasis:
         if not ctx.is_invariant_monomial(m):
             raise InvariantError("monomial basis row is not invariant")
-    for v in tb:
-        if not ctx.is_translation(v):
-            raise InvariantError("translation basis vector is not in the lattice")
     return ctx
 
 
@@ -444,16 +347,18 @@ def junior_points(ctx: LatticeContext) -> list[JuniorPoint]:
 
 def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
     """v divided by the largest k such that v/k stays in the translation
-    lattice."""
+    lattice.
+
+    n*L is the set of q with q.m in nZ for every row m of the monomial
+    basis, so v/k lies in it exactly when k divides every v.m/n; M holds
+    the n*e_i, so that gcd also divides v itself.
+    """
     if v == (0, 0, 0):
         raise InvariantError("zero vector has no primitive direction")
     if not ctx.is_translation(v):
         raise InvariantError(f"{v} is not a translation of the junior lattice")
-    for k in _divisors_desc(gcd(*v)):
-        cand = (v[0] // k, v[1] // k, v[2] // k)
-        if ctx.is_translation(cand):
-            return cand
-    raise InvariantError("unreachable: k = 1 always divides")
+    k = gcd(*(dot(v, m) // ctx.n for m in ctx.monomial_basis))
+    return (v[0] // k, v[1] // k, v[2] // k)
 
 
 def segment_points(ctx: LatticeContext, a: Vec3, b: Vec3) -> list[Vec3]:
@@ -471,8 +376,15 @@ def sign_fixed(v: Vec3) -> Vec3:
 
 def pair_index(ctx: LatticeContext, v: Vec3, w: Vec3) -> int:
     """Index of the sublattice spanned by v, w inside the translation
-    lattice; 0 when the vectors are parallel."""
-    return abs(cross2(ctx.plane_coords(v), ctx.plane_coords(w)))
+    lattice T; 0 when the vectors are parallel.
+
+    Coordinate sums in n*L are multiples of n, so n*L = T + Z*(n,0,0) and
+    n*|cross2| = |det3(v, w, (n,0,0))| = [T : <v,w>] * n^3 / N.
+    """
+    for u in (v, w):
+        if not ctx.is_translation(u):
+            raise InvariantError(f"{u} is not in the translation lattice")
+    return abs(cross2(chart(v), chart(w))) * ctx.order // ctx.n**2
 
 
 def area2(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]) -> int:

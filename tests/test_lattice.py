@@ -1,9 +1,11 @@
 import tracemalloc
+from math import gcd
 
 import pytest
 
 from ahilb import (
     GroupSpecError,
+    InvariantError,
     junior_points,
     lattice_context,
     pair_index,
@@ -13,15 +15,26 @@ from ahilb import (
 from ahilb.lattice import (
     chart,
     cross2,
+    det3,
     dot,
     multiple,
     segment_points,
     sign_fixed,
+    smith_columns,
     smul,
     vadd,
     vneg,
     vsub,
 )
+from ahilb.resolution import Resolution
+from test_tiling import cyclic_groups
+
+# Z/210 written with four generators.
+Z210 = "1/2(1,1,0)+1/3(1,1,1)+1/5(1,2,2)+1/7(1,2,4)"
+# Groups whose order N exceeds their exponent n, so N/n^2 is not 1/n.
+NONCYCLIC = ["1/2(1,1,0)+1/2(0,1,1)", "1/4(1,3,0)+1/4(0,1,3)",
+             "1/6(1,2,3)+1/2(1,1,0)", "1/8(1,0,7)+1/8(0,1,7)"]
+PRODUCTS = NONCYCLIC + ["1/12(6,6,0)+1/4(1,1,2)", Z210]
 
 
 def ctx_of(text, **kw):
@@ -121,15 +134,54 @@ def test_context_order_cap():
 
 
 def test_monomial_basis_invariance_and_determinant():
-    for text in ("1/11(1,2,8)", "1/2(1,1,0)+1/2(0,1,1)", "1/15(1,2,12)", "1/30(25,2,3)"):
+    # Invariant rows of determinant N span exactly M, the dual of n*L.
+    for text in cyclic_groups(16) + PRODUCTS:
         ctx = ctx_of(text)
+        n = ctx.n
+        assert abs(det3(ctx.monomial_basis)) == ctx.order, text
         for m in ctx.monomial_basis:
             for g in ctx.element_table:
-                assert dot(m, g) % ctx.n == 0
-        # Membership consistency: q is a lattice point iff all three rows
-        # pair integrally with it.
-        for p in junior_points(ctx):
-            assert all(dot(m, p.coords) % ctx.n == 0 for m in ctx.monomial_basis)
+                assert dot(m, g) % n == 0, text
+        # Conversely, a point of the junior plane that every row pairs
+        # integrally with is a lattice point; x, y over residues mod n
+        # reach every residue class of the plane.
+        for x in range(n):
+            for y in range(n):
+                q = (x, y, n - x - y)
+                paired = all(dot(m, q) % n == 0 for m in ctx.monomial_basis)
+                assert paired == ctx.is_lattice_point(q), text
+
+
+def check_smith_form(text):
+    ctx = ctx_of(text)
+    n = ctx.n
+    rows = list(ctx.corners) + list(ctx.generators)
+    diag, cols = smith_columns(rows)
+    assert diag[2] == n and diag[1] % diag[0] == 0 and n % diag[1] == 0
+    assert abs(det3(cols)) == 1
+    for row in rows:
+        assert all(dot(row, col) % d == 0 for d, col in zip(diag, cols))
+    assert diag[0] * diag[1] * diag[2] * ctx.order == n**3
+
+
+@pytest.mark.parametrize("text", [
+    "1/1(0,0,0)",  # a zero row
+    "1/3(1,1,1)+1/3(2,2,2)",  # a redundant generator
+    "1/4(2,2,0)",  # exponent 2 below the written order
+    Z210,
+])
+def test_smith_columns_on_context_rows(text):
+    check_smith_form(text)
+
+
+def test_smith_columns_on_cyclic_context_rows():
+    for text in cyclic_groups(16):
+        check_smith_form(text)
+
+
+def test_smith_columns_rejects_dependent_rows():
+    with pytest.raises(InvariantError, match="lost rank"):
+        smith_columns([(1, 2, 3), (2, 4, 6), (0, 1, 1)])
 
 
 def test_junior_points_11():
@@ -194,6 +246,50 @@ def test_primitive_vector_halves_side_with_midpoint():
     assert primitive_vector(ctx, v) == (-1, 1, 0)
 
 
+def divisor_search(ctx, v):
+    """v over the largest divisor k of gcd(v) with v/k a translation."""
+    g = gcd(*v)
+    for k in sorted((d for d in range(1, g + 1) if g % d == 0), reverse=True):
+        cand = (v[0] // k, v[1] // k, v[2] // k)
+        if ctx.is_translation(cand):
+            return cand
+    raise AssertionError("k = 1 always divides")
+
+
+def check_primitive_against_divisor_search(specs):
+    for text in specs:
+        ctx = ctx_of(text)
+        pts = [p.coords for p in junior_points(ctx)]
+        for a in pts:
+            for b in pts:
+                if a != b:
+                    v = vsub(b, a)
+                    assert primitive_vector(ctx, v) == divisor_search(ctx, v)
+
+
+def test_primitive_vector_matches_divisor_search():
+    check_primitive_against_divisor_search(cyclic_groups(12) + PRODUCTS)
+
+
+@pytest.mark.deep
+def test_primitive_vector_matches_divisor_search_up_to_24():
+    check_primitive_against_divisor_search(cyclic_groups(24) + PRODUCTS)
+
+
+def test_non_translations_raise():
+    ctx = ctx_of("1/11(1,2,8)")
+    good = (1, 2, -3)
+    # (1,-1,0) is not a residue of the group; (11,0,0) is, but moves off
+    # the junior plane.
+    for bad in ((1, -1, 0), (11, 0, 0)):
+        with pytest.raises(InvariantError, match="not a translation"):
+            primitive_vector(ctx, bad)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(InvariantError,
+                               match="not in the translation lattice"):
+                pair_index(ctx, *pair)
+
+
 def test_primitive_vector_idempotent():
     ctx = ctx_of("1/11(1,2,8)")
     v = (1, 2, -3)
@@ -252,9 +348,11 @@ def _index_oracle(ctx, v, w):
 
 
 def test_pair_index_basis_pair():
+    # Two edges of a unimodular fan cone form a basis.
     ctx = ctx_of("1/11(1,2,8)")
-    b1, b2 = ctx.trans_basis
-    assert pair_index(ctx, b1, b2) == 1
+    for cone in Resolution(ctx).fan.cones:
+        a, b, c = cone.vertices
+        assert pair_index(ctx, vsub(b, a), vsub(c, a)) == 1
 
 
 def test_pair_index_parallel():
@@ -278,3 +376,35 @@ def test_pair_index_matches_oracle_more_groups():
         v = vsub(ctx.corner(3), ctx.corner(1))
         w = vsub(ctx.corner(2), ctx.corner(1))
         assert pair_index(ctx, v, w) == _index_oracle(ctx, v, w)
+
+
+def check_pair_index_on_triangle_sides(specs):
+    """pair_index against the parallelogram count on the side directions of
+    every partition triangle, whole sides and primitive steps."""
+    for text in specs:
+        ctx = ctx_of(text)
+        for tri in Resolution(ctx).partition.triangles:
+            a, b, c = tri.vertices
+            sides = [vsub(b, a), vsub(c, b), vsub(a, c)]
+            sides += list(tri.side_directions)
+            for v in sides:
+                for w in sides:
+                    assert pair_index(ctx, v, w) == _index_oracle(ctx, v, w)
+
+
+def test_pair_index_matches_oracle_on_triangle_sides():
+    check_pair_index_on_triangle_sides(cyclic_groups(12))
+
+
+def test_pair_index_matches_oracle_where_order_exceeds_exponent():
+    check_pair_index_on_triangle_sides(NONCYCLIC)
+    for text in NONCYCLIC:
+        ctx = ctx_of(text)
+        assert ctx.order > ctx.n
+        for cone in Resolution(ctx).fan.cones:
+            a, b, c = cone.vertices
+            for v, w in ((vsub(b, a), vsub(c, a)), (vsub(c, b), vsub(a, b))):
+                assert pair_index(ctx, v, w) == _index_oracle(ctx, v, w) == 1
+        v = vsub(ctx.corner(3), ctx.corner(1))
+        w = vsub(ctx.corner(2), ctx.corner(1))
+        assert pair_index(ctx, v, w) == _index_oracle(ctx, v, w) == ctx.order
