@@ -32,10 +32,6 @@ from .resolution import Resolution
 from .verify import run_checks, run_random_suite
 
 
-def _tag_json(tag) -> list:
-    return list(tag)
-
-
 def _fan_json(fan: Fan) -> dict:
     return {
         "rays": [list(r) for r in fan.rays],
@@ -68,34 +64,33 @@ def build_document(ctx: LatticeContext) -> dict:
             for i in (1, 2, 3)
         ],
         "cyclic_word": [
-            {"value": e.value, "tag": _tag_json(e.tag), "vector": list(e.vector)}
+            {"value": e.value, "tag": list(e.tag), "vector": list(e.vector)}
             for e in res.word.entries
         ],
     }
-    if part.long_side is not None:
-        doc["long_side"] = {"side": part.long_side[0], "c": part.long_side[1]}
-    owner = {}
-    for side, members in part.catchment.items():
-        for t in members:
-            owner[t] = side
+    champions = part.champions
+    if champions.side is not None:
+        doc["long_side"] = {"side": champions.side, "c": champions.c}
+    owner = {t: side for side, members in part.catchment.items()
+             for t in members}
     doc["partition"] = [
         {
             "vertices": [list(v) for v in tri.vertices],
             "side": tri.r,
             "case": res.ratios[t].case,
             "catchment": owner.get(t),
-            "lines": [_tag_json(tag) for tag in tri.side_lines],
+            "lines": [list(tag) for tag in tri.side_lines],
         }
         for t, tri in enumerate(part.triangles)
     ]
-    champ = {"kind": part.champions.kind}
-    if part.champions.point is not None:
-        champ["point"] = list(part.champions.point)
-    if part.champions.triangle_key is not None:
-        champ["triangle"] = part.triangle_index(part.champions.triangle_key)
-    if part.champions.side is not None:
-        champ["side"] = part.champions.side
-        champ["c"] = part.champions.c
+    champ = {"kind": champions.kind}
+    if champions.point is not None:
+        champ["point"] = list(champions.point)
+    if champions.triangle is not None:
+        champ["triangle"] = champions.triangle
+    if champions.side is not None:
+        champ["side"] = champions.side
+        champ["c"] = champions.c
     doc["champions"] = champ
     doc["fan"] = _fan_json(res.fan)
     doc["census"] = [

@@ -12,7 +12,7 @@ the up or down dependency relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvariantError
 from .fan import BasicTriangle, Fan
@@ -26,7 +26,7 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .monomials import DualBasis
+from .monomials import DualBasis, ratio_str
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
 
@@ -292,16 +292,15 @@ class Classification:
     j: int
     k: int
     r: int
-    host: BasicTriangle | None
+    host: BasicTriangle
 
 
 def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
-                     fan: Fan | None = None) -> Classification:
+                     fan: Fan) -> Classification:
     """Recover mode, coordinate permutation, the parent normal-form data
-    and the basic triangle from a cluster exponent tuple.
+    and the basic triangle of fan from a cluster exponent tuple.
 
-    exps = (a, b, c, d, e, f, l, m, n).  The host triangle is looked up
-    when a fan is supplied.
+    exps = (a, b, c, d, e, f, l, m, n).
     """
     a, b, c, d, e, f, l, m, n = exps
     if (l, m, n) == (a + d, b + e, c + f):
@@ -316,7 +315,6 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
     ratios = sys.ratio_vectors()
     up_vecs = (ratios["xi"], ratios["eta"], ratios["zeta"])
 
-    found = None
     for case in ("a", "b"):
         for perm in PERMS:
             vecs = tuple(
@@ -335,16 +333,9 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                 A, B, C = a2 - e2, b2 - f2, c2 - d2
                 i, j, k = f2 + shift, d2 + shift, e2 + shift
             r = i + j + k + (1 if mode == "up" else -1)
-            found = Classification(mode, case, perm, A, B, C, i, j, k, r, None)
-            break
-        if found:
-            break
-    if found is None:
-        raise InvariantError(f"no permutation normalizes exponents {exps}")
-
-    if fan is None:
-        return found
-    return replace(found, host=_host_lookup(ctx, sys.dual_vectors(), fan))
+            host = _host_lookup(ctx, sys.dual_vectors(), fan)
+            return Classification(mode, case, perm, A, B, C, i, j, k, r, host)
+    raise InvariantError(f"no permutation normalizes exponents {exps}")
 
 
 def _host_lookup(ctx: LatticeContext, vecs, fan: Fan) -> BasicTriangle:
@@ -361,21 +352,11 @@ def equations_text(sys: ClusterSystem) -> list[str]:
     lines = []
     for name in PARAM_NAMES:
         vec = v[name]
-        lhs = _mono(tuple(x if x > 0 else 0 for x in vec))
-        rhs = _mono(tuple(-x if x < 0 else 0 for x in vec))
+        lhs = ratio_str(tuple(max(x, 0) for x in vec))
+        rhs = ratio_str(tuple(max(-x, 0) for x in vec))
         lines.append(f"{lhs} = {name} * {rhs}" if rhs != "1" else f"{lhs} = {name}")
     if sys.mode == "up":
         lines.append("lam = eta*zeta, mu = zeta*xi, nu = xi*eta, pi = xi*eta*zeta")
     else:
         lines.append("xi = mu*nu, eta = nu*lam, zeta = lam*mu, pi = lam*mu*nu")
     return lines
-
-
-def _mono(exps: Vec3) -> str:
-    parts = []
-    for name, x in zip("xyz", exps):
-        if x == 1:
-            parts.append(name)
-        elif x > 1:
-            parts.append(f"{name}^{x}")
-    return "".join(parts) or "1"

@@ -46,8 +46,9 @@ class BasicTriangle:
 
 
 def tesselate(ctx: LatticeContext, tri: RegularTriangle,
-              parent_index: int = 0) -> list[BasicTriangle]:
-    """The r^2 unimodular cells of a side-r regular triangle."""
+              parent_index: int) -> list[BasicTriangle]:
+    """The r^2 unimodular cells of a side-r regular triangle, the one at
+    parent_index in the partition."""
     r = tri.r
     w1, w2, w3 = tri.vertices
     u = _grid_step(ctx, w1, w2, r)

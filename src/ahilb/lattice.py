@@ -266,19 +266,20 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
 
     Raises GroupSpecError when the group order exceeds max_order.
     """
-    # Each generator's order divides the exponent, which is at most the
-    # group order: a too-large lcm fails before the element search.
-    if lcm(*(g.order // gcd(g.order, *g.weights)
-             for g in spec.generators)) > max_order:
+    # The denominator is the exponent of the group: the lcm of the
+    # generators' true orders, which may be smaller than the lcm of the
+    # written ones.  It is at most the group order, so a too-large one
+    # fails before the element search.
+    n = lcm(*(g.order // gcd(g.order, *g.weights) for g in spec.generators))
+    if n > max_order:
         raise GroupSpecError(f"group order exceeds the cap of {max_order}")
-    n0 = lcm(*(g.order for g in spec.generators))
-    gens0 = [smul(n0 // g.order, g.weights) for g in spec.generators]
+    gens = [tuple(n * w // g.order for w in g.weights) for g in spec.generators]
     table = {(0, 0, 0)}
     frontier = [(0, 0, 0)]
     while frontier:
         cur = frontier.pop()
-        for g in gens0:
-            nxt = tuple((c + w) % n0 for c, w in zip(cur, g))
+        for g in gens:
+            nxt = tuple((c + w) % n for c, w in zip(cur, g))
             if nxt not in table:
                 if len(table) >= max_order:
                     raise GroupSpecError(
@@ -288,19 +289,9 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
                 frontier.append(nxt)
     order = len(table)
 
-    # The denominator is the exponent of the group, which may be smaller
-    # than the lcm of the written generator orders.
-    n = 1
-    for g in table:
-        n = lcm(n, n0 // gcd(n0, *g))
-    if n != n0:
-        k = n0 // n
-        table = {(g[0] // k, g[1] // k, g[2] // k) for g in table}
-        gens0 = [(g[0] // k, g[1] // k, g[2] // k) for g in gens0]
-
     # n*L, the overlattice scaled by n, is spanned by the n*e_i and the
     # generators; the other residues are their sums.
-    diag, cols = smith_columns([(n, 0, 0), (0, n, 0), (0, 0, n)] + gens0)
+    diag, cols = smith_columns([(n, 0, 0), (0, n, 0), (0, 0, n)] + gens)
     if diag[0] * diag[1] * diag[2] * order != n**3:
         raise InvariantError("overlattice index does not match group order")
     mbasis = tuple(smul(n // d, col) for d, col in zip(diag, cols))
@@ -311,7 +302,7 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
         spec=spec,
         n=n,
         order=order,
-        generators=tuple(gens0) if gens0 else ((0, 0, 0),),
+        generators=tuple(gens) if gens else ((0, 0, 0),),
         element_table=frozenset(table),
         monomial_basis=mbasis,
     )

@@ -285,14 +285,15 @@ def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None
     return None
 
 
-def ratio_str(m: Vec3, names: str = "xyz") -> str:
-    """Render an exponent triple as a ratio like x^2:y."""
+def ratio_str(m: Vec3) -> str:
+    """Render an exponent triple as a ratio like x^2:y, or a monomial like
+    xy^2 when no exponent is negative."""
     num = "".join(
-        f"{names[t]}" + (f"^{m[t]}" if m[t] > 1 else "")
+        "xyz"[t] + (f"^{m[t]}" if m[t] > 1 else "")
         for t in range(3) if m[t] > 0
     )
     den = "".join(
-        f"{names[t]}" + (f"^{-m[t]}" if m[t] < -1 else "")
+        "xyz"[t] + (f"^{-m[t]}" if m[t] < -1 else "")
         for t in range(3) if m[t] < 0
     )
     if not num:

@@ -135,7 +135,6 @@ class ConcurrencyPoint:
     meet in one lattice point and the 'triangle' has side zero."""
 
     point: Vec3
-    tags: tuple[Tag, Tag, Tag]
 
 
 def _triangle_from_lines(ctx: LatticeContext,
@@ -216,7 +215,7 @@ def realize_triple(ctx: LatticeContext, lines: dict[Tag, Line],
                 "concurrency point is not a lattice point of the simplex")
         if triple.type_tag != "champion":
             raise InvariantError("only the champion triple may degenerate")
-        return ConcurrencyPoint(q, triple.tags)
+        return ConcurrencyPoint(q)
     tri = _triangle_from_lines(ctx, host)
     if tri is None:
         raise InvariantError(
@@ -231,29 +230,21 @@ class ChampionsReport:
     unique champion triple meets in a point or cuts out a central triangle."""
 
     kind: str  # "long_side" | "concurrent" | "cocked_hat" | "simplex"
-    side: int | None = None
+    side: int | None = None  # the long side, whose junction value is c
     c: int | None = None
-    point: Vec3 | None = None
-    triangle_key: tuple | None = None
+    point: Vec3 | None = None  # where the champion lines meet
+    triangle: int | None = None  # index of the central triangle (or simplex)
 
 
 @dataclass(frozen=True)
 class Partition:
+    """The regular triangles sorted by key, the knock-out outcome, and the
+    lines with their defeat points."""
+
     triangles: tuple[RegularTriangle, ...]
-    long_side: tuple[int, int] | None
     champions: ChampionsReport
     catchment: dict[int, tuple[int, ...]]  # side -> triangle indexes
     lines: dict[Tag, Line]
-    concurrency: ConcurrencyPoint | None
-
-    @cached_property
-    def index_by_key(self) -> dict[tuple, int]:
-        return {tri.key(): t for t, tri in enumerate(self.triangles)}
-
-    def triangle_index(self, key: tuple) -> int:
-        if key not in self.index_by_key:
-            raise InvariantError("triangle key not in partition")
-        return self.index_by_key[key]
 
     @cached_property
     def sides_by_line(self) -> dict[Tag, list[tuple[Vec3, Vec3]]]:
@@ -327,78 +318,68 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     lines = rays(ctx, fans)
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
-    index_of = {tri.key(): t for t, tri in enumerate(enumerated)}
-    # A game triple whose host lines are an enumerated triangle's side
-    # lines realizes as that triangle: _triangle_from_lines is a function
-    # of the three lines, and its key, r and None-ness do not depend on
-    # their order.  Only the other triples are intersected here.
-    by_lines = {tuple(sorted(tri.side_lines)): tri for tri in enumerated}
+    # Every triangle is read through its sorted side-line tags.  A game
+    # triple whose host lines are a triangle's side lines realizes as that
+    # triangle: _triangle_from_lines is a function of the three lines, and
+    # its key, r and None-ness do not depend on their order.  Only the
+    # other triples are intersected here.
+    index = {tuple(sorted(tri.side_lines)): t for t, tri in enumerate(enumerated)}
 
-    trace = run_mmp(word)
-    triples = triple_set(trace)
+    triples = triple_set(run_mmp(word))
     for tr in triples.values():
         validate_triple(ctx, tr)
-    realized: dict[tuple, RegularTriangle | ConcurrencyPoint] = {}
-    realized_keys = set()
-    concurrency = None
-    for canon, tr in triples.items():
-        res = by_lines.get(tuple(sorted(tr.tags)))
-        if res is None:
-            res = realize_triple(ctx, lines, tr)
-        realized[canon] = res
+    keys = set()  # of the realized triangles
+    point = None  # of the degenerate triple
+    for tr in triples.values():
+        t = index.get(tuple(sorted(tr.tags)))
+        res = realize_triple(ctx, lines, tr) if t is None else enumerated[t]
         if isinstance(res, ConcurrencyPoint):
-            if concurrency is not None:
+            if point is not None:
                 raise InvariantError("two degenerate triples in one group")
-            concurrency = res
+            point = res.point
+        elif res.key() in keys:
+            raise InvariantError("two triples realize the same triangle")
         else:
-            if res.key() in realized_keys:
-                raise InvariantError("two triples realize the same triangle")
-            realized_keys.add(res.key())
-    if realized_keys != set(index_of):
+            keys.add(res.key())
+    enumerated_keys = {tri.key() for tri in enumerated}
+    if keys != enumerated_keys:
         raise InvariantError(
             "partition mismatch: enumeration found "
-            f"{sorted(index_of)} but the contraction game realizes "
-            f"{sorted(realized_keys)}"
+            f"{sorted(enumerated_keys)} but the contraction game realizes "
+            f"{sorted(keys)}"
         )
+    # So a triple outside index is degenerate: one that realizes a triangle
+    # rides on the lines through its vertex pairs, the triangle's side lines.
 
     _check_tiling(ctx, enumerated)
 
     # Champions.
     long_side = find_long_side(fans)
-    champs2 = [k for k, t in triples.items() if t.type_tag == "champion"]
+    champs = [t for t in triples.values() if t.type_tag == "champion"]
     if long_side is not None:
-        if champs2:
+        if champs:
             raise InvariantError("champion triple found despite a long side")
         champions = ChampionsReport("long_side", side=long_side[0], c=long_side[1])
-        champion_key = None
-    elif not champs2 and len(word) == 3:
+    elif not champs and len(word) == 3:
         # The whole simplex is one regular triangle (empty corner fans);
         # no knock-out happens and no champion triple exists.
-        champion_key = enumerated[0].key()
-        champions = ChampionsReport("simplex", triangle_key=champion_key)
+        champions = ChampionsReport("simplex", triangle=0)
+    elif len(champs) != 1:
+        raise InvariantError(
+            f"expected a unique champion triple, found {len(champs)}"
+        )
+    elif point is not None:  # only the champion may degenerate
+        champions = ChampionsReport("concurrent", point=point)
     else:
-        if len(champs2) != 1:
-            raise InvariantError(
-                f"expected a unique champion triple, found {len(champs2)}"
-            )
-        res = realized[champs2[0]]
-        if isinstance(res, ConcurrencyPoint):
-            champions = ChampionsReport("concurrent", point=res.point)
-            champion_key = None
-        else:
-            champions = ChampionsReport("cocked_hat", triangle_key=res.key())
-            champion_key = res.key()
+        champions = ChampionsReport(
+            "cocked_hat", triangle=index[tuple(sorted(champs[0].tags))])
 
-    # Catchment areas: eat each side on a fresh word (the other junctions
-    # fence the front in).  A triangle reachable from two sides -- the
-    # middle of a semiregular strip -- goes to the smaller side index.
-    initial_c = {
-        s: next(e.value for e in word.entries if e.tag == ("junction", s))
-        for s in (1, 2, 3)
-    }
-    eaten_from: dict[tuple, int] = {}
+    # Catchment areas: eat each short side on a fresh word (the other
+    # junctions fence the front in).  A triangle reachable from two sides
+    # -- the middle of a semiregular strip -- goes to the smaller side index.
+    owner: dict[int, int] = {}  # triangle index -> side
     for s in (1, 2, 3):
-        if initial_c[s] != 1:
+        if champions.side == s:
             continue
         # Eat triangles along side s: contract any 1 except the other two
         # junction entries, until none is available.
@@ -406,52 +387,47 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         eaten, _ = contract_run(word, protected=fence)
         for tr in eaten:
             canon = tr.canonical()
-            if canon not in realized or set(triples[canon].tags) != set(tr.tags):
+            if canon not in triples or set(triples[canon].tags) != set(tr.tags):
                 raise InvariantError(
                     f"side run triple {tr.tags} is not one of the game's"
                 )
-            res = realized[canon]
-            if isinstance(res, ConcurrencyPoint):
+            t = index.get(tuple(sorted(tr.tags)))
+            if t is None:
                 raise InvariantError("side run realized a degenerate triple")
-            eaten_from.setdefault(res.key(), s)
-    catchment = {
-        s: tuple(sorted(index_of[k] for k, owner in eaten_from.items()
-                        if owner == s))
-        for s in (1, 2, 3)
-    }
-    seen = set(eaten_from)
-    unassigned = set(index_of) - seen
-    if champion_key is not None:
-        if unassigned != {champion_key}:
+            owner.setdefault(t, s)
+    catchment = {s: tuple(sorted(t for t, o in owner.items() if o == s))
+                 for s in (1, 2, 3)}
+    rest = set(range(len(enumerated))) - set(owner)
+    if champions.triangle is not None:
+        if rest != {champions.triangle}:
             raise InvariantError("catchments must leave exactly the champion")
-    elif unassigned:
-        raise InvariantError(f"triangles outside every catchment: {unassigned}")
+    elif rest:
+        raise InvariantError("triangles outside every catchment: "
+                             f"{set(enumerated[t].key() for t in rest)}")
 
     part = Partition(
         triangles=tuple(enumerated),
-        long_side=long_side,
         champions=champions,
         catchment=catchment,
         lines=lines,
-        concurrency=concurrency,
     )
     return _fill_defeat_points(part)
 
 
 def line_extent(part: Partition, tag: Tag) -> Vec3:
-    """Far end of the line's realized extent from its corner.
+    """Far end of the extent of the line tagged tag, from its corner.
 
     The union of triangle sides on the line must be one contiguous segment
     starting at the corner.  A line out of e_i loses some of its i-th
-    coordinate at every step, so that coordinate orders its points.
+    coordinate at every step, so that coordinate orders its points.  Every
+    interior line hosts a side: the tiling triangle in the sector at e_i
+    between the line and a neighboring ray has its sides on both rays.
     """
     line = part.lines[tag]
     own = tag[1] - 1
     segs = {tuple(sorted(side, key=lambda p: -p[own]))
             for side in part.sides_by_line.get(tag, ())}
     if not segs:
-        if part.concurrency is not None and tag in part.concurrency.tags:
-            return part.concurrency.point
         raise InvariantError(f"line {tag} hosts no triangle side")
     merged = sorted(segs, key=lambda seg: -seg[0][own])
     if merged[0][0] != line.anchor:

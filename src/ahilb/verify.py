@@ -37,8 +37,7 @@ class CheckResult:
     detail: str = ""
 
 
-def run_checks(res: Resolution, mmp_orders: int = 10,
-               seed: int = 0) -> list[CheckResult]:
+def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
     """Run the whole invariant suite on one group, reading every stage
     from its resolution."""
     ctx = res.ctx
@@ -95,7 +94,7 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
         if len(base) != trace.strength_sum // 3:
             raise InvariantError("triple count differs from strength sum / 3")
         rng = random.Random(seed)
-        for _ in range(mmp_orders):
+        for _ in range(10):  # seeded random contraction orders
             other = set(triple_set(run_mmp(word, ("random", rng.randrange(2**30)))))
             if other != base:
                 raise InvariantError("randomized run emitted a different set")
@@ -117,13 +116,9 @@ def run_checks(res: Resolution, mmp_orders: int = 10,
         assigned = {t for members in part.catchment.values() for t in members}
         total = set(range(len(part.triangles)))
         rest = total - assigned
-        if part.champions.kind in ("concurrent", "long_side"):
-            if rest:
-                raise InvariantError(f"unassigned triangles {rest}")
-        else:
-            key = part.champions.triangle_key
-            if rest != {part.triangle_index(key)}:
-                raise InvariantError(f"unassigned triangles {rest}")
+        champion = part.champions.triangle
+        if rest != (set() if champion is None else {champion}):
+            raise InvariantError(f"unassigned triangles {rest}")
 
     @check("fan: crepant, unimodular, complete")
     def _fan_ok():
@@ -207,8 +202,8 @@ def random_group_spec(rng: random.Random, max_order: int) -> GroupSpec:
         return spec
 
 
-def run_random_suite(count: int, max_order: int, seed: int,
-                     mmp_orders: int = 10) -> tuple[int, list[str]]:
+def run_random_suite(count: int, max_order: int,
+                     seed: int) -> tuple[int, list[str]]:
     """Run the full suite over seeded random groups; returns the number of
     groups tested and a list of failure descriptions, each ending in the
     command that reruns its group with the same seed."""
@@ -218,8 +213,7 @@ def run_random_suite(count: int, max_order: int, seed: int,
         spec = random_group_spec(rng, max_order)
         ctx = lattice_context(spec, max_order=max_order)
         repro = f'ahilb verify "{spec.canonical_text}" --seed {seed + t}'
-        for result in run_checks(Resolution(ctx), mmp_orders=mmp_orders,
-                                 seed=seed + t):
+        for result in run_checks(Resolution(ctx), seed=seed + t):
             if not result.ok:
                 failures.append(
                     f"{spec.canonical_text}: {result.name}: {result.detail}; "

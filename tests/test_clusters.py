@@ -370,7 +370,7 @@ def test_classification_substitution_consistency():
     # exponents through the substitution tables.
     ctx, fan, systems = systems_of("1/101(1,7,93)")
     for sys in systems:
-        cls = classify_cluster(ctx, sys.exponents())
+        cls = classify_cluster(ctx, sys.exponents(), fan)
         A, B, C, i, j, k = cls.A, cls.B, cls.C, cls.i, cls.j, cls.k
         shift = 0 if cls.mode == "up" else 1
         if cls.case == "a":
@@ -398,7 +398,7 @@ def test_classification_rejects_bad_counts():
                                     bad[2] + bad[5] + 1):
         bad[7] += 1
     with pytest.raises(InvariantError):
-        classify_cluster(ctx, tuple(bad))
+        classify_cluster(ctx, tuple(bad), fan)
 
 
 def test_mode_exclusivity():

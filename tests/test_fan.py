@@ -22,7 +22,7 @@ def pipeline(text):
 
 def test_tesselate_counts():
     ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
-    cells = tesselate(ctx, part.triangles[0])
+    cells = tesselate(ctx, part.triangles[0], 0)
     assert len(cells) == 4
     assert sum(1 for c in cells if c.kind == "up") == 3
     assert sum(1 for c in cells if c.kind == "down") == 1
@@ -30,14 +30,14 @@ def test_tesselate_counts():
 
 def test_tesselate_side_one():
     ctx, part, _ = pipeline("1/1(0,0,0)")
-    cells = tesselate(ctx, part.triangles[0])
+    cells = tesselate(ctx, part.triangles[0], 0)
     assert len(cells) == 1 and cells[0].kind == "up"
 
 
 def test_tesselate_side_five():
     # A synthetic side-5 triangle: the whole simplex of Z/5 + Z/5.
     ctx, part, _ = pipeline("1/5(1,4,0)+1/5(0,1,4)")
-    cells = tesselate(ctx, part.triangles[0])
+    cells = tesselate(ctx, part.triangles[0], 0)
     assert len(cells) == 25
     assert sum(1 for c in cells if c.kind == "up") == 15
     assert sum(1 for c in cells if c.kind == "down") == 10
@@ -45,7 +45,7 @@ def test_tesselate_side_five():
 
 def test_tesselate_step_sums():
     ctx, part, _ = pipeline("1/4(1,3,0)+1/4(0,1,3)")
-    for c in tesselate(ctx, part.triangles[0]):
+    for c in tesselate(ctx, part.triangles[0], 0):
         i, j, k = c.steps
         if c.kind == "up":
             assert i + j + k == 3

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -126,6 +126,46 @@ def test_context_trivial_group():
     assert ctx.n == 1
     assert ctx.order == 1
     assert ctx.element_table == frozenset({(0, 0, 0)})
+
+
+def searched_context(text):
+    """(n, generators, element table, monomial basis), with the exponent n
+    read off the element table: search at the lcm n0 of the written
+    orders, take the lcm of the elements' orders, and rescale to it."""
+    spec = parse_group_spec(text)
+    n0 = lcm(*(g.order for g in spec.generators))
+    gens = [smul(n0 // g.order, g.weights) for g in spec.generators]
+    table = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((c + w) % n0 for c, w in zip(cur, g))
+            if nxt not in table:
+                table.add(nxt)
+                frontier.append(nxt)
+    n = 1
+    for g in table:
+        n = lcm(n, n0 // gcd(n0, *g))
+    k = n0 // n
+    table = {tuple(c // k for c in g) for g in table}
+    gens = [tuple(c // k for c in g) for g in gens]
+    diag, cols = smith_columns([(n, 0, 0), (0, n, 0), (0, 0, n)] + gens)
+    mbasis = tuple(smul(n // d, col) for d, col in zip(diag, cols))
+    return n, tuple(gens), frozenset(table), mbasis
+
+
+def test_exponent_from_generators_matches_element_search():
+    # The exponent of an abelian group is the lcm of its generators'
+    # orders, so the search can run at that denominator directly.
+    specs = [f"1/{r}({a},{b},{(-a - b) % r})"
+             for r in range(1, 25) for a in range(r) for b in range(r)]
+    specs += ["1/4(2,2,0)", "1/12(6,6,0)+1/4(1,1,2)",
+              "1/3(1,1,1)+1/3(2,2,2)", Z210]
+    for text in specs:
+        ctx = ctx_of(text)
+        got = (ctx.n, ctx.generators, ctx.element_table, ctx.monomial_basis)
+        assert got == searched_context(text), text
 
 
 def test_context_order_cap():

@@ -144,8 +144,7 @@ def test_triangle_ratios_equalities_everywhere():
 
 def test_champion_triangle_is_cyclic_case():
     ctx, part = pipeline("1/101(1,7,93)")
-    key = part.champions.triangle_key
-    tri = part.triangles[part.triangle_index(key)]
+    tri = part.triangles[part.champions.triangle]
     assert triangle_ratios(ctx, tri).case == "b"
 
 
@@ -185,7 +184,7 @@ def test_dual_basis_corner_triangle_formula():
     fan = build_fan(ctx, part)
     cell = next(
         c for c in fan.cones
-        if c.parent == part.triangle_index(tri.key()) and c.kind == "up"
+        if c.parent == part.triangles.index(tri) and c.kind == "up"
     )
     db = dual_basis(ctx, tr, cell)
     from ahilb.lattice import permute as _permute

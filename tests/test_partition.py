@@ -8,6 +8,7 @@ import pytest
 
 import ahilb.partition
 from ahilb import lattice_context, parse_group_spec
+from ahilb.errors import InvariantError
 from ahilb.lattice import smul, vadd
 from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
@@ -93,7 +94,7 @@ def test_partition_11():
     ctx = ctx_of("1/11(1,2,8)")
     part = Resolution(ctx).partition
     assert len(part.triangles) == 8
-    assert part.long_side is None
+    assert part.champions.side is None
     assert part.champions.kind == "concurrent"
     assert part.champions.point == (3, 6, 2)
 
@@ -101,7 +102,7 @@ def test_partition_11():
 def test_partition_15_long_side():
     ctx = ctx_of("1/15(1,2,12)")
     part = Resolution(ctx).partition
-    assert part.long_side == (1, 2)
+    assert (part.champions.side, part.champions.c) == (1, 2)
     assert part.champions.kind == "long_side"
     # No triangle is eaten from the long side; its catchment is empty.
     assert part.catchment[1] == ()
@@ -117,7 +118,7 @@ def test_partition_30_catchments():
     ctx = ctx_of("1/30(25,2,3)")
     part = Resolution(ctx).partition
     assert part.champions.kind == "long_side"
-    assert part.long_side[0] == 2
+    assert part.champions.side == 2
     side13 = [part.triangles[t] for t in part.catchment[3]]
     side12 = [part.triangles[t] for t in part.catchment[1]]
     assert sorted(t.r for t in side13) == [2, 2, 2]
@@ -144,10 +145,9 @@ def test_partition_whole_simplex_zrzr():
 def test_partition_cocked_hat_exists():
     part = Resolution(ctx_of("1/101(1,7,93)")).partition
     assert part.champions.kind == "cocked_hat"
-    key = part.champions.triangle_key
-    tri = part.triangles[part.triangle_index(key)]
+    idx = part.champions.triangle
+    tri = part.triangles[idx]
     # The central triangle is in no catchment.
-    idx = part.triangle_index(key)
     assert all(idx not in members for members in part.catchment.values())
     assert tri.r >= 1
 
@@ -204,6 +204,7 @@ def test_knockout_report_catches_a_shifted_defeat_point(tag, steps, violations):
 _TIED_REPORT = """
 from dataclasses import replace
 from ahilb import lattice_context, parse_group_spec
+from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
 from ahilb.partition import knockout_report
 from ahilb.resolution import Resolution
@@ -299,3 +300,35 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
     unnamed = [tr for tr in triples if tuple(sorted(tr.tags)) not in named]
     assert [args[2] for args in calls] == unnamed
     assert len(unnamed) == INTERSECTED[spec]
+
+
+@pytest.mark.parametrize("spec, name, wrap, message", [
+    # The two sides of the differential disagree.
+    ("1/11(1,2,8)", "enumerate_triangles",
+     lambda f: lambda *a: f(*a)[:-1], "partition mismatch"),
+    ("1/11(1,2,8)", "triple_set",
+     lambda f: lambda *a: dict(list(f(*a).items())[1:]), "partition mismatch"),
+    # A repeated triangle leaves the key sets equal; the areas catch it.
+    ("1/11(1,2,8)", "enumerate_triangles",
+     lambda f: lambda *a: f(*a) + f(*a)[:1],
+     "triangle areas do not exhaust the simplex"),
+    # The champion disagrees with the long side.
+    ("1/11(1,2,8)", "find_long_side", lambda f: lambda fans: (1, 2),
+     "champion triple found despite a long side"),
+    ("1/15(1,2,12)", "find_long_side", lambda f: lambda fans: None,
+     "expected a unique champion triple, found 0"),
+    # The side runs eat nothing.
+    ("1/101(1,7,93)", "contract_run",
+     lambda f: lambda word, **kw: ([], word),
+     "catchments must leave exactly the champion"),
+    ("1/11(1,2,8)", "contract_run",
+     lambda f: lambda word, **kw: ([], word),
+     "triangles outside every catchment"),
+])
+def test_build_partition_failure_paths(spec, name, wrap, message, monkeypatch):
+    # wrap takes the real function and returns its faulty replacement.
+    ctx = ctx_of(spec)
+    monkeypatch.setattr(ahilb.partition, name,
+                        wrap(getattr(ahilb.partition, name)))
+    with pytest.raises(InvariantError, match=message):
+        Resolution(ctx).partition

@@ -69,7 +69,7 @@ def test_suite_deterministic():
 def test_random_failures_end_in_their_repro(monkeypatch):
     seen = []
 
-    def failing(res, mmp_orders=10, seed=0):
+    def failing(res, seed=0):
         seen.append((res.ctx.spec.canonical_text, seed))
         return [CheckResult("fake: always fails", False, "boom")]
 
