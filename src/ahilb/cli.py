@@ -18,7 +18,6 @@ import sys
 from functools import cache
 
 from .clusters import cluster_system, equations_text
-from .corners import long_side
 from .draw import render_svg
 from .errors import GroupSpecError, InvariantError, OutputError
 from .fan import Fan, dp6_count
@@ -206,13 +205,12 @@ def _cmd_verify(args) -> int:
             status = "pass" if result.ok else f"FAIL ({result.detail})"
             sys.stdout.write(f"{result.name}: {status}\n")
         failures += [r for r in results if not r.ok]
-        side = long_side(res.fans)
-        if side:
-            s, c = side
+        # Every check passed, so the partition was built.
+        if not failures and res.partition.champions.side is not None:
+            champions = res.partition.champions
             names = {1: "e1e2", 2: "e2e3", 3: "e3e1"}
-            sys.stdout.write(
-                f"long side {names[s]} c={c}; its catchment is empty\n"
-            )
+            sys.stdout.write(f"long side {names[champions.side]} "
+                             f"c={champions.c}; its catchment is empty\n")
     if args.random:
         count, bad = run_random_suite(args.random, args.max_order, args.seed)
         sys.stdout.write(

@@ -22,7 +22,6 @@ from .lattice import (
     junior_points,
     multiple,
     primitive_vector,
-    segment_points,
     smul,
     vadd,
     vneg,
@@ -32,19 +31,6 @@ from .lattice import (
 # Entry tags. A corner tag is ("corner", i, j) for the j-th interior ray at
 # vertex e_i; a junction tag is ("junction", s) for the side e_s e_{s+1}.
 Tag = tuple
-
-
-def corner_tag(i: int, j: int) -> Tag:
-    return ("corner", i, j)
-
-
-def junction_tag(side: int) -> Tag:
-    return ("junction", side)
-
-
-def side_corners(side: int) -> tuple[int, int]:
-    """Endpoints (i, i+1) of side s, 1-based cyclic."""
-    return (side, side % 3 + 1)
 
 
 @dataclass(frozen=True)
@@ -69,18 +55,19 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
     """Klein polygon chain at vertex e_corner, with strengths.
 
     The chain is every lattice point on the hull boundary facing the apex,
-    including points interior to hull edges (those carry strength 2).
+    points inside hull edges (strength 2) included: the scan pops only on
+    strict right turns.  Such a point is the nearest lattice point on its
+    ray from the apex (a nearer one would lie on the apex side of the edge),
+    so it is a candidate, and in angle order it sits between the edge's ends.
     """
     apex = ctx.corner(corner)
     prev_c = ctx.corner((corner - 2) % 3 + 1)
     next_c = ctx.corner(corner % 3 + 1)
     d0 = primitive_vector(ctx, vsub(prev_c, apex))
     d1 = primitive_vector(ctx, vsub(next_c, apex))
-    p0 = vadd(apex, d0)
-    p1 = vadd(apex, d1)
 
-    # The apex-facing hull boundary lies inside the triangle (apex, p0, p1);
-    # of apex-collinear points only the nearest can sit on it.
+    # The apex-facing hull boundary lies inside the triangle (apex, apex + d0,
+    # apex + d1); of apex-collinear points only the nearest can sit on it.
     cands: dict[Vec3, Vec3] = {}
     for jp in junior_points(ctx):
         q = jp.coords
@@ -101,19 +88,14 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
     if vecs[0] != d0 or vecs[-1] != d1:
         raise InvariantError(f"corner {corner}: side rays missing from hull input")
 
-    # Graham scan keeping strict left turns; edge-interior points are
-    # reinstated by the primitive-step subdivision below.
-    hull: list[Vec3] = []
+    # Graham scan keeping left turns and collinear points.
+    chain: list[Vec3] = []
     for v in vecs:
-        while len(hull) >= 2 and cross2(
-            chart(vsub(hull[-1], hull[-2])), chart(vsub(v, hull[-1]))
-        ) <= 0:
-            hull.pop()
-        hull.append(v)
-
-    chain: list[Vec3] = [hull[0]]
-    for a, b in zip(hull, hull[1:]):
-        chain += segment_points(ctx, a, b)[1:]
+        while len(chain) >= 2 and cross2(
+            chart(vsub(chain[-1], chain[-2])), chart(vsub(v, chain[-1]))
+        ) < 0:
+            chain.pop()
+        chain.append(v)
 
     strengths = []
     for j in range(1, len(chain) - 1):
@@ -182,7 +164,7 @@ class CyclicWord:
 def junction_c(side: int, fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
     """Junction constant c of side (i, i+1) and the side's inward vector at
     e_{i+1}; the side is long exactly when c >= 2."""
-    i, ip1 = side_corners(side)
+    i, ip1 = side, side % 3 + 1
     f_next = fans[ip1].vectors
     f_prev = fans[i].vectors
     diff = vsub(f_next[1], f_prev[-2])
@@ -192,11 +174,12 @@ def junction_c(side: int, fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
     return c, f_next[0]
 
 
-def long_side(fans: dict[int, CornerFan]) -> tuple[int, int] | None:
-    """The long side as (side, c), or None when every side is short.
-    Raises InvariantError when more than one side is long."""
-    longs = [(s, junction_c(s, fans)[0]) for s in (1, 2, 3)]
-    longs = [(s, c) for s, c in longs if c >= 2]
+def long_side(word: CyclicWord) -> tuple[int, int] | None:
+    """The long side as (side, c): the word's junction entry whose value c
+    is at least 2, or None when every side is short.  Raises
+    InvariantError when more than one side is long."""
+    longs = [(e.tag[1], e.value) for e in word.entries
+             if e.tag[0] == "junction" and e.value >= 2]
     if len(longs) > 1:
         raise InvariantError("more than one long side")
     return longs[0] if longs else None
@@ -216,11 +199,11 @@ def cyclic_word(fans: dict[int, CornerFan]) -> CyclicWord:
         side_in = (i + 1) % 3 + 1  # side (i-1, i)
         c, vec = junction_c(side_in, fans)
         sgn = signs[i]
-        entries.append(WordEntry(c, junction_tag(side_in), smul(sgn, vec)))
+        entries.append(WordEntry(c, ("junction", side_in), smul(sgn, vec)))
         fan = fans[i]
         for j in range(1, fan.k + 1):
             entries.append(
-                WordEntry(fan.strengths[j - 1], corner_tag(i, j),
+                WordEntry(fan.strengths[j - 1], ("corner", i, j),
                           smul(sgn, fan.vectors[j]))
             )
     word = CyclicWord(tuple(entries))

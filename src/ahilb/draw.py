@@ -30,6 +30,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _segment(a: Vec3, b: Vec3, n: int, style: str) -> str:
+    xa, ya = _project(a, n)
+    xb, yb = _project(b, n)
+    return (f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
+            f'y2="{_fmt(yb)}" {style}/>')
+
+
 def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
                ratios: bool = False) -> str:
     n = ctx.n
@@ -47,21 +54,11 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
     dotted = sorted(
         tuple(sorted(e)) for e in fan.edges if tuple(sorted(e)) not in solid
     )
-    for a, b in dotted:
-        xa, ya = _project(a, n)
-        xb, yb = _project(b, n)
-        out.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
-            f'y2="{_fmt(yb)}" stroke="#888888" stroke-width="1" '
-            f'stroke-dasharray="4 3"/>'
-        )
-    for a, b in sorted(solid):
-        xa, ya = _project(a, n)
-        xb, yb = _project(b, n)
-        out.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
-            f'y2="{_fmt(yb)}" stroke="black" stroke-width="2"/>'
-        )
+    out += [_segment(a, b, n, 'stroke="#888888" stroke-width="1" '
+                              'stroke-dasharray="4 3"')
+            for a, b in dotted]
+    out += [_segment(a, b, n, 'stroke="black" stroke-width="2"')
+            for a, b in sorted(solid)]
 
     # Strength labels on the interior lines, placed a third of the way out.
     for tag in sorted(t for t in part.lines if t[0] == "corner"):

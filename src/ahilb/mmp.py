@@ -19,7 +19,6 @@ from .lattice import (
     Vec3,
     pair_index,
     sign_fixed,
-    smul,
     vadd,
     vneg,
 )
@@ -29,11 +28,10 @@ Strategy = str | tuple[str, int] | list[int]
 
 @dataclass(frozen=True)
 class RegularTriple:
-    """Three translation vectors, any two a lattice basis, with a recorded
-    sign relation sum(signs[t] * vectors[t]) = 0."""
+    """Three translation vectors, any two a lattice basis, with the sign
+    relation vectors[0] - vectors[1] + vectors[2] = 0."""
 
     vectors: tuple[Vec3, Vec3, Vec3]
-    signs: tuple[int, int, int]
     tags: tuple[Tag, Tag, Tag]
     type_tag: str  # "side" | "champion"
 
@@ -62,7 +60,6 @@ def _relation(left: WordEntry, mid: WordEntry, right: WordEntry,
     tags = (left.tag, mid.tag, right.tag)
     return RegularTriple(
         vectors=(lv, mid.vector, rv),
-        signs=(1, -1, 1),
         tags=tags,
         type_tag=classify_triple(tags),
     )
@@ -234,11 +231,7 @@ def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
 def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
     """Pairwise-basis and sign-relation checks."""
     v = triple.vectors
-    s = triple.signs
-    total = (0, 0, 0)
-    for t in range(3):
-        total = vadd(total, smul(s[t], v[t]))
-    if total != (0, 0, 0):
+    if vadd(v[0], v[2]) != v[1]:
         raise InvariantError("triple sign relation does not vanish")
     for a in range(3):
         for b in range(a + 1, 3):

@@ -22,7 +22,6 @@ from .corners import (
     Tag,
     junction_c,
     long_side as find_long_side,
-    side_corners,
 )
 from .errors import InvariantError
 from .lattice import (
@@ -73,11 +72,9 @@ def rays(ctx: LatticeContext, fans: dict[int, CornerFan]) -> dict[Tag, Line]:
             lines[tag] = Line(tag, ctx.corner(i), fan.vectors[j],
                               fan.strengths[j - 1])
     for s in (1, 2, 3):
-        i, ip1 = side_corners(s)
         c, _ = junction_c(s, fans)
         tag = ("junction", s)
-        d = primitive_vector(ctx, vsub(ctx.corner(ip1), ctx.corner(i)))
-        lines[tag] = Line(tag, ctx.corner(i), d, c)
+        lines[tag] = Line(tag, ctx.corner(s), fans[s].vectors[-1], c)
     return lines
 
 
@@ -247,15 +244,6 @@ class Partition:
     lines: dict[Tag, Line]
 
     @cached_property
-    def sides_by_line(self) -> dict[Tag, list[tuple[Vec3, Vec3]]]:
-        """The endpoints of every triangle side, by the tag of its line."""
-        out: dict[Tag, list[tuple[Vec3, Vec3]]] = {}
-        for tri in self.triangles:
-            for t, tag in enumerate(tri.side_lines):
-                out.setdefault(tag, []).append(tri.side_of(t))
-        return out
-
-    @cached_property
     def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
         """Every (la, lb, x) where interior lines from two different
         corners meet at x strictly inside the simplex, within both lines'
@@ -313,8 +301,8 @@ def _check_tiling(ctx: LatticeContext,
 def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
                     word: CyclicWord) -> Partition:
     """Enumerate the partition, cross-check it against the contraction game,
-    validate coverage, and fill catchment areas and champions.  word is the
-    cyclic word of the corner fans."""
+    validate coverage, and fill champions, catchment areas and defeat
+    points.  word is the cyclic word of the corner fans."""
     lines = rays(ctx, fans)
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
@@ -354,7 +342,7 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     _check_tiling(ctx, enumerated)
 
     # Champions.
-    long_side = find_long_side(fans)
+    long_side = find_long_side(word)
     champs = [t for t in triples.values() if t.type_tag == "champion"]
     if long_side is not None:
         if champs:
@@ -405,17 +393,26 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         raise InvariantError("triangles outside every catchment: "
                              f"{set(enumerated[t].key() for t in rest)}")
 
-    part = Partition(
+    # Each interior line's extent ends at its defeat point.
+    sides: dict[Tag, list[tuple[Vec3, Vec3]]] = {}
+    for tri in enumerated:
+        for t, tag in enumerate(tri.side_lines):
+            sides.setdefault(tag, []).append(tri.side_of(t))
+    for tag, line in lines.items():
+        if tag[0] == "corner":
+            lines[tag] = replace(
+                line, defeat_point=line_extent(line, sides.get(tag, [])))
+    return Partition(
         triangles=tuple(enumerated),
         champions=champions,
         catchment=catchment,
         lines=lines,
     )
-    return _fill_defeat_points(part)
 
 
-def line_extent(part: Partition, tag: Tag) -> Vec3:
-    """Far end of the extent of the line tagged tag, from its corner.
+def line_extent(line: Line, sides: list[tuple[Vec3, Vec3]]) -> Vec3:
+    """Far end of the extent of line from its corner, given the endpoints
+    of the triangle sides that lie on it.
 
     The union of triangle sides on the line must be one contiguous segment
     starting at the corner.  A line out of e_i loses some of its i-th
@@ -423,10 +420,9 @@ def line_extent(part: Partition, tag: Tag) -> Vec3:
     interior line hosts a side: the tiling triangle in the sector at e_i
     between the line and a neighboring ray has its sides on both rays.
     """
-    line = part.lines[tag]
+    tag = line.tag
     own = tag[1] - 1
-    segs = {tuple(sorted(side, key=lambda p: -p[own]))
-            for side in part.sides_by_line.get(tag, ())}
+    segs = {tuple(sorted(side, key=lambda p: -p[own])) for side in sides}
     if not segs:
         raise InvariantError(f"line {tag} hosts no triangle side")
     merged = sorted(segs, key=lambda seg: -seg[0][own])
@@ -439,14 +435,6 @@ def line_extent(part: Partition, tag: Tag) -> Vec3:
         if end[own] < far[own]:
             far = end
     return far
-
-
-def _fill_defeat_points(part: Partition) -> Partition:
-    lines = dict(part.lines)
-    for tag, line in lines.items():
-        if tag[0] == "corner":
-            lines[tag] = replace(line, defeat_point=line_extent(part, tag))
-    return replace(part, lines=lines)
 
 
 def knockout_report(part: Partition) -> list[str]:

@@ -84,7 +84,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("corners: at most one long side")
     def _long():
-        long_side(res.fans)
+        long_side(res.word)
 
     @check("mmp: triple set is independent of contraction order")
     def _orders():

@@ -67,6 +67,34 @@ def test_verify_command_single_group(capsys):
     assert "FAIL" not in out
 
 
+def long_side_lines(out):
+    return [line for line in out.splitlines() if line.startswith("long side")]
+
+
+def test_verify_prints_the_long_side_once(capsys):
+    assert main(["verify", "1/11(1,2,8)"]) == 0
+    assert long_side_lines(capsys.readouterr().out) == []
+    assert main(["verify", "1/15(1,2,12)"]) == 0
+    assert long_side_lines(capsys.readouterr().out) == [
+        "long side e1e2 c=2; its catchment is empty"]
+
+
+def test_verify_prints_no_long_side_after_a_failure(monkeypatch, capsys):
+    # The partition is where the long side is read; when it fails, verify
+    # reports the failure and says nothing about the long side.
+    enumerate_triangles = ahilb.partition.enumerate_triangles
+    monkeypatch.setattr(ahilb.partition, "enumerate_triangles",
+                        lambda *args: enumerate_triangles(*args)[:-1])
+    assert main(["verify", "1/15(1,2,12)"]) == 2
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines()
+              if line.startswith("partition: ")]
+    assert len(failed) == 3
+    assert all(": FAIL (partition mismatch: " in line for line in failed)
+    assert long_side_lines(captured.out) == []
+    assert captured.err == ""
+
+
 def test_verify_command_random(capsys):
     assert main(["verify", "--random", "5", "--max-order", "20",
                  "--seed", "3"]) == 0

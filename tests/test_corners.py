@@ -1,14 +1,30 @@
+from functools import cmp_to_key
+
 import pytest
+from test_cli import SWEEP
 
 from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
+    CyclicWord,
+    WordEntry,
     cyclic_matrix_product,
     hj_expand,
     junction_c,
+    long_side,
     newton_polygon,
 )
 from ahilb.errors import InvariantError
-from ahilb.lattice import smul, vadd
+from ahilb.lattice import (
+    chart,
+    cross2,
+    junior_points,
+    multiple,
+    primitive_vector,
+    segment_points,
+    smul,
+    vadd,
+    vsub,
+)
 from ahilb.resolution import Resolution
 
 
@@ -195,3 +211,64 @@ def test_coprime_groups_have_no_long_side():
         ctx = ctx_of(text)
         fans = Resolution(ctx).fans
         assert all(junction_c(s, fans)[0] == 1 for s in (1, 2, 3))
+
+
+def test_long_side_is_the_junction_entry_of_value_two():
+    assert long_side(Resolution(ctx_of("1/15(1,2,12)")).word) == (1, 2)
+    assert long_side(Resolution(ctx_of("1/11(1,2,8)")).word) is None
+
+
+def test_long_side_rejects_two_long_sides():
+    word = CyclicWord(tuple(
+        WordEntry(value, tag, (0, 0, 0)) for value, tag in (
+            (2, ("junction", 3)), (1, ("corner", 1, 1)),
+            (2, ("junction", 1)), (1, ("junction", 2)))))
+    with pytest.raises(InvariantError, match="more than one long side"):
+        long_side(word)
+
+
+def subdivided_hull_chain(ctx, corner):
+    """The corner chain by a Graham scan that pops collinear points too,
+    followed by subdividing every hull edge at its lattice points; returns
+    the vectors and the strengths."""
+    apex = ctx.corner(corner)
+    d0 = primitive_vector(ctx, vsub(ctx.corner((corner - 2) % 3 + 1), apex))
+    d1 = primitive_vector(ctx, vsub(ctx.corner(corner % 3 + 1), apex))
+    det = cross2(chart(d0), chart(d1))
+    nearest = {}
+    for jp in junior_points(ctx):
+        v = vsub(jp.coords, apex)
+        s, t = cross2(chart(v), chart(d1)), cross2(chart(d0), chart(v))
+        if det < 0:
+            s, t = -s, -t
+        if v == (0, 0, 0) or min(s, t) < 0 or s + t > abs(det):
+            continue
+        key = primitive_vector(ctx, v)
+        if key not in nearest or multiple(nearest[key], key) > multiple(v, key):
+            nearest[key] = v
+    vecs = sorted(nearest.values(), key=cmp_to_key(
+        lambda u, w: cross2(chart(u), chart(w))))
+    hull = []
+    for v in vecs:
+        while len(hull) >= 2 and cross2(
+            chart(vsub(hull[-1], hull[-2])), chart(vsub(v, hull[-1]))
+        ) <= 0:
+            hull.pop()
+        hull.append(v)
+    chain = [hull[0]]
+    for a, b in zip(hull, hull[1:]):
+        chain += segment_points(ctx, a, b)[1:]
+    strengths = tuple(multiple(vadd(chain[j - 1], chain[j + 1]), chain[j])
+                      for j in range(1, len(chain) - 1))
+    return tuple(chain), strengths
+
+
+def test_newton_polygon_matches_the_subdivided_hull():
+    # Keeping collinear points in the scan gives the chain that the
+    # strict scan plus edge subdivision gives.
+    for spec in SWEEP:
+        ctx = ctx_of(spec)
+        for i in (1, 2, 3):
+            fan = newton_polygon(ctx, i)
+            assert (fan.vectors, fan.strengths) == subdivided_hull_chain(
+                ctx, i), (spec, i)

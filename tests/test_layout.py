@@ -1,7 +1,7 @@
 """Module layout: an ahilb module uses only the public names of another,
-imports only at module level, reads every name it imports and every
-parameter it declares, and every span the benchmark traces names a
-module-level function.
+imports only at module level, reads every name it imports, every
+parameter it declares and every local it stores, and every span the
+benchmark traces names a module-level function.
 
 Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
@@ -73,25 +73,36 @@ def test_no_function_level_imports():
     assert found == []
 
 
-def _unused_parameters(path: Path) -> list[str]:
-    """Parameters of path's module-level functions and methods that their
-    bodies never read."""
+def _functions(path: Path) -> list[tuple[str, ast.FunctionDef]]:
+    """path's module-level functions and methods, each with its qualified
+    name."""
     funcs = []
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ClassDef):
-            funcs += [(f"{node.name}.", f) for f in node.body
+            funcs += [(f"{path.stem}.{node.name}.{f.name}", f)
+                      for f in node.body
                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            funcs.append(("", node))
+            funcs.append((f"{path.stem}.{node.name}", node))
+    return funcs
+
+
+def _names(fn: ast.FunctionDef, ctx: type) -> set[str]:
+    """Bare names that fn's body, nested scopes included, uses in ctx."""
+    return {n.id for stmt in fn.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """Parameters of path's module-level functions and methods that their
+    bodies never read."""
     out = []
-    for prefix, fn in funcs:
+    for name, fn in _functions(path):
         args = fn.args
         params = args.posonlyargs + args.args + args.kwonlyargs
         params += [a for a in (args.vararg, args.kwarg) if a is not None]
-        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        out += [f"{path.stem}.{prefix}{fn.name}({p.arg})"
-                for p in params if p.arg not in read]
+        read = _names(fn, ast.Load)
+        out += [f"{name}({p.arg})" for p in params if p.arg not in read]
     return out
 
 
@@ -99,6 +110,23 @@ def test_no_unused_parameters():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _unused_parameters(path)
+    assert found == []
+
+
+def _unused_locals(path: Path) -> list[str]:
+    """Names other than _ that path's module-level functions and methods
+    store and never read."""
+    out = []
+    for name, fn in _functions(path):
+        unread = _names(fn, ast.Store) - _names(fn, ast.Load) - {"_"}
+        out += [f"{name}: {local}" for local in sorted(unread)]
+    return out
+
+
+def test_no_unused_locals():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _unused_locals(path)
     assert found == []
 
 

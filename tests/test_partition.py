@@ -15,6 +15,7 @@ from ahilb.partition import (
     ConcurrencyPoint,
     enumerate_triangles,
     knockout_report,
+    line_extent,
     meet,
     rays,
     realize_triple,
@@ -271,6 +272,24 @@ def test_long_side_subdivided_by_rival_line():
     end = part.lines[("corner", 3, 1)].defeat_point
     assert end == (5, 10, 0)
     assert end[2] == 0  # on side e1 e2
+
+
+def test_line_extent_needs_one_segment_from_the_corner():
+    part = Resolution(ctx_of("1/11(1,2,8)")).partition
+    line = part.lines[("corner", 3, 1)]
+    sides = [tri.side_of(t) for tri in part.triangles
+             for t, tag in enumerate(tri.side_lines) if tag == line.tag]
+    assert line_extent(line, sides) == line.defeat_point == (3, 6, 2)
+    # The sides on the line run from the corner (0, 0, 11) to (1, 2, 8), and
+    # on from there to (2, 4, 5) and (3, 6, 2).
+    first = {(0, 0, 11), (1, 2, 8)}
+    with pytest.raises(InvariantError, match="hosts no triangle side"):
+        line_extent(line, [])
+    with pytest.raises(InvariantError, match="does not start at its corner"):
+        line_extent(line, [side for side in sides if set(side) != first])
+    with pytest.raises(InvariantError, match="extent has a gap"):
+        line_extent(line, [side for side in sides
+                           if set(side) == first or (1, 2, 8) not in side])
 
 
 # Game triples whose host lines are no enumerated triangle's side lines:
