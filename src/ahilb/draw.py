@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import sqrt
 
 from .fan import Fan, on_simplex_boundary
-from .lattice import LatticeContext, Vec3, cross3, segment_points, sign_fixed
+from .lattice import LatticeContext, Vec3, cross3, sign_fixed
 from .monomials import primitive_in_monomial_lattice, ratio_str
 from .partition import Partition
 
@@ -50,10 +50,8 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
     ]
 
-    solid = _partition_edges(ctx, part)
-    dotted = sorted(
-        tuple(sorted(e)) for e in fan.edges if tuple(sorted(e)) not in solid
-    )
+    solid = _partition_edges(fan)
+    dotted = sorted(e for e in fan.edges if e not in solid)
     out += [_segment(a, b, n, 'stroke="#888888" stroke-width="1" '
                               'stroke-dasharray="4 3"')
             for a, b in dotted]
@@ -74,9 +72,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
 
     if ratios:
         inner_edges = sorted(
-            tuple(sorted(e)) for e in fan.edges
-            if not on_simplex_boundary(*e)
-        )
+            e for e in fan.edges if not on_simplex_boundary(*e))
         for a, b in inner_edges:
             label = ratio_str(_edge_ratio(ctx, a, b))
             xa, ya = _project(a, n)
@@ -100,12 +96,15 @@ def _edge_ratio(ctx: LatticeContext, a: Vec3, b: Vec3) -> Vec3:
     return sign_fixed(primitive_in_monomial_lattice(ctx, cross3(a, b)))
 
 
-def _partition_edges(ctx: LatticeContext, part: Partition) -> set:
+def _partition_edges(fan: Fan) -> set[tuple[Vec3, Vec3]]:
     """Unit edges lying on partition triangle sides (and hence drawn
-    solid); the tesselation subdivides every side at its lattice points."""
-    edges = set()
-    for tri in part.triangles:
-        for t in range(3):
-            pts = segment_points(ctx, *tri.side_of(t))
-            edges.update(tuple(sorted(e)) for e in zip(pts, pts[1:]))
-    return edges
+    solid): the side opposite vertex t of every up cell with steps[t] = 0.
+    The other two vertices of an up cell have parent-barycentric
+    coordinate t equal to steps[t], and the parent's side t is where that
+    coordinate is 0; every side of a down cell lies where a coordinate is
+    at least 1."""
+    return {
+        tuple(sorted(c.vertices[u] for u in range(3) if u != t))
+        for c in fan.cones if c.kind == "up"
+        for t in range(3) if c.steps[t] == 0
+    }

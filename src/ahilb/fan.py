@@ -45,14 +45,14 @@ class BasicTriangle:
         return tuple(sorted(self.vertices))
 
 
-def tesselate(ctx: LatticeContext, tri: RegularTriangle,
-              parent_index: int) -> list[BasicTriangle]:
+def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
     """The r^2 unimodular cells of a side-r regular triangle, the one at
-    parent_index in the partition."""
+    parent_index in the partition: C(r+1, 2) up cells, then C(r, 2) down
+    cells.  Each side is exactly r times its primitive direction, so the
+    grid steps (w2 - w1)/r and (w3 - w1)/r are side_directions[2], [1]."""
     r = tri.r
-    w1, w2, w3 = tri.vertices
-    u = _grid_step(ctx, w1, w2, r)
-    w = _grid_step(ctx, w1, w3, r)
+    w1 = tri.vertices[0]
+    u, w = tri.side_directions[2], tri.side_directions[1]
 
     def grid(alpha: int, beta: int, gamma: int) -> Vec3:
         # Barycentric steps (alpha, beta, gamma), alpha+beta+gamma = r.
@@ -66,30 +66,14 @@ def tesselate(ctx: LatticeContext, tri: RegularTriangle,
                 parent_index, "up", (i, j, k),
                 (grid(i + 1, j, k), grid(i, j + 1, k), grid(i, j, k + 1)),
             ))
-    for i in range(1, r + 1):
+    for i in range(1, r):
         for j in range(1, r + 1 - i):
             k = r + 1 - i - j
-            if k < 1:
-                continue
             cells.append(BasicTriangle(
                 parent_index, "down", (i, j, k),
                 (grid(i - 1, j, k), grid(i, j - 1, k), grid(i, j, k - 1)),
             ))
-    ups = sum(1 for c in cells if c.kind == "up")
-    downs = len(cells) - ups
-    if ups != comb(r + 1, 2) or downs != comb(r, 2):
-        raise InvariantError("tesselation cell counts are off")
     return cells
-
-
-def _grid_step(ctx: LatticeContext, frm: Vec3, to: Vec3, r: int) -> Vec3:
-    v = vsub(to, frm)
-    if any(c % r for c in v):
-        raise InvariantError("triangle side is not divisible by its length")
-    step = (v[0] // r, v[1] // r, v[2] // r)
-    if not ctx.is_translation(step):
-        raise InvariantError("tesselation step leaves the lattice")
-    return step
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ class Fan:
 
     rays: tuple[Vec3, ...]  # all cone generators, scaled by n
     cones: tuple[BasicTriangle, ...]
-    edges: frozenset[frozenset]  # two-element frozensets of ray points
+    edges: frozenset[tuple[Vec3, Vec3]]  # sorted pairs of ray points
     interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
 
     @cached_property
@@ -106,13 +90,12 @@ class Fan:
         return {c.key(): c for c in self.cones}
 
 
-def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
-    """Merge the tesselations of all partition triangles."""
-    cones: list[BasicTriangle] = []
-    for t, tri in enumerate(part.triangles):
-        cones.extend(tesselate(ctx, tri, t))
-    if len(cones) != ctx.order:
-        raise InvariantError("cone count differs from the group order")
+def build_fan(part: Partition) -> Fan:
+    """Merge the tesselations of all partition triangles: r^2 cells each,
+    so as many cones as the group order (build_partition checked that the
+    r^2 sum to it)."""
+    cones = [c for t, tri in enumerate(part.triangles)
+             for c in tesselate(tri, t)]
     verts = sorted({v for c in cones for v in c.vertices})
     # Vertex t of a cell sits at steps + e_t (up) or steps - e_t (down).
     interior = set()
@@ -121,20 +104,18 @@ def build_fan(ctx: LatticeContext, part: Partition) -> Fan:
         for t, v in enumerate(c.vertices):
             if all(s + sign * (u == t) > 0 for u, s in enumerate(c.steps)):
                 interior.add(v)
-    edges: dict[frozenset, int] = {}
+    edges: dict[tuple[Vec3, Vec3], int] = {}
     for c in cones:
-        for a, b in combinations(c.vertices, 2):
-            edges[frozenset((a, b))] = edges.get(frozenset((a, b)), 0) + 1
+        for e in combinations(sorted(c.vertices), 2):
+            edges[e] = edges.get(e, 0) + 1
     for e, mult in edges.items():
         if mult > 2:
             raise InvariantError("an edge borders more than two cones")
-        if mult == 1:
-            a, b = tuple(e)
-            if not on_simplex_boundary(a, b):
-                raise InvariantError(
-                    f"interior edge {tuple(e)} borders only one cone: "
-                    "tesselations do not match across triangles"
-                )
+        if mult == 1 and not on_simplex_boundary(*e):
+            raise InvariantError(
+                f"interior edge {e} borders only one cone: "
+                "tesselations do not match across triangles"
+            )
     return Fan(tuple(verts), tuple(cones), frozenset(edges),
                frozenset(interior))
 
@@ -160,15 +141,11 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
     for c in fan.cones:
         # Unimodular in the overlattice: pairing with the monomial basis
         # has determinant +-1.
-        m = [
-            [dot(row, p) // n for row in ctx.monomial_basis]
-            for p in c.vertices
-        ]
-        for p, col in zip(c.vertices, m):
-            for row, val in zip(ctx.monomial_basis, col):
-                if dot(row, p) != val * n:
-                    out.append(f"cone vertex {p} pairs fractionally")
-        det = det3(m)
+        pairs = [[divmod(dot(row, p), n) for row in ctx.monomial_basis]
+                 for p in c.vertices]
+        out += [f"cone vertex {p} pairs fractionally"
+                for p, col in zip(c.vertices, pairs) for _, rem in col if rem]
+        det = det3([[q for q, _ in col] for col in pairs])
         if det not in (1, -1):
             out.append(f"cone {c.vertices} is not unimodular (det {det})")
     # Unit areas exhausting the simplex.
@@ -204,8 +181,7 @@ class SurfaceClass:
 def vertex_stars(fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
     """Cyclically ordered neighbor lists of the interior vertices."""
     nbrs: dict[Vec3, set[Vec3]] = {}
-    for e in fan.edges:
-        a, b = tuple(e)
+    for a, b in fan.edges:
         nbrs.setdefault(a, set()).add(b)
         nbrs.setdefault(b, set()).add(a)
     out = {}

@@ -38,7 +38,7 @@ class Resolution:
 
     @cached_property
     def fan(self) -> Fan:
-        return build_fan(self.ctx, self.partition)
+        return build_fan(self.partition)
 
     @cached_property
     def census(self) -> list[SurfaceClass]:

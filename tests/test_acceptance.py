@@ -125,7 +125,7 @@ def test_acceptance_5_maximal_groups():
             ctx = ctx_of(f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})")
             part = Resolution(ctx).partition
             assert len(part.triangles) == 1 and part.triangles[0].r == r
-            fan = build_fan(ctx, part)
+            fan = build_fan(part)
             assert len(fan.cones) == r * r
             assert verify_fan(ctx, fan) == []
             parent = triangle_ratios(ctx, part.triangles[0])
@@ -188,7 +188,7 @@ def test_acceptance_8_determinism():
                 docs.append(json.dumps(build_document(ctx),
                                        separators=(",", ":")))
                 part = Resolution(ctx).partition
-                fan = build_fan(ctx, part)
+                fan = build_fan(part)
                 svgs.append(render_svg(ctx, part, fan, ratios=True))
             assert docs[0] == docs[1]
             assert svgs[0] == svgs[1]

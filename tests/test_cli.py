@@ -231,7 +231,7 @@ def test_document_deterministic():
 def test_svg_deterministic():
     ctx = lattice_context(parse_group_spec("1/15(1,2,12)"))
     part = Resolution(ctx).partition
-    fan = build_fan(ctx, part)
+    fan = build_fan(part)
     assert render_svg(ctx, part, fan, ratios=True) == render_svg(
         ctx, part, fan, ratios=True
     )

@@ -25,7 +25,7 @@ from test_tiling import cyclic_groups
 def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
     part = Resolution(ctx).partition
-    fan = build_fan(ctx, part)
+    fan = build_fan(part)
     parents = {t: triangle_ratios(ctx, tri) for t, tri in enumerate(part.triangles)}
     return ctx, part, fan, parents
 

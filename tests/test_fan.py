@@ -1,8 +1,16 @@
 from dataclasses import replace
+from functools import cache
 from math import comb
 
+import pytest
+from test_cli import SWEEP
+
+import ahilb.fan
 from ahilb import junior_points, lattice_context, parse_group_spec
+from ahilb.draw import _partition_edges
+from ahilb.errors import InvariantError
 from ahilb.fan import (
+    BasicTriangle,
     build_fan,
     dp6_count,
     surface_census,
@@ -10,19 +18,19 @@ from ahilb.fan import (
     verify_fan,
     vertex_stars,
 )
-from ahilb.lattice import vadd, vsub
+from ahilb.lattice import segment_points, smul, vadd, vsub
 from ahilb.resolution import Resolution
 
 
 def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
     part = Resolution(ctx).partition
-    return ctx, part, build_fan(ctx, part)
+    return ctx, part, build_fan(part)
 
 
 def test_tesselate_counts():
     ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
-    cells = tesselate(ctx, part.triangles[0], 0)
+    cells = tesselate(part.triangles[0], 0)
     assert len(cells) == 4
     assert sum(1 for c in cells if c.kind == "up") == 3
     assert sum(1 for c in cells if c.kind == "down") == 1
@@ -30,14 +38,14 @@ def test_tesselate_counts():
 
 def test_tesselate_side_one():
     ctx, part, _ = pipeline("1/1(0,0,0)")
-    cells = tesselate(ctx, part.triangles[0], 0)
+    cells = tesselate(part.triangles[0], 0)
     assert len(cells) == 1 and cells[0].kind == "up"
 
 
 def test_tesselate_side_five():
     # A synthetic side-5 triangle: the whole simplex of Z/5 + Z/5.
     ctx, part, _ = pipeline("1/5(1,4,0)+1/5(0,1,4)")
-    cells = tesselate(ctx, part.triangles[0], 0)
+    cells = tesselate(part.triangles[0], 0)
     assert len(cells) == 25
     assert sum(1 for c in cells if c.kind == "up") == 15
     assert sum(1 for c in cells if c.kind == "down") == 10
@@ -45,7 +53,7 @@ def test_tesselate_side_five():
 
 def test_tesselate_step_sums():
     ctx, part, _ = pipeline("1/4(1,3,0)+1/4(0,1,3)")
-    for c in tesselate(ctx, part.triangles[0], 0):
+    for c in tesselate(part.triangles[0], 0):
         i, j, k = c.steps
         if c.kind == "up":
             assert i + j + k == 3
@@ -197,3 +205,112 @@ def test_stars_close_up():
         for idx in range(len(star)):
             cell = tuple(sorted((v, star[idx], star[(idx + 1) % len(star)])))
             assert cell in cone_keys
+
+
+def test_build_fan_rejects_a_missing_cell(monkeypatch):
+    ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
+    down = tesselate(part.triangles[0], 0)[-1]
+    assert down.kind == "down"
+    monkeypatch.setattr(ahilb.fan, "tesselate",
+                        lambda tri, t: [c for c in tesselate(tri, t)
+                                        if c != down])
+    with pytest.raises(InvariantError) as exc:
+        build_fan(part)
+    # Each side of the dropped centre cell now borders one up cell.
+    a, b, c = sorted(down.vertices)
+    assert str(exc.value) in {
+        f"interior edge {e} borders only one cone: "
+        "tesselations do not match across triangles"
+        for e in ((a, b), (a, c), (b, c))
+    }
+
+
+def test_build_fan_rejects_a_repeated_cell(monkeypatch):
+    ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
+    monkeypatch.setattr(ahilb.fan, "tesselate",
+                        lambda tri, t: tesselate(tri, t) + tesselate(tri, t)[:1])
+    with pytest.raises(InvariantError,
+                       match="^an edge borders more than two cones$"):
+        build_fan(part)
+
+
+def grid_step(ctx, frm, to, r):
+    """(to - frm)/r, checked divisible and a translation."""
+    v = vsub(to, frm)
+    assert not any(c % r for c in v)
+    step = (v[0] // r, v[1] // r, v[2] // r)
+    assert ctx.is_translation(step)
+    return step
+
+
+def grid_step_tesselation(ctx, tri, parent_index):
+    """The cells of tri on the grid of steps (w2 - w1)/r and (w3 - w1)/r,
+    in tesselate's order."""
+    r = tri.r
+    w1, w2, w3 = tri.vertices
+    u, w = grid_step(ctx, w1, w2, r), grid_step(ctx, w1, w3, r)
+
+    def grid(alpha, beta, gamma):
+        return vadd(vadd(w1, smul(beta, u)), smul(gamma, w))
+
+    cells = []
+    for i in range(r):
+        for j in range(r - i):
+            k = r - 1 - i - j
+            cells.append(BasicTriangle(
+                parent_index, "up", (i, j, k),
+                (grid(i + 1, j, k), grid(i, j + 1, k), grid(i, j, k + 1))))
+    for i in range(1, r + 1):
+        for j in range(1, r + 1 - i):
+            k = r + 1 - i - j
+            cells.append(BasicTriangle(
+                parent_index, "down", (i, j, k),
+                (grid(i - 1, j, k), grid(i, j - 1, k), grid(i, j, k - 1))))
+    return cells
+
+
+def segment_walk_edges(ctx, part):
+    """Unit edges on partition triangle sides, by walking every side's
+    lattice points."""
+    edges = set()
+    for tri in part.triangles:
+        for t in range(3):
+            pts = segment_points(ctx, *tri.side_of(t))
+            edges.update(tuple(sorted(e)) for e in zip(pts, pts[1:]))
+    return edges
+
+
+@cache
+def sweep_resolutions():
+    return [Resolution(lattice_context(parse_group_spec(spec)))
+            for spec in SWEEP]
+
+
+def test_tesselate_matches_the_grid_step_cells():
+    # The side directions are the steps that dividing the sides by r gives.
+    for res in sweep_resolutions():
+        for t, tri in enumerate(res.partition.triangles):
+            assert tesselate(tri, t) == grid_step_tesselation(
+                res.ctx, tri, t), (res.ctx.spec.canonical_text, t)
+
+
+def test_solid_edges_match_the_segment_walk():
+    for res in sweep_resolutions():
+        assert _partition_edges(res.fan) == segment_walk_edges(
+            res.ctx, res.partition), res.ctx.spec.canonical_text
+
+
+def test_verify_fan_detects_a_ray_off_the_lattice():
+    ctx, part, fan = pipeline("1/11(1,2,8)")
+    v = next(p for p in fan.rays if 0 not in p)
+    moved = vadd(v, (1, -1, 0))  # on the junior plane, not in the lattice
+    assert sum(moved) == ctx.n and not ctx.is_lattice_point(moved)
+    bad_fan = replace(
+        fan,
+        rays=tuple(moved if p == v else p for p in fan.rays),
+        cones=tuple(replace(c, vertices=tuple(
+            moved if p == v else p for p in c.vertices)) for c in fan.cones),
+    )
+    msgs = verify_fan(ctx, bad_fan)
+    assert f"ray {moved} is not a lattice point" in msgs
+    assert f"cone vertex {moved} pairs fractionally" in msgs

@@ -9,7 +9,11 @@ or it is listed in `ahilb.__all__`, or it is named in backticks in
 README.md. A method that overrides a base class method counts as read.
 Every dataclass field has a reader in the same sense: its name is read
 somewhere in the package, listed, or named. Code and data that only
-tests reach do not belong in the package."""
+tests reach do not belong in the package.
+
+Every call `name(a, b, ...)` that README.md writes in backticks, where
+name is a package function, class or method, passes as many arguments
+as that callable accepts."""
 
 import ast
 import importlib
@@ -182,11 +186,16 @@ def _references(node: ast.AST) -> Counter:
         and isinstance(n.ctx, ast.Load))
 
 
-def _readme_names() -> set[str]:
-    """Identifiers inside inline backtick spans of README.md."""
+def _readme_spans() -> list[str]:
+    """Inline backtick spans of README.md, fenced blocks left out."""
     text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
                   flags=re.S)
-    return {name for span in re.findall(r"`([^`]+)`", text)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def _readme_names() -> set[str]:
+    """Identifiers inside inline backtick spans of README.md."""
+    return {name for span in _readme_spans()
             for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
@@ -254,3 +263,53 @@ def _unread_fields() -> list[str]:
 def test_every_function_has_a_reader():
     assert _unread_functions() == []
     assert _unread_fields() == []
+
+
+def _arities() -> dict[str, list[tuple[int, float]]]:
+    """(required, total) positional argument counts of every package
+    function, class and method, by bare name; self is not counted."""
+    out: dict[str, list[tuple[int, float]]] = {}
+
+    def add(name, fn, bound):
+        params = list(inspect.signature(fn).parameters.values())[bound:]
+        positional = [p for p in params if p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        total = (float("inf") if any(p.kind == p.VAR_POSITIONAL
+                                     for p in params) else len(positional))
+        required = sum(1 for p in positional if p.default is p.empty)
+        out.setdefault(name, []).append((required, total))
+
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        mod = importlib.import_module(f"ahilb.{path.stem}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                add(name, obj, 0)
+            elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                add(name, obj, 0)
+                for meth, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and not meth.startswith("__"):
+                        add(meth, fn, 1)
+    return out
+
+
+def _readme_calls() -> list[tuple[str, int]]:
+    """Each `name(a, b, ...)` call in a README backtick span, with the
+    bare name and its argument count."""
+    calls = []
+    for span in _readme_spans():
+        for name, args in re.findall(r"([A-Za-z_][\w.]*)\(([^()]*)\)", span):
+            calls.append((name.split(".")[-1],
+                          len([a for a in args.split(",") if a.strip()])))
+    return calls
+
+
+def test_readme_calls_match_signatures():
+    arities = _arities()
+    calls = [(name, count) for name, count in _readme_calls()
+             if name in arities]
+    assert len(calls) >= 21
+    wrong = [f"{name}: {count} arguments" for name, count in calls
+             if not any(lo <= count <= hi for lo, hi in arities[name])]
+    assert wrong == []

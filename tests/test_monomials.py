@@ -155,7 +155,7 @@ def test_dual_basis_zrzr_up_and_down():
         ctx, part = pipeline(f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})")
         tri = part.triangles[0]
         tr = triangle_ratios(ctx, tri)
-        fan = build_fan(ctx, part)
+        fan = build_fan(part)
         for cell in fan.cones:
             db = dual_basis(ctx, tr, cell)
             mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
@@ -181,7 +181,7 @@ def test_dual_basis_corner_triangle_formula():
         if t.r == 1 and any(v == ctx.corner(3) for v in t.vertices)
     )
     tr = triangle_ratios(ctx, tri)
-    fan = build_fan(ctx, part)
+    fan = build_fan(part)
     cell = next(
         c for c in fan.cones
         if c.parent == part.triangles.index(tri) and c.kind == "up"
@@ -199,7 +199,7 @@ def test_dual_basis_corner_triangle_formula():
 def test_dual_basis_pairing_and_product_everywhere():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)"):
         ctx, part = pipeline(text)
-        fan = build_fan(ctx, part)
+        fan = build_fan(part)
         parents = {
             t: triangle_ratios(ctx, tri)
             for t, tri in enumerate(part.triangles)
