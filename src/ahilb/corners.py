@@ -1,10 +1,15 @@
-"""Corner Newton polygons, junction constants and the cyclic word.
+"""Corner chains, junction constants and the cyclic word.
 
-At each simplex vertex the boundary of the convex hull of the remaining
-lattice points (the Klein polygon of the corner cone) yields a chain of
-primitive vectors whose three-term recursion constants are the strengths.
-The three corner chains concatenate, with one junction constant per side,
-into a single cyclic word that drives the contraction game.
+Each simplex vertex is the apex of a 2-D cone, a cyclic quotient
+1/k(1,q) in its own lattice.  The boundary of the convex hull of the cone's
+nonzero lattice points (its Klein polygon) is a chain of primitive vectors
+whose three-term recursion constants are the strengths: the
+Hirzebruch-Jung continued fraction of k/q.  ``corner_chain`` builds the
+chain by that recursion, without looking at any other lattice point;
+``newton_polygon`` takes the hull of the junior points, and the invariant
+suite checks that the two agree.  The three corner chains concatenate,
+with one junction constant per side, into a single cyclic word that drives
+the contraction game.
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ from math import gcd
 
 from .errors import InvariantError
 from .lattice import (
+    JuniorPoint,
     LatticeContext,
     Vec3,
     chart,
     cross2,
-    junior_points,
+    dot,
     multiple,
+    pair_index,
     primitive_vector,
     smul,
     vadd,
@@ -51,8 +58,91 @@ class CornerFan:
         return len(self.strengths)
 
 
-def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
-    """Klein polygon chain at vertex e_corner, with strengths.
+def _side_rays(ctx: LatticeContext, corner: int) -> tuple[Vec3, Vec3]:
+    """The primitive steps from vertex e_corner along its two sides:
+    toward e_{corner-1}, then toward e_{corner+1}."""
+    apex = ctx.corner(corner)
+    prev_c = ctx.corner((corner - 2) % 3 + 1)
+    next_c = ctx.corner(corner % 3 + 1)
+    return (primitive_vector(ctx, vsub(prev_c, apex)),
+            primitive_vector(ctx, vsub(next_c, apex)))
+
+
+def _bezout(values) -> tuple[int, ...]:
+    """Integers l_t with sum(l_t * values[t]) = gcd(values) >= 0."""
+    g, coefs = 0, []
+    for x in values:
+        # Extended Euclid on (g, x); s*g0 + t*x0 = g throughout.
+        s0, s1, t0, t1, a, b = 1, 0, 0, 1, g, x
+        while b:
+            q = a // b
+            a, b = b, a - q * b
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if a < 0:
+            a, s0, t0 = -a, -s0, -t0
+        g, coefs = a, [s0 * c for c in coefs] + [t0]
+    return tuple(coefs)
+
+
+def corner_chain(ctx: LatticeContext, corner: int) -> CornerFan:
+    """The Klein polygon chain at vertex e_corner, by the continued-fraction
+    recursion, in time linear in its length.
+
+    Let d0, d1 be the side rays and k = [T : <d0, d1>].  Write det for
+    cross2 of the charts, scaled and signed so that det(d0, d1) = k (the
+    code uses plain cross2: the ratios below do not see the scale or the
+    sign), and let r(v) = det(d0, v), s(v) = det(v, d1); the cone is
+    r, s >= 0.  T/<d0, d1> is cyclic of order k and, d0 and d1 being
+    primitive, generated by v1 = (d1 + c*d0)/k for one c with 0 <= c < k,
+    0 only when k = 1 and v1 = d1.  v1 lies in n*L exactly when
+    d1.m + c*(d0.m) = 0 mod k*n for every row m of the monomial basis
+    (n*L is the dual of M, and M holds the n*e_i); the d0.m/n have gcd 1
+    since d0 is primitive (see ``primitive_vector``), so a Bezout
+    combination of the rows solves for c.  From there
+    v_{j+1} = a_j*v_j - v_{j-1} with a_j = ceil(s(v_{j-1}) / s(v_j)),
+    until s reaches 0.  The a_j are the strengths.
+
+    Exactness, the Klein polygon of the cone.  r(v1) = 1 and s(v1) = c,
+    so the chain is (d0, d1) when k = 1.
+    The lattice points w with det(v_j, w) = 1 are -v_{j-1} + t*v_j, one
+    line parallel to v_j; the ceiling picks the one nearest the d1 ray
+    that stays in the cone, 0 <= s(v_{j+1}) < s(v_j).  So s falls
+    strictly, every a_j >= 2 since s(v_{j-1}) > s(v_j), and r rises
+    strictly: r(v_{j+1}) - r(v_j) = (a_j - 1)*r(v_j) - r(v_{j-1}) >=
+    r(v_j) - r(v_{j-1}) >= 1.  The walk ends at the primitive vector on
+    the d1 ray, d1.  Each segment v_j v_{j+1} lies on the boundary of the
+    polygon: the sum phi of the coordinates in the basis (v_j, v_{j+1})
+    is integral on T and 1 at both ends, and phi(d1) = s(v_j) - s(v_{j+1})
+    and phi(d0) = r(v_{j+1}) - r(v_j) are at least 1, so phi >= 1 on every
+    nonzero lattice point of the cone.  A basis segment holds no other
+    lattice point, so the chain is every lattice point of the boundary
+    from d0 to d1, as ``newton_polygon`` finds it.
+    """
+    d0, d1 = _side_rays(ctx, corner)
+    k = pair_index(ctx, d0, d1)
+    n = ctx.n
+    rows = ctx.monomial_basis
+    lam = _bezout([dot(d0, m) // n for m in rows])
+    c = -sum(t * (dot(d1, m) // n) for t, m in zip(lam, rows)) % k
+    prev, cur = d0, tuple((y + c * x) // k for x, y in zip(d0, d1))
+    chain, strengths = [d0], []
+    cd1 = chart(d1)
+    s_prev, s = cross2(chart(prev), cd1), cross2(chart(cur), cd1)
+    while s:
+        chain.append(cur)
+        a = -(-s_prev // s)
+        strengths.append(a)
+        prev, cur = cur, vsub(smul(a, cur), prev)
+        s_prev, s = s, cross2(chart(cur), cd1)
+    chain.append(cur)
+    return CornerFan(corner, tuple(chain), tuple(strengths))
+
+
+def newton_polygon(ctx: LatticeContext, corner: int,
+                   points: list[JuniorPoint]) -> CornerFan:
+    """Klein polygon chain at vertex e_corner, with strengths, as the hull
+    of the junior points: the cross-check of ``corner_chain``.
 
     The chain is every lattice point on the hull boundary facing the apex,
     points inside hull edges (strength 2) included: the scan pops only on
@@ -61,15 +151,12 @@ def newton_polygon(ctx: LatticeContext, corner: int) -> CornerFan:
     so it is a candidate, and in angle order it sits between the edge's ends.
     """
     apex = ctx.corner(corner)
-    prev_c = ctx.corner((corner - 2) % 3 + 1)
-    next_c = ctx.corner(corner % 3 + 1)
-    d0 = primitive_vector(ctx, vsub(prev_c, apex))
-    d1 = primitive_vector(ctx, vsub(next_c, apex))
+    d0, d1 = _side_rays(ctx, corner)
 
     # The apex-facing hull boundary lies inside the triangle (apex, apex + d0,
     # apex + d1); of apex-collinear points only the nearest can sit on it.
     cands: dict[Vec3, Vec3] = {}
-    for jp in junior_points(ctx):
+    for jp in points:
         q = jp.coords
         if q == apex:
             continue
@@ -126,8 +213,8 @@ def hj_expand(r: int, alpha: int) -> list[int]:
     """The unique all->=2 continued fraction [a_1,...,a_k] with
     r/alpha = a_1 - 1/(a_2 - 1/(...)).
 
-    Used only as an independent cross-check of newton_polygon on corners
-    with coprime data.  r = 1 gives the empty expansion.
+    Used only as a third route to the corner strengths, on cyclic groups
+    whose corners have coprime data.  r = 1 gives the empty expansion.
     """
     if r < 1:
         raise InvariantError("r must be positive")

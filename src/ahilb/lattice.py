@@ -3,14 +3,16 @@ lattice of invariant monomials.
 
 All geometry is exact.  A point of the junior plane is stored as an integer
 triple summing to the denominator ``n``; a translation vector is an integer
-triple summing to zero.  A triple ``q`` belongs to the overlattice exactly
-when ``q mod n`` is one of the group residues.
+triple summing to zero.  A triple ``q`` belongs to the overlattice n*L
+exactly when it pairs to a multiple of ``n`` with every invariant monomial.
 
 One integer normal form, ``smith_columns``, serves every lattice question.
-``lattice_context`` takes the Smith form of n*L, and its columns give the
-monomial lattice M; the primitive step and the index of two translations
-follow from M and the group order by closed forms (see ``primitive_vector``
-and ``pair_index``).
+``lattice_context`` takes the Smith form of n*L; its invariants give the
+group order and its columns the monomial lattice M.  Membership, the
+primitive step and the index of two translations follow from M and the
+order by closed forms (see ``is_translation``, ``primitive_vector`` and
+``pair_index``), so no group element is built unless ``group_elements``
+is asked for them.
 
 The lattice geometry the other modules share lives here, once:
 ``segment_points`` (the lattice points of a segment), ``sign_fixed`` (a
@@ -165,20 +167,20 @@ class LatticeContext:
     n            -- denominator: the exponent of the group.
     order        -- |A|, also the index of Z^3 in the overlattice.
     generators   -- generator residues scaled to denominator n.
-    element_table -- all group residues, scaled to denominator n.
     monomial_basis -- three rows generating the invariant-monomial lattice
                     M, read off the Smith form of n*L.
 
-    The translation lattice T of the junior plane needs no basis: membership
-    is a residue lookup (``is_translation``) and its indexes have a closed
-    form (``pair_index``).
+    The context holds no group element.  n*L is the dual of M, so a triple
+    lies in it exactly when it pairs to a multiple of n with the three rows
+    of the monomial basis (``is_lattice_point``, ``is_translation``); the
+    indexes of the translation lattice T have a closed form
+    (``pair_index``); ``group_elements`` enumerates the group on request.
     """
 
     spec: GroupSpec
     n: int
     order: int
     generators: tuple[Vec3, ...]
-    element_table: frozenset[Vec3]
     monomial_basis: tuple[Vec3, Vec3, Vec3]
 
     @property
@@ -191,17 +193,24 @@ class LatticeContext:
         """Vertex e_i for i in 1..3."""
         return self.corners[i - 1]
 
-    def residue(self, q: Vec3) -> Vec3:
+    def _pairs_to_n(self, q: Vec3) -> bool:
+        """Does q pair to a multiple of n with every row of the monomial
+        basis, that is, does q lie in n*L?  Written out, since the
+        partition and the fan check ask this thousands of times."""
         n = self.n
-        return (q[0] % n, q[1] % n, q[2] % n)
+        x, y, z = q
+        a, b, c = self.monomial_basis
+        return not ((x * a[0] + y * a[1] + z * a[2]) % n
+                    or (x * b[0] + y * b[1] + z * b[2]) % n
+                    or (x * c[0] + y * c[1] + z * c[2]) % n)
 
     def is_lattice_point(self, q: Vec3) -> bool:
         """Is q (scaled by n) a point of the junior-plane affine lattice?"""
-        return sum(q) == self.n and self.residue(q) in self.element_table
+        return q[0] + q[1] + q[2] == self.n and self._pairs_to_n(q)
 
     def is_translation(self, v: Vec3) -> bool:
         """Is v (scaled by n) a translation of the junior-plane lattice?"""
-        return sum(v) == 0 and self.residue(v) in self.element_table
+        return v[0] + v[1] + v[2] == 0 and self._pairs_to_n(v)
 
     def is_invariant_monomial(self, m: Vec3) -> bool:
         """Does the Laurent exponent m pair integrally with every group
@@ -257,44 +266,28 @@ def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
 
 
 def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> LatticeContext:
-    """Materialize the group: exponent, element table and monomial lattice.
+    """The group's exponent, order and monomial lattice, from one Smith
+    form and no group element.
 
-    One Smith form of n*L = <n*e_i> + <generators> gives both the index
-    check and M: with invariants d_t and columns V_t, n*L is the set of v
-    with v.V_t = 0 mod d_t, so M = {m : m.(n*L) in nZ} is spanned by the
-    rows (n/d_t)*V_t.
+    n*L = <n*e_i> + <generators> has Smith invariants d_t and columns V_t:
+    it is the set of v with v.V_t = 0 mod d_t.  So its index in Z^3 is
+    d_0*d_1*d_2, the group order is [n*L : n*Z^3] = n^3/(d_0*d_1*d_2), and
+    M = {m : m.(n*L) in nZ} is spanned by the rows (n/d_t)*V_t.
 
-    Raises GroupSpecError when the group order exceeds max_order.
+    Raises GroupSpecError when the group order exceeds max_order, before
+    any element is built.
     """
     # The denominator is the exponent of the group: the lcm of the
     # generators' true orders, which may be smaller than the lcm of the
-    # written ones.  It is at most the group order, so a too-large one
-    # fails before the element search.
+    # written ones.
     n = lcm(*(g.order // gcd(g.order, *g.weights) for g in spec.generators))
-    if n > max_order:
-        raise GroupSpecError(f"group order exceeds the cap of {max_order}")
     gens = [tuple(n * w // g.order for w in g.weights) for g in spec.generators]
-    table = {(0, 0, 0)}
-    frontier = [(0, 0, 0)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((c + w) % n for c, w in zip(cur, g))
-            if nxt not in table:
-                if len(table) >= max_order:
-                    raise GroupSpecError(
-                        f"group order exceeds the cap of {max_order}"
-                    )
-                table.add(nxt)
-                frontier.append(nxt)
-    order = len(table)
-
-    # n*L, the overlattice scaled by n, is spanned by the n*e_i and the
-    # generators; the other residues are their sums.
     diag, cols = smith_columns([(n, 0, 0), (0, n, 0), (0, 0, n)] + gens)
-    if diag[0] * diag[1] * diag[2] * order != n**3:
-        raise InvariantError("overlattice index does not match group order")
+    order = n**3 // (diag[0] * diag[1] * diag[2])
+    if order > max_order:
+        raise GroupSpecError(f"group order exceeds the cap of {max_order}")
     mbasis = tuple(smul(n // d, col) for d, col in zip(diag, cols))
+    # |det| = order exactly when the columns are unimodular.
     if abs(det3(mbasis)) != order:
         raise InvariantError("monomial basis determinant is not the order")
 
@@ -303,13 +296,30 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
         n=n,
         order=order,
         generators=tuple(gens) if gens else ((0, 0, 0),),
-        element_table=frozenset(table),
         monomial_basis=mbasis,
     )
     for m in mbasis:
         if not ctx.is_invariant_monomial(m):
             raise InvariantError("monomial basis row is not invariant")
     return ctx
+
+
+def group_elements(ctx: LatticeContext) -> list[Vec3]:
+    """Every group element once, as a residue triple scaled to n.
+
+    The rows u_s of n*(M^T)^-1 pair to n*delta with the monomial basis, so
+    they are a basis of n*L; they are the columns of V^-T times the
+    invariants d_s.  n*Z^3 has the coordinates (n/d_s)*Z in that basis,
+    so the elements are the sums of z_s*u_s over 0 <= z_s < n/d_s, and
+    d_s is the gcd of u_s because V^-T is unimodular.
+    """
+    n = ctx.n
+    elems = [(0, 0, 0)]
+    for u in scaled_dual(ctx.monomial_basis, n):
+        steps = [smul(z, u) for z in range(1, n // gcd(n, *u))]
+        elems += [((e[0] + s[0]) % n, (e[1] + s[1]) % n, (e[2] + s[2]) % n)
+                  for s in steps for e in elems]
+    return elems
 
 
 @dataclass(frozen=True)
@@ -328,7 +338,7 @@ def junior_points(ctx: LatticeContext) -> list[JuniorPoint]:
         v = [0, 0, 0]
         v[i] = n
         pts.append(JuniorPoint(tuple(v), "vertex"))
-    for g in ctx.element_table:
+    for g in group_elements(ctx):
         if sum(g) == n:
             kind = "edge" if 0 in g else "interior"
             pts.append(JuniorPoint(g, kind))

@@ -9,9 +9,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .clusters import ClusterSystem, cluster_system
-from .corners import CornerFan, CyclicWord, cyclic_word, newton_polygon
+from .corners import CornerFan, CyclicWord, corner_chain, cyclic_word
 from .fan import Fan, SurfaceClass, build_fan, surface_census
-from .lattice import LatticeContext
+from .lattice import JuniorPoint, LatticeContext, junior_points
 from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
 from .partition import Partition, build_partition
 
@@ -25,8 +25,13 @@ class Resolution:
         self.ctx = ctx
 
     @cached_property
+    def points(self) -> list[JuniorPoint]:
+        """Every junior point; only the invariant suite reads them."""
+        return junior_points(self.ctx)
+
+    @cached_property
     def fans(self) -> dict[int, CornerFan]:
-        return {i: newton_polygon(self.ctx, i) for i in (1, 2, 3)}
+        return {i: corner_chain(self.ctx, i) for i in (1, 2, 3)}
 
     @cached_property
     def word(self) -> CyclicWord:

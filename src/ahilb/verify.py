@@ -4,8 +4,9 @@ acceptance tests.
 Every check is exact integer arithmetic; a failure anywhere is reported
 with the offending group.  Differential pairs covered here: enumeration vs
 contraction-game partition, closed-form vs solved dual bases, exponent
-knock-out rule vs partition defeat data, hull strengths vs continued
-fractions on coprime corners, binomial vs census surface counts.
+knock-out rule vs partition defeat data, hull chains vs continued
+fractions on every corner (and the weight formula on coprime cyclic ones),
+binomial vs census surface counts.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ from dataclasses import dataclass
 from math import gcd
 
 from .clusters import CharacterLayout, check_tripod, classify_cluster
-from .corners import cyclic_matrix_product, hj_expand, long_side
+from .corners import (
+    cyclic_matrix_product,
+    hj_expand,
+    long_side,
+    newton_polygon,
+)
 from .errors import AhilbError, GroupSpecError, InvariantError
 from .fan import dp6_count, verify_fan
 from .lattice import (
     GroupSpec,
-    junior_points,
     lattice_context,
     parse_group_spec,
 )
@@ -55,7 +60,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("lattice: junior point count matches group order")
     def _counts():
-        pts = junior_points(ctx)
+        pts = res.points
         interior = sum(1 for p in pts if p.kind == "interior")
         edge = sum(1 for p in pts if p.kind == "edge")
         if 2 * interior + edge + 1 != ctx.order:
@@ -63,6 +68,11 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("corners: hull strengths match continued fractions")
     def _hj():
+        for i in (1, 2, 3):
+            if newton_polygon(ctx, i, res.points) != res.fans[i]:
+                raise InvariantError(f"corner {i}: hull and continued "
+                                     "fraction chains differ")
+        # The weight formula, where it applies, is a third route.
         if len(ctx.spec.generators) != 1:
             return
         r = ctx.order

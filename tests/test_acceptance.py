@@ -8,7 +8,7 @@ import time
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document
-from ahilb.corners import newton_polygon
+from ahilb.corners import corner_chain
 from ahilb.clusters import cluster_system, tripod_basis, verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan, dp6_count, surface_census, verify_fan
@@ -35,9 +35,9 @@ def ctx_of(text):
 def test_acceptance_1_group_11_1_2_8():
     def body():
         ctx = ctx_of("1/11(1,2,8)")
-        assert newton_polygon(ctx, 1).strengths == (3, 4)
-        assert newton_polygon(ctx, 2).strengths == (2, 3, 2, 2)
-        assert newton_polygon(ctx, 3).strengths == (6, 2)
+        assert corner_chain(ctx, 1).strengths == (3, 4)
+        assert corner_chain(ctx, 2).strengths == (2, 3, 2, 2)
+        assert corner_chain(ctx, 3).strengths == (6, 2)
         word = Resolution(ctx).word
         assert word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
@@ -45,7 +45,7 @@ def test_acceptance_1_group_11_1_2_8():
         assert len(triples) == 9
         # The champion triple is f_{1,2} + f_{2,2} + f_{3,1} = 0; eating
         # the three sides in turn leaves it as the terminal triple.
-        fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
+        fans = {i: corner_chain(ctx, i) for i in (1, 2, 3)}
         assert vadd(
             vadd(fans[1].vectors[2], fans[2].vectors[2]), fans[3].vectors[1]
         ) == (0, 0, 0)
@@ -90,9 +90,9 @@ def test_acceptance_2_group_15_1_2_12():
 def test_acceptance_3_group_30_25_2_3():
     def body():
         ctx = ctx_of("1/30(25,2,3)")
-        assert newton_polygon(ctx, 1).strengths == (5,)
-        assert newton_polygon(ctx, 2).strengths == (2,)
-        assert newton_polygon(ctx, 3).strengths == (2, 2)
+        assert corner_chain(ctx, 1).strengths == (5,)
+        assert corner_chain(ctx, 2).strengths == (2,)
+        assert corner_chain(ctx, 3).strengths == (2, 2)
         part = Resolution(ctx).partition
         assert sorted(t.r for t in part.triangles) == [2, 2, 2, 3, 3]
         # Catchment of e1e3 (side 3) = the three side-2 triangles;

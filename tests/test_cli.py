@@ -380,7 +380,9 @@ class _RecordedCrossings:
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/15(1,2,12)"])
 def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
+    points = _count_calls(monkeypatch, "lattice", "junior_points")
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
+    chains = _count_calls(monkeypatch, "corners", "corner_chain")
     words = _count_calls(monkeypatch, "corners", "cyclic_word")
     checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
     layouts = _count_calls(monkeypatch, "clusters", "CharacterLayout")
@@ -390,7 +392,11 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     monkeypatch.setattr(Partition, "crossings", crossings)
     assert main(["verify", spec]) == 0
     assert len(builds) == 1
+    # One list of junior points, read by the count family and by the
+    # hull that cross-checks each continued-fraction chain.
+    assert len(points) == 1
     assert len(polygons) == 3
+    assert len(chains) == 3
     assert len(words) == 1
     # The fan has one cone per group element.
     order = lattice_context(parse_group_spec(spec)).order
@@ -419,6 +425,14 @@ def test_report_builds_partition_once(monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
     assert main(["report", "1/11(1,2,8)"]) == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/32(1,0,31)+1/32(0,1,31)"])
+def test_report_scans_no_junior_points(spec, monkeypatch, capsys):
+    points = _count_calls(monkeypatch, "lattice", "junior_points")
+    polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
+    assert main(["report", spec]) == 0
+    assert points == [] and polygons == []
 
 
 # Every cyclic 1/r(a,b,c) with r <= 24 and 0 <= a <= b <= c < r (980

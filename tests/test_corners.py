@@ -1,12 +1,14 @@
+import tracemalloc
 from functools import cmp_to_key
 
 import pytest
 from test_cli import SWEEP
 
-from ahilb import lattice_context, pair_index, parse_group_spec
+from ahilb import lattice, lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
     CyclicWord,
     WordEntry,
+    corner_chain,
     cyclic_matrix_product,
     hj_expand,
     junction_c,
@@ -32,55 +34,56 @@ def ctx_of(text):
     return lattice_context(parse_group_spec(text))
 
 
-def all_fans(ctx):
-    return {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
+def hull(ctx, i):
+    return newton_polygon(ctx, i, junior_points(ctx))
+
+
+def strengths(text):
+    """Each corner's strengths by both routes: continued fractions, then
+    the hull."""
+    ctx = ctx_of(text)
+    return [(corner_chain(ctx, i).strengths, hull(ctx, i).strengths)
+            for i in (1, 2, 3)]
 
 
 def test_newton_polygon_11_strengths():
-    ctx = ctx_of("1/11(1,2,8)")
-    assert newton_polygon(ctx, 1).strengths == (3, 4)
-    assert newton_polygon(ctx, 2).strengths == (2, 3, 2, 2)
-    assert newton_polygon(ctx, 3).strengths == (6, 2)
+    assert strengths("1/11(1,2,8)") == [
+        ((3, 4),) * 2, ((2, 3, 2, 2),) * 2, ((6, 2),) * 2]
 
 
 def test_newton_polygon_15_strengths():
-    ctx = ctx_of("1/15(1,2,12)")
-    assert newton_polygon(ctx, 1).strengths == (3, 2)
-    assert newton_polygon(ctx, 2).strengths == (2, 2, 2, 2)
-    assert newton_polygon(ctx, 3).strengths == (8, 2)
+    assert strengths("1/15(1,2,12)") == [
+        ((3, 2),) * 2, ((2, 2, 2, 2),) * 2, ((8, 2),) * 2]
 
 
 def test_newton_polygon_30_strengths():
-    ctx = ctx_of("1/30(25,2,3)")
-    assert newton_polygon(ctx, 1).strengths == (5,)
-    assert newton_polygon(ctx, 2).strengths == (2,)
-    assert newton_polygon(ctx, 3).strengths == (2, 2)
+    assert strengths("1/30(25,2,3)") == [
+        ((5,),) * 2, ((2,),) * 2, ((2, 2),) * 2]
 
 
 def test_newton_polygon_known_vectors_15():
     # Worked long-side fixture: the side e1 e2 is divisible by 3 and the
     # inner rays are (-6,3,3) at e1 and (4,-7,3) at e2.
     ctx = ctx_of("1/15(1,2,12)")
-    f1 = newton_polygon(ctx, 1)
-    f2 = newton_polygon(ctx, 2)
-    assert f1.vectors[-1] == (-5, 5, 0)
-    assert f2.vectors[0] == (5, -5, 0)
-    assert f1.vectors[2] == (-6, 3, 3)
-    assert f2.vectors[1] == (4, -7, 3)
+    for route in (corner_chain, hull):
+        f1 = route(ctx, 1)
+        f2 = route(ctx, 2)
+        assert f1.vectors[-1] == (-5, 5, 0)
+        assert f2.vectors[0] == (5, -5, 0)
+        assert f1.vectors[2] == (-6, 3, 3)
+        assert f2.vectors[1] == (4, -7, 3)
 
 
 def test_newton_polygon_basic_corner_is_empty():
-    ctx = ctx_of("1/2(0,1,1)")
-    assert newton_polygon(ctx, 2).strengths == ()
-    assert newton_polygon(ctx, 3).strengths == ()
-    assert newton_polygon(ctx, 1).strengths == (2,)
+    assert strengths("1/2(0,1,1)") == [((2,),) * 2, ((),) * 2, ((),) * 2]
 
 
 def test_newton_polygon_recursion_and_bases():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)", "1/7(1,2,4)"):
         ctx = ctx_of(text)
         for i in (1, 2, 3):
-            fan = newton_polygon(ctx, i)
+            fan = corner_chain(ctx, i)
+            assert fan == hull(ctx, i)
             vecs = fan.vectors
             for j, a in enumerate(fan.strengths, start=1):
                 assert a >= 2
@@ -134,9 +137,9 @@ def test_newton_polygon_matches_hj_on_coprime_corners():
     ):
         ctx = ctx_of(text)
         for i in (1, 2, 3):
-            assert newton_polygon(ctx, i).strengths == _hj_oracle_strengths(
-                ctx, weights, i
-            )
+            want = _hj_oracle_strengths(ctx, weights, i)
+            assert corner_chain(ctx, i).strengths == want
+            assert hull(ctx, i).strengths == want
 
 
 def test_junction_c_15_long_side():
@@ -269,6 +272,52 @@ def test_newton_polygon_matches_the_subdivided_hull():
     for spec in SWEEP:
         ctx = ctx_of(spec)
         for i in (1, 2, 3):
-            fan = newton_polygon(ctx, i)
+            fan = hull(ctx, i)
             assert (fan.vectors, fan.strengths) == subdivided_hull_chain(
                 ctx, i), (spec, i)
+
+
+def check_chains_against_the_hull(specs):
+    for spec in specs:
+        ctx = ctx_of(spec)
+        points = junior_points(ctx)
+        for i in (1, 2, 3):
+            assert corner_chain(ctx, i) == newton_polygon(
+                ctx, i, points), (spec, i)
+
+
+def test_corner_chain_matches_the_hull():
+    # Every cyclic 1/r(a,b,c) with r <= 24 and a <= b (7,800 corners),
+    # and every corner of the sweep's products.
+    specs = [f"1/{r}({a},{b},{(-a - b) % r})"
+             for r in range(1, 25) for a in range(r) for b in range(a, r)]
+    assert len(specs) == 2600
+    check_chains_against_the_hull(specs + [s for s in SWEEP if "+" in s])
+
+
+@pytest.mark.deep
+def test_corner_chain_matches_the_hull_up_to_40():
+    check_chains_against_the_hull(
+        [f"1/{r}({a},{b},{(-a - b) % r})"
+         for r in range(1, 41) for a in range(r) for b in range(r)])
+
+
+def test_near_cap_group_reaches_its_word_without_its_elements(monkeypatch):
+    # Enumerating the 999,983 elements peaks at about 330 MiB of traced
+    # memory; the chains and the word take about 5 MiB.
+    def refuse(*args):
+        raise AssertionError("group elements enumerated")
+
+    # Every enumeration, junior_points included, goes through it.
+    monkeypatch.setattr(lattice, "group_elements", refuse)
+    tracemalloc.start()
+    try:
+        res = Resolution(ctx_of("1/999983(1,100,999882)"))
+        word = res.word
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [res.fans[i].k for i in (1, 2, 3)] == [114, 9906, 4]
+    assert len(word) == 114 + 9906 + 4 + 3
+    assert cyclic_matrix_product(word) == ((-1, 0), (0, -1))
+    assert peak < 16 * 2**20

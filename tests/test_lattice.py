@@ -12,11 +12,13 @@ from ahilb import (
     parse_group_spec,
     primitive_vector,
 )
+from ahilb.cli import main
 from ahilb.lattice import (
     chart,
     cross2,
     det3,
     dot,
+    group_elements,
     multiple,
     segment_points,
     sign_fixed,
@@ -52,8 +54,9 @@ def test_parse_two_generators_order_four():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
     assert ctx.order == 4
     assert ctx.n == 2
-    # Closure oracle: the table is closed under addition mod n.
-    table = ctx.element_table
+    # Closure oracle: the elements are closed under addition mod n.
+    table = set(group_elements(ctx))
+    assert len(table) == 4
     for g in table:
         for h in table:
             assert tuple((a + b) % 2 for a, b in zip(g, h)) in table
@@ -70,6 +73,29 @@ def test_over_cap_group_fails_before_the_element_search():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# n = 2000 is under the cap, the order 4*10**6 is over it.
+OVER_CAP_PRODUCT = "1/2000(1,0,1999)+1/2000(0,1,1999)"
+
+
+def test_over_cap_order_fails_before_any_enumeration():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSpecError, match="exceeds the cap"):
+            ctx_of(OVER_CAP_PRODUCT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_report_refuses_an_over_cap_order(capsys):
+    assert main(["report", OVER_CAP_PRODUCT]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "exceeds the cap" in captured.err
 
 
 def test_parse_rejects_sl_violation():
@@ -125,7 +151,7 @@ def test_context_trivial_group():
     ctx = ctx_of("1/1(0,0,0)")
     assert ctx.n == 1
     assert ctx.order == 1
-    assert ctx.element_table == frozenset({(0, 0, 0)})
+    assert group_elements(ctx) == [(0, 0, 0)]
 
 
 def searched_context(text):
@@ -157,14 +183,16 @@ def searched_context(text):
 
 def test_exponent_from_generators_matches_element_search():
     # The exponent of an abelian group is the lcm of its generators'
-    # orders, so the search can run at that denominator directly.
+    # orders, and the Smith form of n*L enumerates its elements, each once.
     specs = [f"1/{r}({a},{b},{(-a - b) % r})"
              for r in range(1, 25) for a in range(r) for b in range(r)]
     specs += ["1/4(2,2,0)", "1/12(6,6,0)+1/4(1,1,2)",
               "1/3(1,1,1)+1/3(2,2,2)", Z210]
     for text in specs:
         ctx = ctx_of(text)
-        got = (ctx.n, ctx.generators, ctx.element_table, ctx.monomial_basis)
+        elements = group_elements(ctx)
+        assert len(elements) == ctx.order, text
+        got = (ctx.n, ctx.generators, frozenset(elements), ctx.monomial_basis)
         assert got == searched_context(text), text
 
 
@@ -180,7 +208,7 @@ def test_monomial_basis_invariance_and_determinant():
         n = ctx.n
         assert abs(det3(ctx.monomial_basis)) == ctx.order, text
         for m in ctx.monomial_basis:
-            for g in ctx.element_table:
+            for g in group_elements(ctx):
                 assert dot(m, g) % n == 0, text
         # Conversely, a point of the junior plane that every row pairs
         # integrally with is a lattice point; x, y over residues mod n

@@ -5,7 +5,7 @@ from test_cli import SWEEP
 from test_tiling import cyclic_groups
 
 from ahilb import lattice_context, parse_group_spec
-from ahilb.corners import CyclicWord, WordEntry, newton_polygon
+from ahilb.corners import CyclicWord, WordEntry, corner_chain
 from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
 from ahilb.mmp import (
@@ -100,7 +100,7 @@ def test_run_mmp_terminal_triple_11():
     # Eating the three sides in the published a-h order ends at the
     # champion triple f_{1,2} + f_{2,2} + f_{3,1} = 0.
     ctx = ctx_of("1/11(1,2,8)")
-    fans = {i: newton_polygon(ctx, i) for i in (1, 2, 3)}
+    fans = {i: corner_chain(ctx, i) for i in (1, 2, 3)}
     trace = run_mmp(Resolution(ctx).word, [3, 3, 6, 5, 4, 0, 4, 0])
     term = trace.terminal_triple
     assert term.type_tag == "champion"

@@ -10,7 +10,7 @@ import pytest
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
-from ahilb.lattice import chart, cross2
+from ahilb.lattice import chart, cross2, group_elements
 from ahilb.partition import (
     _check_tiling,
     _triangle_from_lines,
@@ -152,7 +152,7 @@ def test_tiling_check_ignores_vertex_order():
 
 def age_counts(ctx):
     counts = {0: 0, 1: 0, 2: 0}
-    for g in ctx.element_table:
+    for g in group_elements(ctx):
         counts[sum(g) // ctx.n] += 1
     return counts
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,20 @@ def test_run_checks_names_are_stable():
         "partition", "partition", "fan", "fan", "monomials", "monomials",
         "monomials", "clusters",
     ]
+
+
+def test_hull_family_catches_a_wrong_chain_on_a_product():
+    # The weight formula does not apply to a product, so only the hull
+    # can catch a wrong continued-fraction chain there.
+    ctx = lattice_context(parse_group_spec("1/6(1,2,3)+1/2(1,1,0)"))
+    res = Resolution(ctx)
+    fan = res.fans[3]
+    assert fan.strengths == (2, 2)
+    res.fans[3] = replace(fan, strengths=(2, 3))
+    results = {r.name: r for r in run_checks(res)}
+    hull = results["corners: hull strengths match continued fractions"]
+    assert not hull.ok
+    assert hull.detail == "corner 3: hull and continued fraction chains differ"
 
 
 @pytest.mark.deep
