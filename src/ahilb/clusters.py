@@ -22,7 +22,6 @@ from .lattice import (
     Vec3,
     permute,
     scaled_dual,
-    smith_columns,
     vadd,
     vsub,
 )
@@ -170,36 +169,24 @@ def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
 class CharacterLayout:
     """The character group A^ = Z^3 / M of one group laid out on N bits.
 
-    M is the invariant exponent lattice, spanned by ctx.monomial_basis.
-    It contains (1,1,1), so A^ is a quotient of Z^2 and its Smith form is
-    Z/n x Z/m with m = N/n: the character of x^p y^q z^s is a pair
-    (r_0, r_1) of Smith coordinates, and its code r_0 + n*r_1 is one of
-    N bit positions.  A set of characters is an N-bit int, m rows of n
-    bits, and translating it by a character rotates each row by r_0 and
-    then the whole int by n*r_1.  Prefix masks, the sets {j*chi_t : j <
-    L} of the axis characters chi_t, are kept as they are first asked
-    for, so one layout serves every cone of a group.
+    ``ctx.character`` gives x^p y^q z^s its Smith coordinates (r_0, r_1)
+    in Z/n x Z/m, m = N/n, and its code r_0 + n*r_1 is one of N bit
+    positions.  A set of characters is an N-bit int, m rows of n bits,
+    and translating it by a character rotates each row by r_0 and then
+    the whole int by n*r_1.  Prefix masks, the sets {j*chi_t : j < L} of
+    the axis characters chi_t, are kept as they are first asked for, so
+    one layout serves every cone of a group.
     """
 
     def __init__(self, ctx: LatticeContext):
-        (unit, m, n), (_, phi1, phi0) = smith_columns(ctx.monomial_basis)
-        if unit != 1 or n != ctx.n or n * m != ctx.order:
-            raise InvariantError(
-                f"character group is not Z/{ctx.n} x Z/{ctx.order // ctx.n}"
-            )
-        self.n, self.m, self.order = n, m, ctx.order
-        self.phi0, self.phi1 = phi0, phi1
-        self.chi = tuple((phi0[t] % n, phi1[t] % m) for t in range(3))
+        self.ctx = ctx
+        self.n, self.m, self.order = ctx.n, ctx.order // ctx.n, ctx.order
+        self.chi = tuple(ctx.character(e)
+                         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         self.full = (1 << ctx.order) - 1
         # Bit 0 of every row.
-        self.rows = self.full // ((1 << n) - 1)
+        self.rows = self.full // ((1 << ctx.n) - 1)
         self.prefixes: dict[tuple[int, int], int] = {}
-
-    def character(self, v: Vec3) -> tuple[int, int]:
-        """The Smith coordinates (r_0, r_1) of the character of x^v."""
-        p, q, s = v
-        (a, b, c), (d, e, f) = self.phi0, self.phi1
-        return (p * a + q * b + s * c) % self.n, (p * d + q * e + s * f) % self.m
 
     def shift(self, mask: int, r0: int, r1: int) -> int:
         """The set of characters mask translated by the character
@@ -252,7 +239,7 @@ def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
         if 0 in size:
             continue
         t = size.index(max(size))
-        corner = layout.character((ps.start, qs.start, ss.start))
+        corner = layout.ctx.character((ps.start, qs.start, ss.start))
         mask = layout.shift(layout.prefix(t, size[t]), *corner)
         for u in range(3):
             if u != t and size[u] > 1:

@@ -6,13 +6,13 @@ triple summing to the denominator ``n``; a translation vector is an integer
 triple summing to zero.  A triple ``q`` belongs to the overlattice n*L
 exactly when it pairs to a multiple of ``n`` with every invariant monomial.
 
-One integer normal form, ``smith_columns``, serves every lattice question.
-``lattice_context`` takes the Smith form of n*L; its invariants give the
-group order and its columns the monomial lattice M.  Membership, the
-primitive step and the index of two translations follow from M and the
-order by closed forms (see ``is_translation``, ``primitive_vector`` and
-``pair_index``), so no group element is built unless ``group_elements``
-is asked for them.
+``lattice_context`` takes the one Smith form (``smith_columns``) of a
+group, that of n*L: its invariants give the group order, its columns the
+monomial lattice M and their inverse the character map.  Membership,
+invariance, the primitive step and the index of two translations follow
+by closed forms (see ``is_translation``, ``LatticeContext.character``,
+``primitive_vector`` and ``pair_index``), so no group element is built
+unless ``group_elements`` is asked for them.
 
 The lattice geometry the other modules share lives here, once:
 ``segment_points`` (the lattice points of a segment), ``sign_fixed`` (a
@@ -166,13 +166,13 @@ class LatticeContext:
 
     n            -- denominator: the exponent of the group.
     order        -- |A|, also the index of Z^3 in the overlattice.
-    generators   -- generator residues scaled to denominator n.
     monomial_basis -- three rows generating the invariant-monomial lattice
                     M, read off the Smith form of n*L.
+    character_rows -- rows W_0, W_1 of V^-1, for ``character``.
 
     The context holds no group element.  n*L is the dual of M, so a triple
-    lies in it exactly when it pairs to a multiple of n with the three rows
-    of the monomial basis (``is_lattice_point``, ``is_translation``); the
+    lies in it exactly when it pairs to a multiple of n with the rows of
+    the monomial basis (``is_lattice_point``, ``is_translation``); the
     indexes of the translation lattice T have a closed form
     (``pair_index``); ``group_elements`` enumerates the group on request.
     """
@@ -180,8 +180,8 @@ class LatticeContext:
     spec: GroupSpec
     n: int
     order: int
-    generators: tuple[Vec3, ...]
     monomial_basis: tuple[Vec3, Vec3, Vec3]
+    character_rows: tuple[Vec3, Vec3]
 
     @property
     def corners(self) -> tuple[Vec3, Vec3, Vec3]:
@@ -194,14 +194,14 @@ class LatticeContext:
         return self.corners[i - 1]
 
     def _pairs_to_n(self, q: Vec3) -> bool:
-        """Does q pair to a multiple of n with every row of the monomial
-        basis, that is, does q lie in n*L?  Written out, since the
-        partition and the fan check ask this thousands of times."""
+        """Does q lie in n*L: does it pair to a multiple of n with the
+        monomial basis rows after the first, n*V_0, which always does?
+        Written out, since the partition and the fan check ask this
+        thousands of times."""
         n = self.n
         x, y, z = q
-        a, b, c = self.monomial_basis
-        return not ((x * a[0] + y * a[1] + z * a[2]) % n
-                    or (x * b[0] + y * b[1] + z * b[2]) % n
+        _, b, c = self.monomial_basis
+        return not ((x * b[0] + y * b[1] + z * b[2]) % n
                     or (x * c[0] + y * c[1] + z * c[2]) % n)
 
     def is_lattice_point(self, q: Vec3) -> bool:
@@ -212,10 +212,18 @@ class LatticeContext:
         """Is v (scaled by n) a translation of the junior-plane lattice?"""
         return v[0] + v[1] + v[2] == 0 and self._pairs_to_n(v)
 
+    def character(self, v: Vec3) -> tuple[int, int]:
+        """The character of x^v as its Smith coordinates (v.W_0 mod n,
+        v.W_1 mod N/n): a map of Z^3 onto Z/n x Z/(N/n) with kernel M."""
+        p, q, s = v
+        (a, b, c), (d, e, f) = self.character_rows
+        return ((p * a + q * b + s * c) % self.n,
+                (p * d + q * e + s * f) % (self.order // self.n))
+
     def is_invariant_monomial(self, m: Vec3) -> bool:
         """Does the Laurent exponent m pair integrally with every group
         element?"""
-        return all(dot(m, g) % self.n == 0 for g in self.generators)
+        return self.character(m) == (0, 0)
 
 
 def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
@@ -266,13 +274,16 @@ def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
 
 
 def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> LatticeContext:
-    """The group's exponent, order and monomial lattice, from one Smith
-    form and no group element.
+    """The group's exponent, order, monomial lattice and character map,
+    from one Smith form and no group element.
 
     n*L = <n*e_i> + <generators> has Smith invariants d_t and columns V_t:
     it is the set of v with v.V_t = 0 mod d_t.  So its index in Z^3 is
     d_0*d_1*d_2, the group order is [n*L : n*Z^3] = n^3/(d_0*d_1*d_2), and
-    M = {m : m.(n*L) in nZ} is spanned by the rows (n/d_t)*V_t.
+    M = {m : m.(n*L) in nZ} is spanned by the rows (n/d_t)*V_t.  The
+    invariants are (1, n^2/N, n), so with W_t the rows of V^-1,
+    v -> (v.W_0 mod n, v.W_1 mod N/n) maps Z^3 onto Z/n x Z/(N/n) with
+    kernel exactly M: the character of x^v.
 
     Raises GroupSpecError when the group order exceeds max_order, before
     any element is built.
@@ -286,37 +297,37 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
     order = n**3 // (diag[0] * diag[1] * diag[2])
     if order > max_order:
         raise GroupSpecError(f"group order exceeds the cap of {max_order}")
+    if diag[0] != 1 or diag[2] != n:
+        raise InvariantError(f"character group is not Z/{n} x Z/{order // n}")
     mbasis = tuple(smul(n // d, col) for d, col in zip(diag, cols))
     # |det| = order exactly when the columns are unimodular.
     if abs(det3(mbasis)) != order:
         raise InvariantError("monomial basis determinant is not the order")
-
-    ctx = LatticeContext(
+    # The one place the written generators decide invariance.
+    if any(dot(m, g) % n for m in mbasis for g in gens):
+        raise InvariantError("monomial basis row is not invariant")
+    w0, w1, _ = scaled_dual(cols, 1)
+    return LatticeContext(
         spec=spec,
         n=n,
         order=order,
-        generators=tuple(gens) if gens else ((0, 0, 0),),
         monomial_basis=mbasis,
+        character_rows=(w0, w1),
     )
-    for m in mbasis:
-        if not ctx.is_invariant_monomial(m):
-            raise InvariantError("monomial basis row is not invariant")
-    return ctx
 
 
 def group_elements(ctx: LatticeContext) -> list[Vec3]:
     """Every group element once, as a residue triple scaled to n.
 
-    The rows u_s of n*(M^T)^-1 pair to n*delta with the monomial basis, so
-    they are a basis of n*L; they are the columns of V^-T times the
-    invariants d_s.  n*Z^3 has the coordinates (n/d_s)*Z in that basis,
-    so the elements are the sums of z_s*u_s over 0 <= z_s < n/d_s, and
-    d_s is the gcd of u_s because V^-T is unimodular.
+    The rows W_t of V^-1 make n*L = <W_0, (n^2/N)*W_1, n*W_2> and
+    n*Z^3 = <n*W_t>, so the elements are the sums z_0*W_0 +
+    z_1*(n^2/N)*W_1 over 0 <= z_0 < n and 0 <= z_1 < N/n.
     """
     n = ctx.n
+    w0, w1 = ctx.character_rows
     elems = [(0, 0, 0)]
-    for u in scaled_dual(ctx.monomial_basis, n):
-        steps = [smul(z, u) for z in range(1, n // gcd(n, *u))]
+    for u, count in ((w0, n), (smul(n * n // ctx.order, w1), ctx.order // n)):
+        steps = [smul(z, u) for z in range(1, count)]
         elems += [((e[0] + s[0]) % n, (e[1] + s[1]) % n, (e[2] + s[2]) % n)
                   for s in steps for e in elems]
     return elems

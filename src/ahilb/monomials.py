@@ -38,10 +38,10 @@ def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
         raise InvariantError("zero exponent vector")
     g = gcd(*m)
     base = (m[0] // g, m[1] // g, m[2] // g)
-    # k*base is invariant exactly when every n / gcd(n, base.g) divides k.
-    n = ctx.n
-    return smul(lcm(*(n // gcd(n, dot(base, gen)) for gen in ctx.generators)),
-                base)
+    # k*base is invariant exactly when the order of its character divides k.
+    r0, r1 = ctx.character(base)
+    n, rest = ctx.n, ctx.order // ctx.n
+    return smul(lcm(n // gcd(n, r0), rest // gcd(rest, r1)), base)
 
 
 def ratio_through(ctx: LatticeContext, p: Vec3, q: Vec3,

@@ -27,7 +27,6 @@ from .errors import InvariantError
 from .lattice import (
     LatticeContext,
     Vec3,
-    area2,
     chart,
     cross2,
     multiple,
@@ -279,15 +278,15 @@ def _check_tiling(ctx: LatticeContext,
                   triangles: list[RegularTriangle]) -> None:
     """Raise unless the triangles tile the simplex.
 
-    The areas must sum to the simplex's.  The sides must match: each unit
-    segment of a side is traversed by the triangles, oriented as 2-chains,
-    as often as by the simplex's boundary, so a segment off that boundary
-    is shared by two triangles on opposite sides.  Then the triangles'
-    boundary is the simplex's, and every point off the edges is covered
-    once inside the simplex and never outside it."""
-    total = sum(area2(ctx, tri.vertices) for tri in triangles)
-    if (total != area2(ctx, ctx.corners)
-            or sum(t.r * t.r for t in triangles) != ctx.order):
+    The doubled areas r^2 (``_triangle_from_lines`` makes the sides r
+    times directions of index 1) must sum to the simplex's N.  The sides
+    must match: each unit segment of a side is traversed by the
+    triangles, oriented as 2-chains, as often as by the simplex's
+    boundary, so a segment off that boundary is shared by two triangles
+    on opposite sides.  Then the triangles' boundary is the simplex's, and
+    every point off the edges is covered once inside the simplex and
+    never outside it."""
+    if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
     count: dict[tuple[Vec3, Vec3], int] = {}
     chains = [(tri.vertices, 1) for tri in triangles] + [(ctx.corners, -1)]

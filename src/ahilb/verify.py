@@ -24,11 +24,7 @@ from .corners import (
 )
 from .errors import AhilbError, GroupSpecError, InvariantError
 from .fan import dp6_count, verify_fan
-from .lattice import (
-    GroupSpec,
-    lattice_context,
-    parse_group_spec,
-)
+from .lattice import LatticeContext, lattice_context, parse_group_spec
 from .mmp import run_mmp, triple_set
 from .monomials import crossing_rule_check
 from .partition import knockout_report
@@ -182,8 +178,9 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def random_group_spec(rng: random.Random, max_order: int) -> GroupSpec:
-    """A uniform-ish random valid group of order at most max_order."""
+def random_group(rng: random.Random, max_order: int) -> LatticeContext:
+    """The lattice context of a uniform-ish random valid group of order at
+    most max_order."""
     while True:
         if rng.random() < 0.8:
             r = rng.randint(1, max_order)
@@ -200,11 +197,9 @@ def random_group_spec(rng: random.Random, max_order: int) -> GroupSpec:
                 terms.append(f"1/{r}({a},{b},{(-a - b) % r})")
             text = "+".join(terms)
         try:
-            spec = parse_group_spec(text)
-            lattice_context(spec, max_order=max_order)
+            return lattice_context(parse_group_spec(text), max_order=max_order)
         except GroupSpecError:
             continue
-        return spec
 
 
 def run_random_suite(count: int, max_order: int,
@@ -215,8 +210,8 @@ def run_random_suite(count: int, max_order: int,
     rng = random.Random(seed)
     failures = []
     for t in range(count):
-        spec = random_group_spec(rng, max_order)
-        ctx = lattice_context(spec, max_order=max_order)
+        ctx = random_group(rng, max_order)
+        spec = ctx.spec
         repro = f'ahilb verify "{spec.canonical_text}" --seed {seed + t}'
         for result in run_checks(Resolution(ctx), seed=seed + t):
             if not result.ok:

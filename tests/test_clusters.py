@@ -19,6 +19,7 @@ from ahilb.fan import build_fan
 from ahilb.lattice import dot, vadd
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
+from test_lattice import written_generators
 from test_tiling import cyclic_groups
 
 
@@ -115,18 +116,20 @@ def test_tripod_z2z2_up_cell():
     sys = cluster_system(ctx, db)
     basis = tripod_basis(ctx, sys)
     assert basis == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
-    chars = {tuple((g[0] * p + g[1] * q + g[2] * s) % 2 for g in ctx.generators)
+    gens = written_generators(ctx)
+    chars = {tuple((g[0] * p + g[1] * q + g[2] * s) % 2 for g in gens)
              for p, q, s in basis}
     assert len(chars) == 4
 
 
 def test_tripod_sizes_and_characters_11():
     ctx, fan, systems = systems_of("1/11(1,2,8)")
+    gens = written_generators(ctx)
     for sys in systems:
         basis = tripod_basis(ctx, sys)
         assert len(basis) == 11
         chars = {
-            tuple((p * g[0] + q * g[1] + s * g[2]) % 11 for g in ctx.generators)
+            tuple((p * g[0] + q * g[1] + s * g[2]) % 11 for g in gens)
             for p, q, s in basis
         }
         assert len(chars) == 11
@@ -137,7 +140,7 @@ def character_key(ctx, mono):
     generators mod n, read as the mixed-radix integer
     r_0 + n*r_1 + n^2*r_2 + ..."""
     return sum(dot(mono, g) % ctx.n * ctx.n ** j
-               for j, g in enumerate(ctx.generators))
+               for j, g in enumerate(written_generators(ctx)))
 
 
 def oracle_staircase(sys):
@@ -174,7 +177,7 @@ def residue_walk(ctx, sys):
     n = ctx.n
     boxes = _staircase(sys)
     keys = None
-    for u, v, w in reversed(ctx.generators):
+    for u, v, w in reversed(written_generators(ctx)):
         res = []
         for ps, qs, ss in boxes:
             res += [(p * u + q * v + s * w) % n
@@ -192,7 +195,7 @@ def residue_walk(ctx, sys):
 
 def code(layout, mono):
     """The bit position r_0 + n*r_1 of the character of a monomial."""
-    r0, r1 = layout.character(mono)
+    r0, r1 = layout.ctx.character(mono)
     return r0 + layout.n * r1
 
 
@@ -296,7 +299,7 @@ def test_character_layout_matches_the_generators():
         for u in vectors:
             for v in vectors:
                 shifted = layout.shift(1 << code(layout, u),
-                                       *layout.character(v))
+                                       *layout.ctx.character(v))
                 assert shifted == 1 << code(layout, vadd(u, v)), spec
         for sys in Resolution(ctx).systems:
             stair = oracle_staircase(sys)

@@ -12,6 +12,7 @@ from ahilb import (
     parse_group_spec,
     primitive_vector,
 )
+from ahilb import lattice
 from ahilb.cli import main
 from ahilb.lattice import (
     chart,
@@ -41,6 +42,12 @@ PRODUCTS = NONCYCLIC + ["1/12(6,6,0)+1/4(1,1,2)", Z210]
 
 def ctx_of(text, **kw):
     return lattice_context(parse_group_spec(text), **kw)
+
+
+def written_generators(ctx):
+    """The written generators of ctx's group, scaled to its exponent n."""
+    return tuple(tuple(ctx.n * w // g.order for w in g.weights)
+                 for g in ctx.spec.generators)
 
 
 def test_parse_single_generator():
@@ -192,7 +199,8 @@ def test_exponent_from_generators_matches_element_search():
         ctx = ctx_of(text)
         elements = group_elements(ctx)
         assert len(elements) == ctx.order, text
-        got = (ctx.n, ctx.generators, frozenset(elements), ctx.monomial_basis)
+        got = (ctx.n, written_generators(ctx), frozenset(elements),
+               ctx.monomial_basis)
         assert got == searched_context(text), text
 
 
@@ -223,7 +231,7 @@ def test_monomial_basis_invariance_and_determinant():
 def check_smith_form(text):
     ctx = ctx_of(text)
     n = ctx.n
-    rows = list(ctx.corners) + list(ctx.generators)
+    rows = list(ctx.corners) + list(written_generators(ctx))
     diag, cols = smith_columns(rows)
     assert diag[2] == n and diag[1] % diag[0] == 0 and n % diag[1] == 0
     assert abs(det3(cols)) == 1
@@ -250,6 +258,68 @@ def test_smith_columns_on_cyclic_context_rows():
 def test_smith_columns_rejects_dependent_rows():
     with pytest.raises(InvariantError, match="lost rank"):
         smith_columns([(1, 2, 3), (2, 4, 6), (0, 1, 1)])
+
+
+def check_character_map(text):
+    """ctx.character(v) is trivial exactly when v pairs integrally with
+    every written generator, and it maps onto Z/n x Z/(N/n).  Both sides
+    are constant on classes mod n*Z^3 + Z*(1,1,1), so the vectors
+    (x, y, z) with x in {0, 1} and 0 <= y, z < n cover every class and
+    the step by (1, 1, 1)."""
+    ctx = ctx_of(text)
+    n, gens = ctx.n, written_generators(ctx)
+    seen = set()
+    for x in (0, 1):
+        for y in range(n):
+            for z in range(n):
+                v = (x, y, z)
+                chi = ctx.character(v)
+                paired = all(dot(v, g) % n == 0 for g in gens)
+                assert (chi == (0, 0)) == paired, (text, v)
+                assert ctx.is_invariant_monomial(v) == paired, (text, v)
+                seen.add(chi)
+    assert seen == {(r0, r1) for r0 in range(n)
+                    for r1 in range(ctx.order // n)}, text
+
+
+def test_character_is_trivial_exactly_on_invariant_monomials():
+    for text in cyclic_groups(24) + PRODUCTS:
+        check_character_map(text)
+
+
+def patch_smith_columns(monkeypatch, change):
+    """Make lattice_context see change(diag, cols) for its Smith form."""
+    real = lattice.smith_columns
+    monkeypatch.setattr(lattice, "smith_columns",
+                        lambda rows: change(*real(rows)))
+
+
+def test_context_raises_on_a_wrong_invariant_shape(monkeypatch):
+    # 1/11(1,2,8) has invariants (1, 11, 11); swapping the first two
+    # keeps the order and breaks the shape.
+    patch_smith_columns(monkeypatch,
+                        lambda diag, cols: ((diag[1], diag[0], diag[2]), cols))
+    with pytest.raises(InvariantError,
+                       match=r"^character group is not Z/11 x Z/1$"):
+        ctx_of("1/11(1,2,8)")
+
+
+def test_context_raises_on_non_unimodular_columns(monkeypatch):
+    patch_smith_columns(monkeypatch, lambda diag, cols: (
+        diag, (smul(2, cols[0]), cols[1], cols[2])))
+    with pytest.raises(InvariantError,
+                       match="^monomial basis determinant is not the order$"):
+        ctx_of("1/11(1,2,8)")
+
+
+def test_context_raises_on_a_non_invariant_row(monkeypatch):
+    # Unimodular columns of the right invariants, but not the group's:
+    # the row (0, 1, 0) pairs to 2 with the generator (1, 2, 8).
+    patch_smith_columns(monkeypatch, lambda diag, cols: (
+        diag, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    with pytest.raises(InvariantError,
+                       match="^monomial basis row is not invariant$"):
+        ctx_of("1/11(1,2,8)")
 
 
 def test_junior_points_11():

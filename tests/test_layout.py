@@ -3,6 +3,10 @@ imports only at module level, reads every name it imports, every
 parameter it declares and every local it stores, and every span the
 benchmark traces names a module-level function.
 
+One package function, `lattice.lattice_context`, calls
+`lattice.smith_columns`: every other lattice and character fact is read
+off the context it builds, one Smith form per group.
+
 Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
 or it is listed in `ahilb.__all__`, or it is named in backticks in
@@ -159,6 +163,27 @@ def test_no_unused_imports():
     for path in sorted(PACKAGE.glob("*.py")):
         found += _unused_imports(path)
     assert found == []
+
+
+def _callers(name: str) -> list[str]:
+    """The package's module-level functions and methods whose bodies,
+    nested scopes included, call name, as a bare name or an attribute."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, fn in _functions(path):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if called == name:
+                    out.append(qual)
+    return out
+
+
+def test_one_smith_form_per_group():
+    assert _callers("smith_columns") == ["lattice.lattice_context"]
 
 
 def test_traced_spans_name_module_level_functions():

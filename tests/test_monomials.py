@@ -19,6 +19,7 @@ from ahilb.monomials import (
 )
 from ahilb.partition import meet
 from ahilb.resolution import Resolution
+from test_lattice import written_generators
 
 
 def pipeline(text):
@@ -283,13 +284,15 @@ def test_primitive_in_monomial_lattice():
 
 def _primitive_by_search(ctx, m):
     """Reference: the smallest divisor k of the order with k*base
-    invariant, base being m divided by its content."""
+    pairing integrally with every written generator, base being m
+    divided by its content."""
     g = 0
     for c in m:
         g = gcd(g, abs(c))
     base = (m[0] // g, m[1] // g, m[2] // g)
     for k in range(1, ctx.order + 1):
-        if ctx.order % k == 0 and ctx.is_invariant_monomial(smul(k, base)):
+        if ctx.order % k == 0 and all(dot(smul(k, base), g) % ctx.n == 0
+                                      for g in written_generators(ctx)):
             return smul(k, base)
     raise AssertionError("no invariant multiple")
 

@@ -8,7 +8,7 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.resolution import Resolution
 from ahilb.verify import (
     CheckResult,
-    random_group_spec,
+    random_group,
     run_checks,
     run_random_suite,
 )
@@ -51,12 +51,12 @@ def test_run_checks_passes_at_order_8009():
 
 
 def test_sampler_is_deterministic():
-    a = [random_group_spec(random.Random(11), 40).canonical_text
+    a = [random_group(random.Random(11), 40).spec.canonical_text
          for _ in range(5)]
     rng = random.Random(11)
-    b = [random_group_spec(rng, 40).canonical_text for _ in range(5)]
+    b = [random_group(rng, 40).spec.canonical_text for _ in range(5)]
     assert a[0] == b[0]
-    groups = [random_group_spec(random.Random(3), 40).canonical_text
+    groups = [random_group(random.Random(3), 40).spec.canonical_text
               for _ in range(3)]
     assert len(set(groups)) == 1
 
@@ -64,9 +64,9 @@ def test_sampler_is_deterministic():
 def test_sampler_respects_cap():
     rng = random.Random(5)
     for _ in range(30):
-        spec = random_group_spec(rng, 25)
-        ctx = lattice_context(spec)
+        ctx = random_group(rng, 25)
         assert ctx.order <= 25
+        assert lattice_context(ctx.spec).order == ctx.order
 
 
 def test_small_random_suite_clean():
