@@ -3,14 +3,16 @@ regular triangles.
 
 Two independent algorithms produce the partition: enumeration of the
 regular triangles cut out by the lines, searching only line triples whose
-directions can sum to zero (authoritative), and realization of the
-contraction-game triples (mandatory cross-check).  A mismatch raises
-InvariantError: this is the package's central differential test.  The
-tiling is then checked by edge matching and exact areas.
+directions can sum to zero, two of them of pair index 1 (authoritative),
+and realization of the contraction-game triples (mandatory cross-check).
+A mismatch raises InvariantError: this is the package's central
+differential test.  The tiling is then checked by edge matching and exact
+areas.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -77,16 +79,23 @@ def rays(ctx: LatticeContext, fans: dict[int, CornerFan]) -> dict[Tag, Line]:
     return lines
 
 
+def _meet_params(l1: Line, l2: Line) -> tuple[int, int]:
+    """(d, t) such that l1 meets l2 at l1.anchor + (t/d)*l1.direction;
+    d = 0 when the lines are parallel."""
+    d = cross2(chart(l1.direction), chart(l2.direction))
+    t = cross2(chart(vsub(l2.anchor, l1.anchor)), chart(l2.direction))
+    return d, t
+
+
 def meet(l1: Line, l2: Line) -> RatPoint | None:
     """Exact intersection point of two lines, or None when parallel.
 
     Returned as (numerator, denominator) with denominator > 0 and the
     fraction reduced.
     """
-    d = cross2(chart(l1.direction), chart(l2.direction))
+    d, t = _meet_params(l1, l2)
     if d == 0:
         return None
-    t = cross2(chart(vsub(l2.anchor, l1.anchor)), chart(l2.direction))
     num = vadd(smul(d, l1.anchor), smul(t, l1.direction))
     if d < 0:
         num, d = (-num[0], -num[1], -num[2]), -d
@@ -170,22 +179,32 @@ def enumerate_triangles(ctx: LatticeContext,
     direction of the line hosting that side.  Of those three signs two
     agree, say on the hosts a, b of u, v; then d_a + d_b = +-(u + v) =
     -+w, the third host's direction up to sign.  Hosts a and b meet at a
-    lattice point of the simplex, the vertex opposite w.  So it suffices
-    to try, for each pair of lines meeting at such a point, the lines in
-    the direction class of d_a + d_b as the third line, each tag triple
-    once, in sorted tag order.
+    lattice point of the simplex, the vertex opposite w.  Their directions
+    are +-u and +-v, which ``_triangle_from_lines`` requires to have pair
+    index 1: |cross2(chart d_a, chart d_b)| = n^2/N (see ``pair_index``).
+    So it suffices to try, for each pair of lines of index 1 meeting at
+    such a point, the lines in the direction class of d_a + d_b as the
+    third line, each tag triple once, in sorted tag order.  About 2*L of
+    the C(L,2) pairs have index 1.
     """
     ordered = [lines[t] for t in sorted(lines)]
     by_direction: dict[Vec3, list[Tag]] = {}
     for line in ordered:
         by_direction.setdefault(sign_fixed(line.direction), []).append(line.tag)
+    unit = ctx.n * ctx.n // ctx.order
+    charts = [chart(line.direction) for line in ordered]
     trios = set()
-    for la, lb in combinations(ordered, 2):
-        third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
-        if third is None or _simplex_point(ctx, meet(la, lb)) is None:
-            continue
-        for tc in third:
-            trios.add(tuple(sorted((la.tag, lb.tag, tc))))
+    for a, (ya, za) in enumerate(charts):
+        for b in range(a + 1, len(ordered)):
+            yb, zb = charts[b]
+            if abs(ya * zb - za * yb) != unit:
+                continue
+            la, lb = ordered[a], ordered[b]
+            third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
+            if third is None or _simplex_point(ctx, meet(la, lb)) is None:
+                continue
+            for tc in third:
+                trios.add(tuple(sorted((la.tag, lb.tag, tc))))
     found: dict[tuple, RegularTriangle] = {}
     for tags in sorted(trios):
         tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
@@ -247,29 +266,86 @@ class Partition:
         """Every (la, lb, x) where interior lines from two different
         corners meet at x strictly inside the simplex, within both lines'
         extents: x has not passed either line's defeat point in the line's
-        own-corner coordinate."""
-        out = []
-        for la, lb in combinations(_interior_lines(self), 2):
-            if la.tag[1] == lb.tag[1]:
-                continue
-            x = meet(la, lb)
-            if x is None or not all(c > 0 for c in x[0]):
-                continue
-            num, den = x
-            if all(num[l.tag[1] - 1] >= den * l.defeat_point[l.tag[1] - 1]
-                   for l in (la, lb)):
-                out.append((la, lb, x))
-        return out
+        own-corner coordinate.  Sorted by tag pair, la.tag < lb.tag.
+
+        Every meet is interior.  An interior line out of e_i is a cevian:
+        it runs from e_i to a point inside the opposite side, so it splits
+        the simplex into a part holding e_j and a part holding the third
+        corner e_k.  A cevian out of e_j ends inside the side e_i e_k, in
+        the second part, so the two meet strictly inside the simplex.
+
+        The meets along a line move monotonically in fan order.  Let la run
+        out of e_i, let e_j be another corner and e_k the third.  Seen from
+        e_j, the points of la, from e_i outward, sweep the angle at e_j
+        once, from the side toward e_i to the side toward e_k: a central
+        projection from e_j, which la misses.  Corner j's fan runs from the
+        side toward e_{j-1} to the side toward e_{j+1}.  So from e_i
+        outward la meets corner j's lines in fan order when j = i+1 and in
+        reverse fan order when j = i-1, while la's own-corner coordinate
+        falls strictly.  "The meet is within la's extent" thus holds on a
+        prefix of corner j's fan when j = i+1 and on a suffix when
+        j = i-1, whatever la's defeat point, and bisection with
+        ``_within`` finds it.  For corners i and j = i+1, the crossings
+        are the pairs (la_p, lb_m) with m in la_p's prefix and p in lb_m's
+        suffix.  A sweep over p that adds each m once p reaches the start
+        of its suffix reports them: O(L log L) extent tests, one ``meet``
+        per crossing, and a sort of the K crossings.
+        """
+        fans = {i: [] for i in (1, 2, 3)}
+        for line in _interior_lines(self):
+            fans[line.tag[1]].append(line)
+        pairs = []
+        for i in (1, 2, 3):
+            j = i % 3 + 1
+            own, nxt = fans[i], fans[j]
+            # own[p] crosses within its extent the lines nxt[:ends[p]],
+            # nxt[m] the lines own[starts[m]:].
+            ends = [bisect_left(nxt, True, key=lambda lb: not _within(la, lb))
+                    for la in own]
+            starts = [bisect_left(own, True, key=lambda la: _within(lb, la))
+                      for lb in nxt]
+            waiting = sorted(range(len(nxt)), key=starts.__getitem__,
+                             reverse=True)
+            active: list[int] = []  # sorted m with starts[m] <= p
+            for p, la in enumerate(own):
+                while waiting and starts[waiting[-1]] <= p:
+                    insort(active, waiting.pop())
+                for m in active[:bisect_left(active, ends[p])]:
+                    pairs.append((la, nxt[m]) if i < j else (nxt[m], la))
+        pairs.sort(key=lambda pair: (pair[0].tag, pair[1].tag))
+        return [(la, lb, meet(la, lb)) for la, lb in pairs]
 
 
-def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]):
+def _within(line: Line, other: Line) -> bool:
+    """Does the interior line other meet line within line's extent?
+
+    With d and t from ``_meet_params``, the meet is
+    (d*anchor + t*direction)/d, so its own-corner coordinate o is at least
+    the defeat point's exactly when d*anchor[o] + t*direction[o] -
+    d*defeat_point[o] has the sign of d, which is never 0: the lines cross.
+    """
+    o = line.tag[1] - 1
+    d, t = _meet_params(line, other)
+    gap = d * (line.anchor[o] - line.defeat_point[o]) + t * line.direction[o]
+    return gap >= 0 if d > 0 else gap <= 0
+
+
+def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],
+                r: int | None = None):
     """The triangle's boundary, counter-clockwise in chart, in unit lattice
-    steps: ((p, q), +1) for a step from p to q with p < q, else ((q, p), -1)."""
+    steps: ((p, q), +1) for a step from p to q with p < q, else ((q, p), -1).
+    With r, the triangle is regular of side r: ``_triangle_from_lines``
+    made each side exactly r primitive steps long, so a step is (q - p)/r.
+    Without, the sides are stepped by ``segment_points``."""
     a, b, c = vertices
     if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
         b, c = c, b
     for p, q in ((a, b), (b, c), (c, a)):
-        pts = segment_points(ctx, p, q)
+        if r is None:
+            pts = segment_points(ctx, p, q)
+        else:
+            step = tuple((y - x) // r for x, y in zip(p, q))
+            pts = [vadd(p, smul(k, step)) for k in range(r + 1)]
         for u, w in zip(pts, pts[1:]):
             yield ((u, w), 1) if u < w else ((w, u), -1)
 
@@ -289,9 +365,10 @@ def _check_tiling(ctx: LatticeContext,
     if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
     count: dict[tuple[Vec3, Vec3], int] = {}
-    chains = [(tri.vertices, 1) for tri in triangles] + [(ctx.corners, -1)]
-    for vertices, sign in chains:
-        for seg, s in _unit_edges(ctx, vertices):
+    chains = [(tri.vertices, tri.r, 1) for tri in triangles]
+    chains.append((ctx.corners, None, -1))
+    for vertices, r, sign in chains:
+        for seg, s in _unit_edges(ctx, vertices, r):
             count[seg] = count.get(seg, 0) + sign * s
     if any(count.values()):
         raise InvariantError("triangle interiors overlap")

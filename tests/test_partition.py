@@ -2,17 +2,20 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
+from math import ceil, log2
 from pathlib import Path
 
 import pytest
 
 import ahilb.partition
-from ahilb import lattice_context, parse_group_spec
+from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.errors import InvariantError
-from ahilb.lattice import smul, vadd
+from ahilb.lattice import sign_fixed, smul, vadd
 from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
+    _within,
     enumerate_triangles,
     knockout_report,
     line_extent,
@@ -21,6 +24,8 @@ from ahilb.partition import (
     realize_triple,
 )
 from ahilb.resolution import Resolution
+from test_cli import SWEEP
+from test_tiling import cyclic_groups
 
 
 def ctx_of(text):
@@ -200,6 +205,91 @@ def shifted(part, tag, steps):
 def test_knockout_report_catches_a_shifted_defeat_point(tag, steps, violations):
     part = Resolution(ctx_of("1/11(1,2,8)")).partition
     assert knockout_report(shifted(part, tag, steps)) == violations
+
+
+def pairwise_crossings(part):
+    """Every pair of interior lines from different corners, met and kept
+    when the meet is strictly inside the simplex and within both lines'
+    extents, in sorted tag order: the oracle for Partition.crossings."""
+    interior = [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
+    out = []
+    for la, lb in combinations(interior, 2):
+        if la.tag[1] == lb.tag[1]:
+            continue
+        x = meet(la, lb)
+        if x is None or not all(c > 0 for c in x[0]):
+            continue
+        num, den = x
+        if all(num[l.tag[1] - 1] >= den * l.defeat_point[l.tag[1] - 1]
+               for l in (la, lb)):
+            out.append((la, lb, x))
+    return out
+
+
+def crossing_rows(crossings):
+    return [(la.tag, lb.tag, x) for la, lb, x in crossings]
+
+
+def check_crossings(spec, shifts=False):
+    """Partition.crossings against the pairwise oracle; with shifts, also
+    on every interior line's defeat point moved one step either way."""
+    part = Resolution(ctx_of(spec)).partition
+    parts = [part]
+    if shifts:
+        parts += [shifted(part, tag, steps) for tag in sorted(part.lines)
+                  if tag[0] == "corner" for steps in (-1, 1)]
+    for p in parts:
+        assert crossing_rows(p.crossings) == crossing_rows(
+            pairwise_crossings(p)), spec
+
+
+SHIFTED = set(cyclic_groups(16))
+
+
+def test_crossings_match_the_pairwise_oracle():
+    for spec in SWEEP:
+        check_crossings(spec, shifts=spec in SHIFTED)
+
+
+@pytest.mark.deep
+def test_crossings_match_the_pairwise_oracle_up_to_40():
+    for spec in cyclic_groups(40):
+        check_crossings(spec)
+
+
+def counting(function, calls):
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+    return counted
+
+
+def test_crossings_meet_only_the_crossing_pairs(monkeypatch):
+    # One meet per crossing and O(L log L) extent tests, where the pairwise
+    # scan meets 89,999 pairs.
+    part = Resolution(ctx_of("1/600(1,1,598)")).partition
+    meets, tests = [], []
+    monkeypatch.setattr(ahilb.partition, "meet", counting(meet, meets))
+    monkeypatch.setattr(ahilb.partition, "_within", counting(_within, tests))
+    assert len(part.crossings) == len(meets) == 897
+    size = len(part.lines)
+    assert len(tests) <= 4 * size * ceil(log2(size))
+
+
+def test_enumeration_looks_up_only_index_one_pairs(monkeypatch):
+    ctx = ctx_of("1/600(1,1,598)")
+    lines = rays_of(ctx)
+    calls = []
+    monkeypatch.setattr(ahilb.partition, "sign_fixed",
+                        counting(sign_fixed, calls))
+    enumerate_triangles(ctx, lines)
+    # The first len(lines) calls build the direction classes.
+    lookups = sorted(v for v, in calls[len(lines):])
+    unit = [vadd(a.direction, b.direction)
+            for a, b in combinations(lines.values(), 2)
+            if pair_index(ctx, a.direction, b.direction) == 1]
+    assert lookups == sorted(unit)
+    assert len(lookups) <= 1201
 
 
 _TIED_REPORT = """

@@ -1,7 +1,7 @@
-"""The partition against two slow oracles: the brute force over every line
-triple, and the pairwise separating-line test on every pair of triangles.
-Also the large-order regression pins, with the Ito-Reid counts as their
-independent check."""
+"""The partition against slow oracles: the brute force over every line
+triple, the scan of every line pair by direction sum, and the pairwise
+separating-line test on every pair of triangles.  Also the large-order
+regression pins, with the Ito-Reid counts as their independent check."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -10,11 +10,13 @@ import pytest
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
-from ahilb.lattice import chart, cross2, group_elements
+from ahilb.lattice import chart, cross2, group_elements, sign_fixed, vadd
 from ahilb.partition import (
     _check_tiling,
+    _simplex_point,
     _triangle_from_lines,
     enumerate_triangles,
+    meet,
     rays,
 )
 from ahilb.resolution import Resolution
@@ -28,6 +30,33 @@ def brute_force_triangles(ctx, lines):
     found = {}
     for trio in combinations(ordered, 3):
         tri = _triangle_from_lines(ctx, trio)
+        if tri is None:
+            continue
+        if tri.key() in found:
+            raise InvariantError("two line triples cut out the same triangle")
+        found[tri.key()] = tri
+    return [found[k] for k in sorted(found)]
+
+
+def pair_scan_triangles(ctx, lines):
+    """Every line pair whose directions sum, up to sign, to a line's
+    direction and which meets at a lattice point of the simplex, with each
+    such line as the third side; the regular triangles found, sorted by
+    key."""
+    ordered = [lines[t] for t in sorted(lines)]
+    by_direction = {}
+    for line in ordered:
+        by_direction.setdefault(sign_fixed(line.direction), []).append(line.tag)
+    trios = set()
+    for la, lb in combinations(ordered, 2):
+        third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
+        if third is None or _simplex_point(ctx, meet(la, lb)) is None:
+            continue
+        for tc in third:
+            trios.add(tuple(sorted((la.tag, lb.tag, tc))))
+    found = {}
+    for tags in sorted(trios):
+        tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
         if tri is None:
             continue
         if tri.key() in found:
@@ -94,6 +123,7 @@ def check_against_oracles(spec):
     lines = rays(ctx, Resolution(ctx).fans)
     brute = brute_force_triangles(ctx, lines)
     assert enumerate_triangles(ctx, lines) == brute, spec
+    assert pair_scan_triangles(ctx, lines) == brute, spec
     assert pairwise_disjoint(brute), spec
     # With the area exact, edge matching and the pairwise test agree.
     assert tiles(ctx, brute), spec
@@ -178,3 +208,7 @@ def test_large_order_pins(spec, lines, triangles, cones, surfaces):
     assert len(res.census) == ages[2]
     if spec in ("1/600(1,1,598)", "1/2000(1,1,1998)"):
         assert all(result.ok for result in run_checks(res))
+    if spec == "1/2000(1,1,1998)":
+        from test_partition import crossing_rows, pairwise_crossings
+        assert crossing_rows(res.partition.crossings) == crossing_rows(
+            pairwise_crossings(res.partition))
