@@ -22,7 +22,6 @@ from .lattice import (
     Vec3,
     permute,
     scaled_dual,
-    vadd,
     vsub,
 )
 from .monomials import DualBasis, ratio_str
@@ -109,41 +108,37 @@ def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     return sys
 
 
-def verify_cluster(ctx: LatticeContext, sys: ClusterSystem) -> list[str]:
-    """Assert the dependency relations, the syzygy, and that every
-    equation matches characters.  Raises on failure, returns the list of
-    check names performed."""
-    v = sys.ratio_vectors()
-    if sys.mode == "up":
-        want = dict(lam=("eta", "zeta"), mu=("zeta", "xi"), nu=("xi", "eta"))
-        counts_ok = (
-            sys.l == sys.a + sys.d
-            and sys.m == sys.b + sys.e
-            and sys.n == sys.c + sys.f
-        )
-    else:
-        want = dict(xi=("mu", "nu"), eta=("nu", "lam"), zeta=("lam", "mu"))
-        counts_ok = (
-            sys.l == sys.a + sys.d + 1
-            and sys.m == sys.b + sys.e + 1
-            and sys.n == sys.c + sys.f + 1
-        )
-    if not counts_ok:
+def _mode(exps: tuple[int, ...]) -> str | None:
+    """The mode whose count relations the exponents (a, ..., f, l, m, n)
+    satisfy: "up" when (l, m, n) = (a+d, b+e, c+f), "down" when each is
+    one more, else None."""
+    a, b, c, d, e, f, l, m, n = exps
+    for mode, k in (("up", 0), ("down", 1)):
+        if (l, m, n) == (a + d + k, b + e + k, c + f + k):
+            return mode
+    return None
+
+
+def verify_cluster(ctx: LatticeContext, sys: ClusterSystem) -> None:
+    """Raise unless the exponents satisfy the count relations of the
+    system's mode and every equation matches characters.
+
+    These two checks settle the rest of the system.  Coordinate by
+    coordinate, each parameter relation is exactly the count relations:
+    in up mode lam = eta*zeta reads (-l, b+1, f+1) = (-d-a, m+1-e,
+    n+1-c), that is l = a+d, m = b+e, n = c+f, and so do the other two;
+    in down mode xi = mu*nu and its two companions read l = a+d+1,
+    m = b+e+1, n = c+f+1.  The syzygies xi*lam = eta*mu = zeta*nu = pi
+    hold for every exponent tuple: ``ratio_vectors`` makes each pair sum
+    to (1, 1, 1).
+    """
+    if _mode(sys.exponents()) != sys.mode:
         raise InvariantError(f"{sys.mode} count relations fail: {sys.exponents()}")
-    for name, (p, q) in want.items():
-        if v[name] != vadd(v[p], v[q]):
-            raise InvariantError(
-                f"{sys.mode} parameter relation {name} = {p}*{q} fails"
-            )
-    for p, q in (("xi", "lam"), ("eta", "mu"), ("zeta", "nu")):
-        if vadd(v[p], v[q]) != (1, 1, 1):
-            raise InvariantError(f"syzygy {q}*{p} = pi fails")
-    for name, vec in v.items():
+    for name, vec in sys.ratio_vectors().items():
         if not ctx.is_invariant_monomial(vec):
             raise InvariantError(
                 f"equation for {name} does not match characters: {vec}"
             )
-    return ["counts", "parameter relations", "syzygy", "characters"]
 
 
 def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
@@ -289,12 +284,8 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
 
     exps = (a, b, c, d, e, f, l, m, n).
     """
-    a, b, c, d, e, f, l, m, n = exps
-    if (l, m, n) == (a + d, b + e, c + f):
-        mode = "up"
-    elif (l, m, n) == (a + d + 1, b + e + 1, c + f + 1):
-        mode = "down"
-    else:
+    mode = _mode(exps)
+    if mode is None:
         raise InvariantError(
             f"exponents {exps} satisfy neither the up nor the down relations"
         )

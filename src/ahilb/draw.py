@@ -11,8 +11,14 @@ from __future__ import annotations
 
 from math import sqrt
 
-from .fan import Fan, on_simplex_boundary
-from .lattice import LatticeContext, Vec3, cross3, sign_fixed
+from .fan import Fan
+from .lattice import (
+    LatticeContext,
+    Vec3,
+    cross3,
+    on_simplex_boundary,
+    sign_fixed,
+)
 from .monomials import primitive_in_monomial_lattice, ratio_str
 from .partition import Partition
 

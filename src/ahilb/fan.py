@@ -18,6 +18,7 @@ from .lattice import (
     det3,
     dot,
     multiple,
+    on_simplex_boundary,
     smul,
     vadd,
     vsub,
@@ -118,11 +119,6 @@ def build_fan(part: Partition) -> Fan:
             )
     return Fan(tuple(verts), tuple(cones), frozenset(edges),
                frozenset(interior))
-
-
-def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
-    """Do a and b lie on one side of the simplex?"""
-    return any(a[t] == 0 and b[t] == 0 for t in range(3))
 
 
 def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:

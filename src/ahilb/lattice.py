@@ -15,9 +15,9 @@ by closed forms (see ``is_translation``, ``LatticeContext.character``,
 unless ``group_elements`` is asked for them.
 
 The lattice geometry the other modules share lives here, once:
-``segment_points`` (the lattice points of a segment), ``sign_fixed`` (a
-direction up to sign), ``pair_index`` and ``area2`` (lattice indexes and
-doubled triangle areas).
+``on_simplex_boundary`` (does a segment lie along a side of the simplex),
+``sign_fixed`` (a direction up to sign), ``pair_index`` and ``area2``
+(lattice indexes and doubled triangle areas).
 """
 
 from __future__ import annotations
@@ -373,12 +373,9 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
     return (v[0] // k, v[1] // k, v[2] // k)
 
 
-def segment_points(ctx: LatticeContext, a: Vec3, b: Vec3) -> list[Vec3]:
-    """The lattice points from a to b (a != b) in order, both ends
-    included."""
-    v = vsub(b, a)
-    step = primitive_vector(ctx, v)
-    return [vadd(a, smul(k, step)) for k in range(multiple(v, step) + 1)]
+def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
+    """Do a and b lie on one side of the simplex?"""
+    return any(a[t] == 0 and b[t] == 0 for t in range(3))
 
 
 def sign_fixed(v: Vec3) -> Vec3:

@@ -29,7 +29,8 @@ Strategy = str | tuple[str, int] | list[int]
 @dataclass(frozen=True)
 class RegularTriple:
     """Three translation vectors, any two a lattice basis, with the sign
-    relation vectors[0] - vectors[1] + vectors[2] = 0."""
+    relation vectors[0] - vectors[1] + vectors[2] = 0.  ``_relation``,
+    the one constructor, raises unless the relation holds."""
 
     vectors: tuple[Vec3, Vec3, Vec3]
     tags: tuple[Tag, Tag, Tag]
@@ -204,17 +205,16 @@ def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
     the terminal triple.
 
     strategy: "leftmost", ("random", seed), or an explicit position list.
+    A step removes a 1 and lowers its two neighbors by one, so it lowers
+    the value sum by exactly 3, and a run that ends at [1,1,1] took
+    (strength_sum - 3)/3 steps.
     """
-    s0 = sum(word.values())
     steps, rest = contract_run(word, strategy)
     if len(rest) > 3:
         raise InvariantError("no contractible entry before reaching [1,1,1]")
     if rest.values() != (1, 1, 1):
         raise InvariantError(f"terminal word is {rest.values()}, not [1,1,1]")
-    trace = MMPTrace(tuple(steps), terminal_triple(rest), s0)
-    if len(steps) != (s0 - 3) // 3:
-        raise InvariantError("step count does not match the strength sum")
-    return trace
+    return MMPTrace(tuple(steps), terminal_triple(rest), sum(word.values()))
 
 
 def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
@@ -229,10 +229,9 @@ def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
 
 
 def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
-    """Pairwise-basis and sign-relation checks."""
+    """Raise unless any two of the triple's vectors form a lattice basis.
+    The sign relation needs no check: ``_relation`` built the triple."""
     v = triple.vectors
-    if vadd(v[0], v[2]) != v[1]:
-        raise InvariantError("triple sign relation does not vanish")
     for a in range(3):
         for b in range(a + 1, 3):
             if pair_index(ctx, v[a], v[b]) != 1:

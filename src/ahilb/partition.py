@@ -6,8 +6,8 @@ regular triangles cut out by the lines, searching only line triples whose
 directions can sum to zero, two of them of pair index 1 (authoritative),
 and realization of the contraction-game triples (mandatory cross-check).
 A mismatch raises InvariantError: this is the package's central
-differential test.  The tiling is then checked by edge matching and exact
-areas.
+differential test.  The tiling is then checked by edge matching off the
+simplex's sides and exact areas.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .lattice import (
     chart,
     cross2,
     multiple,
+    on_simplex_boundary,
     pair_index,
     primitive_vector,
-    segment_points,
     sign_fixed,
     smul,
     vadd,
@@ -330,46 +330,42 @@ def _within(line: Line, other: Line) -> bool:
     return gap >= 0 if d > 0 else gap <= 0
 
 
-def _unit_edges(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3],
-                r: int | None = None):
-    """The triangle's boundary, counter-clockwise in chart, in unit lattice
-    steps: ((p, q), +1) for a step from p to q with p < q, else ((q, p), -1).
-    With r, the triangle is regular of side r: ``_triangle_from_lines``
-    made each side exactly r primitive steps long, so a step is (q - p)/r.
-    Without, the sides are stepped by ``segment_points``."""
+def _unit_edges(vertices: tuple[Vec3, Vec3, Vec3], r: int):
+    """The boundary of a regular triangle of side r, counter-clockwise in
+    chart, in unit lattice steps: ((p, q), +1) for a step from p to q with
+    p < q, else ((q, p), -1).  ``_triangle_from_lines`` made each side
+    exactly r primitive steps long, so a step is (q - p)/r."""
     a, b, c = vertices
     if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
         b, c = c, b
     for p, q in ((a, b), (b, c), (c, a)):
-        if r is None:
-            pts = segment_points(ctx, p, q)
-        else:
-            step = tuple((y - x) // r for x, y in zip(p, q))
-            pts = [vadd(p, smul(k, step)) for k in range(r + 1)]
+        step = tuple((y - x) // r for x, y in zip(p, q))
+        pts = [vadd(p, smul(k, step)) for k in range(r + 1)]
         for u, w in zip(pts, pts[1:]):
             yield ((u, w), 1) if u < w else ((w, u), -1)
 
 
 def _check_tiling(ctx: LatticeContext,
                   triangles: list[RegularTriangle]) -> None:
-    """Raise unless the triangles tile the simplex.
+    """Raise unless the triangles tile the simplex S.
 
     The doubled areas r^2 (``_triangle_from_lines`` makes the sides r
-    times directions of index 1) must sum to the simplex's N.  The sides
-    must match: each unit segment of a side is traversed by the
-    triangles, oriented as 2-chains, as often as by the simplex's
-    boundary, so a segment off that boundary is shared by two triangles
-    on opposite sides.  Then the triangles' boundary is the simplex's, and
-    every point off the edges is covered once inside the simplex and
-    never outside it."""
+    times directions of index 1) must sum to the simplex's N, and every
+    unit segment off the sides of S must be traversed by the triangles,
+    oriented counter-clockwise as a 2-chain C, as often in one direction
+    as in the other.  That suffices.  The boundary of C is then a cycle on
+    the sides of S.  At each lattice point of those sides it meets only
+    the two unit segments of the sides there, so they carry equal
+    coefficients, and the boundary of C is k times that of S.  C - kS has
+    no boundary, so C = kS, and the areas give k = 1: every point off
+    the edges is covered once inside S and never outside it."""
     if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
     count: dict[tuple[Vec3, Vec3], int] = {}
-    chains = [(tri.vertices, tri.r, 1) for tri in triangles]
-    chains.append((ctx.corners, None, -1))
-    for vertices, r, sign in chains:
-        for seg, s in _unit_edges(ctx, vertices, r):
-            count[seg] = count.get(seg, 0) + sign * s
+    for tri in triangles:
+        for seg, s in _unit_edges(tri.vertices, tri.r):
+            if not on_simplex_boundary(*seg):
+                count[seg] = count.get(seg, 0) + s
     if any(count.values()):
         raise InvariantError("triangle interiors overlap")
 

@@ -129,9 +129,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("fan: census valencies and surface counts")
     def _census():
-        for s in res.census:
-            if not 3 <= s.valency <= 6:
-                raise InvariantError(f"valency {s.valency} at {s.vertex}")
+        # surface_census raises on a valency outside 3..6.
         want = dp6_count(res.partition)
         got = sum(1 for s in res.census if s.label == "dP6")
         if want != got:

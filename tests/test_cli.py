@@ -14,9 +14,12 @@ import ahilb
 import ahilb.cli
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import build_document, main
+from ahilb.clusters import verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan
-from ahilb.partition import Partition
+from ahilb.lattice import LatticeContext
+from ahilb.monomials import dual_basis
+from ahilb.partition import Partition, _check_tiling
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks
 
@@ -412,6 +415,33 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     readers = [reader for reader, _ in crossings.reads]
     assert sorted(readers) == ["_crossings", "knockout_report"]
     assert crossings.reads[0][1] is crossings.reads[1][1]
+
+
+def test_settled_checks_do_no_work(monkeypatch):
+    # The tiling check walks no side of the simplex, the dual basis asks
+    # no character once the two routes agree, and a cluster system asks
+    # one per equation.
+    ctx = lattice_context(parse_group_spec("1/11(1,2,8)"))
+    res = Resolution(ctx)
+    triangles, ratios, systems = res.partition.triangles, res.ratios, res.systems
+    steps = _count_calls(monkeypatch, "lattice", "primitive_vector")
+    character = LatticeContext.character
+    characters = []
+
+    def counted(self, v):
+        characters.append(v)
+        return character(self, v)
+
+    monkeypatch.setattr(LatticeContext, "character", counted)
+    _check_tiling(ctx, list(triangles))
+    assert steps == []
+    for cell in res.fan.cones:
+        dual_basis(ctx, ratios[cell.parent], cell)
+    assert characters == []
+    for sysm in systems:
+        verify_cluster(ctx, sysm)
+        assert len(characters) == 7
+        characters.clear()
 
 
 def test_fan_command_skips_duals_and_clusters(monkeypatch, capsys):

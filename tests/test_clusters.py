@@ -81,7 +81,7 @@ def test_verify_cluster_passes_everywhere():
                  "1/13(1,5,7)", "1/2(0,1,1)"):
         ctx, fan, systems = systems_of(text)
         for sys in systems:
-            assert verify_cluster(ctx, sys)
+            verify_cluster(ctx, sys)
 
 
 def test_verify_cluster_detects_perturbed_exponent():
@@ -90,6 +90,18 @@ def test_verify_cluster_detects_perturbed_exponent():
     bad = ClusterSystem(sys.mode, sys.a, sys.b + 1, sys.c, sys.d, sys.e,
                         sys.f, sys.l, sys.m, sys.n)
     with pytest.raises(InvariantError):
+        verify_cluster(ctx, bad)
+
+
+def test_verify_cluster_rejects_a_count_preserving_mutant():
+    # Moving one x from the y-wall's x^d to z^(n+1)'s x^a keeps
+    # l = a + d, so only the characters see the change.
+    ctx, fan, systems = systems_of("1/11(1,2,8)")
+    sys = systems[0]
+    assert sys.exponents() == (8, 0, 0, 2, 0, 0, 10, 0, 0)
+    bad = replace(sys, a=sys.a + 1, d=sys.d - 1)
+    with pytest.raises(InvariantError, match=r"^equation for eta does not "
+                       r"match characters: \(-1, 1, 0\)$"):
         verify_cluster(ctx, bad)
 
 
@@ -252,6 +264,58 @@ def swapped_mutants(sys):
             if up != down and getattr(sys, down) > 0:
                 yield replace(sys, **{up: getattr(sys, up) + 1,
                                       down: getattr(sys, down) - 1})
+
+
+def four_part_verify(ctx, sys):
+    """verify_cluster with every relation it once tested, in the old
+    order: the count relations, the parameter relations, the syzygies and
+    the characters.  Raises as verify_cluster does."""
+    v = sys.ratio_vectors()
+    if sys.mode == "up":
+        want = dict(lam=("eta", "zeta"), mu=("zeta", "xi"), nu=("xi", "eta"))
+        counts_ok = (
+            sys.l == sys.a + sys.d
+            and sys.m == sys.b + sys.e
+            and sys.n == sys.c + sys.f
+        )
+    else:
+        want = dict(xi=("mu", "nu"), eta=("nu", "lam"), zeta=("lam", "mu"))
+        counts_ok = (
+            sys.l == sys.a + sys.d + 1
+            and sys.m == sys.b + sys.e + 1
+            and sys.n == sys.c + sys.f + 1
+        )
+    if not counts_ok:
+        raise InvariantError(f"{sys.mode} count relations fail: {sys.exponents()}")
+    for name, (p, q) in want.items():
+        if v[name] != vadd(v[p], v[q]):
+            raise InvariantError(
+                f"{sys.mode} parameter relation {name} = {p}*{q} fails"
+            )
+    for p, q in (("xi", "lam"), ("eta", "mu"), ("zeta", "nu")):
+        if vadd(v[p], v[q]) != (1, 1, 1):
+            raise InvariantError(f"syzygy {q}*{p} = pi fails")
+    for name, vec in v.items():
+        if not ctx.is_invariant_monomial(vec):
+            raise InvariantError(
+                f"equation for {name} does not match characters: {vec}"
+            )
+
+
+def test_verify_cluster_matches_the_four_part_check():
+    # The same verdict and message on every cone, its flipped mode, its
+    # single steps and its swaps; the swaps keep the counts and reach
+    # the characters.
+    verdicts = set()
+    for spec in cyclic_groups(12) + PRODUCTS:
+        ctx = lattice_context(parse_group_spec(spec))
+        for sys in Resolution(ctx).systems:
+            flipped = replace(sys, mode="down" if sys.mode == "up" else "up")
+            for case in (sys, flipped, *mutants(sys), *swapped_mutants(sys)):
+                want = verdict(four_part_verify, ctx, case)
+                assert verdict(verify_cluster, ctx, case) == want, (spec, case)
+                verdicts.add(want and " ".join(want.split()[:2]))
+    assert verdicts == {None, "up count", "down count", "equation for"}
 
 
 def check_mutants_against_residue_walk(specs, make):

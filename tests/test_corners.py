@@ -3,6 +3,7 @@ from functools import cmp_to_key
 
 import pytest
 from test_cli import SWEEP
+from test_lattice import segment_points
 
 from ahilb import lattice, lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
@@ -22,7 +23,6 @@ from ahilb.lattice import (
     junior_points,
     multiple,
     primitive_vector,
-    segment_points,
     smul,
     vadd,
     vsub,

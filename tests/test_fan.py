@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from test_cli import SWEEP
+from test_lattice import segment_points
 
 import ahilb.fan
 from ahilb import junior_points, lattice_context, parse_group_spec
@@ -18,7 +19,7 @@ from ahilb.fan import (
     verify_fan,
     vertex_stars,
 )
-from ahilb.lattice import segment_points, smul, vadd, vsub
+from ahilb.lattice import smul, vadd, vsub
 from ahilb.resolution import Resolution
 
 

@@ -21,7 +21,6 @@ from ahilb.lattice import (
     dot,
     group_elements,
     multiple,
-    segment_points,
     sign_fixed,
     smith_columns,
     smul,
@@ -48,6 +47,14 @@ def written_generators(ctx):
     """The written generators of ctx's group, scaled to its exponent n."""
     return tuple(tuple(ctx.n * w // g.order for w in g.weights)
                  for g in ctx.spec.generators)
+
+
+def segment_points(ctx, a, b):
+    """The lattice points from a to b (a != b) in order, both ends
+    included, walked by the primitive step of b - a."""
+    v = vsub(b, a)
+    step = primitive_vector(ctx, v)
+    return [vadd(a, smul(k, step)) for k in range(multiple(v, step) + 1)]
 
 
 def test_parse_single_generator():

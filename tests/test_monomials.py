@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+import ahilb.monomials
 from ahilb import lattice_context, parse_group_spec
+from ahilb.cli import main
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
 from ahilb.lattice import dot, multiple, smul, vadd, vneg, vsub
@@ -208,12 +210,31 @@ def test_dual_basis_pairing_and_product_everywhere():
         for cell in fan.cones:
             db = dual_basis(ctx, parents[cell.parent], cell)
             for s, m in enumerate(db.monomials):
+                assert ctx.is_invariant_monomial(m)
                 for t, p in enumerate(cell.vertices):
                     assert dot(m, p) == (ctx.n if s == t else 0)
             total = (0, 0, 0)
             for m in db.monomials:
                 total = vadd(total, m)
             assert total == (1, 1, 1)
+
+
+def test_dual_basis_rejects_a_shifted_formula_row(monkeypatch, capsys):
+    ctx, part = pipeline("1/11(1,2,8)")
+    cell = build_fan(part).cones[0]
+    parent = triangle_ratios(ctx, part.triangles[cell.parent])
+    formula_dual = ahilb.monomials.formula_dual
+
+    def shifted(parent, cell, steps):
+        rows = formula_dual(parent, cell, steps)
+        return [vadd(rows[0], (1, -1, 0))] + rows[1:]
+
+    monkeypatch.setattr(ahilb.monomials, "formula_dual", shifted)
+    with pytest.raises(InvariantError, match="^dual bases disagree on cell "):
+        dual_basis(ctx, parent, cell)
+    assert main(["verify", "1/11(1,2,8)"]) == 2
+    assert ("monomials: dual bases solve and closed form agree: FAIL (dual "
+            "bases disagree on cell ") in capsys.readouterr().out
 
 
 def test_crossing_rule_paper_example():

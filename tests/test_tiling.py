@@ -1,16 +1,24 @@
 """The partition against slow oracles: the brute force over every line
-triple, the scan of every line pair by direction sum, and the pairwise
-separating-line test on every pair of triangles.  Also the large-order
+triple, the scan of every line pair by direction sum, the pairwise
+separating-line test on every pair of triangles, and the tiling check
+with the simplex's boundary as a second 2-chain.  Also the large-order
 regression pins, with the Ito-Reid counts as their independent check."""
 
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
-from ahilb.lattice import chart, cross2, group_elements, sign_fixed, vadd
+from ahilb.lattice import (
+    chart,
+    cross2,
+    group_elements,
+    sign_fixed,
+    vadd,
+    vsub,
+)
 from ahilb.partition import (
     _check_tiling,
     _simplex_point,
@@ -90,13 +98,46 @@ def pairwise_disjoint(triangles):
     return all(interiors_disjoint(a, b) for a, b in combinations(triangles, 2))
 
 
-def tiles(ctx, triangles):
-    """Does the package's tiling check accept the triangles?"""
+def chain_tiles(ctx, triangles):
+    """The tiling check with the simplex S as a second 2-chain: the
+    doubled areas must sum to N, and every unit segment, those on the
+    sides of S included, must be traversed by the triangles, oriented
+    counter-clockwise, as often as by the boundary of S.  Every side is
+    walked by ``segment_points``.  Raises as ``_check_tiling`` does."""
+    # test_lattice imports this module, so its helper is read here.
+    from test_lattice import segment_points
+
+    if sum(t.r * t.r for t in triangles) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
+    count = {}
+    chains = [(tri.vertices, 1) for tri in triangles] + [(ctx.corners, -1)]
+    for (a, b, c), sign in chains:
+        if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
+            b, c = c, b
+        for p, q in ((a, b), (b, c), (c, a)):
+            pts = segment_points(ctx, p, q)
+            for u, w in zip(pts, pts[1:]):
+                seg, s = ((u, w), 1) if u < w else ((w, u), -1)
+                count[seg] = count.get(seg, 0) + sign * s
+    if any(count.values()):
+        raise InvariantError("triangle interiors overlap")
+
+
+def tiling_verdict(check, ctx, triangles):
+    """None when check accepts the triangles, else its message."""
     try:
-        _check_tiling(ctx, triangles)
-    except InvariantError:
-        return False
-    return True
+        check(ctx, triangles)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def tiles(ctx, triangles):
+    """Does the package's tiling check accept the triangles?  The chain
+    oracle must give the same verdict."""
+    got = tiling_verdict(_check_tiling, ctx, triangles)
+    assert got == tiling_verdict(chain_tiles, ctx, triangles)
+    return got is None
 
 
 def cyclic_groups(max_order):
@@ -125,7 +166,8 @@ def check_against_oracles(spec):
     assert enumerate_triangles(ctx, lines) == brute, spec
     assert pair_scan_triangles(ctx, lines) == brute, spec
     assert pairwise_disjoint(brute), spec
-    # With the area exact, edge matching and the pairwise test agree.
+    # With the area exact, edge matching, the chain oracle and the
+    # pairwise test agree.
     assert tiles(ctx, brute), spec
     bad = swapped(brute)
     if bad is not None:
@@ -163,6 +205,19 @@ def test_tiling_check_catches_a_duplicate():
     with pytest.raises(InvariantError, match="triangle interiors overlap"):
         _check_tiling(ctx, bad)
     assert not pairwise_disjoint(bad)
+
+
+def test_same_side_replacements_match_the_chain_oracle():
+    # Any triangle in place of another of its side keeps the areas exact;
+    # both checks reject every such list with the same message.
+    for spec in cyclic_groups(12):
+        ctx, tris = triangles_of(spec)
+        for i, j in permutations(range(len(tris)), 2):
+            if tris[i].r == tris[j].r:
+                bad = tris[:j] + [tris[i]] + tris[j + 1:]
+                for check in (_check_tiling, chain_tiles):
+                    assert tiling_verdict(check, ctx, bad) == (
+                        "triangle interiors overlap"), (spec, i, j)
 
 
 def test_tiling_check_catches_a_gap():
