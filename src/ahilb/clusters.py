@@ -262,7 +262,10 @@ def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
 @dataclass(frozen=True)
 class Classification:
     """Inverse of cluster_system: which chart a given exponent tuple
-    belongs to."""
+    belongs to.  mode, case, perm, (A, B, C) and (i, j, k) are the cell's
+    kind, its parent's normal-form case, permutation and (a, b, c), and
+    its steps in role order; the parent's side is i+j+k+1 (up) or
+    i+j+k-1 (down), as ``tesselate`` counts them."""
 
     mode: str
     case: str
@@ -273,7 +276,6 @@ class Classification:
     i: int
     j: int
     k: int
-    r: int
     host: BasicTriangle
 
 
@@ -310,9 +312,8 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                     continue
                 A, B, C = a2 - e2, b2 - f2, c2 - d2
                 i, j, k = f2 + shift, d2 + shift, e2 + shift
-            r = i + j + k + (1 if mode == "up" else -1)
             host = _host_lookup(ctx, sys.dual_vectors(), fan)
-            return Classification(mode, case, perm, A, B, C, i, j, k, r, host)
+            return Classification(mode, case, perm, A, B, C, i, j, k, host)
     raise InvariantError(f"no permutation normalizes exponents {exps}")
 
 

@@ -42,14 +42,14 @@ Tag = tuple
 
 @dataclass(frozen=True)
 class CornerFan:
-    """The Klein polygon chain at one corner.
+    """The Klein polygon chain at one corner e_i, kept under the key i
+    (``Resolution.fans``).
 
     vectors[0] points along the side toward e_{i-1}, vectors[-1] along the
     side toward e_{i+1}; the k vectors between them are the interior rays.
     strengths[j-1] is the recursion constant of vectors[j].
     """
 
-    corner: int
     vectors: tuple[Vec3, ...]
     strengths: tuple[int, ...]
 
@@ -136,7 +136,7 @@ def corner_chain(ctx: LatticeContext, corner: int) -> CornerFan:
         prev, cur = cur, vsub(smul(a, cur), prev)
         s_prev, s = s, cross2(chart(cur), cd1)
     chain.append(cur)
-    return CornerFan(corner, tuple(chain), tuple(strengths))
+    return CornerFan(tuple(chain), tuple(strengths))
 
 
 def newton_polygon(ctx: LatticeContext, corner: int,
@@ -192,7 +192,7 @@ def newton_polygon(ctx: LatticeContext, corner: int,
                 f"corner {corner}: hull chain violates the recursion at ray {j}"
             )
         strengths.append(a)
-    return CornerFan(corner, tuple(chain), tuple(strengths))
+    return CornerFan(tuple(chain), tuple(strengths))
 
 
 def _in_corner_triangle(v: Vec3, d0: Vec3, d1: Vec3) -> bool:

@@ -16,8 +16,8 @@ unless ``group_elements`` is asked for them.
 
 The lattice geometry the other modules share lives here, once:
 ``on_simplex_boundary`` (does a segment lie along a side of the simplex),
-``sign_fixed`` (a direction up to sign), ``pair_index`` and ``area2``
-(lattice indexes and doubled triangle areas).
+``sign_fixed`` (a direction up to sign) and ``pair_index`` (the index of
+the sublattice two translations span).
 """
 
 from __future__ import annotations
@@ -395,10 +395,3 @@ def pair_index(ctx: LatticeContext, v: Vec3, w: Vec3) -> int:
             raise InvariantError(f"{u} is not in the translation lattice")
     return abs(cross2(chart(v), chart(w))) * ctx.order // ctx.n**2
 
-
-def area2(ctx: LatticeContext, vertices: tuple[Vec3, Vec3, Vec3]) -> int:
-    """Twice the lattice area of a triangle: the pair index of two of its
-    sides, so a unimodular triangle has 1 and the simplex the group
-    order."""
-    a, b, c = vertices
-    return pair_index(ctx, vsub(b, a), vsub(c, a))

@@ -9,8 +9,8 @@ regular triple exactly once, independent of contraction order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .corners import CyclicWord, Tag, WordEntry
 from .errors import InvariantError
@@ -98,7 +98,6 @@ def run_linear(values: list[int]) -> list[list[int]]:
 class MMPTrace:
     steps: tuple[RegularTriple, ...]  # one triple per contraction
     terminal_triple: RegularTriple
-    strength_sum: int
 
 
 def terminal_triple(word: CyclicWord) -> RegularTriple:
@@ -119,12 +118,14 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
 
     The word is never copied: each original entry keeps its value and its
     links to the current neighbors, and the contractible entries are kept
-    as they change, so a step costs O(1) (O(log m) for "leftmost", O(m)
-    for an explicit position).  Contraction keeps the entries' relative
-    order, so the current word is the live entries in original order, the
-    leftmost 1 is the one of least original index, and a neighbor is
-    reached across the end of the word exactly when its original index
-    lies on the wrong side.
+    in one list sorted by original index, so a step costs a bisection and
+    a list insert and delete (and a walk of O(m) links for an explicit
+    position).  Contraction keeps the entries' relative order, so the
+    current word is the live entries in original order, the list holds
+    the 1s in the order of the current word (the leftmost is its head,
+    and a seeded pick draws as ``random.choice`` on it would), and a
+    neighbor is reached across the end of the word exactly when its
+    original index lies on the wrong side.
     """
     entries = word.entries
     m = len(entries)
@@ -132,27 +133,10 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
     prev = [(i - 1) % m for i in range(m)]
     nxt = [(i + 1) % m for i in range(m)]
     head = 0  # the live entry of least original index
-    cands: list[int] = []  # contractible entries, unordered
-    slot: dict[int, int] = {}  # entry -> its place in cands
-    heap: list[int] = []  # for "leftmost": cands, plus removed entries
-
-    def add(i: int) -> None:
-        if values[i] == 1 and entries[i].tag not in protected:
-            slot[i] = len(cands)
-            cands.append(i)
-            heappush(heap, i)
-
-    def remove(i: int) -> None:
-        place = slot.pop(i)
-        last = cands.pop()
-        if last != i:
-            cands[place] = last
-            slot[last] = place
-
+    cands = [i for i in range(m)
+             if values[i] == 1 and entries[i].tag not in protected]
     rng = random.Random(strategy[1]) if isinstance(strategy, tuple) else None
     positions = strategy if isinstance(strategy, list) else None
-    for i in range(m):
-        add(i)
     triples = []
     while m > 3 and cands:
         if positions is not None:
@@ -166,28 +150,28 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
             i = head
             for _ in range(pos):
                 i = nxt[i]
-            if i not in slot:
+            at = bisect_left(cands, i)
+            if at == len(cands) or cands[at] != i:
                 raise InvariantError(
                     f"entry at {pos} has value {values[i]}, not 1")
         elif rng is not None:
-            i = rng.choice(cands)
+            at = rng.randrange(len(cands))
         else:
-            while heap[0] not in slot:
-                heappop(heap)
-            i = heap[0]
+            at = 0
+        i = cands.pop(at)
         left, right = prev[i], nxt[i]
         triples.append(_relation(entries[left], entries[i], entries[right],
                                  left > i, right < i))
         if values[left] <= 1 or values[right] <= 1:
             raise InvariantError("contraction would drop a strength below 1")
-        remove(i)
         nxt[left], prev[right] = right, left
         if i == head:
             head = right
         m -= 1
         for nb in (left, right):
             values[nb] -= 1
-            add(nb)
+            if values[nb] == 1 and entries[nb].tag not in protected:
+                insort(cands, nb)
     if positions is not None and len(positions) > len(triples):
         raise InvariantError(
             f"{len(positions) - len(triples)} positions left over after "
@@ -207,14 +191,15 @@ def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
     strategy: "leftmost", ("random", seed), or an explicit position list.
     A step removes a 1 and lowers its two neighbors by one, so it lowers
     the value sum by exactly 3, and a run that ends at [1,1,1] took
-    (strength_sum - 3)/3 steps.
+    (sum(word.values()) - 3)/3 steps: with the terminal triple, it lists
+    sum/3 triples, pairwise distinct once ``triple_set`` accepts them.
     """
     steps, rest = contract_run(word, strategy)
     if len(rest) > 3:
         raise InvariantError("no contractible entry before reaching [1,1,1]")
     if rest.values() != (1, 1, 1):
         raise InvariantError(f"terminal word is {rest.values()}, not [1,1,1]")
-    return MMPTrace(tuple(steps), terminal_triple(rest), sum(word.values()))
+    return MMPTrace(tuple(steps), terminal_triple(rest))
 
 
 def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:

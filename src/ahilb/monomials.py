@@ -92,22 +92,19 @@ class TriangleRatios:
     2 = z-like).  The integers satisfy, with r the triangle side,
     d - a = e - b - c = f = r   (case a)
     d - a = e - b = f - c = r   (case b)
-    and the side directions are the normal-form triples divided by the
-    common constant K.
+    and the side directions are the normal-form triples divided by one
+    common constant, which ``_match_case`` checks and does not keep.
     """
 
     case: str
     perm: tuple[int, int, int]
     roles: tuple[int, int, int]
-    ratios: tuple[Vec3, Vec3, Vec3]  # original coordinates, role order
     a: int
     b: int
     c: int
     d: int
     e: int
     f: int
-    r: int
-    K: int
 
 
 def _side_ratios(ctx: LatticeContext, tri: RegularTriangle) -> list[Vec3]:
@@ -174,8 +171,7 @@ def _match_case(ctx, tri, side_ratios, perm, case):
         case=case,
         perm=perm,
         roles=tuple(roles),
-        ratios=tuple(side_ratios[roles[t]] for t in range(3)),
-        a=a, b=b, c=c, d=d, e=e, f=f, r=r, K=K,
+        a=a, b=b, c=c, d=d, e=e, f=f,
     )
 
 

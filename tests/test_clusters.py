@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
+from ahilb.cli import main
 from ahilb.clusters import (
     CharacterLayout,
     ClusterSystem,
@@ -19,6 +21,7 @@ from ahilb.fan import build_fan
 from ahilb.lattice import dot, vadd
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
+from test_cli import SWEEP
 from test_lattice import written_generators
 from test_tiling import cyclic_groups
 
@@ -426,10 +429,57 @@ def test_classification_round_trips_to_host():
             cls = classify_cluster(ctx, sys.exponents(), fan)
             assert cls.host.key() == cell.key()
             assert cls.mode == cell.kind
-            assert cls.r == part.triangles[cell.parent].r
+            r = part.triangles[cell.parent].r
+            assert cls.i + cls.j + cls.k == (r - 1 if cls.mode == "up"
+                                             else r + 1)
             # Rebuilding the system from the host gives back the exponents.
             db2 = dual_basis(ctx, parents[cls.host.parent], cls.host)
             assert cluster_system(ctx, db2).exponents() == sys.exponents()
+
+
+def check_classification_reads_the_normal_form(spec):
+    """The reverse classification of every cone's chart names the cell's
+    kind, its parent's normal form and its role-aligned steps."""
+    res = Resolution(lattice_context(parse_group_spec(spec)))
+    for sysm in res.systems:
+        cell = sysm.host
+        cls = classify_cluster(res.ctx, sysm.exponents(), res.fan)
+        tr = res.ratios[cell.parent]
+        steps = tuple(cell.steps[side] for side in tr.roles)
+        assert cls.host == cell, spec
+        assert ((cls.mode, cls.case, cls.perm, cls.A, cls.B, cls.C,
+                 (cls.i, cls.j, cls.k))
+                == (cell.kind, tr.case, tr.perm, tr.a, tr.b, tr.c, steps)), spec
+
+
+def test_classification_reads_the_normal_form_up_to_24():
+    for spec in SWEEP:
+        check_classification_reads_the_normal_form(spec)
+
+
+@pytest.mark.deep
+def test_classification_reads_the_normal_form_up_to_40():
+    for spec in cyclic_groups(40) + [s for s in SWEEP if "+" in s]:
+        check_classification_reads_the_normal_form(spec)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("A", lambda A: A + 1),
+    ("perm", lambda perm: perm[::-1]),
+], ids=["A", "perm"])
+def test_verify_rejects_a_changed_classification(field, change, monkeypatch,
+                                                 capsys):
+    classify = ahilb.verify.classify_cluster
+
+    def changed(ctx, exps, fan):
+        cls = classify(ctx, exps, fan)
+        return replace(cls, **{field: change(getattr(cls, field))})
+
+    monkeypatch.setattr(ahilb.verify, "classify_cluster", changed)
+    assert main(["verify", "1/11(1,2,8)"]) == 2
+    assert ("clusters: systems verified, tripods exact, classification "
+            "returns: FAIL (classification recovered the wrong normal form)\n"
+            ) in capsys.readouterr().out
 
 
 def test_classification_substitution_consistency():

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from functools import cache
 from math import comb
@@ -19,7 +20,7 @@ from ahilb.fan import (
     verify_fan,
     vertex_stars,
 )
-from ahilb.lattice import smul, vadd, vsub
+from ahilb.lattice import det3, dot, pair_index, smul, vadd, vsub
 from ahilb.resolution import Resolution
 
 
@@ -107,17 +108,20 @@ def test_verify_fan_detects_off_plane_ray():
 
 def test_verify_fan_detects_non_unimodular_cone():
     ctx, part, fan = pipeline("1/11(1,2,8)")
-    cones = list(fan.cones)
-    c0 = cones[0]
-    # Replace one vertex by a far lattice point: the cone stops being basic.
+    c0 = fan.cones[0]
+    a, b, _ = c0.vertices
+    # Replace one vertex by a far lattice point, so the cone stops being
+    # basic, or by another vertex of the cone, so it is flat.
     far = next(
         p.coords for p in junior_points(ctx)
         if p.coords not in c0.vertices
     )
-    cones[0] = replace(c0, vertices=(c0.vertices[0], c0.vertices[1], far))
-    bad_fan = replace(fan, cones=tuple(cones))
-    assert any("unimodular" in msg or "exhaust" in msg
-               for msg in verify_fan(ctx, bad_fan))
+    big, flat = (replace(c0, vertices=(a, b, v)) for v in (far, a))
+    for bad in (big, flat):
+        msgs = verify_fan(ctx, replace(fan, cones=(bad,) + fan.cones[1:]))
+        assert any(m.startswith(f"cone {bad.vertices} is not unimodular")
+                   for m in msgs)
+    assert f"cone {flat.vertices} is not unimodular (det 0)" in msgs
 
 
 def test_census_p2_at_center_of_z3():
@@ -314,4 +318,32 @@ def test_verify_fan_detects_a_ray_off_the_lattice():
     )
     msgs = verify_fan(ctx, bad_fan)
     assert f"ray {moved} is not a lattice point" in msgs
-    assert f"cone vertex {moved} pairs fractionally" in msgs
+
+
+def area2(ctx, vertices):
+    """Twice the lattice area of a triangle: the pair index of two of its
+    sides, 1 on a basic cone and N on the simplex."""
+    a, b, c = vertices
+    return pair_index(ctx, vsub(b, a), vsub(c, a))
+
+
+def pairing_det(ctx, vertices):
+    """|det| of the vertices' pairings with the monomial basis over n, the
+    one number `verify_fan` tests per cone."""
+    return abs(det3([[dot(row, p) // ctx.n for row in ctx.monomial_basis]
+                     for p in vertices]))
+
+
+def test_pairing_determinant_is_the_doubled_area():
+    # So unit determinants on N cones leave no area to add up.
+    rng = random.Random(0)
+    for res in sweep_resolutions():
+        ctx, fan = res.ctx, res.fan
+        spec = ctx.spec.canonical_text
+        simplex = (area2(ctx, ctx.corners), pairing_det(ctx, ctx.corners))
+        assert simplex == (ctx.order, ctx.order), spec
+        assert {(area2(ctx, c.vertices), pairing_det(ctx, c.vertices))
+                for c in fan.cones} == {(1, 1)}, spec
+        for _ in range(20):
+            tri = tuple(rng.choice(fan.rays) for _ in range(3))
+            assert area2(ctx, tri) == pairing_det(ctx, tri), (spec, tri)

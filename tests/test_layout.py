@@ -11,8 +11,12 @@ Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
 or it is listed in `ahilb.__all__`, or it is named in backticks in
 README.md. A method that overrides a base class method counts as read.
-Every dataclass field has a reader in the same sense: its name is read
-somewhere in the package, listed, or named. Code and data that only
+Every dataclass field has a reader of its own class: running each
+command through `cli.main` on groups of all four champion kinds, package
+code reads the field off an instance of that class (the generated
+`__eq__`, `__hash__` and `__repr__` and `dataclasses.replace` do not
+count). Only the README-documented `SurfaceClass.neighbors` and
+`SurfaceClass.c` are read by no package code. Code and data that only
 tests reach do not belong in the package.
 
 Every call `name(a, b, ...)` that README.md writes in backticks, where
@@ -20,14 +24,18 @@ name is a package function, class or method, passes as many arguments
 as that callable accepts."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import ahilb
+import ahilb.verify
+from ahilb import cli
 
 PACKAGE = Path(ahilb.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -260,34 +268,67 @@ def _unread_functions() -> list[str]:
     return out
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else target.id
-        if name == "dataclass":
-            return True
-    return False
+def test_every_function_has_a_reader():
+    assert _unread_functions() == []
 
 
-def _unread_fields() -> list[str]:
-    """Dataclass fields whose name is read nowhere in the package and is
-    neither listed in `ahilb.__all__` nor named in README.md."""
-    trees, total, known = _package_names()
+# Groups whose champions are concurrent, a long side, a cocked hat and the
+# whole simplex, and one more product of two cyclic groups.
+FIELD_GROUPS = ("1/11(1,2,8)", "1/30(25,2,3)", "1/13(1,5,7)",
+                "1/2(1,1,0)+1/2(0,1,1)", "1/2(1,1,0)+1/4(0,1,3)")
+DOCUMENTED_FIELDS = {"fan.SurfaceClass.neighbors", "fan.SurfaceClass.c"}
+
+
+def _package_dataclasses() -> list[type]:
     out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
-                continue
-            out += [f"{module}.{node.name}.{f.target.id}" for f in node.body
-                    if isinstance(f, ast.AnnAssign)
-                    and isinstance(f.target, ast.Name)
-                    and not total[f.target.id] and f.target.id not in known]
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        mod = importlib.import_module(f"ahilb.{path.stem}")
+        out += [obj for obj in vars(mod).values()
+                if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                and obj.__module__ == mod.__name__]
     return out
 
 
-def test_every_function_has_a_reader():
-    assert _unread_functions() == []
-    assert _unread_fields() == []
+def _record_field_reads(monkeypatch) -> tuple[set[str], set[str]]:
+    """Every package dataclass field, and the set that collects, from now
+    on, the fields package code reads off an instance of their class."""
+    package = {str(path) for path in PACKAGE.glob("*.py")}
+    every, read = set(), set()
+    for cls in _package_dataclasses():
+        qual = f"{cls.__module__.removeprefix('ahilb.')}.{cls.__name__}"
+        names = {f.name for f in dataclasses.fields(cls)}
+        every |= {f"{qual}.{name}" for name in names}
+
+        def getattribute(self, name, _get=cls.__getattribute__,
+                         _names=names, _qual=qual):
+            if (name in _names
+                    and sys._getframe(1).f_code.co_filename in package):
+                read.add(f"{_qual}.{name}")
+            return _get(self, name)
+
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    return every, read
+
+
+def _run_every_command(monkeypatch, tmp_path):
+    svg = str(tmp_path / "fig.svg")
+    for spec in FIELD_GROUPS:
+        for argv in (["report", spec], ["fan", spec],
+                     ["draw", spec, "--svg", svg, "--ratios"],
+                     ["clusters", spec], ["clusters", spec, "--triangle", "0"],
+                     ["verify", spec]):
+            assert cli.main(argv) == 0, argv
+    # A failing check, so that its detail is printed.
+    monkeypatch.setattr(ahilb.verify, "dp6_count", lambda part: -1)
+    assert cli.main(["verify", FIELD_GROUPS[0]]) == 2
+
+
+def test_every_field_has_a_reader_of_its_class(monkeypatch, tmp_path, capsys):
+    every, read = _record_field_reads(monkeypatch)
+    _run_every_command(monkeypatch, tmp_path)
+    assert "FAIL (dP6 formula -1 vs census" in capsys.readouterr().out
+    assert DOCUMENTED_FIELDS <= every
+    assert sorted(every - read - DOCUMENTED_FIELDS) == []
 
 
 def _arities() -> dict[str, list[tuple[int, float]]]:
