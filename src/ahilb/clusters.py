@@ -12,10 +12,10 @@ the up or down dependency relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError
-from .fan import BasicTriangle, Fan
+from .fan import BasicTriangle
 from .lattice import (
     PERMS,
     LatticeContext,
@@ -29,8 +29,7 @@ from .monomials import DualBasis, ratio_str
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
 
 
-@dataclass(frozen=True)
-class ClusterSystem:
+class ClusterSystem(NamedTuple):
     """Exponent data of one chart's equation system."""
 
     mode: str  # "up" | "down"
@@ -259,8 +258,7 @@ def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
                   for p in ps for q in qs for s in ss)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Inverse of cluster_system: which chart a given exponent tuple
     belongs to.  mode, case, perm, (A, B, C) and (i, j, k) are the cell's
     kind, its parent's normal-form case, permutation and (a, b, c), and
@@ -280,11 +278,13 @@ class Classification:
 
 
 def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
-                     fan: Fan) -> Classification:
+                     cone_by_key: dict[tuple[Vec3, Vec3, Vec3], BasicTriangle],
+                     ) -> Classification:
     """Recover mode, coordinate permutation, the parent normal-form data
-    and the basic triangle of fan from a cluster exponent tuple.
+    and the basic triangle from a cluster exponent tuple.
 
-    exps = (a, b, c, d, e, f, l, m, n).
+    exps = (a, b, c, d, e, f, l, m, n); cone_by_key maps the sorted
+    vertices of each fan cone to the cone (``Resolution.cone_by_key``).
     """
     mode = _mode(exps)
     if mode is None:
@@ -312,17 +312,17 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                     continue
                 A, B, C = a2 - e2, b2 - f2, c2 - d2
                 i, j, k = f2 + shift, d2 + shift, e2 + shift
-            host = _host_lookup(ctx, sys.dual_vectors(), fan)
+            host = _host_lookup(ctx, sys.dual_vectors(), cone_by_key)
             return Classification(mode, case, perm, A, B, C, i, j, k, host)
     raise InvariantError(f"no permutation normalizes exponents {exps}")
 
 
-def _host_lookup(ctx: LatticeContext, vecs, fan: Fan) -> BasicTriangle:
+def _host_lookup(ctx: LatticeContext, vecs, cone_by_key) -> BasicTriangle:
     """Invert the dual basis: the chart's cone vertices are n * D^{-1}."""
     key = tuple(sorted(scaled_dual(vecs, ctx.n)))
-    if key not in fan.cone_by_key:
+    if key not in cone_by_key:
         raise InvariantError(f"no fan cone has vertices {key}")
-    return fan.cone_by_key[key]
+    return cone_by_key[key]
 
 
 def equations_text(sys: ClusterSystem) -> list[str]:

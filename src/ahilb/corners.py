@@ -14,9 +14,9 @@ the contraction game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .lattice import (
@@ -40,8 +40,7 @@ from .lattice import (
 Tag = tuple
 
 
-@dataclass(frozen=True)
-class CornerFan:
+class CornerFan(NamedTuple):
     """The Klein polygon chain at one corner e_i, kept under the key i
     (``Resolution.fans``).
 
@@ -230,15 +229,13 @@ def hj_expand(r: int, alpha: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class WordEntry:
+class WordEntry(NamedTuple):
     value: int
     tag: Tag
     vector: Vec3  # chain representative; one full cycle is a half turn
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(NamedTuple):
     entries: tuple[WordEntry, ...]
 
     def values(self) -> tuple[int, ...]:

@@ -3,10 +3,10 @@ fan, crepancy checks and the census of exceptional surfaces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .lattice import (
@@ -25,8 +25,7 @@ from .lattice import (
 from .partition import Partition, RegularTriangle
 
 
-@dataclass(frozen=True)
-class BasicTriangle:
+class BasicTriangle(NamedTuple):
     """One unimodular cell of a regular triangle's tesselation.
 
     steps = (i, j, k) counts how far the three sides of the parent were
@@ -76,18 +75,13 @@ def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
     return cells
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """The junior-plane cross-section of the resolution fan."""
 
     rays: tuple[Vec3, ...]  # all cone generators, scaled by n
     cones: tuple[BasicTriangle, ...]
     edges: frozenset[tuple[Vec3, Vec3]]  # sorted pairs of ray points
     interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
-
-    @cached_property
-    def cone_by_key(self) -> dict[tuple[Vec3, Vec3, Vec3], BasicTriangle]:
-        return {c.key(): c for c in self.cones}
 
 
 def build_fan(part: Partition) -> Fan:
@@ -153,8 +147,7 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     """The compact exceptional surface at one interior vertex, read off
     from the cyclically ordered star.
 

@@ -23,9 +23,9 @@ the sublattice two translations span).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import permutations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import GroupSpecError, InvariantError
 
@@ -113,8 +113,7 @@ def permute(perm, v: Vec3) -> Vec3:
     return (v[perm[0]], v[perm[1]], v[perm[2]])
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One cyclic factor 1/r(a1,a2,a3) with weights reduced mod r."""
 
     order: int
@@ -125,8 +124,7 @@ class Generator:
         return f"1/{self.order}({a1},{a2},{a3})"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     generators: tuple[Generator, ...]
     canonical_text: str
 
@@ -135,8 +133,10 @@ def parse_group_spec(text: str) -> GroupSpec:
     """Parse ``1/r(a,b,c)`` terms joined by ``+`` into a GroupSpec.
 
     Whitespace is ignored; negative weights are reduced mod r.  Raises
-    GroupSpecError on malformed input or when a term's weights do not sum
-    to 0 mod r (so that the generator would land outside SL(3,C)).
+    GroupSpecError on malformed input, on a number longer than Python's
+    int-conversion limit (``sys.get_int_max_str_digits``), or when a
+    term's weights do not sum to 0 mod r (so that the generator would
+    land outside SL(3,C)).
     """
     squashed = re.sub(r"\s+", "", text)
     if not squashed:
@@ -147,10 +147,14 @@ def parse_group_spec(text: str) -> GroupSpec:
         m = _TERM_RE.fullmatch(term)
         if m is None:
             raise GroupSpecError(f"cannot parse term {term!r}")
-        r = int(m.group(1))
+        try:
+            r = int(m.group(1))
+            raw = (int(m.group(2)), int(m.group(3)), int(m.group(4)))
+        except ValueError:  # past the interpreter's int-conversion limit
+            raise GroupSpecError(
+                "an order or weight has too many digits to read") from None
         if r < 1:
             raise GroupSpecError(f"order must be >= 1 in term {term!r}")
-        raw = (int(m.group(2)), int(m.group(3)), int(m.group(4)))
         if sum(raw) % r != 0:
             raise GroupSpecError(
                 f"weights of {term!r} sum to {sum(raw)} which is not 0 mod {r}"
@@ -160,8 +164,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(tuple(gens), canonical)
 
 
-@dataclass(frozen=True)
-class LatticeContext:
+class LatticeContext(NamedTuple):
     """The lattice data attached to one group.
 
     n            -- denominator: the exponent of the group.
@@ -333,8 +336,7 @@ def group_elements(ctx: LatticeContext) -> list[Vec3]:
     return elems
 
 
-@dataclass(frozen=True)
-class JuniorPoint:
+class JuniorPoint(NamedTuple):
     """A lattice point of the simplex, scaled by n, classified by position."""
 
     coords: Vec3

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corners import CyclicWord, Tag, WordEntry
 from .errors import InvariantError
@@ -26,8 +26,7 @@ from .lattice import (
 Strategy = str | tuple[str, int] | list[int]
 
 
-@dataclass(frozen=True)
-class RegularTriple:
+class RegularTriple(NamedTuple):
     """Three translation vectors, any two a lattice basis, with the sign
     relation vectors[0] - vectors[1] + vectors[2] = 0.  ``_relation``,
     the one constructor, raises unless the relation holds."""
@@ -94,8 +93,7 @@ def run_linear(values: list[int]) -> list[list[int]]:
     return chain
 
 
-@dataclass(frozen=True)
-class MMPTrace:
+class MMPTrace(NamedTuple):
     steps: tuple[RegularTriple, ...]  # one triple per contraction
     terminal_triple: RegularTriple
 

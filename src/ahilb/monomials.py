@@ -10,8 +10,8 @@ two points; line ratios and triangle side ratios both go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .fan import BasicTriangle
@@ -81,8 +81,7 @@ def _unpermute(perm, v: Vec3) -> Vec3:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TriangleRatios:
+class TriangleRatios(NamedTuple):
     """The three side ratios of a regular triangle in normal form.
 
     case "a" is the corner-style orientation, case "b" the cyclic
@@ -192,8 +191,7 @@ def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios
     )
 
 
-@dataclass(frozen=True)
-class DualBasis:
+class DualBasis(NamedTuple):
     """Monomial basis dual to a basic triangle's cone, with monomials[t]
     pairing to n exactly on vertices[t] of the cell."""
 

@@ -13,10 +13,9 @@ simplex's sides and exact areas.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .corners import (
     CornerFan,
@@ -51,8 +50,7 @@ from .mmp import (
 RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A ray of the subdivision: out of a corner for interior lines, or a
     side of the simplex.  defeat_point is filled after the partition."""
 
@@ -111,8 +109,7 @@ def _simplex_point(ctx: LatticeContext, p: RatPoint | None) -> Vec3 | None:
     return p[0] if ctx.is_lattice_point(p[0]) else None
 
 
-@dataclass(frozen=True)
-class RegularTriangle:
+class RegularTriangle(NamedTuple):
     """A lattice triangle whose sides ride on subdivision lines and whose
     primitive side directions form a regular triple.
 
@@ -134,8 +131,7 @@ class RegularTriangle:
         return (others[0], others[1])
 
 
-@dataclass(frozen=True)
-class ConcurrencyPoint:
+class ConcurrencyPoint(NamedTuple):
     """Degenerate realization of the champion triple: the three host lines
     meet in one lattice point and the 'triangle' has side zero."""
 
@@ -239,8 +235,7 @@ def realize_triple(ctx: LatticeContext, lines: dict[Tag, Line],
     return tri
 
 
-@dataclass(frozen=True)
-class ChampionsReport:
+class ChampionsReport(NamedTuple):
     """Outcome of the knock-out game: either a long side exists, or the
     unique champion triple meets in a point or cuts out a central triangle."""
 
@@ -251,8 +246,7 @@ class ChampionsReport:
     triangle: int | None = None  # index of the central triangle (or simplex)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """The regular triangles sorted by key, the knock-out outcome, and the
     lines with their defeat points."""
 
@@ -261,59 +255,59 @@ class Partition:
     catchment: dict[int, tuple[int, ...]]  # side -> triangle indexes
     lines: dict[Tag, Line]
 
-    @cached_property
-    def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
-        """Every (la, lb, x) where interior lines from two different
-        corners meet at x strictly inside the simplex, within both lines'
-        extents: x has not passed either line's defeat point in the line's
-        own-corner coordinate.  Sorted by tag pair, la.tag < lb.tag.
 
-        Every meet is interior.  An interior line out of e_i is a cevian:
-        it runs from e_i to a point inside the opposite side, so it splits
-        the simplex into a part holding e_j and a part holding the third
-        corner e_k.  A cevian out of e_j ends inside the side e_i e_k, in
-        the second part, so the two meet strictly inside the simplex.
+def crossings(part: Partition) -> list[tuple[Line, Line, RatPoint]]:
+    """Every (la, lb, x) where interior lines of part from two different
+    corners meet at x strictly inside the simplex, within both lines'
+    extents: x has not passed either line's defeat point in the line's
+    own-corner coordinate.  Sorted by tag pair, la.tag < lb.tag.
 
-        The meets along a line move monotonically in fan order.  Let la run
-        out of e_i, let e_j be another corner and e_k the third.  Seen from
-        e_j, the points of la, from e_i outward, sweep the angle at e_j
-        once, from the side toward e_i to the side toward e_k: a central
-        projection from e_j, which la misses.  Corner j's fan runs from the
-        side toward e_{j-1} to the side toward e_{j+1}.  So from e_i
-        outward la meets corner j's lines in fan order when j = i+1 and in
-        reverse fan order when j = i-1, while la's own-corner coordinate
-        falls strictly.  "The meet is within la's extent" thus holds on a
-        prefix of corner j's fan when j = i+1 and on a suffix when
-        j = i-1, whatever la's defeat point, and bisection with
-        ``_within`` finds it.  For corners i and j = i+1, the crossings
-        are the pairs (la_p, lb_m) with m in la_p's prefix and p in lb_m's
-        suffix.  A sweep over p that adds each m once p reaches the start
-        of its suffix reports them: O(L log L) extent tests, one ``meet``
-        per crossing, and a sort of the K crossings.
-        """
-        fans = {i: [] for i in (1, 2, 3)}
-        for line in _interior_lines(self):
-            fans[line.tag[1]].append(line)
-        pairs = []
-        for i in (1, 2, 3):
-            j = i % 3 + 1
-            own, nxt = fans[i], fans[j]
-            # own[p] crosses within its extent the lines nxt[:ends[p]],
-            # nxt[m] the lines own[starts[m]:].
-            ends = [bisect_left(nxt, True, key=lambda lb: not _within(la, lb))
-                    for la in own]
-            starts = [bisect_left(own, True, key=lambda la: _within(lb, la))
-                      for lb in nxt]
-            waiting = sorted(range(len(nxt)), key=starts.__getitem__,
-                             reverse=True)
-            active: list[int] = []  # sorted m with starts[m] <= p
-            for p, la in enumerate(own):
-                while waiting and starts[waiting[-1]] <= p:
-                    insort(active, waiting.pop())
-                for m in active[:bisect_left(active, ends[p])]:
-                    pairs.append((la, nxt[m]) if i < j else (nxt[m], la))
-        pairs.sort(key=lambda pair: (pair[0].tag, pair[1].tag))
-        return [(la, lb, meet(la, lb)) for la, lb in pairs]
+    Every meet is interior.  An interior line out of e_i is a cevian:
+    it runs from e_i to a point inside the opposite side, so it splits
+    the simplex into a part holding e_j and a part holding the third
+    corner e_k.  A cevian out of e_j ends inside the side e_i e_k, in
+    the second part, so the two meet strictly inside the simplex.
+
+    The meets along a line move monotonically in fan order.  Let la run
+    out of e_i, let e_j be another corner and e_k the third.  Seen from
+    e_j, the points of la, from e_i outward, sweep the angle at e_j
+    once, from the side toward e_i to the side toward e_k: a central
+    projection from e_j, which la misses.  Corner j's fan runs from the
+    side toward e_{j-1} to the side toward e_{j+1}.  So from e_i
+    outward la meets corner j's lines in fan order when j = i+1 and in
+    reverse fan order when j = i-1, while la's own-corner coordinate
+    falls strictly.  "The meet is within la's extent" thus holds on a
+    prefix of corner j's fan when j = i+1 and on a suffix when
+    j = i-1, whatever la's defeat point, and bisection with
+    ``_within`` finds it.  For corners i and j = i+1, the crossings
+    are the pairs (la_p, lb_m) with m in la_p's prefix and p in lb_m's
+    suffix.  A sweep over p that adds each m once p reaches the start
+    of its suffix reports them: O(L log L) extent tests, one ``meet``
+    per crossing, and a sort of the K crossings.
+    """
+    fans = {i: [] for i in (1, 2, 3)}
+    for line in _interior_lines(part):
+        fans[line.tag[1]].append(line)
+    pairs = []
+    for i in (1, 2, 3):
+        j = i % 3 + 1
+        own, nxt = fans[i], fans[j]
+        # own[p] crosses within its extent the lines nxt[:ends[p]],
+        # nxt[m] the lines own[starts[m]:].
+        ends = [bisect_left(nxt, True, key=lambda lb: not _within(la, lb))
+                for la in own]
+        starts = [bisect_left(own, True, key=lambda la: _within(lb, la))
+                  for lb in nxt]
+        waiting = sorted(range(len(nxt)), key=starts.__getitem__,
+                         reverse=True)
+        active: list[int] = []  # sorted m with starts[m] <= p
+        for p, la in enumerate(own):
+            while waiting and starts[waiting[-1]] <= p:
+                insort(active, waiting.pop())
+            for m in active[:bisect_left(active, ends[p])]:
+                pairs.append((la, nxt[m]) if i < j else (nxt[m], la))
+    pairs.sort(key=lambda pair: (pair[0].tag, pair[1].tag))
+    return [(la, lb, meet(la, lb)) for la, lb in pairs]
 
 
 def _within(line: Line, other: Line) -> bool:
@@ -472,8 +466,8 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
             sides.setdefault(tag, []).append(tri.side_of(t))
     for tag, line in lines.items():
         if tag[0] == "corner":
-            lines[tag] = replace(
-                line, defeat_point=line_extent(line, sides.get(tag, [])))
+            lines[tag] = line._replace(
+                defeat_point=line_extent(line, sides.get(tag, [])))
     return Partition(
         triangles=tuple(enumerated),
         champions=champions,
@@ -509,13 +503,15 @@ def line_extent(line: Line, sides: list[tuple[Vec3, Vec3]]) -> Vec3:
     return far
 
 
-def knockout_report(part: Partition) -> list[str]:
-    """Check the knock-out rule at every interior crossing: the strongest
-    arrival extends (strength dropping by one per defeated rival), ties all
-    die.  Returns a list of violations (empty when consistent)."""
+def knockout_report(part: Partition,
+                    crossings: list[tuple[Line, Line, RatPoint]]) -> list[str]:
+    """Check the knock-out rule at every interior crossing of part, given
+    as ``crossings(part)`` lists them: the strongest arrival extends
+    (strength dropping by one per defeated rival), ties all die.  Returns
+    a list of violations (empty when consistent)."""
     # Reachable pairwise crossings, grouped by location.
     events: dict[RatPoint, set[Tag]] = {}
-    for la, lb, x in part.crossings:
+    for la, lb, x in crossings:
         events.setdefault(x, set()).update((la.tag, lb.tag))
 
     def dies_at(tag: Tag, x: RatPoint) -> bool:

@@ -1,8 +1,10 @@
 """The pipeline of one group as a single object whose stages are computed
-on first use and kept: corner fans and cyclic word -> partition -> fan ->
-census, invariant ratios, dual bases and cluster systems.  The stage
-functions take their inputs explicitly; this object is where they are
-wired together."""
+on first use and kept: corner fans and cyclic word -> partition and its
+crossings -> fan and its cone index -> census, invariant ratios, dual
+bases and cluster systems.  The stage functions take their inputs
+explicitly, and the records they return are plain named tuples; this
+object is where they are wired together and the one place a stage is
+kept."""
 
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ from functools import cached_property
 
 from .clusters import ClusterSystem, cluster_system
 from .corners import CornerFan, CyclicWord, corner_chain, cyclic_word
-from .fan import Fan, SurfaceClass, build_fan, surface_census
-from .lattice import JuniorPoint, LatticeContext, junior_points
+from .fan import BasicTriangle, Fan, SurfaceClass, build_fan, surface_census
+from .lattice import JuniorPoint, LatticeContext, Vec3, junior_points
 from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
-from .partition import Partition, build_partition
+from .partition import Line, Partition, RatPoint, build_partition, crossings
 
 
 class Resolution:
@@ -42,8 +44,20 @@ class Resolution:
         return build_partition(self.ctx, self.fans, self.word)
 
     @cached_property
+    def crossings(self) -> list[tuple[Line, Line, RatPoint]]:
+        """The partition's interior line crossings, read by the knock-out
+        report and the exponent-rule check."""
+        return crossings(self.partition)
+
+    @cached_property
     def fan(self) -> Fan:
         return build_fan(self.partition)
+
+    @cached_property
+    def cone_by_key(self) -> dict[tuple[Vec3, Vec3, Vec3], BasicTriangle]:
+        """Each fan cone under its sorted vertices, for the reverse
+        classification."""
+        return {c.key(): c for c in self.fan.cones}
 
     @cached_property
     def census(self) -> list[SurfaceClass]:

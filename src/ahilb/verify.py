@@ -13,8 +13,8 @@ chart vs the forward normal form of its cell's triangle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .clusters import CharacterLayout, check_tripod, classify_cluster
 from .corners import (
@@ -32,8 +32,7 @@ from .partition import knockout_report
 from .resolution import Resolution
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -112,7 +111,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("partition: knock-out bookkeeping consistent at every crossing")
     def _knockout():
-        bad = knockout_report(res.partition)
+        bad = knockout_report(res.partition, res.crossings)
         if bad:
             raise InvariantError("; ".join(bad))
 
@@ -145,7 +144,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("monomials: exponent knock-out rule matches defeat data")
     def _crossings():
-        for la, lb, x in res.partition.crossings:
+        for la, lb, x in res.crossings:
             winner = crossing_rule_check(ctx, la, lb)
             # Within its extent a line ends at x exactly when x is its
             # defeat point.
@@ -167,7 +166,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
         layout = CharacterLayout(ctx)
         for sysm in res.systems:
             check_tripod(layout, sysm)
-            cls = classify_cluster(ctx, sysm.exponents(), res.fan)
+            cls = classify_cluster(ctx, sysm.exponents(), res.cone_by_key)
             cell = sysm.host
             if cls.host.key() != cell.key():
                 raise InvariantError("classification returned the wrong chart")

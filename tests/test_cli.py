@@ -19,7 +19,7 @@ from ahilb.draw import render_svg
 from ahilb.fan import build_fan
 from ahilb.lattice import LatticeContext
 from ahilb.monomials import dual_basis
-from ahilb.partition import Partition, _check_tiling
+from ahilb.partition import _check_tiling
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks
 
@@ -54,6 +54,18 @@ def test_report_rejects_bad_spec(capsys):
 def test_report_rejects_non_ascii_digits(capsys):
     assert main(["report", "1/\uff15(1,1,3)"]) == 1
     assert "invalid group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    "1/" + "9" * 5000 + "(1,1,-2)",
+    "1/3(1," + "9" * 5000 + ",1)",
+], ids=["order", "weight"])
+def test_report_rejects_a_number_past_the_int_conversion_limit(spec, capsys):
+    # Past 4300 digits int() raises ValueError, which must not escape.
+    assert main(["report", spec]) == 1
+    err = capsys.readouterr().err
+    assert err == ("invalid group: an order or weight has too many digits "
+                   "to read\n")
 
 
 def test_fan_command(capsys):
@@ -351,33 +363,34 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-class _RecordedCrossings:
-    """Stands in for the cached Partition.crossings: counts computations
-    and records, per read, the reading function and the object it got.
-    It defines __set__ so that the value cached in the instance dict does
-    not hide later reads from it."""
+class _RecordedStage:
+    """Stands in for the cached stage Resolution.<name>: counts
+    computations and records, per read, the reading function and the
+    object it got.  It defines __set__ so that the value cached in the
+    instance dict does not hide later reads from it."""
 
-    def __init__(self):
-        original = Partition.__dict__["crossings"]
+    def __init__(self, name):
+        original = Resolution.__dict__[name]
+        self.name = name
         self.computed = []
         self.reads = []
 
-        def counted(part):
-            self.computed.append(part)
-            return original.func(part)
+        def counted(res):
+            self.computed.append(res)
+            return original.func(res)
 
         self.cached = cached_property(counted)
-        self.cached.__set_name__(Partition, "crossings")
+        self.cached.__set_name__(Resolution, name)
 
-    def __get__(self, part, owner=None):
-        if part is None:
+    def __get__(self, res, owner=None):
+        if res is None:
             return self
-        value = self.cached.__get__(part, owner)
+        value = self.cached.__get__(res, owner)
         self.reads.append((sys._getframe(1).f_code.co_name, value))
         return value
 
-    def __set__(self, part, value):
-        raise AttributeError("crossings is read-only")
+    def __set__(self, res, value):
+        raise AttributeError(f"{self.name} is read-only")
 
 
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/15(1,2,12)"])
@@ -391,8 +404,12 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     layouts = _count_calls(monkeypatch, "clusters", "CharacterLayout")
     tripods = _count_calls(monkeypatch, "clusters", "check_tripod")
     bases = _count_calls(monkeypatch, "clusters", "tripod_basis")
-    crossings = _RecordedCrossings()
-    monkeypatch.setattr(Partition, "crossings", crossings)
+    swept = _count_calls(monkeypatch, "partition", "crossings")
+    reports = _count_calls(monkeypatch, "partition", "knockout_report")
+    crossings = _RecordedStage("crossings")
+    cone_index = _RecordedStage("cone_by_key")
+    monkeypatch.setattr(Resolution, "crossings", crossings)
+    monkeypatch.setattr(Resolution, "cone_by_key", cone_index)
     assert main(["verify", spec]) == 0
     assert len(builds) == 1
     # One list of junior points, read by the count family and by the
@@ -410,11 +427,18 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     assert len(layouts) == 1
     assert len({id(layout) for layout, _ in tripods}) == 1
     assert bases == []
-    # The knock-out report and the exponent-rule check share one list.
+    # The knock-out report and the exponent-rule check share one list,
+    # computed once and kept by the resolution.
+    assert len(swept) == 1
     assert len(crossings.computed) == 1
-    readers = [reader for reader, _ in crossings.reads]
-    assert sorted(readers) == ["_crossings", "knockout_report"]
-    assert crossings.reads[0][1] is crossings.reads[1][1]
+    assert sorted(reader for reader, _ in crossings.reads) == [
+        "_crossings", "_knockout"]
+    read = dict(crossings.reads)
+    [(_, given)] = reports
+    assert given is read["_crossings"] is read["_knockout"]
+    # One cone index, read only by the reverse classification.
+    assert len(cone_index.computed) == 1
+    assert {reader for reader, _ in cone_index.reads} == {"_clusters"}
 
 
 def test_settled_checks_do_no_work(monkeypatch):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from functools import cache
 from math import comb
 
@@ -95,14 +94,13 @@ def test_verify_fan_detects_off_plane_ray():
             break
     moved = vadd(bad_vertex, (1, 0, 0))
     new_cones = tuple(
-        replace(
-            c,
+        c._replace(
             vertices=tuple(moved if v == bad_vertex else v for v in c.vertices),
         )
         for c in cones
     )
     rays = tuple(moved if r == bad_vertex else r for r in fan.rays)
-    bad_fan = replace(fan, rays=rays, cones=new_cones)
+    bad_fan = fan._replace(rays=rays, cones=new_cones)
     assert any("junior plane" in msg for msg in verify_fan(ctx, bad_fan))
 
 
@@ -116,9 +114,9 @@ def test_verify_fan_detects_non_unimodular_cone():
         p.coords for p in junior_points(ctx)
         if p.coords not in c0.vertices
     )
-    big, flat = (replace(c0, vertices=(a, b, v)) for v in (far, a))
+    big, flat = (c0._replace(vertices=(a, b, v)) for v in (far, a))
     for bad in (big, flat):
-        msgs = verify_fan(ctx, replace(fan, cones=(bad,) + fan.cones[1:]))
+        msgs = verify_fan(ctx, fan._replace(cones=(bad,) + fan.cones[1:]))
         assert any(m.startswith(f"cone {bad.vertices} is not unimodular")
                    for m in msgs)
     assert f"cone {flat.vertices} is not unimodular (det 0)" in msgs
@@ -310,10 +308,9 @@ def test_verify_fan_detects_a_ray_off_the_lattice():
     v = next(p for p in fan.rays if 0 not in p)
     moved = vadd(v, (1, -1, 0))  # on the junior plane, not in the lattice
     assert sum(moved) == ctx.n and not ctx.is_lattice_point(moved)
-    bad_fan = replace(
-        fan,
+    bad_fan = fan._replace(
         rays=tuple(moved if p == v else p for p in fan.rays),
-        cones=tuple(replace(c, vertices=tuple(
+        cones=tuple(c._replace(vertices=tuple(
             moved if p == v else p for p in c.vertices)) for c in fan.cones),
     )
     msgs = verify_fan(ctx, bad_fan)

@@ -11,27 +11,33 @@ Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
 or it is listed in `ahilb.__all__`, or it is named in backticks in
 README.md. A method that overrides a base class method counts as read.
-Every dataclass field has a reader of its own class: running each
-command through `cli.main` on groups of all four champion kinds, package
-code reads the field off an instance of that class (the generated
-`__eq__`, `__hash__` and `__repr__` and `dataclasses.replace` do not
-count). Only the README-documented `SurfaceClass.neighbors` and
-`SurfaceClass.c` are read by no package code. Code and data that only
-tests reach do not belong in the package.
+The package's result records are the 22 `typing.NamedTuple` classes
+named in `RECORDS`, and no module imports `dataclasses`, so a fresh
+`import ahilb.cli` loads neither `dataclasses` nor `inspect`. A record
+defines no tuple dunder of its own but `CyclicWord.__len__`. Every record
+field has a reader of its own class: running each command through
+`cli.main` on groups of all four champion kinds, package code reads the
+field by name off an instance of that class (tuple equality, hashing,
+iteration, the generated `__repr__` and `_replace` do not count). Only
+the README-documented `SurfaceClass.neighbors` and `SurfaceClass.c` are
+read by no package code. Code and data that only tests reach do not
+belong in the package.
 
 Every call `name(a, b, ...)` that README.md writes in backticks, where
 name is a package function, class or method, passes as many arguments
 as that callable accepts."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import ahilb
 import ahilb.verify
@@ -279,24 +285,99 @@ FIELD_GROUPS = ("1/11(1,2,8)", "1/30(25,2,3)", "1/13(1,5,7)",
 DOCUMENTED_FIELDS = {"fan.SurfaceClass.neighbors", "fan.SurfaceClass.c"}
 
 
-def _package_dataclasses() -> list[type]:
+RECORDS = {
+    "lattice": {"Generator", "GroupSpec", "LatticeContext", "JuniorPoint"},
+    "corners": {"CornerFan", "WordEntry", "CyclicWord"},
+    "mmp": {"RegularTriple", "MMPTrace"},
+    "partition": {"Line", "RegularTriangle", "ConcurrencyPoint",
+                  "ChampionsReport", "Partition"},
+    "fan": {"BasicTriangle", "Fan", "SurfaceClass"},
+    "monomials": {"TriangleRatios", "DualBasis"},
+    "clusters": {"ClusterSystem", "Classification"},
+    "verify": {"CheckResult"},
+}
+# The one tuple dunder a record overrides: perfbench counts the lines of
+# a group as len(cyclic_word(...)).
+OWN_DUNDERS = {"corners.CyclicWord.__len__"}
+
+
+def _package_records() -> list[type]:
+    """The classes the package defines that subclass tuple and have
+    _fields: its named tuples."""
     out = []
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         mod = importlib.import_module(f"ahilb.{path.stem}")
         out += [obj for obj in vars(mod).values()
-                if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                if inspect.isclass(obj) and issubclass(obj, tuple)
+                and hasattr(obj, "_fields")
                 and obj.__module__ == mod.__name__]
     return out
 
 
+def _qualname(cls: type) -> str:
+    return f"{cls.__module__.removeprefix('ahilb.')}.{cls.__name__}"
+
+
+def test_records_are_the_named_tuples():
+    found = {_qualname(cls) for cls in _package_records()}
+    assert found == {f"{module}.{name}" for module, names in RECORDS.items()
+                     for name in names}
+    assert len(found) == 22
+
+
+def test_records_define_no_tuple_dunder_but_len():
+    # What a bare NamedTuple generates, __repr__ and __new__ among it.
+    generated = set(vars(NamedTuple("Bare", [("x", int)])))
+    own = {f"{_qualname(cls)}.{name}" for cls in _package_records()
+           for name in vars(cls)
+           if name.startswith("__") and name in vars(tuple)
+           and name not in generated}
+    assert own == OWN_DUNDERS
+
+
+def _dataclass_imports(path: Path) -> list[str]:
+    """The import statements of path that name the dataclasses module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _dataclass_imports(path)
+    assert found == []
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    # Each command runs in a fresh interpreter, so what importing the CLI
+    # pulls in is paid on every run.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ahilb.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.stdout == "[]\n"
+
+
 def _record_field_reads(monkeypatch) -> tuple[set[str], set[str]]:
-    """Every package dataclass field, and the set that collects, from now
-    on, the fields package code reads off an instance of their class."""
+    """Every package record field, and the set that collects, from now
+    on, the fields package code reads by name off an instance of their
+    class."""
     package = {str(path) for path in PACKAGE.glob("*.py")}
     every, read = set(), set()
-    for cls in _package_dataclasses():
-        qual = f"{cls.__module__.removeprefix('ahilb.')}.{cls.__name__}"
-        names = {f.name for f in dataclasses.fields(cls)}
+    for cls in _package_records():
+        qual = _qualname(cls)
+        names = set(cls._fields)
         every |= {f"{qual}.{name}" for name in names}
 
         def getattribute(self, name, _get=cls.__getattribute__,

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import combinations
 from math import ceil, log2
 from pathlib import Path
@@ -16,6 +15,7 @@ from ahilb.mmp import run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
     _within,
+    crossings,
     enumerate_triangles,
     knockout_report,
     line_extent,
@@ -175,7 +175,7 @@ def test_knockout_consistency_fixtures():
                  "1/101(1,7,93)", "1/14(1,9,4)", "1/12(1,4,7)"):
         ctx = ctx_of(text)
         part = Resolution(ctx).partition
-        assert knockout_report(part) == []
+        assert knockout_report(part, crossings(part)) == []
 
 
 def shifted(part, tag, steps):
@@ -183,8 +183,8 @@ def shifted(part, tag, steps):
     steps along the line (positive: away from its corner)."""
     line = part.lines[tag]
     end = vadd(line.defeat_point, smul(steps, line.direction))
-    lines = {**part.lines, tag: replace(line, defeat_point=end)}
-    return replace(part, lines=lines)
+    lines = {**part.lines, tag: line._replace(defeat_point=end)}
+    return part._replace(lines=lines)
 
 
 @pytest.mark.parametrize("tag, steps, violations", [
@@ -203,14 +203,14 @@ def shifted(part, tag, steps):
     ]),
 ])
 def test_knockout_report_catches_a_shifted_defeat_point(tag, steps, violations):
-    part = Resolution(ctx_of("1/11(1,2,8)")).partition
-    assert knockout_report(shifted(part, tag, steps)) == violations
+    part = shifted(Resolution(ctx_of("1/11(1,2,8)")).partition, tag, steps)
+    assert knockout_report(part, crossings(part)) == violations
 
 
 def pairwise_crossings(part):
     """Every pair of interior lines from different corners, met and kept
     when the meet is strictly inside the simplex and within both lines'
-    extents, in sorted tag order: the oracle for Partition.crossings."""
+    extents, in sorted tag order: the oracle for ``crossings``."""
     interior = [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
     out = []
     for la, lb in combinations(interior, 2):
@@ -231,7 +231,7 @@ def crossing_rows(crossings):
 
 
 def check_crossings(spec, shifts=False):
-    """Partition.crossings against the pairwise oracle; with shifts, also
+    """``crossings`` against the pairwise oracle; with shifts, also
     on every interior line's defeat point moved one step either way."""
     part = Resolution(ctx_of(spec)).partition
     parts = [part]
@@ -239,7 +239,7 @@ def check_crossings(spec, shifts=False):
         parts += [shifted(part, tag, steps) for tag in sorted(part.lines)
                   if tag[0] == "corner" for steps in (-1, 1)]
     for p in parts:
-        assert crossing_rows(p.crossings) == crossing_rows(
+        assert crossing_rows(crossings(p)) == crossing_rows(
             pairwise_crossings(p)), spec
 
 
@@ -271,7 +271,7 @@ def test_crossings_meet_only_the_crossing_pairs(monkeypatch):
     meets, tests = [], []
     monkeypatch.setattr(ahilb.partition, "meet", counting(meet, meets))
     monkeypatch.setattr(ahilb.partition, "_within", counting(_within, tests))
-    assert len(part.crossings) == len(meets) == 897
+    assert len(crossings(part)) == len(meets) == 897
     size = len(part.lines)
     assert len(tests) <= 4 * size * ceil(log2(size))
 
@@ -293,18 +293,18 @@ def test_enumeration_looks_up_only_index_one_pairs(monkeypatch):
 
 
 _TIED_REPORT = """
-from dataclasses import replace
 from ahilb import lattice_context, parse_group_spec
 from ahilb.errors import InvariantError
 from ahilb.lattice import vadd
-from ahilb.partition import knockout_report
+from ahilb.partition import crossings, knockout_report
 from ahilb.resolution import Resolution
 
 part = Resolution(lattice_context(parse_group_spec("1/3(1,1,1)"))).partition
 line = part.lines[("corner", 1, 1)]
 end = vadd(line.defeat_point, line.direction)
-lines = {**part.lines, line.tag: replace(line, defeat_point=end)}
-print(knockout_report(replace(part, lines=lines)))
+lines = {**part.lines, line.tag: line._replace(defeat_point=end)}
+part = part._replace(lines=lines)
+print(knockout_report(part, crossings(part)))
 """
 
 

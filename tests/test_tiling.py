@@ -4,7 +4,6 @@ separating-line test on every pair of triangles, and the tiling check
 with the simplex's boundary as a second 2-chain.  Also the large-order
 regression pins, with the Ito-Reid counts as their independent check."""
 
-from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -231,7 +230,7 @@ def test_tiling_check_ignores_vertex_order():
     for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/101(1,7,93)"):
         ctx, tris = triangles_of(spec)
         _check_tiling(ctx, tris)
-        _check_tiling(ctx, [replace(tri, vertices=tri.vertices[::-1])
+        _check_tiling(ctx, [tri._replace(vertices=tri.vertices[::-1])
                             for tri in tris])
 
 
@@ -265,5 +264,5 @@ def test_large_order_pins(spec, lines, triangles, cones, surfaces):
         assert all(result.ok for result in run_checks(res))
     if spec == "1/2000(1,1,1998)":
         from test_partition import crossing_rows, pairwise_crossings
-        assert crossing_rows(res.partition.crossings) == crossing_rows(
+        assert crossing_rows(res.crossings) == crossing_rows(
             pairwise_crossings(res.partition))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -33,7 +32,7 @@ def test_hull_family_catches_a_wrong_chain_on_a_product():
     res = Resolution(ctx)
     fan = res.fans[3]
     assert fan.strengths == (2, 2)
-    res.fans[3] = replace(fan, strengths=(2, 3))
+    res.fans[3] = fan._replace(strengths=(2, 3))
     results = {r.name: r for r in run_checks(res)}
     hull = results["corners: hull strengths match continued fractions"]
     assert not hull.ok
