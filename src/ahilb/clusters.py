@@ -12,6 +12,7 @@ the up or down dependency relations.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -63,10 +64,10 @@ class ClusterSystem(NamedTuple):
     def dual_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         """The three ratio vectors of the chart's dual basis, in variable
         order: (xi, eta, zeta) in up mode, (lam, mu, nu) in down mode."""
-        v = self.ratio_vectors()
+        a, b, c, d, e, f, l, m, n = self.exponents()
         if self.mode == "up":
-            return (v["xi"], v["eta"], v["zeta"])
-        return (v["lam"], v["mu"], v["nu"])
+            return ((l + 1, -b, -f), (-d, m + 1, -c), (-a, -e, n + 1))
+        return ((-l, b + 1, f + 1), (d + 1, -m, c + 1), (a + 1, e + 1, -n))
 
 
 def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]:
@@ -160,6 +161,33 @@ def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
     ]
 
 
+def _rectangles(sys: ClusterSystem) -> list[tuple[int, int, int, int]]:
+    """The tripod's monomials as rectangles (u, length_u, v, length_v)
+    with a corner at the origin: the exponents i*e_u + j*e_v with
+    i < length_u and j < length_v.
+
+    For nonnegative exponents the axis boxes and the two boxes of each
+    coordinate plane together are
+        xy: [0..min(a,l)] x [0..m]  u  [0..l] x [0..min(m,e)]
+        yz: [0..min(b,m)] x [0..n]  u  [0..m] x [0..min(n,f)]
+        zx: [0..min(c,n)] x [0..l]  u  [0..n] x [0..min(l,d)]   (s, p)
+    The first of a plane's two lies inside the second when the second's
+    wall exponent reaches its height (e >= m, f >= n, d >= l), and the
+    second inside the first when the first's does (a >= l, b >= m,
+    c >= n).  The one that contains the other is then the whole
+    [0..h_u] x [0..h_v], and it is kept alone.
+    """
+    out = []
+    for u, v, hu, hv, wu, wv in ((0, 1, sys.l, sys.m, sys.a, sys.e),
+                                 (1, 2, sys.m, sys.n, sys.b, sys.f),
+                                 (2, 0, sys.n, sys.l, sys.c, sys.d)):
+        if wv < hv:
+            out.append((u, min(wu, hu) + 1, v, hv + 1))
+        if wu < hu or wv >= hv:
+            out.append((u, hu + 1, v, min(wv, hv) + 1))
+    return out
+
+
 class CharacterLayout:
     """The character group A^ = Z^3 / M of one group laid out on N bits.
 
@@ -173,7 +201,6 @@ class CharacterLayout:
     """
 
     def __init__(self, ctx: LatticeContext):
-        self.ctx = ctx
         self.n, self.m, self.order = ctx.n, ctx.order // ctx.n, ctx.order
         self.chi = tuple(ctx.character(e)
                          for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -197,6 +224,8 @@ class CharacterLayout:
     def sweep(self, mask: int, axis: int, length: int) -> int:
         """The union of mask translated by j*chi_axis for j < length, by
         doubling: O(log length) shifts."""
+        if length <= 0:
+            return 0
         n, m = self.n, self.m
         x, y = self.chi[axis]
         out, k = mask, 1
@@ -221,28 +250,28 @@ def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
     are pairwise distinct, so that they fill the dual group and the
     cluster's ring is the regular representation.
 
-    Each staircase box is its longest axis's prefix mask, translated to
-    the box's corner and swept along its other axis; the union of the
-    nine boxes has N bits set exactly when the N characters are
-    distinct.
+    The count is the sum of the sizes of the nine disjoint staircase
+    boxes.  The characters are the union of the masks of the rectangles
+    of ``_rectangles``: those overlap, but their union is the staircase,
+    and a union of characters does not count multiplicities, so it is
+    exactly the staircase's set of characters.  Each rectangle's mask is
+    the prefix mask of its longer side swept along its shorter side, so
+    no mask is translated to a corner.  N monomials whose characters
+    make N bits are pairwise distinct.  The rectangle identity needs
+    nonnegative exponents, so a negative one raises before the count.
     """
-    count = total = 0
-    for ps, qs, ss in _staircase(sys):
-        size = (len(ps), len(qs), len(ss))
-        count += size[0] * size[1] * size[2]
-        if 0 in size:
-            continue
-        t = size.index(max(size))
-        corner = layout.ctx.character((ps.start, qs.start, ss.start))
-        mask = layout.shift(layout.prefix(t, size[t]), *corner)
-        for u in range(3):
-            if u != t and size[u] > 1:
-                mask = layout.sweep(mask, u, size[u])
-        total |= mask
+    if min(sys.exponents()) < 0:
+        raise InvariantError("cluster exponents must be nonnegative")
+    count = sum(len(ps) * len(qs) * len(ss) for ps, qs, ss in _staircase(sys))
     if count != layout.order:
         raise InvariantError(
             f"tripod has {count} monomials for a group of order {layout.order}"
         )
+    total = 0
+    for u, lu, v, lv in _rectangles(sys):
+        if lu < lv:
+            u, lu, v, lv = v, lv, u, lu
+        total |= layout.sweep(layout.prefix(u, lu), v, lv)
     if total.bit_count() != layout.order:
         raise InvariantError("tripod characters do not fill the dual group")
 
@@ -277,6 +306,20 @@ class Classification(NamedTuple):
     host: BasicTriangle
 
 
+def _permuted_reader(perm) -> itemgetter:
+    """Under a coordinate permutation, the (a, ..., f) read off the
+    permuted up vectors (xi, eta, zeta) are a rearrangement of the
+    exponents: the diagonal entries l+1, m+1, n+1 stay on the diagonal
+    and the off-diagonal -a, ..., -f stay off it.  Reading the indexes
+    0..8 as exponents names the rearrangement once."""
+    up = ClusterSystem("up", *range(9)).dual_vectors()
+    vecs = tuple(permute(perm, up[perm[t]]) for t in range(3))
+    return itemgetter(*_up_exponents_from_vectors(vecs)[:6])
+
+
+_PERMUTED = tuple((perm, _permuted_reader(perm)) for perm in PERMS)
+
+
 def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                      cone_by_key: dict[tuple[Vec3, Vec3, Vec3], BasicTriangle],
                      ) -> Classification:
@@ -285,23 +328,17 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
 
     exps = (a, b, c, d, e, f, l, m, n); cone_by_key maps the sorted
     vertices of each fan cone to the cone (``Resolution.cone_by_key``).
+    Case a is tried before case b, each over ``PERMS`` in order.
     """
     mode = _mode(exps)
     if mode is None:
         raise InvariantError(
             f"exponents {exps} satisfy neither the up nor the down relations"
         )
-    sys = ClusterSystem(mode, *exps)
-    ratios = sys.ratio_vectors()
-    up_vecs = (ratios["xi"], ratios["eta"], ratios["zeta"])
-
+    shift = 0 if mode == "up" else 1
+    permuted = [(perm, read(exps)) for perm, read in _PERMUTED]
     for case in ("a", "b"):
-        for perm in PERMS:
-            vecs = tuple(
-                permute(perm, up_vecs[perm[t]]) for t in range(3)
-            )
-            a2, b2, c2, d2, e2, f2, *_ = _up_exponents_from_vectors(vecs)
-            shift = 0 if mode == "up" else 1
+        for perm, (a2, b2, c2, d2, e2, f2) in permuted:
             if case == "a":
                 if not (b2 >= f2 and d2 >= c2 and e2 >= a2):
                     continue
@@ -312,7 +349,8 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                     continue
                 A, B, C = a2 - e2, b2 - f2, c2 - d2
                 i, j, k = f2 + shift, d2 + shift, e2 + shift
-            host = _host_lookup(ctx, sys.dual_vectors(), cone_by_key)
+            host = _host_lookup(ctx, ClusterSystem(mode, *exps).dual_vectors(),
+                                cone_by_key)
             return Classification(mode, case, perm, A, B, C, i, j, k, host)
     raise InvariantError(f"no permutation normalizes exponents {exps}")
 

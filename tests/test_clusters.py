@@ -5,9 +5,12 @@ import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
 from ahilb.clusters import (
+    _PERMUTED,
     CharacterLayout,
     ClusterSystem,
+    _rectangles,
     _staircase,
+    _up_exponents_from_vectors,
     check_tripod,
     classify_cluster,
     cluster_system,
@@ -17,7 +20,7 @@ from ahilb.clusters import (
 )
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import dot, vadd
+from ahilb.lattice import PERMS, LatticeContext, dot, permute, vadd, vsub
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
@@ -213,10 +216,10 @@ def residue_walk(ctx, sys):
     return keys
 
 
-def code(layout, mono):
+def code(ctx, mono):
     """The bit position r_0 + n*r_1 of the character of a monomial."""
-    r0, r1 = layout.ctx.character(mono)
-    return r0 + layout.n * r1
+    r0, r1 = ctx.character(mono)
+    return r0 + ctx.n * r1
 
 
 def verdict(check, *args):
@@ -349,6 +352,112 @@ def test_tripod_mutants_match_the_residue_walk():
             None, "has", "characters"}
 
 
+def nine_box_tripod(ctx, layout, sys):
+    """The tripod check box by box: each of the nine staircase boxes is
+    its longest axis's prefix mask, translated to the box's corner by
+    the corner's character and swept along its other axes.  Raises as
+    check_tripod does on nonnegative exponents."""
+    count = total = 0
+    for ps, qs, ss in _staircase(sys):
+        size = (len(ps), len(qs), len(ss))
+        count += size[0] * size[1] * size[2]
+        if 0 in size:
+            continue
+        t = size.index(max(size))
+        corner = ctx.character((ps.start, qs.start, ss.start))
+        mask = layout.shift(layout.prefix(t, size[t]), *corner)
+        for u in range(3):
+            if u != t and size[u] > 1:
+                mask = layout.sweep(mask, u, size[u])
+        total |= mask
+    if count != layout.order:
+        raise InvariantError(
+            f"tripod has {count} monomials for a group of order {layout.order}"
+        )
+    if total.bit_count() != layout.order:
+        raise InvariantError("tripod characters do not fill the dual group")
+
+
+def rectangle_monomials(sys):
+    """The monomials of the rectangles check_tripod ORs."""
+    out = set()
+    for u, lu, v, lv in _rectangles(sys):
+        for i in range(lu):
+            for j in range(lv):
+                mono = [0, 0, 0]
+                mono[u], mono[v] = i, j
+                out.add(tuple(mono))
+    return out
+
+
+def systems_and_mutants(specs):
+    """(ctx, layout, system) for every cone's system of the groups and
+    every nonnegative single and swapped mutant of it."""
+    for spec in specs:
+        ctx = lattice_context(parse_group_spec(spec))
+        layout = CharacterLayout(ctx)
+        for sys in Resolution(ctx).systems:
+            for case in (sys, *mutants(sys), *swapped_mutants(sys)):
+                yield ctx, layout, case
+
+
+def test_tripod_rectangles_cover_the_staircase():
+    # The rectangles depend on the exponents alone, so each tuple once.
+    cases = {case.exponents(): case for _, _, case in
+             systems_and_mutants(cyclic_groups(16) + PRODUCTS)}
+    for case in cases.values():
+        assert rectangle_monomials(case) == set(oracle_staircase(case)), case
+
+
+def test_tripod_matches_the_nine_box_check():
+    verdicts = set()
+    for ctx, layout, case in systems_and_mutants(cyclic_groups(16) + PRODUCTS):
+        want = verdict(nine_box_tripod, ctx, layout, case)
+        assert verdict(check_tripod, layout, case) == want, case
+        verdicts.add(want and want.split()[1])
+    assert verdicts == {None, "has", "characters"}
+
+
+def test_check_tripod_reads_no_character(monkeypatch):
+    calls = []
+    character = LatticeContext.character
+
+    def counted(self, v):
+        calls.append(v)
+        return character(self, v)
+
+    for spec in ("1/101(1,7,93)", "1/4(1,3,0)+1/4(0,1,3)"):
+        ctx = lattice_context(parse_group_spec(spec))
+        systems = Resolution(ctx).systems
+        layout = CharacterLayout(ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(LatticeContext, "character", counted)
+            for sys in systems:
+                check_tripod(layout, sys)
+        assert calls == [], spec
+
+
+def test_tripod_rejects_a_negative_exponent():
+    ctx, fan, systems = systems_of("1/11(1,2,8)")
+    sys = next(s for s in systems if (s.l, s.m, s.n) == (10, 0, 0))
+    layout = CharacterLayout(ctx)
+    # The first still has 11 monomials with distinct characters, the
+    # second 12: the sign is tested before the count.
+    for bad in (sys._replace(m=-1), sys._replace(l=11, m=-1)):
+        for check, arg in ((check_tripod, layout), (tripod_basis, ctx)):
+            with pytest.raises(InvariantError, match="^cluster exponents "
+                               "must be nonnegative$"):
+                check(arg, bad)
+
+
+def test_empty_sweep_and_prefix_are_empty():
+    layout = CharacterLayout(lattice_context(parse_group_spec("1/11(1,2,8)")))
+    for axis in range(3):
+        assert layout.sweep(0b101, axis, 0) == 0
+        assert layout.prefix(axis, 0) == 0
+        assert layout.prefix(axis, 1) == 1
+
+
 @pytest.mark.deep
 def test_tripod_characters_match_oracle_up_to_24():
     check_tripods_against_oracle(cyclic_groups(24) + PRODUCTS)
@@ -364,24 +473,24 @@ def test_character_layout_matches_the_generators():
         layout = CharacterLayout(ctx)
         assert (layout.order, layout.n * layout.m) == (ctx.order, ctx.order)
         for v in ctx.monomial_basis + ((1, 1, 1),):
-            assert code(layout, v) == 0, spec
+            assert code(ctx, v) == 0, spec
         # Codes add like characters: the bit of u, shifted by the code of
         # v, is the bit of u + v.
         vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 5, 3), (-1, 4, -7))
         for u in vectors:
             for v in vectors:
-                shifted = layout.shift(1 << code(layout, u),
-                                       *layout.ctx.character(v))
-                assert shifted == 1 << code(layout, vadd(u, v)), spec
+                shifted = layout.shift(1 << code(ctx, u),
+                                       *ctx.character(v))
+                assert shifted == 1 << code(ctx, vadd(u, v)), spec
         for sys in Resolution(ctx).systems:
             stair = oracle_staircase(sys)
-            codes = {code(layout, mono) for mono in stair}
+            codes = {code(ctx, mono) for mono in stair}
             assert codes == set(range(ctx.order)), spec
             # The staircase and its three unit translates hold repeated
             # characters: codes and oracle keys must split them alike.
             monos = {vadd(mono, e) for mono in stair
                      for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))}
-            pairs = {(code(layout, mono), character_key(ctx, mono))
+            pairs = {(code(ctx, mono), character_key(ctx, mono))
                      for mono in monos}
             assert len(pairs) == len({c for c, _ in pairs}) == len(
                 {k for _, k in pairs}), spec
@@ -440,6 +549,27 @@ def test_classification_round_trips_to_host():
             # Rebuilding the system from the host gives back the exponents.
             db2 = dual_basis(ctx, parents[cls.host.parent], cls.host)
             assert cluster_system(ctx, db2).exponents() == sys.exponents()
+
+
+def permuted_up_exponents(perm, exps):
+    """(a, ..., f) read off the up vectors (xi, eta, zeta) of exps with
+    the vectors and their coordinates permuted by perm."""
+    ratios = ClusterSystem("up", *exps).ratio_vectors()
+    up = (ratios["xi"], ratios["eta"], ratios["zeta"])
+    vecs = tuple(permute(perm, up[perm[t]]) for t in range(3))
+    return _up_exponents_from_vectors(vecs)[:6]
+
+
+def test_index_maps_match_the_permuted_read():
+    assert [perm for perm, _ in _PERMUTED] == list(PERMS)
+    cases = set()
+    for spec in SWEEP:
+        for sys in Resolution(lattice_context(parse_group_spec(spec))).systems:
+            cases.update(case.exponents() for case in (sys, *mutants(sys)))
+    for exps in cases:
+        for perm, read in _PERMUTED:
+            want = permuted_up_exponents(perm, exps)
+            assert read(exps) == want, (exps, perm)
 
 
 def check_classification_reads_the_normal_form(spec):
@@ -501,11 +631,8 @@ def test_classification_substitution_consistency():
         else:
             expect = (A + k - shift, B + i - shift, C + j - shift,
                       j - shift, k - shift, i - shift)
-        from ahilb.clusters import _up_exponents_from_vectors
-        from ahilb.lattice import permute as _permute, vsub
-
         base = sys.dual_vectors()
-        vecs = tuple(_permute(cls.perm, base[cls.perm[t]]) for t in range(3))
+        vecs = tuple(permute(cls.perm, base[cls.perm[t]]) for t in range(3))
         if cls.mode == "down":  # (xi, eta, zeta) = (1,1,1) - (lam, mu, nu)
             vecs = tuple(vsub((1, 1, 1), v) for v in vecs)
         assert _up_exponents_from_vectors(vecs)[:6] == expect
