@@ -161,6 +161,17 @@ def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
     ]
 
 
+def _tripod_size(sys: ClusterSystem) -> int:
+    """The number of tripod monomials: the sizes of ``_staircase``'s nine
+    boxes, summed in closed form.  Needs nonnegative exponents."""
+    a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
+    l, m, n = sys.l, sys.m, sys.n
+    return (l + 1 + m + n
+            + min(a, l) * m + max(0, l - a) * min(m, e)
+            + min(b, m) * n + max(0, m - b) * min(n, f)
+            + l * min(c, n) + min(l, d) * max(0, n - c))
+
+
 def _rectangles(sys: ClusterSystem) -> list[tuple[int, int, int, int]]:
     """The tripod's monomials as rectangles (u, length_u, v, length_v)
     with a corner at the origin: the exponents i*e_u + j*e_v with
@@ -251,18 +262,19 @@ def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
     cluster's ring is the regular representation.
 
     The count is the sum of the sizes of the nine disjoint staircase
-    boxes.  The characters are the union of the masks of the rectangles
-    of ``_rectangles``: those overlap, but their union is the staircase,
-    and a union of characters does not count multiplicities, so it is
-    exactly the staircase's set of characters.  Each rectangle's mask is
-    the prefix mask of its longer side swept along its shorter side, so
-    no mask is translated to a corner.  N monomials whose characters
-    make N bits are pairwise distinct.  The rectangle identity needs
+    boxes, in closed form (``_tripod_size``).  The characters are the
+    union of the masks of the rectangles of ``_rectangles``: those
+    overlap, but their union is the staircase, and a union of characters
+    does not count multiplicities, so it is exactly the staircase's set
+    of characters.  Each rectangle's mask is the prefix mask of its
+    longer side swept along its shorter side, so no mask is translated to
+    a corner.  N monomials whose characters make N bits are pairwise
+    distinct.  The rectangle identity and the closed form need
     nonnegative exponents, so a negative one raises before the count.
     """
     if min(sys.exponents()) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
-    count = sum(len(ps) * len(qs) * len(ss) for ps, qs, ss in _staircase(sys))
+    count = _tripod_size(sys)
     if count != layout.order:
         raise InvariantError(
             f"tripod has {count} monomials for a group of order {layout.order}"

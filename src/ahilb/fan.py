@@ -3,9 +3,8 @@ fan, crepancy checks and the census of exceptional surfaces."""
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-from itertools import combinations
 from math import comb
+from operator import is_not
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -16,9 +15,7 @@ from .lattice import (
     cross2,
     det3,
     dot,
-    multiple,
     on_simplex_boundary,
-    smul,
     vadd,
     vsub,
 )
@@ -48,14 +45,21 @@ def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
     """The r^2 unimodular cells of a side-r regular triangle, the one at
     parent_index in the partition: C(r+1, 2) up cells, then C(r, 2) down
     cells.  Each side is exactly r times its primitive direction, so the
-    grid steps (w2 - w1)/r and (w3 - w1)/r are side_directions[2], [1]."""
+    grid steps (w2 - w1)/r and (w3 - w1)/r are side_directions[2], [1].
+    The (r+1)(r+2)/2 grid points are computed once, and each cell picks
+    three of them, so the cells share their vertex tuples."""
     r = tri.r
-    w1 = tri.vertices[0]
     u, w = tri.side_directions[2], tri.side_directions[1]
-
-    def grid(alpha: int, beta: int, gamma: int) -> Vec3:
-        # Barycentric steps (alpha, beta, gamma), alpha+beta+gamma = r.
-        return vadd(vadd(w1, smul(beta, u)), smul(gamma, w))
+    # grid[beta][gamma] = w1 + beta*u + gamma*w: barycentric steps
+    # (alpha, beta, gamma) with alpha = r - beta - gamma.
+    grid = []
+    start = tri.vertices[0]
+    for beta in range(r + 1):
+        row = [start]
+        for _ in range(r - beta):
+            row.append(vadd(row[-1], w))
+        grid.append(row)
+        start = vadd(start, u)
 
     cells = []
     for i in range(r):
@@ -63,14 +67,14 @@ def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
             k = r - 1 - i - j
             cells.append(BasicTriangle(
                 parent_index, "up", (i, j, k),
-                (grid(i + 1, j, k), grid(i, j + 1, k), grid(i, j, k + 1)),
+                (grid[j][k], grid[j + 1][k], grid[j][k + 1]),
             ))
     for i in range(1, r):
         for j in range(1, r + 1 - i):
             k = r + 1 - i - j
             cells.append(BasicTriangle(
                 parent_index, "down", (i, j, k),
-                (grid(i - 1, j, k), grid(i, j - 1, k), grid(i, j, k - 1)),
+                (grid[j][k], grid[j - 1][k], grid[j][k - 1]),
             ))
     return cells
 
@@ -82,36 +86,111 @@ class Fan(NamedTuple):
     cones: tuple[BasicTriangle, ...]
     edges: frozenset[tuple[Vec3, Vec3]]  # sorted pairs of ray points
     interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
+    # Each vertex off the simplex boundary, in ray order, with its
+    # neighbours counter-clockwise in the chart, starting at the first one
+    # in the half-plane z > 0 (or z = 0, y < 0) around it.
+    stars: dict[Vec3, tuple[Vec3, ...]]
 
 
 def build_fan(part: Partition) -> Fan:
     """Merge the tesselations of all partition triangles: r^2 cells each,
     so as many cones as the group order (build_partition checked that the
-    r^2 sum to it)."""
-    cones = [c for t, tri in enumerate(part.triangles)
-             for c in tesselate(tri, t)]
-    verts = sorted({v for c in cones for v in c.vertices})
-    # Vertex t of a cell sits at steps + e_t (up) or steps - e_t (down).
+    r^2 sum to it).
+
+    Every cone vertex is interned into one sorted ray table, so the cones
+    share its tuples and the edge and star bookkeeping runs on table
+    indexes, which compare as the points do.
+    A down cell is the point reflection of an up cell, a rotation by pi,
+    so every cell has its parent's orientation, and one cross2 per
+    triangle orients its cells counter-clockwise in the chart.  At each
+    vertex x of a cone (x, u, w) so oriented, x's successor map takes u to
+    w: the cone is the wedge from u to w around x.  An edge {x, u} with a
+    cone on each side makes u once a key and once a value of x's map.  A
+    third cone repeats a key or a value there; a lone cone leaves u a key
+    without a value or a value without a key, which only an edge on the
+    simplex boundary may do.  Around a vertex off the boundary the map is
+    then a permutation of the neighbours, and following it once around
+    gives the star in counter-clockwise order with no angle sort.
+    """
+    cells = [(tri, tesselate(tri, t)) for t, tri in enumerate(part.triangles)]
+    rays = sorted({v for _, tes in cells for c in tes for v in c.vertices})
+    index = {v: i for i, v in enumerate(rays)}
+    nexts: list[dict[int, int]] = [{} for _ in rays]
+    prevs: list[dict[int, int]] = [{} for _ in rays]
     interior = set()
-    for c in cones:
-        sign = 1 if c.kind == "up" else -1
-        for t, v in enumerate(c.vertices):
-            if all(s + sign * (u == t) > 0 for u, s in enumerate(c.steps)):
-                interior.add(v)
-    edges: dict[tuple[Vec3, Vec3], int] = {}
-    for c in cones:
-        for e in combinations(sorted(c.vertices), 2):
-            edges[e] = edges.get(e, 0) + 1
-    for e, mult in edges.items():
-        if mult > 2:
-            raise InvariantError("an edge borders more than two cones")
-        if mult == 1 and not on_simplex_boundary(*e):
-            raise InvariantError(
-                f"interior edge {e} borders only one cone: "
-                "tesselations do not match across triangles"
-            )
-    return Fan(tuple(verts), tuple(cones), frozenset(edges),
-               frozenset(interior))
+    cones = []
+    for tri, tes in cells:
+        w1, w2, w3 = tri.vertices
+        ccw = cross2(chart(vsub(w2, w1)), chart(vsub(w3, w1))) > 0
+        for c in tes:
+            v0, v1, v2 = c.vertices
+            a, b, d = index[v0], index[v1], index[v2]
+            shared = (rays[a], rays[b], rays[d])
+            if any(map(is_not, shared, c.vertices)):
+                c = c._replace(vertices=shared)
+            cones.append(c)
+            # Vertex t of a cell sits at steps + e_t (up) or steps - e_t
+            # (down); it is interior when all three coordinates are > 0.
+            s0, s1, s2 = c.steps
+            sign = 1 if c.kind == "up" else -1
+            if s0 + sign > 0 and s1 > 0 and s2 > 0:
+                interior.add(shared[0])
+            if s0 > 0 and s1 + sign > 0 and s2 > 0:
+                interior.add(shared[1])
+            if s0 > 0 and s1 > 0 and s2 + sign > 0:
+                interior.add(shared[2])
+            if not ccw:
+                b, d = d, b
+            for x, u, w in ((a, b, d), (b, d, a), (d, a, b)):
+                succ, pred = nexts[x], prevs[x]
+                if u in succ or w in pred:
+                    raise InvariantError("an edge borders more than two cones")
+                succ[u] = w
+                pred[w] = u
+
+    edges = []
+    stars = {}
+    for i, v in enumerate(rays):
+        succ, pred = nexts[i], prevs[i]
+        nbrs = succ.keys()
+        if nbrs != pred.keys():
+            for u in nbrs ^ pred.keys():
+                if not on_simplex_boundary(v, rays[u]):
+                    e = (v, rays[u]) if i < u else (rays[u], v)
+                    raise InvariantError(
+                        f"interior edge {e} borders only one cone: "
+                        "tesselations do not match across triangles"
+                    )
+            nbrs = nbrs | pred.keys()
+        edges += [(v, rays[u]) for u in nbrs if i < u]
+        if 0 not in v:
+            stars[v] = _star(v, succ, rays)
+    return Fan(tuple(rays), tuple(cones), frozenset(edges),
+               frozenset(interior), stars)
+
+
+def _star(v: Vec3, succ: dict[int, int],
+          rays: list[Vec3]) -> tuple[Vec3, ...]:
+    """The star of a vertex v off the simplex boundary, whose successor
+    map succ permutes its neighbours' indexes: the neighbours in the
+    map's order, counter-clockwise in the chart, starting where the
+    half-plane z > 0 (or z = 0, y < 0) around v begins, which is where
+    sorting them by angle from the y axis starts."""
+    first = next(iter(succ))
+    cycle = [rays[first]]
+    u = succ[first]
+    while u != first:
+        cycle.append(rays[u])
+        u = succ[u]
+    if len(cycle) != len(succ):
+        raise InvariantError(
+            f"star of vertex {v} is pinched: its cones make more than one cycle"
+        )
+    _, y, z = v
+    upper = [p[2] > z or p[2] == z and p[1] < y for p in cycle]
+    start = next((k for k in range(len(cycle))
+                  if upper[k] and not upper[k - 1]), 0)
+    return (*cycle[start:], *cycle[:start])
 
 
 def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
@@ -164,46 +243,27 @@ class SurfaceClass(NamedTuple):
     label: str
 
 
-def vertex_stars(fan: Fan) -> dict[Vec3, tuple[Vec3, ...]]:
-    """Cyclically ordered neighbor lists of the interior vertices."""
-    nbrs: dict[Vec3, set[Vec3]] = {}
-    for a, b in fan.edges:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
-    out = {}
-    for v in fan.rays:
-        if 0 in v:
-            continue  # boundary of the simplex
-
-        def around(p, q):
-            ca = chart(vsub(p, v))
-            cb = chart(vsub(q, v))
-            ha = (ca[1], -ca[0]) > (0, 0)
-            hb = (cb[1], -cb[0]) > (0, 0)
-            if ha != hb:
-                return -1 if ha else 1
-            c = cross2(ca, cb)
-            return 0 if c == 0 else (-1 if c > 0 else 1)
-
-        out[v] = tuple(sorted(nbrs[v], key=cmp_to_key(around)))
-    return out
-
-
 def surface_census(fan: Fan) -> list[SurfaceClass]:
-    """Classify the surface at every interior vertex of the fan."""
+    """Classify the surface at every interior vertex of the fan.
+
+    The star relation is solved in the chart: the differences of points
+    of the junior plane have coordinate sum 0, so a difference is fixed by
+    its chart and u_{t-1} + u_{t+1} - 2v = b_t (u_t - v) holds exactly when
+    it holds in the chart."""
     out = []
-    for v, star in sorted(vertex_stars(fan).items()):
+    for v, star in fan.stars.items():
         t = len(star)
         if not 3 <= t <= 6:
             raise InvariantError(f"vertex {v} has valency {t}")
+        _, y, z = v
+        arms = [(p[1] - y, p[2] - z) for p in star]
         bs = []
         for idx in range(t):
-            lhs = vadd(
-                vsub(star[(idx - 1) % t], v), vsub(star[(idx + 1) % t], v)
-            )
-            mid = vsub(star[idx], v)
-            b = multiple(lhs, mid)
-            if b is None:
+            (py, pz), (my, mz), (qy, qz) = (
+                arms[idx - 1], arms[idx], arms[(idx + 1) % t])
+            ly, lz = py + qy, pz + qz
+            b, rem = divmod(ly, my) if my else divmod(lz, mz)
+            if rem or b * my != ly or b * mz != lz:
                 raise InvariantError(f"star relation at {v} is not integral")
             bs.append(b)
         cs = tuple(b - 2 for b in bs)

@@ -13,7 +13,6 @@ simplex's sides and exact areas.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -140,7 +139,15 @@ class ConcurrencyPoint(NamedTuple):
 
 def _triangle_from_lines(ctx: LatticeContext,
                          lines: tuple[Line, Line, Line]) -> RegularTriangle | None:
-    """The regular triangle cut out by three lines, if there is one."""
+    """The regular triangle cut out by three lines, if there is one.
+
+    One pair index settles all three.  The sides s_0 = p2 - p1,
+    s_1 = p2 - p0 and s_2 = p1 - p0 satisfy s_1 = s_0 + s_2; once they
+    have one length r (directions from ``primitive_vector`` make every
+    length positive), dividing by r gives d_1 = d_0 + d_2.  The chart is
+    linear, so on the charts cross2(d_0, d_1) = cross2(d_0, d_2) =
+    cross2(d_1, d_2), and the three pair indices are equal.
+    """
     pts = []
     for a, b in ((1, 2), (0, 2), (0, 1)):
         q = _simplex_point(ctx, meet(lines[a], lines[b]))
@@ -154,9 +161,8 @@ def _triangle_from_lines(ctx: LatticeContext,
     lens = {multiple(v, d) for v, d in zip(sides, dirs)}
     if len(lens) != 1:
         return None
-    for a, b in combinations(range(3), 2):
-        if pair_index(ctx, dirs[a], dirs[b]) != 1:
-            return None
+    if pair_index(ctx, dirs[0], dirs[2]) != 1:
+        return None
     return RegularTriangle(
         vertices=tuple(pts),
         r=lens.pop(),

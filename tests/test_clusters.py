@@ -1,4 +1,6 @@
 
+from functools import cache
+
 import pytest
 
 import ahilb.verify
@@ -10,6 +12,7 @@ from ahilb.clusters import (
     ClusterSystem,
     _rectangles,
     _staircase,
+    _tripod_size,
     _up_exponents_from_vectors,
     check_tripod,
     classify_cluster,
@@ -560,16 +563,31 @@ def permuted_up_exponents(perm, exps):
     return _up_exponents_from_vectors(vecs)[:6]
 
 
-def test_index_maps_match_the_permuted_read():
-    assert [perm for perm, _ in _PERMUTED] == list(PERMS)
+@cache
+def sweep_exponents():
+    """The exponents of every cone's system of the `SWEEP` groups and of
+    its nonnegative single mutants, each tuple once."""
     cases = set()
     for spec in SWEEP:
         for sys in Resolution(lattice_context(parse_group_spec(spec))).systems:
             cases.update(case.exponents() for case in (sys, *mutants(sys)))
-    for exps in cases:
+    return frozenset(cases)
+
+
+def test_index_maps_match_the_permuted_read():
+    assert [perm for perm, _ in _PERMUTED] == list(PERMS)
+    for exps in sweep_exponents():
         for perm, read in _PERMUTED:
             want = permuted_up_exponents(perm, exps)
             assert read(exps) == want, (exps, perm)
+
+
+def test_tripod_size_is_the_box_sum():
+    for exps in sweep_exponents():
+        sys = ClusterSystem("up", *exps)
+        assert _tripod_size(sys) == sum(
+            len(ps) * len(qs) * len(ss) for ps, qs, ss in _staircase(sys)
+        ), exps
 
 
 def check_classification_reads_the_normal_form(spec):

@@ -1,9 +1,11 @@
 import random
-from functools import cache
+from functools import cache, cmp_to_key
+from itertools import combinations
 from math import comb
 
 import pytest
-from test_cli import SWEEP
+from test_cli import PINNED, SWEEP
+from test_clusters import PRODUCTS
 from test_lattice import segment_points
 
 import ahilb.fan
@@ -12,14 +14,24 @@ from ahilb.draw import _partition_edges
 from ahilb.errors import InvariantError
 from ahilb.fan import (
     BasicTriangle,
+    Fan,
     build_fan,
     dp6_count,
     surface_census,
     tesselate,
     verify_fan,
-    vertex_stars,
 )
-from ahilb.lattice import det3, dot, pair_index, smul, vadd, vsub
+from ahilb.lattice import (
+    chart,
+    cross2,
+    det3,
+    dot,
+    on_simplex_boundary,
+    pair_index,
+    smul,
+    vadd,
+    vsub,
+)
 from ahilb.resolution import Resolution
 
 
@@ -201,8 +213,7 @@ def test_interior_vertices_have_one_parent():
 
 def test_stars_close_up():
     ctx, part, fan = pipeline("1/30(25,2,3)")
-    stars = vertex_stars(fan)
-    for v, star in stars.items():
+    for v, star in fan.stars.items():
         # Every consecutive pair spans a cone of the fan with v.
         cone_keys = {c.key() for c in fan.cones}
         for idx in range(len(star)):
@@ -235,6 +246,54 @@ def test_build_fan_rejects_a_repeated_cell(monkeypatch):
     with pytest.raises(InvariantError,
                        match="^an edge borders more than two cones$"):
         build_fan(part)
+
+
+def test_build_fan_rejects_a_reversed_repeated_cell(monkeypatch):
+    # The corner cell at w2 has one side off the simplex boundary, from
+    # vertex 2 to vertex 0.  Its copy with the vertices reversed is read
+    # from vertex 2, where vertex 0 becomes a value a second time before
+    # any key repeats.
+    ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
+    corner = tesselate(part.triangles[0], 0)[1]
+    assert corner.steps == (0, 1, 0)
+    reversed_corner = corner._replace(vertices=corner.vertices[::-1])
+    monkeypatch.setattr(ahilb.fan, "tesselate",
+                        lambda tri, t: tesselate(tri, t) + [reversed_corner])
+    with pytest.raises(InvariantError,
+                       match="^an edge borders more than two cones$"):
+        build_fan(part)
+
+
+def test_build_fan_rejects_a_pinched_star(monkeypatch):
+    # Two tetrahedron surfaces that share only the vertex v: every edge
+    # borders two cones, and every other vertex's star is a 3-cycle, but
+    # the cones around v make two cycles.
+    ctx, part, _ = pipeline("1/2(1,1,0)+1/2(0,1,1)")
+    v = (5, 5, 5)
+    points = [(1, 2, 12), (2, 12, 1), (12, 1, 2),
+              (3, 4, 8), (4, 8, 3), (8, 3, 4)]
+    cells = []
+    for a, b, c in (points[:3], points[3:]):
+        for vertices in ((v, a, b), (v, b, c), (v, c, a), (a, c, b)):
+            cells.append(BasicTriangle(0, "up", (0, 0, 0), vertices))
+    monkeypatch.setattr(ahilb.fan, "tesselate", lambda tri, t: cells)
+    with pytest.raises(InvariantError) as exc:
+        build_fan(part)
+    assert str(exc.value) == (
+        f"star of vertex {v} is pinched: its cones make more than one cycle")
+
+
+def test_stars_start_where_the_half_plane_flips():
+    # Each star runs counter-clockwise in the chart and starts at its
+    # first neighbour in the half-plane z > 0 (or z = 0, y < 0) after one
+    # outside it, where an angle sort from the y axis starts.
+    for res in sweep_resolutions():
+        for v, star in res.fan.stars.items():
+            arms = [chart(vsub(p, v)) for p in star]
+            assert all(cross2(arms[k - 1], arms[k]) > 0
+                       for k in range(len(arms))), v
+            upper = [(y, z) for y, z in arms if z > 0 or z == 0 and y < 0]
+            assert arms[:len(upper)] == upper, v
 
 
 def grid_step(ctx, frm, to, r):
@@ -287,6 +346,82 @@ def segment_walk_edges(ctx, part):
 def sweep_resolutions():
     return [Resolution(lattice_context(parse_group_spec(spec)))
             for spec in SWEEP]
+
+
+def vertex_stars(fan):
+    """Cyclically ordered neighbor lists of the interior vertices, by an
+    angle sort of the neighbours that fan.edges gives each vertex."""
+    nbrs = {}
+    for a, b in fan.edges:
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    out = {}
+    for v in fan.rays:
+        if 0 in v:
+            continue  # boundary of the simplex
+
+        def around(p, q):
+            ca = chart(vsub(p, v))
+            cb = chart(vsub(q, v))
+            ha = (ca[1], -ca[0]) > (0, 0)
+            hb = (cb[1], -cb[0]) > (0, 0)
+            if ha != hb:
+                return -1 if ha else 1
+            c = cross2(ca, cb)
+            return 0 if c == 0 else (-1 if c > 0 else 1)
+
+        out[v] = tuple(sorted(nbrs[v], key=cmp_to_key(around)))
+    return out
+
+
+def oracle_fan(ctx, part):
+    """The fan from cells with a fresh vertex tuple per corner, edges
+    counted over every pair of a cone's vertices, and stars sorted by
+    angle."""
+    cones = [c for t, tri in enumerate(part.triangles)
+             for c in grid_step_tesselation(ctx, tri, t)]
+    interior = set()
+    for c in cones:
+        sign = 1 if c.kind == "up" else -1
+        for t, v in enumerate(c.vertices):
+            if all(s + sign * (u == t) > 0 for u, s in enumerate(c.steps)):
+                interior.add(v)
+    edges = {}
+    for c in cones:
+        for e in combinations(sorted(c.vertices), 2):
+            edges[e] = edges.get(e, 0) + 1
+    assert all(mult == 2 or mult == 1 and on_simplex_boundary(*e)
+               for e, mult in edges.items())
+    fan = Fan(tuple(sorted({v for c in cones for v in c.vertices})),
+              tuple(cones), frozenset(edges), frozenset(interior), {})
+    return fan._replace(stars=vertex_stars(fan))
+
+
+def assert_fan_matches_the_oracle(ctx, part):
+    spec = ctx.spec.canonical_text
+    fan, oracle = build_fan(part), oracle_fan(ctx, part)
+    for field in Fan._fields:
+        assert getattr(fan, field) == getattr(oracle, field), (spec, field)
+    assert list(fan.stars) == list(oracle.stars), spec
+
+
+def test_build_fan_matches_the_oracle():
+    for res in sweep_resolutions():
+        assert_fan_matches_the_oracle(res.ctx, res.partition)
+    for spec in PINNED:
+        ctx, part, _ = pipeline(spec)
+        assert_fan_matches_the_oracle(ctx, part)
+
+
+@pytest.mark.deep
+def test_build_fan_matches_the_oracle_up_to_30():
+    # Every 1/r(a,b,c) with r <= 30 and a <= b, c fixed by a + b + c = 0
+    # mod r, plus the products.
+    specs = [f"1/{r}({a},{b},{-(a + b) % r})"
+             for r in range(1, 31) for a in range(r) for b in range(a, r)]
+    for spec in specs + PRODUCTS:
+        ctx, part, _ = pipeline(spec)
+        assert_fan_matches_the_oracle(ctx, part)
 
 
 def test_tesselate_matches_the_grid_step_cells():
