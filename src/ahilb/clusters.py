@@ -16,15 +16,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvariantError
-from .fan import BasicTriangle
-from .lattice import (
-    PERMS,
-    LatticeContext,
-    Vec3,
-    permute,
-    scaled_dual,
-    vsub,
-)
+from .lattice import PERMS, LatticeContext, Vec3, permute, vsub
 from .monomials import DualBasis, ratio_str
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
@@ -43,7 +35,6 @@ class ClusterSystem(NamedTuple):
     l: int
     m: int
     n: int
-    host: BasicTriangle | None = None
 
     def exponents(self) -> tuple[int, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f,
@@ -64,10 +55,10 @@ class ClusterSystem(NamedTuple):
     def dual_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         """The three ratio vectors of the chart's dual basis, in variable
         order: (xi, eta, zeta) in up mode, (lam, mu, nu) in down mode."""
-        a, b, c, d, e, f, l, m, n = self.exponents()
+        v = self.ratio_vectors()
         if self.mode == "up":
-            return ((l + 1, -b, -f), (-d, m + 1, -c), (-a, -e, n + 1))
-        return ((-l, b + 1, f + 1), (d + 1, -m, c + 1), (a + 1, e + 1, -n))
+            return v["xi"], v["eta"], v["zeta"]
+        return v["lam"], v["mu"], v["nu"]
 
 
 def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]:
@@ -103,7 +94,7 @@ def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     exps = _up_exponents_from_vectors(roles)
     if min(exps) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
-    sys = ClusterSystem(cell.kind, *exps, host=cell)
+    sys = ClusterSystem(cell.kind, *exps)
     verify_cluster(ctx, sys)
     return sys
 
@@ -141,29 +132,11 @@ def verify_cluster(ctx: LatticeContext, sys: ClusterSystem) -> None:
             )
 
 
-def _staircase(sys: ClusterSystem) -> list[tuple[range, range, range]]:
-    """The tripod's monomials as nine boxes of exponents (p, q, s): the
-    three axes, then two rectangles in each coordinate plane, split where
-    the wall generator's exponent starts to bound the row."""
-    a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
-    l, m, n = sys.l, sys.m, sys.n
-    zero = range(1)
-    return [
-        (range(l + 1), zero, zero),
-        (zero, range(1, m + 1), zero),
-        (zero, zero, range(1, n + 1)),
-        (range(1, min(a, l) + 1), range(1, m + 1), zero),
-        (range(a + 1, l + 1), range(1, min(m, e) + 1), zero),
-        (zero, range(1, min(b, m) + 1), range(1, n + 1)),
-        (zero, range(b + 1, m + 1), range(1, min(n, f) + 1)),
-        (range(1, l + 1), zero, range(1, min(c, n) + 1)),
-        (range(1, min(l, d) + 1), zero, range(c + 1, n + 1)),
-    ]
-
-
 def _tripod_size(sys: ClusterSystem) -> int:
-    """The number of tripod monomials: the sizes of ``_staircase``'s nine
-    boxes, summed in closed form.  Needs nonnegative exponents."""
+    """The number of tripod monomials in closed form: l+1, m and n on the
+    axes, then two disjoint boxes per coordinate plane, min(a,l)*m and
+    (l-a)^+ * min(m,e) in xy, min(b,m)*n and (m-b)^+ * min(n,f) in yz,
+    l*min(c,n) and min(l,d) * (n-c)^+ in zx.  Needs nonnegative exponents."""
     a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
     l, m, n = sys.l, sys.m, sys.n
     return (l + 1 + m + n
@@ -262,7 +235,7 @@ def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
     cluster's ring is the regular representation.
 
     The count is the sum of the sizes of the nine disjoint staircase
-    boxes, in closed form (``_tripod_size``).  The characters are the
+    boxes of ``_tripod_size``, in closed form.  The characters are the
     union of the masks of the rectangles of ``_rectangles``: those
     overlap, but their union is the staircase, and a union of characters
     does not count multiplicities, so it is exactly the staircase's set
@@ -292,11 +265,19 @@ def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
     """Monomials outside the system's initial ideal: the staircase under
     x^(l+1), y^(m+1), z^(n+1), the three wall generators and xyz, sorted.
 
+    That is the union of the rectangles of ``_rectangles``, which is exact
+    because check_tripod, called first, raises on a negative exponent.
     Raises as check_tripod does.
     """
     check_tripod(CharacterLayout(ctx), sys)
-    return sorted((p, q, s) for ps, qs, ss in _staircase(sys)
-                  for p in ps for q in qs for s in ss)
+    out = set()
+    for u, lu, v, lv in _rectangles(sys):
+        for i in range(lu):
+            for j in range(lv):
+                mono = [0, 0, 0]
+                mono[u], mono[v] = i, j
+                out.add(tuple(mono))
+    return sorted(out)
 
 
 class Classification(NamedTuple):
@@ -315,7 +296,6 @@ class Classification(NamedTuple):
     i: int
     j: int
     k: int
-    host: BasicTriangle
 
 
 def _permuted_reader(perm) -> itemgetter:
@@ -332,15 +312,18 @@ def _permuted_reader(perm) -> itemgetter:
 _PERMUTED = tuple((perm, _permuted_reader(perm)) for perm in PERMS)
 
 
-def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
-                     cone_by_key: dict[tuple[Vec3, Vec3, Vec3], BasicTriangle],
-                     ) -> Classification:
+def classify_cluster(exps: tuple[int, ...]) -> Classification:
     """Recover mode, coordinate permutation, the parent normal-form data
-    and the basic triangle from a cluster exponent tuple.
+    and the steps from exps = (a, b, c, d, e, f, l, m, n), trying case a
+    before case b, each over ``PERMS`` in order.
 
-    exps = (a, b, c, d, e, f, l, m, n); cone_by_key maps the sorted
-    vertices of each fan cone to the cone (``Resolution.cone_by_key``).
-    Case a is tried before case b, each over ``PERMS`` in order.
+    No cone is looked up: the exponents name their cell.  Let D =
+    n * (V^T)^-1 be the dual basis ``scaled_dual`` solves from the cell's
+    vertices V.  Then n * (D^T)^-1 = V, and ``dual_vectors`` of the
+    exponents is exactly D in role order, so inverting it can only give
+    back this cell.  That could fail only if the exponent encoding did
+    not round-trip, and the ``_PERMUTED`` index maps, through which the
+    normal form is read, are built from that encoding at import.
     """
     mode = _mode(exps)
     if mode is None:
@@ -361,18 +344,8 @@ def classify_cluster(ctx: LatticeContext, exps: tuple[int, ...],
                     continue
                 A, B, C = a2 - e2, b2 - f2, c2 - d2
                 i, j, k = f2 + shift, d2 + shift, e2 + shift
-            host = _host_lookup(ctx, ClusterSystem(mode, *exps).dual_vectors(),
-                                cone_by_key)
-            return Classification(mode, case, perm, A, B, C, i, j, k, host)
+            return Classification(mode, case, perm, A, B, C, i, j, k)
     raise InvariantError(f"no permutation normalizes exponents {exps}")
-
-
-def _host_lookup(ctx: LatticeContext, vecs, cone_by_key) -> BasicTriangle:
-    """Invert the dual basis: the chart's cone vertices are n * D^{-1}."""
-    key = tuple(sorted(scaled_dual(vecs, ctx.n)))
-    if key not in cone_by_key:
-        raise InvariantError(f"no fan cone has vertices {key}")
-    return cone_by_key[key]
 
 
 def equations_text(sys: ClusterSystem) -> list[str]:

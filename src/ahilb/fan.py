@@ -37,9 +37,6 @@ class BasicTriangle(NamedTuple):
     steps: tuple[int, int, int]
     vertices: tuple[Vec3, Vec3, Vec3]
 
-    def key(self) -> tuple[Vec3, Vec3, Vec3]:
-        return tuple(sorted(self.vertices))
-
 
 def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
     """The r^2 unimodular cells of a side-r regular triangle, the one at
@@ -104,19 +101,21 @@ def build_fan(part: Partition) -> Fan:
     so every cell has its parent's orientation, and one cross2 per
     triangle orients its cells counter-clockwise in the chart.  At each
     vertex x of a cone (x, u, w) so oriented, x's successor map takes u to
-    w: the cone is the wedge from u to w around x.  An edge {x, u} with a
-    cone on each side makes u once a key and once a value of x's map.  A
-    third cone repeats a key or a value there; a lone cone leaves u a key
-    without a value or a value without a key, which only an edge on the
-    simplex boundary may do.  Around a vertex off the boundary the map is
-    then a permutation of the neighbours, and following it once around
-    gives the star in counter-clockwise order with no angle sort.
+    w: the cone is the wedge from u to w around x.  A cone on the left of
+    the directed edge x -> u puts the key u at x; one on its right puts
+    the key x at u and the value u at x.  Of three cones on an edge two
+    are on one side and repeat a key at one end.  A lone cone leaves a key
+    u at x without the key x at u, which only an edge on the simplex
+    boundary may do.  Around a vertex off the boundary every key is then
+    also a value, and no value repeats, as that would repeat a key at the
+    other end: the map is a permutation of the neighbours, and following
+    it once around gives the star in counter-clockwise order with no
+    angle sort.
     """
     cells = [(tri, tesselate(tri, t)) for t, tri in enumerate(part.triangles)]
     rays = sorted({v for _, tes in cells for c in tes for v in c.vertices})
     index = {v: i for i, v in enumerate(rays)}
     nexts: list[dict[int, int]] = [{} for _ in rays]
-    prevs: list[dict[int, int]] = [{} for _ in rays]
     interior = set()
     cones = []
     for tri, tes in cells:
@@ -142,27 +141,27 @@ def build_fan(part: Partition) -> Fan:
             if not ccw:
                 b, d = d, b
             for x, u, w in ((a, b, d), (b, d, a), (d, a, b)):
-                succ, pred = nexts[x], prevs[x]
-                if u in succ or w in pred:
+                succ = nexts[x]
+                if u in succ:
                     raise InvariantError("an edge borders more than two cones")
                 succ[u] = w
-                pred[w] = u
 
     edges = []
     stars = {}
     for i, v in enumerate(rays):
-        succ, pred = nexts[i], prevs[i]
-        nbrs = succ.keys()
-        if nbrs != pred.keys():
-            for u in nbrs ^ pred.keys():
-                if not on_simplex_boundary(v, rays[u]):
-                    e = (v, rays[u]) if i < u else (rays[u], v)
-                    raise InvariantError(
-                        f"interior edge {e} borders only one cone: "
-                        "tesselations do not match across triangles"
-                    )
-            nbrs = nbrs | pred.keys()
-        edges += [(v, rays[u]) for u in nbrs if i < u]
+        succ = nexts[i]
+        for u in succ:
+            if i in nexts[u]:  # a cone on each side
+                if i < u:
+                    edges.append((v, rays[u]))
+                continue
+            e = (v, rays[u]) if i < u else (rays[u], v)
+            if not on_simplex_boundary(v, rays[u]):
+                raise InvariantError(
+                    f"interior edge {e} borders only one cone: "
+                    "tesselations do not match across triangles"
+                )
+            edges.append(e)
         if 0 not in v:
             stars[v] = _star(v, succ, rays)
     return Fan(tuple(rays), tuple(cones), frozenset(edges),

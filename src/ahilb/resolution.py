@@ -1,10 +1,9 @@
 """The pipeline of one group as a single object whose stages are computed
 on first use and kept: corner fans and cyclic word -> partition and its
-crossings -> fan and its cone index -> census, invariant ratios, dual
-bases and cluster systems.  The stage functions take their inputs
-explicitly, and the records they return are plain named tuples; this
-object is where they are wired together and the one place a stage is
-kept."""
+crossings -> fan -> census, invariant ratios, dual bases and cluster
+systems.  The stage functions take their inputs explicitly, and the
+records they return are plain named tuples; this object is where they
+are wired together and the one place a stage is kept."""
 
 from __future__ import annotations
 
@@ -12,8 +11,8 @@ from functools import cached_property
 
 from .clusters import ClusterSystem, cluster_system
 from .corners import CornerFan, CyclicWord, corner_chain, cyclic_word
-from .fan import BasicTriangle, Fan, SurfaceClass, build_fan, surface_census
-from .lattice import JuniorPoint, LatticeContext, Vec3, junior_points
+from .fan import Fan, SurfaceClass, build_fan, surface_census
+from .lattice import JuniorPoint, LatticeContext, junior_points
 from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
 from .partition import Line, Partition, RatPoint, build_partition, crossings
 
@@ -54,12 +53,6 @@ class Resolution:
         return build_fan(self.partition)
 
     @cached_property
-    def cone_by_key(self) -> dict[tuple[Vec3, Vec3, Vec3], BasicTriangle]:
-        """Each fan cone under its sorted vertices, for the reverse
-        classification."""
-        return {c.key(): c for c in self.fan.cones}
-
-    @cached_property
     def census(self) -> list[SurfaceClass]:
         return surface_census(self.fan)
 
@@ -80,4 +73,5 @@ class Resolution:
 
     @cached_property
     def systems(self) -> list[ClusterSystem]:
+        """One cluster system per fan cone, in the order of fan.cones."""
         return [cluster_system(self.ctx, db) for db in self.duals]

@@ -406,11 +406,11 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     bases = _count_calls(monkeypatch, "clusters", "tripod_basis")
     swept = _count_calls(monkeypatch, "partition", "crossings")
     reports = _count_calls(monkeypatch, "partition", "knockout_report")
+    solves = _count_calls(monkeypatch, "lattice", "scaled_dual")
     crossings = _RecordedStage("crossings")
-    cone_index = _RecordedStage("cone_by_key")
     monkeypatch.setattr(Resolution, "crossings", crossings)
-    monkeypatch.setattr(Resolution, "cone_by_key", cone_index)
     assert main(["verify", spec]) == 0
+    solved = len(solves)
     assert len(builds) == 1
     # One list of junior points, read by the count family and by the
     # hull that cross-checks each continued-fraction chain.
@@ -423,7 +423,7 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     assert len(checked) == order
     # One tripod check per cone, all on the one character layout of the
     # group, without building the monomials.
-    assert len({sysm.host.key() for _, sysm in tripods}) == len(tripods) == order
+    assert len(tripods) == order
     assert len(layouts) == 1
     assert len({id(layout) for layout, _ in tripods}) == 1
     assert bases == []
@@ -436,9 +436,9 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     read = dict(crossings.reads)
     [(_, given)] = reports
     assert given is read["_crossings"] is read["_knockout"]
-    # One cone index, read only by the reverse classification.
-    assert len(cone_index.computed) == 1
-    assert {reader for reader, _ in cone_index.reads} == {"_clusters"}
+    # One linear solve for the lattice context's monomial basis, and one
+    # per cone for its dual basis: the reverse classification solves none.
+    assert solved == order + 1
 
 
 def test_settled_checks_do_no_work(monkeypatch):

@@ -11,7 +11,6 @@ from ahilb.clusters import (
     CharacterLayout,
     ClusterSystem,
     _rectangles,
-    _staircase,
     _tripod_size,
     _up_exponents_from_vectors,
     check_tripod,
@@ -23,7 +22,15 @@ from ahilb.clusters import (
 )
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import PERMS, LatticeContext, dot, permute, vadd, vsub
+from ahilb.lattice import (
+    PERMS,
+    LatticeContext,
+    dot,
+    permute,
+    scaled_dual,
+    vadd,
+    vsub,
+)
 from ahilb.monomials import dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
@@ -37,12 +44,6 @@ def pipeline(text):
     fan = build_fan(part)
     parents = {t: triangle_ratios(ctx, tri) for t, tri in enumerate(part.triangles)}
     return ctx, part, fan, parents
-
-
-def cone_index(fan):
-    """The fan's cones under their sorted vertices, as
-    ``Resolution.cone_by_key`` keeps them."""
-    return {c.key(): c for c in fan.cones}
 
 
 def systems_of(text):
@@ -194,6 +195,26 @@ def oracle_tripod(ctx, sys):
     return sorted(out), sorted(character_key(ctx, mono) for mono in out)
 
 
+def staircase(sys):
+    """The tripod's monomials as nine boxes of exponents (p, q, s): the
+    three axes, then two rectangles in each coordinate plane, split where
+    the wall generator's exponent starts to bound the row."""
+    a, b, c, d, e, f = sys.a, sys.b, sys.c, sys.d, sys.e, sys.f
+    l, m, n = sys.l, sys.m, sys.n
+    zero = range(1)
+    return [
+        (range(l + 1), zero, zero),
+        (zero, range(1, m + 1), zero),
+        (zero, zero, range(1, n + 1)),
+        (range(1, min(a, l) + 1), range(1, m + 1), zero),
+        (range(a + 1, l + 1), range(1, min(m, e) + 1), zero),
+        (zero, range(1, min(b, m) + 1), range(1, n + 1)),
+        (zero, range(b + 1, m + 1), range(1, min(n, f) + 1)),
+        (range(1, l + 1), zero, range(1, min(c, n) + 1)),
+        (range(1, min(l, d) + 1), zero, range(c + 1, n + 1)),
+    ]
+
+
 def residue_walk(ctx, sys):
     """The tripod check as a residue walk over the staircase boxes: per
     generator g, the residues (p*g[0] + q*g[1] + s*g[2]) % n of every
@@ -201,7 +222,7 @@ def residue_walk(ctx, sys):
     there are N monomials with distinct characters; returns the
     characters in staircase order."""
     n = ctx.n
-    boxes = _staircase(sys)
+    boxes = staircase(sys)
     keys = None
     for u, v, w in reversed(written_generators(ctx)):
         res = []
@@ -361,7 +382,7 @@ def nine_box_tripod(ctx, layout, sys):
     the corner's character and swept along its other axes.  Raises as
     check_tripod does on nonnegative exponents."""
     count = total = 0
-    for ps, qs, ss in _staircase(sys):
+    for ps, qs, ss in staircase(sys):
         size = (len(ps), len(qs), len(ss))
         count += size[0] * size[1] * size[2]
         if 0 in size:
@@ -531,10 +552,17 @@ def test_classification_paper_sign_rule():
             continue
         a, b, c, d, e, f = (sys.a, sys.b, sys.c, sys.d, sys.e, sys.f)
         if b >= f and d >= c and e >= a:
-            cls = classify_cluster(ctx, sys.exponents(), cone_index(fan))
+            cls = classify_cluster(sys.exponents())
             if cls.perm == (0, 1, 2) and cls.case == "a":
                 assert (cls.A, cls.B, cls.C) == (d - c, b - f, e - a)
                 assert (cls.i, cls.j, cls.k) == (f, c, a)
+
+
+def inverse_solve(ctx, mode, exps):
+    """The vertices of the chart's cone, sorted: n * (D^T)^-1 for the
+    dual basis D the exponents encode."""
+    return sorted(scaled_dual(ClusterSystem(mode, *exps).dual_vectors(),
+                              ctx.n))
 
 
 def test_classification_round_trips_to_host():
@@ -543,15 +571,14 @@ def test_classification_round_trips_to_host():
         for cell in fan.cones:
             db = dual_basis(ctx, parents[cell.parent], cell)
             sys = cluster_system(ctx, db)
-            cls = classify_cluster(ctx, sys.exponents(), cone_index(fan))
-            assert cls.host.key() == cell.key()
+            cls = classify_cluster(sys.exponents())
             assert cls.mode == cell.kind
             r = part.triangles[cell.parent].r
             assert cls.i + cls.j + cls.k == (r - 1 if cls.mode == "up"
                                              else r + 1)
-            # Rebuilding the system from the host gives back the exponents.
-            db2 = dual_basis(ctx, parents[cls.host.parent], cls.host)
-            assert cluster_system(ctx, db2).exponents() == sys.exponents()
+            # Inverting the exponents' dual basis gives back the cell.
+            assert inverse_solve(ctx, cls.mode, sys.exponents()) == sorted(
+                cell.vertices)
 
 
 def permuted_up_exponents(perm, exps):
@@ -586,7 +613,7 @@ def test_tripod_size_is_the_box_sum():
     for exps in sweep_exponents():
         sys = ClusterSystem("up", *exps)
         assert _tripod_size(sys) == sum(
-            len(ps) * len(qs) * len(ss) for ps, qs, ss in _staircase(sys)
+            len(ps) * len(qs) * len(ss) for ps, qs, ss in staircase(sys)
         ), exps
 
 
@@ -594,12 +621,12 @@ def check_classification_reads_the_normal_form(spec):
     """The reverse classification of every cone's chart names the cell's
     kind, its parent's normal form and its role-aligned steps."""
     res = Resolution(lattice_context(parse_group_spec(spec)))
-    for sysm in res.systems:
-        cell = sysm.host
-        cls = classify_cluster(res.ctx, sysm.exponents(), res.cone_by_key)
+    for cell, sysm in zip(res.fan.cones, res.systems):
+        cls = classify_cluster(sysm.exponents())
         tr = res.ratios[cell.parent]
         steps = tuple(cell.steps[side] for side in tr.roles)
-        assert cls.host == cell, spec
+        assert inverse_solve(res.ctx, cls.mode, sysm.exponents()) == sorted(
+            cell.vertices), spec
         assert ((cls.mode, cls.case, cls.perm, cls.A, cls.B, cls.C,
                  (cls.i, cls.j, cls.k))
                 == (cell.kind, tr.case, tr.perm, tr.a, tr.b, tr.c, steps)), spec
@@ -619,13 +646,15 @@ def test_classification_reads_the_normal_form_up_to_40():
 @pytest.mark.parametrize("field, change", [
     ("A", lambda A: A + 1),
     ("perm", lambda perm: perm[::-1]),
-], ids=["A", "perm"])
+    ("k", lambda k: k + 1),
+    ("mode", lambda mode: "down" if mode == "up" else "up"),
+], ids=["A", "perm", "k", "mode"])
 def test_verify_rejects_a_changed_classification(field, change, monkeypatch,
                                                  capsys):
     classify = ahilb.verify.classify_cluster
 
-    def changed(ctx, exps, cone_by_key):
-        cls = classify(ctx, exps, cone_by_key)
+    def changed(exps):
+        cls = classify(exps)
         return cls._replace(**{field: change(getattr(cls, field))})
 
     monkeypatch.setattr(ahilb.verify, "classify_cluster", changed)
@@ -640,7 +669,7 @@ def test_classification_substitution_consistency():
     # exponents through the substitution tables.
     ctx, fan, systems = systems_of("1/101(1,7,93)")
     for sys in systems:
-        cls = classify_cluster(ctx, sys.exponents(), cone_index(fan))
+        cls = classify_cluster(sys.exponents())
         A, B, C, i, j, k = cls.A, cls.B, cls.C, cls.i, cls.j, cls.k
         shift = 0 if cls.mode == "up" else 1
         if cls.case == "a":
@@ -665,7 +694,7 @@ def test_classification_rejects_bad_counts():
                                     bad[2] + bad[5] + 1):
         bad[7] += 1
     with pytest.raises(InvariantError):
-        classify_cluster(ctx, tuple(bad), cone_index(fan))
+        classify_cluster(tuple(bad))
 
 
 def test_mode_exclusivity():
