@@ -9,6 +9,7 @@ invariant ratio on every interior edge.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import sqrt
 
 from .fan import Fan
@@ -20,7 +21,7 @@ from .lattice import (
     sign_fixed,
 )
 from .monomials import primitive_in_monomial_lattice, ratio_str
-from .partition import Partition
+from .partition import Partition, interior_lines, unit_edges
 
 SIZE = 520.0
 MARGIN = 45.0
@@ -56,8 +57,11 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
     ]
 
-    solid = _partition_edges(fan)
-    dotted = sorted(e for e in fan.edges if e not in solid)
+    # The fan's edges are its cones' sides; those on partition sides are solid.
+    edges = {e for c in fan.cones for e in combinations(sorted(c.vertices), 2)}
+    solid = {seg for tri in part.triangles
+             for seg, _ in unit_edges(tri.vertices, tri.r)}
+    dotted = sorted(edges - solid)
     out += [_segment(a, b, n, 'stroke="#888888" stroke-width="1" '
                               'stroke-dasharray="4 3"')
             for a, b in dotted]
@@ -65,11 +69,9 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
             for a, b in sorted(solid)]
 
     # Strength labels on the interior lines, placed a third of the way out.
-    for tag in sorted(t for t in part.lines if t[0] == "corner"):
-        line = part.lines[tag]
-        end = line.defeat_point
+    for line in interior_lines(part):
         xa, ya = _project(line.anchor, n)
-        xb, yb = _project(end, n)
+        xb, yb = _project(line.defeat_point, n)
         lx, ly = xa + (xb - xa) / 3.0, ya + (yb - ya) / 3.0
         out.append(
             f'<text x="{_fmt(lx + 4)}" y="{_fmt(ly - 4)}" '
@@ -77,9 +79,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
         )
 
     if ratios:
-        inner_edges = sorted(
-            e for e in fan.edges if not on_simplex_boundary(*e))
-        for a, b in inner_edges:
+        for a, b in sorted(e for e in edges if not on_simplex_boundary(*e)):
             label = ratio_str(_edge_ratio(ctx, a, b))
             xa, ya = _project(a, n)
             xb, yb = _project(b, n)
@@ -101,16 +101,3 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
 def _edge_ratio(ctx: LatticeContext, a: Vec3, b: Vec3) -> Vec3:
     return sign_fixed(primitive_in_monomial_lattice(ctx, cross3(a, b)))
 
-
-def _partition_edges(fan: Fan) -> set[tuple[Vec3, Vec3]]:
-    """Unit edges lying on partition triangle sides (and hence drawn
-    solid): the side opposite vertex t of every up cell with steps[t] = 0.
-    The other two vertices of an up cell have parent-barycentric
-    coordinate t equal to steps[t], and the parent's side t is where that
-    coordinate is 0; every side of a down cell lies where a coordinate is
-    at least 1."""
-    return {
-        tuple(sorted(c.vertices[u] for u in range(3) if u != t))
-        for c in fan.cones if c.kind == "up"
-        for t in range(3) if c.steps[t] == 0
-    }

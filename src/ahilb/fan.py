@@ -81,8 +81,6 @@ class Fan(NamedTuple):
 
     rays: tuple[Vec3, ...]  # all cone generators, scaled by n
     cones: tuple[BasicTriangle, ...]
-    edges: frozenset[tuple[Vec3, Vec3]]  # sorted pairs of ray points
-    interior: frozenset[Vec3]  # vertices inside some triangle's tesselation
     # Each vertex off the simplex boundary, in ray order, with its
     # neighbours counter-clockwise in the chart, starting at the first one
     # in the half-plane z > 0 (or z = 0, y < 0) around it.
@@ -116,7 +114,6 @@ def build_fan(part: Partition) -> Fan:
     rays = sorted({v for _, tes in cells for c in tes for v in c.vertices})
     index = {v: i for i, v in enumerate(rays)}
     nexts: list[dict[int, int]] = [{} for _ in rays]
-    interior = set()
     cones = []
     for tri, tes in cells:
         w1, w2, w3 = tri.vertices
@@ -128,16 +125,6 @@ def build_fan(part: Partition) -> Fan:
             if any(map(is_not, shared, c.vertices)):
                 c = c._replace(vertices=shared)
             cones.append(c)
-            # Vertex t of a cell sits at steps + e_t (up) or steps - e_t
-            # (down); it is interior when all three coordinates are > 0.
-            s0, s1, s2 = c.steps
-            sign = 1 if c.kind == "up" else -1
-            if s0 + sign > 0 and s1 > 0 and s2 > 0:
-                interior.add(shared[0])
-            if s0 > 0 and s1 + sign > 0 and s2 > 0:
-                interior.add(shared[1])
-            if s0 > 0 and s1 > 0 and s2 + sign > 0:
-                interior.add(shared[2])
             if not ccw:
                 b, d = d, b
             for x, u, w in ((a, b, d), (b, d, a), (d, a, b)):
@@ -146,26 +133,19 @@ def build_fan(part: Partition) -> Fan:
                     raise InvariantError("an edge borders more than two cones")
                 succ[u] = w
 
-    edges = []
     stars = {}
     for i, v in enumerate(rays):
         succ = nexts[i]
         for u in succ:
-            if i in nexts[u]:  # a cone on each side
-                if i < u:
-                    edges.append((v, rays[u]))
-                continue
-            e = (v, rays[u]) if i < u else (rays[u], v)
-            if not on_simplex_boundary(v, rays[u]):
+            if i not in nexts[u] and not on_simplex_boundary(v, rays[u]):
+                e = (v, rays[u]) if i < u else (rays[u], v)
                 raise InvariantError(
                     f"interior edge {e} borders only one cone: "
                     "tesselations do not match across triangles"
                 )
-            edges.append(e)
         if 0 not in v:
             stars[v] = _star(v, succ, rays)
-    return Fan(tuple(rays), tuple(cones), frozenset(edges),
-               frozenset(interior), stars)
+    return Fan(tuple(rays), tuple(cones), stars)
 
 
 def _star(v: Vec3, succ: dict[int, int],
@@ -243,7 +223,8 @@ class SurfaceClass(NamedTuple):
 
 
 def surface_census(fan: Fan) -> list[SurfaceClass]:
-    """Classify the surface at every interior vertex of the fan.
+    """Classify the surface at every vertex of the fan off the simplex
+    boundary.
 
     The star relation is solved in the chart: the differences of points
     of the junior plane have coordinate sum 0, so a difference is fixed by
@@ -266,12 +247,17 @@ def surface_census(fan: Fan) -> list[SurfaceClass]:
                 raise InvariantError(f"star relation at {v} is not integral")
             bs.append(b)
         cs = tuple(b - 2 for b in bs)
-        label = _surface_label(fan, v, t, bs)
+        label = _surface_label(v, t, bs)
         out.append(SurfaceClass(v, t, star, tuple(bs), cs, label))
     return out
 
 
-def _surface_label(fan, v, valency, bs) -> str:
+def _surface_label(v, valency, bs) -> str:
+    """The surface of a star of valency 3..6 with integers bs.  A valency-6
+    star is the fan of dP6, the plane blown up in its three coordinate
+    points, exactly when every b_t is 1: each arm u_t - v is then the sum
+    of the two beside it, so the arms are +-e, +-f and +-(e + f), the
+    toric dP6's hexagon.  Any other one is a scroll blown up twice."""
     if valency == 3:
         if bs != [-1, -1, -1]:
             raise InvariantError(f"valency-3 star at {v} is not a plane")
@@ -283,16 +269,10 @@ def _surface_label(fan, v, valency, bs) -> str:
         return f"F{n}"
     if valency == 5:
         return "scroll-blowup-1"
-    if v in fan.interior:
-        if bs != [1] * 6:
-            raise InvariantError(
-                f"tesselation-interior vertex {v} without hexagonal star"
-            )
-        return "dP6"
-    return "scroll-blowup-2"
+    return "dP6" if bs == [1] * 6 else "scroll-blowup-2"
 
 
 def dp6_count(part: Partition) -> int:
     """Count interior tesselation points by the binomial formula; must
-    agree with the census labels."""
+    agree with the number of hexagonal stars in the census."""
     return sum(comb(tri.r - 1, 2) for tri in part.triangles)

@@ -4,8 +4,9 @@ basic triangles, and the exponent form of the knock-out rule.
 A ratio is stored as a signed Laurent exponent triple: positive entries
 make the numerator, negative entries the denominator.  Every emitted ratio
 is invariant under the group and primitive in the invariant lattice.
-``ratio_through`` is the one computation of the ratio of the line through
-two points; line ratios and triangle side ratios both go through it.
+``ratio_through`` computes the ratio of the line through two points for
+line and triangle side ratios; ``draw._edge_ratio`` computes each fan
+edge's ratio itself, signed by ``sign_fixed`` instead of by a point.
 """
 
 from __future__ import annotations

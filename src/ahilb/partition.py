@@ -292,7 +292,7 @@ def crossings(part: Partition) -> list[tuple[Line, Line, RatPoint]]:
     per crossing, and a sort of the K crossings.
     """
     fans = {i: [] for i in (1, 2, 3)}
-    for line in _interior_lines(part):
+    for line in interior_lines(part):
         fans[line.tag[1]].append(line)
     pairs = []
     for i in (1, 2, 3):
@@ -330,7 +330,7 @@ def _within(line: Line, other: Line) -> bool:
     return gap >= 0 if d > 0 else gap <= 0
 
 
-def _unit_edges(vertices: tuple[Vec3, Vec3, Vec3], r: int):
+def unit_edges(vertices: tuple[Vec3, Vec3, Vec3], r: int):
     """The boundary of a regular triangle of side r, counter-clockwise in
     chart, in unit lattice steps: ((p, q), +1) for a step from p to q with
     p < q, else ((q, p), -1).  ``_triangle_from_lines`` made each side
@@ -363,7 +363,7 @@ def _check_tiling(ctx: LatticeContext,
         raise InvariantError("triangle areas do not exhaust the simplex")
     count: dict[tuple[Vec3, Vec3], int] = {}
     for tri in triangles:
-        for seg, s in _unit_edges(tri.vertices, tri.r):
+        for seg, s in unit_edges(tri.vertices, tri.r):
             if not on_simplex_boundary(*seg):
                 count[seg] = count.get(seg, 0) + s
     if any(count.values()):
@@ -555,7 +555,7 @@ def knockout_report(part: Partition,
                     f"extent {'ends' if dies else 'continues'}"
                 )
     # Every interior defeat point lies on the boundary or at a crossing.
-    for line in _interior_lines(part):
+    for line in interior_lines(part):
         end = line.defeat_point
         if 0 in end:
             continue
@@ -564,6 +564,7 @@ def knockout_report(part: Partition,
     return violations
 
 
-def _interior_lines(part: Partition) -> list[Line]:
+def interior_lines(part: Partition) -> list[Line]:
+    """The lines out of the corners, in tag order."""
     return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
 

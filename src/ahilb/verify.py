@@ -6,7 +6,7 @@ with the offending group.  Differential pairs covered here: enumeration vs
 contraction-game partition, closed-form vs solved dual bases, exponent
 knock-out rule vs partition defeat data, hull chains vs continued
 fractions on every corner (and the weight formula on coprime cyclic ones),
-binomial vs census surface counts, and the reverse classification of each
+binomial count vs hexagonal stars, and the reverse classification of each
 chart vs the forward normal form of its cell's triangle.
 """
 

@@ -10,7 +10,6 @@ from test_lattice import segment_points
 
 import ahilb.fan
 from ahilb import junior_points, lattice_context, parse_group_spec
-from ahilb.draw import _partition_edges
 from ahilb.errors import InvariantError
 from ahilb.fan import (
     BasicTriangle,
@@ -32,6 +31,7 @@ from ahilb.lattice import (
     vadd,
     vsub,
 )
+from ahilb.partition import unit_edges
 from ahilb.resolution import Resolution
 
 
@@ -198,17 +198,21 @@ def test_dp6_formula_is_binomial():
 def test_interior_vertices_have_one_parent():
     # A vertex strictly inside one triangle's tesselation sees only that
     # triangle's cells; one on a partition edge sees at least two parents.
-    for text in ("1/11(1,2,8)", "1/3(1,2,0)+1/3(0,1,2)",
-                 "1/4(1,3,0)+1/4(0,1,3)", "1/101(1,7,93)"):
-        ctx, part, fan = pipeline(text)
+    # The census labels dP6 exactly the first kind, by their stars alone.
+    named = [Resolution(lattice_context(parse_group_spec(text)))
+             for text in ("1/11(1,2,8)", "1/3(1,2,0)+1/3(0,1,2)",
+                          "1/4(1,3,0)+1/4(0,1,3)", "1/101(1,7,93)")]
+    for res in named + sweep_resolutions():
         parents = {}
-        for c in fan.cones:
+        for c in res.fan.cones:
             for v in c.vertices:
                 parents.setdefault(v, set()).add(c.parent)
-        assert fan.interior == {
-            v for v, ps in parents.items() if 0 not in v and len(ps) == 1
-        }
-        assert len(fan.interior) == dp6_count(part)
+        one_parent = {
+            v for v, ps in parents.items() if 0 not in v and len(ps) == 1}
+        dp6 = {s.vertex for s in res.census if s.label == "dP6"}
+        spec = res.ctx.spec.canonical_text
+        assert dp6 == one_parent, spec
+        assert len(dp6) == dp6_count(res.partition), spec
 
 
 def test_stars_close_up():
@@ -350,11 +354,12 @@ def sweep_resolutions():
 
 def vertex_stars(fan):
     """Cyclically ordered neighbor lists of the interior vertices, by an
-    angle sort of the neighbours that fan.edges gives each vertex."""
+    angle sort of the neighbours that fan.cones gives each vertex."""
     nbrs = {}
-    for a, b in fan.edges:
-        nbrs.setdefault(a, set()).add(b)
-        nbrs.setdefault(b, set()).add(a)
+    for c in fan.cones:
+        for a, b in combinations(c.vertices, 2):
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
     out = {}
     for v in fan.rays:
         if 0 in v:
@@ -377,7 +382,8 @@ def vertex_stars(fan):
 def oracle_fan(ctx, part):
     """The fan from cells with a fresh vertex tuple per corner, edges
     counted over every pair of a cone's vertices, and stars sorted by
-    angle."""
+    angle; and the vertices inside some triangle's tesselation, read off
+    the cells' steps."""
     cones = [c for t, tri in enumerate(part.triangles)
              for c in grid_step_tesselation(ctx, tri, t)]
     interior = set()
@@ -393,16 +399,18 @@ def oracle_fan(ctx, part):
     assert all(mult == 2 or mult == 1 and on_simplex_boundary(*e)
                for e, mult in edges.items())
     fan = Fan(tuple(sorted({v for c in cones for v in c.vertices})),
-              tuple(cones), frozenset(edges), frozenset(interior), {})
-    return fan._replace(stars=vertex_stars(fan))
+              tuple(cones), {})
+    return fan._replace(stars=vertex_stars(fan)), interior
 
 
 def assert_fan_matches_the_oracle(ctx, part):
     spec = ctx.spec.canonical_text
-    fan, oracle = build_fan(part), oracle_fan(ctx, part)
+    fan, (oracle, interior) = build_fan(part), oracle_fan(ctx, part)
     for field in Fan._fields:
         assert getattr(fan, field) == getattr(oracle, field), (spec, field)
     assert list(fan.stars) == list(oracle.stars), spec
+    dp6 = {s.vertex for s in surface_census(fan) if s.label == "dP6"}
+    assert dp6 == interior, spec
 
 
 def test_build_fan_matches_the_oracle():
@@ -432,10 +440,28 @@ def test_tesselate_matches_the_grid_step_cells():
                 res.ctx, tri, t), (res.ctx.spec.canonical_text, t)
 
 
+def partition_edges(fan):
+    """Unit edges lying on partition triangle sides, read off the up
+    cells: the side opposite vertex t of every up cell with steps[t] = 0.
+    The other two vertices of an up cell have parent-barycentric
+    coordinate t equal to steps[t], and the parent's side t is where that
+    coordinate is 0; every side of a down cell lies where a coordinate is
+    at least 1."""
+    return {
+        tuple(sorted(c.vertices[u] for u in range(3) if u != t))
+        for c in fan.cones if c.kind == "up"
+        for t in range(3) if c.steps[t] == 0
+    }
+
+
 def test_solid_edges_match_the_segment_walk():
+    # draw's solid edges are the unit steps of the partition's sides.
     for res in sweep_resolutions():
-        assert _partition_edges(res.fan) == segment_walk_edges(
-            res.ctx, res.partition), res.ctx.spec.canonical_text
+        walked = {seg for tri in res.partition.triangles
+                  for seg, _ in unit_edges(tri.vertices, tri.r)}
+        spec = res.ctx.spec.canonical_text
+        assert walked == partition_edges(res.fan), spec
+        assert walked == segment_walk_edges(res.ctx, res.partition), spec
 
 
 def test_verify_fan_detects_a_ray_off_the_lattice():
