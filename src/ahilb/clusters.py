@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import InvariantError
 from .lattice import PERMS, LatticeContext, Vec3, permute, vsub
-from .monomials import DualBasis, ratio_str
+from .monomials import DualBasis, ratio_str, sign_roles
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
 
@@ -70,24 +70,13 @@ def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]
     return (a, b, c, d, e, f, l, m, n)
 
 
-def _roles_by_sign(monomials, mode: str) -> tuple[Vec3, Vec3, Vec3]:
-    """Order the three dual monomials as (x-role, y-role, z-role)."""
-    out = [None, None, None]
-    for mono in monomials:
-        if mode == "up":
-            marks = [t for t in range(3) if mono[t] > 0]
-        else:
-            marks = [t for t in range(3) if mono[t] < 0]
-        if len(marks) != 1 or out[marks[0]] is not None:
-            raise InvariantError(f"dual monomials lack the {mode} sign pattern")
-        out[marks[0]] = mono
-    return tuple(out)
-
-
 def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     """The equation system of one basic triangle, read off its dual basis."""
     cell = dual.cell
-    roles = _roles_by_sign(dual.monomials, cell.kind)
+    at = sign_roles(dual.monomials, 1 if cell.kind == "up" else -1)
+    if at is None:
+        raise InvariantError(f"dual monomials lack the {cell.kind} sign pattern")
+    roles = tuple(dual.monomials[t] for t in at)
     if cell.kind == "down":
         # lam * xi = pi: (xi, eta, zeta) = (1,1,1) - (lam, mu, nu).
         roles = tuple(vsub((1, 1, 1), v) for v in roles)

@@ -33,7 +33,6 @@ class RegularTriple(NamedTuple):
 
     vectors: tuple[Vec3, Vec3, Vec3]
     tags: tuple[Tag, Tag, Tag]
-    type_tag: str  # "side" | "champion"
 
     def canonical(self) -> tuple[Vec3, Vec3, Vec3]:
         """Vectors normalized up to sign and order (identifies +-v)."""
@@ -57,12 +56,7 @@ def _relation(left: WordEntry, mid: WordEntry, right: WordEntry,
     rv = vneg(right.vector) if right_wraps else right.vector
     if vadd(lv, rv) != mid.vector:
         raise InvariantError("contraction relation failed; corrupted word")
-    tags = (left.tag, mid.tag, right.tag)
-    return RegularTriple(
-        vectors=(lv, mid.vector, rv),
-        tags=tags,
-        type_tag=classify_triple(tags),
-    )
+    return RegularTriple((lv, mid.vector, rv), (left.tag, mid.tag, right.tag))
 
 
 def contract_values(values: list[int], pos: int) -> list[int]:
@@ -213,9 +207,9 @@ def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
 
 def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
     """Raise unless any two of the triple's vectors form a lattice basis.
-    The sign relation needs no check: ``_relation`` built the triple."""
+    ``_relation`` built the triple, so v1 = v0 + v2, and the chart is
+    linear, so on the charts cross2(v0, v1) = cross2(v0, v2) =
+    cross2(v1, v2): one pair index settles all three."""
     v = triple.vectors
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if pair_index(ctx, v[a], v[b]) != 1:
-                raise InvariantError("triple vectors do not pairwise form bases")
+    if pair_index(ctx, v[0], v[2]) != 1:
+        raise InvariantError("triple vectors do not pairwise form bases")

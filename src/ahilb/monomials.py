@@ -7,6 +7,10 @@ is invariant under the group and primitive in the invariant lattice.
 ``ratio_through`` computes the ratio of the line through two points for
 line and triangle side ratios; ``draw._edge_ratio`` computes each fan
 edge's ratio itself, signed by ``sign_fixed`` instead of by a point.
+A side's role is the one coordinate where its ratio is positive, read by
+``sign_roles`` once per triangle (and per chart by ``cluster_system``);
+``_bases`` is the one template of both normal forms, read and written;
+``clusters.classify_cluster`` reads neither, so it stays independent.
 """
 
 from __future__ import annotations
@@ -75,11 +79,33 @@ def parallel_ratio(base: Vec3, i: int) -> Vec3:
     return vsub(base, (i, i, i))
 
 
-def _unpermute(perm, v: Vec3) -> Vec3:
-    out = [0, 0, 0]
-    for t in range(3):
-        out[perm[t]] = v[t]
-    return tuple(out)
+# The coordinate of a vector's one entry of the sign asked for, keyed by
+# which of its entries have that sign.
+_ONE_MARK = {tuple(t == u for t in range(3)): u for u in range(3)}
+
+
+def sign_roles(vectors, sign: int = 1) -> tuple[int, int, int] | None:
+    """For each coordinate u, the index of the one vector whose entry at u
+    has the given sign (1 positive, -1 negative); None unless each vector
+    has exactly one such entry, at a coordinate of its own."""
+    roles = [None, None, None]
+    for t, (x, y, z) in enumerate(vectors):
+        u = _ONE_MARK.get((x > 0, y > 0, z > 0) if sign > 0
+                          else (x < 0, y < 0, z < 0))
+        if u is None or roles[u] is not None:
+            return None
+        roles[u] = t
+    return tuple(roles)
+
+
+def _bases(case: str, a: int, b: int, c: int, d: int, e: int,
+           f: int) -> tuple[Vec3, Vec3, Vec3]:
+    """The normal form's side ratios in role order: x^d:y^b, y^e:x^a,
+    z^f:y^c (case a) or x^d:y^b, y^e:z^c, z^f:x^a (case b), as
+    ``formula_dual`` writes and ``_match_case`` reads them."""
+    if case == "a":
+        return (d, -b, 0), (-a, e, 0), (0, -c, f)
+    return (d, -b, 0), (0, e, -c), (-a, 0, f)
 
 
 class TriangleRatios(NamedTuple):
@@ -92,8 +118,8 @@ class TriangleRatios(NamedTuple):
     2 = z-like).  The integers satisfy, with r the triangle side,
     d - a = e - b - c = f = r   (case a)
     d - a = e - b = f - c = r   (case b)
-    and the side directions are the normal-form triples divided by one
-    common constant, which ``_match_case`` checks and does not keep.
+    and the side directions are the ``_bases`` lines' directions divided
+    by one common constant, which ``_match_case`` checks and does not keep.
     """
 
     case: str
@@ -106,60 +132,41 @@ class TriangleRatios(NamedTuple):
     e: int
     f: int
 
-
-def _side_ratios(ctx: LatticeContext, tri: RegularTriangle) -> list[Vec3]:
-    """Ratio of each side, positive on the triangle, indexed like vertices."""
-    return [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
-            for t in range(3)]
+    def role_steps(self, cell: BasicTriangle) -> tuple[int, int, int]:
+        """The depths of a cell of this triangle, in role order."""
+        return tuple(cell.steps[side] for side in self.roles)
 
 
-def _match_case(ctx, tri, side_ratios, perm, case):
-    """Try to read the permuted side ratios in the given normal form."""
-    permuted = [permute(perm, m) for m in side_ratios]
-    roles = [None, None, None]
-    for t, m in enumerate(permuted):
-        pos = [u for u in range(3) if m[u] > 0]
-        if len(pos) != 1:
-            return None
-        if roles[pos[0]] is not None:
-            return None
-        roles[pos[0]] = t
-    xi, eta, zeta = (permuted[roles[0]], permuted[roles[1]], permuted[roles[2]])
+def _match_case(ctx, tri, side_ratios, at, perm, case):
+    """Try to read the permuted side ratios in the given normal form; at is
+    ``sign_roles`` of the unpermuted ratios, so role u is side at[perm[u]]."""
+    roles = permute(perm, at)
+    xi, eta, zeta = (permute(perm, side_ratios[t]) for t in roles)
+    d, b = xi[0], -xi[1]
     if case == "a":
-        if xi[2] or eta[2] or zeta[0]:
-            return None
-        d, b = xi[0], -xi[1]
         a, e = -eta[0], eta[1]
         c, f = -zeta[1], zeta[2]
     else:
-        if xi[2] or eta[0] or zeta[1]:
-            return None
-        d, b = xi[0], -xi[1]
         e, c = eta[1], -eta[2]
         a, f = -zeta[0], zeta[2]
-    if min(a, b, c, d, e, f) < 0:
+    # The signs make a, ..., f nonnegative once the bases match.
+    bases = _bases(case, a, b, c, d, e, f)
+    if (xi, eta, zeta) != bases:
         return None
-    r = tri.r
     if case == "a":
-        if not (d - a == e - b - c == f == r):
+        if not (d - a == e - b - c == f == tri.r):
             return None
-        raws = [(b, d, -(b + d)), (e, a, -(a + e)), (c + f, -f, -c)]
-    else:
-        if not (d - a == e - b == f - c == r):
-            return None
-        raws = [(b, d, -(b + d)), (-(c + e), c, e), (f, -(a + f), a)]
-    # The proportionality constants tying the side directions to the
-    # normal-form triples must be integral and all equal.
-    ks = []
-    for role in range(3):
-        v = permute(perm, tri.side_directions[roles[role]])
-        k = multiple(raws[role], v)
-        if not k:
-            return None
-        ks.append(abs(k))
-    if len(set(ks)) != 1:
+    elif not (d - a == e - b == f - c == tri.r):
         return None
-    K = ks[0]
+    # The side directions must be nonzero integer multiples, equal up to
+    # sign, of the directions cross3(base, (1, 1, 1)) of the lines where the
+    # bases vanish.
+    ks = {abs(multiple(cross3(base, (1, 1, 1)),
+                       permute(perm, tri.side_directions[t])) or 0)
+          for base, t in zip(bases, roles)}
+    if len(ks) != 1 or 0 in ks:
+        return None
+    (K,) = ks
     # Side directions are scaled by n, so the unscaled proportionality
     # constant de-ab (= the other two minor sums) equals K*n.
     if case == "a" and not (
@@ -167,12 +174,7 @@ def _match_case(ctx, tri, side_ratios, perm, case):
         == b * f + c * d + d * f
     ):
         return None
-    return TriangleRatios(
-        case=case,
-        perm=perm,
-        roles=tuple(roles),
-        a=a, b=b, c=c, d=d, e=e, f=f,
-    )
+    return TriangleRatios(case, perm, roles, a, b, c, d, e, f)
 
 
 def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios:
@@ -181,12 +183,18 @@ def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios
     Searches the six coordinate permutations, corner case first; ties are
     canonicalized to the corner case with the smallest permutation.
     """
-    side_ratios = _side_ratios(ctx, tri)
-    for case in ("a", "b"):
-        for perm in PERMS:
-            res = _match_case(ctx, tri, side_ratios, perm, case)
-            if res is not None:
-                return res
+    # Each side's ratio, positive on the triangle, indexed like vertices.
+    side_ratios = [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
+                   for t in range(3)]
+    # A permutation moves the signs with the coordinates, so a triangle
+    # without the sign pattern fits no normal form.
+    at = sign_roles(side_ratios)
+    if at is not None:
+        for case in ("a", "b"):
+            for perm in PERMS:
+                res = _match_case(ctx, tri, side_ratios, at, perm, case)
+                if res is not None:
+                    return res
     raise InvariantError(
         f"triangle {tri.vertices} fits neither ratio normal form"
     )
@@ -204,15 +212,13 @@ def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
                  steps: tuple[int, int, int]) -> list[Vec3]:
     """Closed-form dual basis from the parent normal form and the cell's
     role-aligned depths (i, j, k)."""
-    a, b, c, d, e, f = parent.a, parent.b, parent.c, parent.d, parent.e, parent.f
-    if parent.case == "a":
-        bases = [(d, -b, 0), (-a, e, 0), (0, -c, f)]
-    else:
-        bases = [(d, -b, 0), (0, e, -c), (-a, 0, f)]
+    bases = _bases(parent.case, parent.a, parent.b, parent.c,
+                   parent.d, parent.e, parent.f)
     up = [parallel_ratio(base, s) for base, s in zip(bases, steps)]
     if cell.kind == "down":
         up = [vneg(m) for m in up]
-    return [_unpermute(parent.perm, m) for m in up]
+    inverse = tuple(parent.perm.index(u) for u in range(3))
+    return [permute(inverse, m) for m in up]
 
 
 def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
@@ -231,8 +237,7 @@ def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
     basis multiplies to xyz.
     """
     direct = scaled_dual(cell.vertices, ctx.n)
-    steps = tuple(cell.steps[side] for side in parent.roles)
-    formula = formula_dual(parent, cell, steps)
+    formula = formula_dual(parent, cell, parent.role_steps(cell))
     if sorted(direct) != sorted(formula):
         raise InvariantError(
             f"dual bases disagree on cell {cell.vertices}: "

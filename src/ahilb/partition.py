@@ -40,6 +40,7 @@ from .lattice import (
 )
 from .mmp import (
     RegularTriple,
+    classify_triple,
     contract_run,
     run_mmp,
     triple_set,
@@ -230,7 +231,7 @@ def realize_triple(ctx: LatticeContext, lines: dict[Tag, Line],
         if q is None:
             raise InvariantError(
                 "concurrency point is not a lattice point of the simplex")
-        if triple.type_tag != "champion":
+        if classify_triple(triple.tags) != "champion":
             raise InvariantError("only the champion triple may degenerate")
         return ConcurrencyPoint(q)
     tri = _triangle_from_lines(ctx, host)
@@ -415,7 +416,8 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
 
     # Champions.
     long_side = find_long_side(word)
-    champs = [t for t in triples.values() if t.type_tag == "champion"]
+    champs = [t for t in triples.values()
+              if classify_triple(t.tags) == "champion"]
     if long_side is not None:
         if champs:
             raise InvariantError("champion triple found despite a long side")

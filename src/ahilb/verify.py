@@ -168,10 +168,10 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
             check_tripod(layout, sysm)
             cls = classify_cluster(sysm.exponents())
             tr = res.ratios[cell.parent]
-            steps = tuple(cell.steps[side] for side in tr.roles)
             if ((cls.mode, cls.case, cls.perm, cls.A, cls.B, cls.C,
                  (cls.i, cls.j, cls.k))
-                    != (cell.kind, tr.case, tr.perm, tr.a, tr.b, tr.c, steps)):
+                    != (cell.kind, tr.case, tr.perm, tr.a, tr.b, tr.c,
+                        tr.role_steps(cell))):
                 raise InvariantError(
                     "classification recovered the wrong normal form")
 

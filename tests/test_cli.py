@@ -22,6 +22,7 @@ from ahilb.monomials import dual_basis
 from ahilb.partition import _check_tiling
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks
+from test_tiling import cyclic_groups
 
 
 def doc_of(text):
@@ -491,14 +492,7 @@ def test_report_scans_no_junior_points(spec, monkeypatch, capsys):
 
 # Every cyclic 1/r(a,b,c) with r <= 24 and 0 <= a <= b <= c < r (980
 # groups), plus 8 products: 988 groups.
-SWEEP = [
-    f"1/{r}({a},{b},{c})"
-    for r in range(1, 25)
-    for a in range(r)
-    for b in range(a, r)
-    for c in range(b, r)
-    if (a + b + c) % r == 0
-] + [
+SWEEP = cyclic_groups(24) + [
     "1/2(1,1,0)+1/2(0,1,1)",
     "1/3(1,2,0)+1/3(0,1,2)",
     "1/4(1,3,0)+1/4(0,1,3)",

@@ -31,7 +31,7 @@ from ahilb.lattice import (
     vadd,
     vsub,
 )
-from ahilb.monomials import dual_basis, triangle_ratios
+from ahilb.monomials import DualBasis, dual_basis, triangle_ratios
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
 from test_lattice import written_generators
@@ -73,6 +73,18 @@ def test_cluster_system_zrzr_up_pattern():
                 assert (sys.l, sys.b + 1, sys.f + 1) == (r - i, i, i)
                 assert (sys.m, sys.c + 1, sys.d + 1) == (r - j, j, j)
                 assert (sys.n, sys.a + 1, sys.e + 1) == (r - k, k, k)
+
+
+def test_cluster_system_reads_the_sign_of_the_cell_kind():
+    # Every dual basis has its kind's sign pattern and lacks the other's.
+    res = Resolution(lattice_context(parse_group_spec("1/11(1,2,8)")))
+    assert {d.cell.kind for d in res.duals} == {"up", "down"}
+    for dual in res.duals:
+        other = "down" if dual.cell.kind == "up" else "up"
+        swapped = DualBasis(dual.cell._replace(kind=other), dual.monomials)
+        message = f"^dual monomials lack the {other} sign pattern$"
+        with pytest.raises(InvariantError, match=message):
+            cluster_system(res.ctx, swapped)
 
 
 def test_cluster_corner_triangle_redundant_system():

@@ -7,10 +7,11 @@ from test_tiling import cyclic_groups
 from ahilb import lattice_context, parse_group_spec
 from ahilb.corners import CyclicWord, WordEntry, corner_chain
 from ahilb.errors import InvariantError
-from ahilb.lattice import vadd
+from ahilb.lattice import smul, vadd
 from ahilb.mmp import (
     RegularTriple,
     _relation,
+    classify_triple,
     contract_run,
     contract_values,
     run_linear,
@@ -97,6 +98,18 @@ def test_run_mmp_11_counts():
         validate_triple(ctx, t)
 
 
+def test_validate_triple_rejects_a_doubled_basis():
+    # v1 = v0 + v2 still holds, but every pair spans a sublattice of index 4.
+    ctx = ctx_of("1/11(1,2,8)")
+    term = run_mmp(Resolution(ctx).word).terminal_triple
+    doubled = [WordEntry(1, tag, smul(2, v))
+               for tag, v in zip(term.tags, term.vectors)]
+    triple = _relation(*doubled, False, False)
+    with pytest.raises(InvariantError,
+                       match="^triple vectors do not pairwise form bases$"):
+        validate_triple(ctx, triple)
+
+
 def test_run_mmp_terminal_triple_11():
     # Eating the three sides in the published a-h order ends at the
     # champion triple f_{1,2} + f_{2,2} + f_{3,1} = 0.
@@ -104,7 +117,7 @@ def test_run_mmp_terminal_triple_11():
     fans = {i: corner_chain(ctx, i) for i in (1, 2, 3)}
     trace = run_mmp(Resolution(ctx).word, [3, 3, 6, 5, 4, 0, 4, 0])
     term = trace.terminal_triple
-    assert term.type_tag == "champion"
+    assert classify_triple(term.tags) == "champion"
     assert set(term.tags) == {("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)}
     expected = vadd(
         vadd(fans[1].vectors[2], fans[2].vectors[2]), fans[3].vectors[1]
@@ -122,7 +135,7 @@ def test_run_mmp_z2z2_terminal_only():
     triples = triple_set(trace)
     assert len(triples) == 1
     (term,) = triples.values()
-    assert term.type_tag == "side"
+    assert classify_triple(term.tags) == "side"
     assert {t[0] for t in term.tags} == {"junction"}
 
 

@@ -9,8 +9,9 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import dot, multiple, smul, vadd, vneg, vsub
+from ahilb.lattice import PERMS, dot, multiple, permute, smul, vadd, vneg, vsub
 from ahilb.monomials import (
+    TriangleRatios,
     crossing_rule_check,
     dual_basis,
     line_ratio,
@@ -18,11 +19,14 @@ from ahilb.monomials import (
     primitive_in_monomial_lattice,
     ratio_str,
     ratio_through,
+    sign_roles,
     triangle_ratios,
 )
 from ahilb.partition import meet
 from ahilb.resolution import Resolution
+from test_cli import SWEEP
 from test_lattice import written_generators
+from test_tiling import cyclic_groups
 
 
 def pipeline(text):
@@ -144,6 +148,130 @@ def test_triangle_ratios_equalities_everywhere():
                 assert tr.d - tr.a == tr.e - tr.b - tr.c == tr.f == tri.r
             else:
                 assert tr.d - tr.a == tr.e - tr.b == tr.f - tr.c == tri.r
+
+
+def branch_match(ctx, tri, side_ratios, perm, case):
+    """One (case, permutation) trial read branch by branch: the trial finds
+    its own roles, tests the zero entries of each case by hand and checks
+    the side directions against the hand-typed normal-form triples."""
+    permuted = [permute(perm, m) for m in side_ratios]
+    roles = [None, None, None]
+    for t, m in enumerate(permuted):
+        pos = [u for u in range(3) if m[u] > 0]
+        if len(pos) != 1:
+            return None
+        if roles[pos[0]] is not None:
+            return None
+        roles[pos[0]] = t
+    xi, eta, zeta = (permuted[roles[0]], permuted[roles[1]], permuted[roles[2]])
+    if case == "a":
+        if xi[2] or eta[2] or zeta[0]:
+            return None
+        d, b = xi[0], -xi[1]
+        a, e = -eta[0], eta[1]
+        c, f = -zeta[1], zeta[2]
+    else:
+        if xi[2] or eta[0] or zeta[1]:
+            return None
+        d, b = xi[0], -xi[1]
+        e, c = eta[1], -eta[2]
+        a, f = -zeta[0], zeta[2]
+    if min(a, b, c, d, e, f) < 0:
+        return None
+    r = tri.r
+    if case == "a":
+        if not (d - a == e - b - c == f == r):
+            return None
+        raws = [(b, d, -(b + d)), (e, a, -(a + e)), (c + f, -f, -c)]
+    else:
+        if not (d - a == e - b == f - c == r):
+            return None
+        raws = [(b, d, -(b + d)), (-(c + e), c, e), (f, -(a + f), a)]
+    ks = []
+    for role in range(3):
+        v = permute(perm, tri.side_directions[roles[role]])
+        k = multiple(raws[role], v)
+        if not k:
+            return None
+        ks.append(abs(k))
+    if len(set(ks)) != 1:
+        return None
+    K = ks[0]
+    if case == "a" and not (
+        K * ctx.n == d * e - a * b == a * c + a * f + e * f
+        == b * f + c * d + d * f
+    ):
+        return None
+    return TriangleRatios(case, perm, tuple(roles), a, b, c, d, e, f)
+
+
+def branch_normal_form(ctx, tri):
+    """The first trial that fits, case a before case b, each over PERMS in
+    order; None when none does."""
+    side_ratios = [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
+                   for t in range(3)]
+    for case in ("a", "b"):
+        for perm in PERMS:
+            res = branch_match(ctx, tri, side_ratios, perm, case)
+            if res is not None:
+                return res
+    return None
+
+
+def check_normal_form_against_the_branches(specs):
+    for spec in specs:
+        ctx, part = pipeline(spec)
+        for tri in part.triangles:
+            assert triangle_ratios(ctx, tri) == branch_normal_form(ctx, tri), (
+                spec, tri.vertices)
+
+
+def test_triangle_ratios_match_the_branch_reading():
+    check_normal_form_against_the_branches(SWEEP)
+
+
+@pytest.mark.deep
+def test_triangle_ratios_match_the_branch_reading_up_to_30():
+    check_normal_form_against_the_branches(cyclic_groups(30))
+
+
+@pytest.mark.parametrize("vectors, sign, want", [
+    (((2, -1, 0), (0, 3, -1), (-1, 0, 4)), 1, (0, 1, 2)),
+    (((0, 3, -1), (-1, 0, 4), (2, -1, 0)), 1, (2, 0, 1)),
+    (((-2, 1, 0), (0, -3, 1), (1, 0, -4)), -1, (0, 1, 2)),
+    (((-2, 1, 0), (0, -3, 1), (1, 0, -4)), 1, (2, 0, 1)),
+    # Positive at two coordinates.
+    (((2, 1, 0), (0, 3, -1), (-1, 0, 4)), 1, None),
+    # Two vectors positive at the same coordinate.
+    (((2, -1, 0), (1, -3, -1), (-1, 0, 4)), 1, None),
+    # A vector positive nowhere.
+    (((2, -1, 0), (0, 0, -1), (-1, 0, 4)), 1, None),
+])
+def test_sign_roles(vectors, sign, want):
+    assert sign_roles(vectors, sign) == want
+
+
+def leak_at_a_zero(m):
+    """m with -1 at its first zero entry, so that it keeps its sign pattern
+    but no longer vanishes along its side."""
+    if 0 not in m:
+        return m
+    return tuple(-1 if t == m.index(0) else x for t, x in enumerate(m))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: (1, 1, -2),  # positive at two coordinates
+    leak_at_a_zero,
+], ids=["no-sign-pattern", "zero-entry-leaks"])
+def test_corrupt_side_ratios_fit_no_normal_form(monkeypatch, corrupt):
+    ctx, part = pipeline("1/11(1,2,8)")
+    ratio_through = ahilb.monomials.ratio_through
+    monkeypatch.setattr(ahilb.monomials, "ratio_through",
+                        lambda *args: corrupt(ratio_through(*args)))
+    for tri in part.triangles:
+        with pytest.raises(InvariantError,
+                           match="fits neither ratio normal form"):
+            triangle_ratios(ctx, tri)
 
 
 def test_champion_triangle_is_cyclic_case():

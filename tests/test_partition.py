@@ -11,7 +11,7 @@ import ahilb.partition
 from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.errors import InvariantError
 from ahilb.lattice import sign_fixed, smul, vadd
-from ahilb.mmp import run_mmp, triple_set
+from ahilb.mmp import classify_triple, run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
     _within,
@@ -74,7 +74,8 @@ def test_realize_terminal_concurrency_11():
     tris = enumerate_triangles(ctx, lines)
     assert sum(t.r**2 for t in tris) == ctx.order
     champion = next(
-        t for t in triple_set(run_mmp(word)).values() if t.type_tag == "champion"
+        t for t in triple_set(run_mmp(word)).values()
+        if classify_triple(t.tags) == "champion"
     )
     res = realize_triple(ctx, lines, champion)
     assert isinstance(res, ConcurrencyPoint)
