@@ -16,10 +16,19 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvariantError
-from .lattice import PERMS, LatticeContext, Vec3, permute, vsub
+from .lattice import PERMS, LatticeContext, Vec3, permute
 from .monomials import DualBasis, ratio_str, sign_roles
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
+
+
+def _laurent_vectors(exps: tuple[int, ...]) -> tuple[Vec3, ...]:
+    """The Laurent exponents of the seven parameters, in the order of
+    ``PARAM_NAMES``, from exps = (a, ..., f, l, m, n)."""
+    a, b, c, d, e, f, l, m, n = exps
+    return ((l + 1, -b, -f), (-d, m + 1, -c), (-a, -e, n + 1),
+            (-l, b + 1, f + 1), (d + 1, -m, c + 1), (a + 1, e + 1, -n),
+            (1, 1, 1))
 
 
 class ClusterSystem(NamedTuple):
@@ -37,28 +46,18 @@ class ClusterSystem(NamedTuple):
     n: int
 
     def exponents(self) -> tuple[int, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f,
-                self.l, self.m, self.n)
+        """(a, ..., f, l, m, n): every field after the mode."""
+        return self[1:]
 
     def ratio_vectors(self) -> dict[str, Vec3]:
         """Laurent exponents of the seven parameters on the big torus."""
-        return {
-            "xi": (self.l + 1, -self.b, -self.f),
-            "eta": (-self.d, self.m + 1, -self.c),
-            "zeta": (-self.a, -self.e, self.n + 1),
-            "lam": (-self.l, self.b + 1, self.f + 1),
-            "mu": (self.d + 1, -self.m, self.c + 1),
-            "nu": (self.a + 1, self.e + 1, -self.n),
-            "pi": (1, 1, 1),
-        }
+        return dict(zip(PARAM_NAMES, _laurent_vectors(self.exponents())))
 
     def dual_vectors(self) -> tuple[Vec3, Vec3, Vec3]:
         """The three ratio vectors of the chart's dual basis, in variable
         order: (xi, eta, zeta) in up mode, (lam, mu, nu) in down mode."""
-        v = self.ratio_vectors()
-        if self.mode == "up":
-            return v["xi"], v["eta"], v["zeta"]
-        return v["lam"], v["mu"], v["nu"]
+        v = _laurent_vectors(self.exponents())
+        return v[:3] if self.mode == "up" else v[3:6]
 
 
 def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]:
@@ -72,15 +71,19 @@ def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]
 
 def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     """The equation system of one basic triangle, read off its dual basis."""
-    cell = dual.cell
-    at = sign_roles(dual.monomials, 1 if cell.kind == "up" else -1)
+    cell, monomials = dual.cell, dual.monomials
+    up = cell.kind == "up"
+    at = sign_roles(monomials, 1 if up else -1)
     if at is None:
         raise InvariantError(f"dual monomials lack the {cell.kind} sign pattern")
-    roles = tuple(dual.monomials[t] for t in at)
-    if cell.kind == "down":
+    x, y, z = at
+    xi, eta, zeta = monomials[x], monomials[y], monomials[z]
+    if not up:
         # lam * xi = pi: (xi, eta, zeta) = (1,1,1) - (lam, mu, nu).
-        roles = tuple(vsub((1, 1, 1), v) for v in roles)
-    exps = _up_exponents_from_vectors(roles)
+        xi = (1 - xi[0], 1 - xi[1], 1 - xi[2])
+        eta = (1 - eta[0], 1 - eta[1], 1 - eta[2])
+        zeta = (1 - zeta[0], 1 - zeta[1], 1 - zeta[2])
+    exps = _up_exponents_from_vectors((xi, eta, zeta))
     if min(exps) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
     sys = ClusterSystem(cell.kind, *exps)
@@ -109,13 +112,15 @@ def verify_cluster(ctx: LatticeContext, sys: ClusterSystem) -> None:
     n+1-c), that is l = a+d, m = b+e, n = c+f, and so do the other two;
     in down mode xi = mu*nu and its two companions read l = a+d+1,
     m = b+e+1, n = c+f+1.  The syzygies xi*lam = eta*mu = zeta*nu = pi
-    hold for every exponent tuple: ``ratio_vectors`` makes each pair sum
+    hold for every exponent tuple: ``_laurent_vectors`` makes each pair sum
     to (1, 1, 1).
     """
-    if _mode(sys.exponents()) != sys.mode:
-        raise InvariantError(f"{sys.mode} count relations fail: {sys.exponents()}")
-    for name, vec in sys.ratio_vectors().items():
-        if not ctx.is_invariant_monomial(vec):
+    exps = sys.exponents()
+    if _mode(exps) != sys.mode:
+        raise InvariantError(f"{sys.mode} count relations fail: {exps}")
+    character = ctx.character
+    for name, vec in zip(PARAM_NAMES, _laurent_vectors(exps)):
+        if character(vec) != (0, 0):
             raise InvariantError(
                 f"equation for {name} does not match characters: {vec}"
             )
@@ -211,11 +216,21 @@ class CharacterLayout:
         return out
 
     def prefix(self, axis: int, length: int) -> int:
-        """The set {j*chi_axis : j < length}."""
+        """The set {j*chi_axis : j < length}: the cached set one shorter
+        with the bit of (length-1)*chi_axis added, or else by ``sweep``."""
         key = (axis, length)
-        if key not in self.prefixes:
-            self.prefixes[key] = self.sweep(1, axis, length)
-        return self.prefixes[key]
+        mask = self.prefixes.get(key)
+        if mask is None:
+            shorter = None
+            if length > 0:
+                shorter = self.prefixes.get((axis, length - 1))
+            if shorter is None:
+                mask = self.sweep(1, axis, length)
+            else:
+                n, (x, y), j = self.n, self.chi[axis], length - 1
+                mask = shorter | (1 << (j * x % n + n * (j * y % self.m)))
+            self.prefixes[key] = mask
+        return mask
 
 
 def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:

@@ -13,8 +13,6 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
-    det3,
-    dot,
     on_simplex_boundary,
     vadd,
     vsub,
@@ -197,11 +195,32 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
         out.append(
             f"cone count {len(fan.cones)} differs from group order {ctx.order}"
         )
-    for c in fan.cones:
-        det = det3([[dot(row, p) // n for row in ctx.monomial_basis]
-                    for p in c.vertices])
+    for c, det in zip(fan.cones, cone_determinants(ctx, fan.cones)):
         if det not in (1, -1):
             out.append(f"cone {c.vertices} is not unimodular (det {det})")
+    return out
+
+
+def cone_determinants(ctx: LatticeContext, cones) -> list[int]:
+    """Per cone, the determinant ``verify_fan`` tests: that of the matrix
+    of quotients p.B_t // n, p the cone's vertices and B_t the rows of the
+    monomial basis, with the quotients and the cofactors written out."""
+    n = ctx.n
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ctx.monomial_basis
+    out = []
+    for cone in cones:
+        (x, y, z), (u, v, w), (r, s, t) = cone.vertices
+        p0 = (x * a0 + y * a1 + z * a2) // n
+        p1 = (x * b0 + y * b1 + z * b2) // n
+        p2 = (x * c0 + y * c1 + z * c2) // n
+        q0 = (u * a0 + v * a1 + w * a2) // n
+        q1 = (u * b0 + v * b1 + w * b2) // n
+        q2 = (u * c0 + v * c1 + w * c2) // n
+        s0 = (r * a0 + s * a1 + t * a2) // n
+        s1 = (r * b0 + s * b1 + t * b2) // n
+        s2 = (r * c0 + s * c1 + t * c2) // n
+        out.append(p0 * (q1 * s2 - q2 * s1) + p1 * (q2 * s0 - q0 * s2)
+                   + p2 * (q0 * s1 - q1 * s0))
     return out
 
 

@@ -87,17 +87,27 @@ def det3(rows) -> int:
 def scaled_dual(rows, n: int) -> list[Vec3]:
     """The integral rows of n * (rows^T)^-1: row s pairs to n with rows[s]
     and to 0 with the other two.  Raises InvariantError when the rows are
-    dependent or the result is not integral."""
-    d = det3(rows)
-    if d == 0:
+    dependent or the result is not integral.
+
+    Row s is n/det times the cross product of the rows after s, cyclically;
+    the nine cofactors and the determinant are written out, since every
+    fan cone and every lattice context solves one."""
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    p0, p1, p2 = e * k - f * h, f * g - d * k, d * h - e * g
+    q0, q1, q2 = h * c - k * b, k * a - g * c, g * b - h * a
+    s0, s1, s2 = b * f - c * e, c * d - a * f, a * e - b * d
+    det = a * p0 + b * p1 + c * p2
+    if det == 0:
         raise InvariantError("singular matrix")
-    out = []
-    for s in range(3):
-        cof = cross3(rows[(s + 1) % 3], rows[(s + 2) % 3])
-        if any(n * c % d for c in cof):
-            raise InvariantError(f"scaled dual of {tuple(rows)} is fractional")
-        out.append(tuple(n * c // d for c in cof))
-    return out
+    p0, p1, p2 = n * p0, n * p1, n * p2
+    q0, q1, q2 = n * q0, n * q1, n * q2
+    s0, s1, s2 = n * s0, n * s1, n * s2
+    if (p0 % det or p1 % det or p2 % det or q0 % det or q1 % det
+            or q2 % det or s0 % det or s1 % det or s2 % det):
+        raise InvariantError(f"scaled dual of {tuple(rows)} is fractional")
+    return [(p0 // det, p1 // det, p2 // det),
+            (q0 // det, q1 // det, q2 // det),
+            (s0 // det, s1 // det, s2 // det)]
 
 
 def multiple(target: Vec3, base: Vec3) -> int | None:
@@ -219,9 +229,9 @@ class LatticeContext(NamedTuple):
         """The character of x^v as its Smith coordinates (v.W_0 mod n,
         v.W_1 mod N/n): a map of Z^3 onto Z/n x Z/(N/n) with kernel M."""
         p, q, s = v
-        (a, b, c), (d, e, f) = self.character_rows
-        return ((p * a + q * b + s * c) % self.n,
-                (p * d + q * e + s * f) % (self.order // self.n))
+        _, n, order, _, ((a, b, c), (d, e, f)) = self
+        return ((p * a + q * b + s * c) % n,
+                (p * d + q * e + s * f) % (order // n))
 
     def is_invariant_monomial(self, m: Vec3) -> bool:
         """Does the Laurent exponent m pair integrally with every group

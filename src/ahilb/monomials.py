@@ -32,7 +32,6 @@ from .lattice import (
     smul,
     vadd,
     vneg,
-    vsub,
 )
 from .partition import Line, RegularTriangle
 
@@ -67,16 +66,6 @@ def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
     """ratio_through two points of the line."""
     return ratio_through(ctx, line.anchor, vadd(line.anchor, line.direction),
                          positive_side)
-
-
-def parallel_ratio(base: Vec3, i: int) -> Vec3:
-    """Ratio of the i-th parallel lattice line on the base's positive side.
-
-    A point P there has base.P = i*n, so the shifted exponents
-    base - i*(1,1,1) vanish on it; successive tesselation lines of a
-    triangle arise this way.
-    """
-    return vsub(base, (i, i, i))
 
 
 # The coordinate of a vector's one entry of the sign asked for, keyed by
@@ -134,7 +123,9 @@ class TriangleRatios(NamedTuple):
 
     def role_steps(self, cell: BasicTriangle) -> tuple[int, int, int]:
         """The depths of a cell of this triangle, in role order."""
-        return tuple(cell.steps[side] for side in self.roles)
+        steps = cell.steps
+        x, y, z = self.roles
+        return (steps[x], steps[y], steps[z])
 
 
 def _match_case(ctx, tri, side_ratios, at, perm, case):
@@ -211,14 +202,25 @@ class DualBasis(NamedTuple):
 def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
                  steps: tuple[int, int, int]) -> list[Vec3]:
     """Closed-form dual basis from the parent normal form and the cell's
-    role-aligned depths (i, j, k)."""
-    bases = _bases(parent.case, parent.a, parent.b, parent.c,
-                   parent.d, parent.e, parent.f)
-    up = [parallel_ratio(base, s) for base, s in zip(bases, steps)]
-    if cell.kind == "down":
-        up = [vneg(m) for m in up]
-    inverse = tuple(parent.perm.index(u) for u in range(3))
-    return [permute(inverse, m) for m in up]
+    role-aligned depths (i, j, k).
+
+    Row t is the role-t base of ``_bases`` shifted by its depth s: a point
+    P of the s-th parallel lattice line on the base's positive side has
+    base.P = s*n, so base - s*(1, 1, 1) vanishes on it.  A down cell
+    negates the rows, and the inverse of the parent's permutation takes
+    them back to the original coordinates."""
+    perm = parent.perm
+    u, v, w = perm.index(0), perm.index(1), perm.index(2)
+    xi, eta, zeta = _bases(parent.case, parent.a, parent.b, parent.c,
+                           parent.d, parent.e, parent.f)
+    i, j, k = steps
+    if cell.kind == "up":
+        return [(xi[u] - i, xi[v] - i, xi[w] - i),
+                (eta[u] - j, eta[v] - j, eta[w] - j),
+                (zeta[u] - k, zeta[v] - k, zeta[w] - k)]
+    return [(i - xi[u], i - xi[v], i - xi[w]),
+            (j - eta[u], j - eta[v], j - eta[w]),
+            (k - zeta[u], k - zeta[v], k - zeta[w])]
 
 
 def dual_basis(ctx: LatticeContext, parent: TriangleRatios,

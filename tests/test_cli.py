@@ -442,6 +442,21 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     assert solved == order + 1
 
 
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/32(1,0,31)+1/32(0,1,31)"])
+def test_report_computes_each_chart_once(spec, monkeypatch, capsys):
+    # One pass over the cones, with nothing kept from another call: the
+    # lattice context's solve and one per cone, and one dual basis, one
+    # cluster system and one verification of it per cone.
+    order = lattice_context(parse_group_spec(spec)).order
+    solves = _count_calls(monkeypatch, "lattice", "scaled_dual")
+    duals = _count_calls(monkeypatch, "monomials", "dual_basis")
+    systems = _count_calls(monkeypatch, "clusters", "cluster_system")
+    checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
+    assert main(["report", spec]) == 0
+    assert (len(solves), len(duals), len(systems), len(checked)) == (
+        order + 1, order, order, order)
+
+
 def test_settled_checks_do_no_work(monkeypatch):
     # The tiling check walks no side of the simplex, the dual basis asks
     # no character once the two routes agree, and a cluster system asks

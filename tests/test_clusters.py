@@ -1,4 +1,5 @@
 
+import random
 from functools import cache
 
 import pytest
@@ -31,7 +32,7 @@ from ahilb.lattice import (
     vadd,
     vsub,
 )
-from ahilb.monomials import DualBasis, dual_basis, triangle_ratios
+from ahilb.monomials import DualBasis, dual_basis, sign_roles, triangle_ratios
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
 from test_lattice import written_generators
@@ -85,6 +86,51 @@ def test_cluster_system_reads_the_sign_of_the_cell_kind():
         message = f"^dual monomials lack the {other} sign pattern$"
         with pytest.raises(InvariantError, match=message):
             cluster_system(res.ctx, swapped)
+
+
+def role_vector_system(ctx, dual):
+    """``cluster_system`` by a generic route: the role-ordered monomials
+    gathered by a generator and, on a down cell, subtracted from
+    (1, 1, 1) by ``vsub``.  Raises as cluster_system does."""
+    cell = dual.cell
+    at = sign_roles(dual.monomials, 1 if cell.kind == "up" else -1)
+    if at is None:
+        raise InvariantError(f"dual monomials lack the {cell.kind} sign pattern")
+    roles = tuple(dual.monomials[t] for t in at)
+    if cell.kind == "down":
+        roles = tuple(vsub((1, 1, 1), v) for v in roles)
+    exps = _up_exponents_from_vectors(roles)
+    if min(exps) < 0:
+        raise InvariantError("cluster exponents must be nonnegative")
+    sys = ClusterSystem(cell.kind, *exps)
+    verify_cluster(ctx, sys)
+    return sys
+
+
+def test_cluster_system_matches_the_role_vector_route():
+    # The same system or the same message on every dual basis, on it with
+    # the other kind, and on it with one row moved by a translation.
+    verdicts = set()
+    for spec in cyclic_groups(16) + PRODUCTS:
+        res = Resolution(lattice_context(parse_group_spec(spec)))
+        for dual in res.duals:
+            cell, rows = dual
+            other = "down" if cell.kind == "up" else "up"
+            cases = [dual, DualBasis(cell._replace(kind=other), rows)]
+            for t in range(3):
+                for step in ((1, -1, 0), (0, 1, -1), (-1, 0, 1)):
+                    moved = list(rows)
+                    moved[t] = vadd(rows[t], step)
+                    cases.append(DualBasis(cell, tuple(moved)))
+            for case in cases:
+                want = verdict(role_vector_system, res.ctx, case)
+                assert verdict(cluster_system, res.ctx, case) == want, (
+                    spec, case)
+                verdicts.add(want and " ".join(want.split()[:2]))
+            assert cluster_system(res.ctx, dual) == role_vector_system(
+                res.ctx, dual), spec
+    assert verdicts == {None, "dual monomials", "cluster exponents",
+                        "up count", "down count"}
 
 
 def test_cluster_corner_triangle_redundant_system():
@@ -494,6 +540,23 @@ def test_empty_sweep_and_prefix_are_empty():
         assert layout.prefix(axis, 1) == 1
 
 
+@pytest.mark.parametrize("spec", [
+    "1/1001(1,37,963)", "1/32(1,0,31)+1/32(0,1,31)", "1/11(1,2,8)"])
+def test_prefix_is_the_sweep_of_bit_zero(spec):
+    # Asked for in ascending order, each prefix extends the one before;
+    # in random order, most are swept from bit 0.
+    ctx = lattice_context(parse_group_spec(spec))
+    lengths = list(range(ctx.order + 1))
+    shuffled = lengths[:]
+    random.Random(0).shuffle(shuffled)
+    for order in (lengths, shuffled):
+        layout = CharacterLayout(ctx)
+        for length in order:
+            for axis in range(3):
+                assert layout.prefix(axis, length) == layout.sweep(
+                    1, axis, length), (spec, axis, length)
+
+
 @pytest.mark.deep
 def test_tripod_characters_match_oracle_up_to_24():
     check_tripods_against_oracle(cyclic_groups(24) + PRODUCTS)
@@ -619,6 +682,31 @@ def test_index_maps_match_the_permuted_read():
         for perm, read in _PERMUTED:
             want = permuted_up_exponents(perm, exps)
             assert read(exps) == want, (exps, perm)
+
+
+def dict_ratio_vectors(sys):
+    """``ClusterSystem.ratio_vectors`` written as one dict literal over the
+    fields."""
+    return {
+        "xi": (sys.l + 1, -sys.b, -sys.f),
+        "eta": (-sys.d, sys.m + 1, -sys.c),
+        "zeta": (-sys.a, -sys.e, sys.n + 1),
+        "lam": (-sys.l, sys.b + 1, sys.f + 1),
+        "mu": (sys.d + 1, -sys.m, sys.c + 1),
+        "nu": (sys.a + 1, sys.e + 1, -sys.n),
+        "pi": (1, 1, 1),
+    }
+
+
+def test_ratio_and_dual_vectors_match_the_dict_literal():
+    for exps in sweep_exponents():
+        for mode, names in (("up", ("xi", "eta", "zeta")),
+                            ("down", ("lam", "mu", "nu"))):
+            sys = ClusterSystem(mode, *exps)
+            want = dict_ratio_vectors(sys)
+            assert sys.exponents() == exps
+            assert list(sys.ratio_vectors().items()) == list(want.items())
+            assert sys.dual_vectors() == tuple(want[k] for k in names), sys
 
 
 def test_tripod_size_is_the_box_sum():

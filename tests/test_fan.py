@@ -15,6 +15,7 @@ from ahilb.fan import (
     BasicTriangle,
     Fan,
     build_fan,
+    cone_determinants,
     dp6_count,
     surface_census,
     tesselate,
@@ -485,11 +486,30 @@ def area2(ctx, vertices):
     return pair_index(ctx, vsub(b, a), vsub(c, a))
 
 
+def signed_pairing_det(ctx, vertices):
+    """det of the vertices' pairings with the monomial basis over n, the
+    one number `verify_fan` tests per cone, by ``det3`` of nested lists."""
+    return det3([[dot(row, p) // ctx.n for row in ctx.monomial_basis]
+                 for p in vertices])
+
+
 def pairing_det(ctx, vertices):
-    """|det| of the vertices' pairings with the monomial basis over n, the
-    one number `verify_fan` tests per cone."""
-    return abs(det3([[dot(row, p) // ctx.n for row in ctx.monomial_basis]
-                     for p in vertices]))
+    return abs(signed_pairing_det(ctx, vertices))
+
+
+def test_cone_determinants_match_the_nested_expression():
+    # On every cone, and on as many random triples of rays, which are
+    # mostly not unimodular.
+    rng = random.Random(1)
+    for res in sweep_resolutions():
+        ctx, fan = res.ctx, res.fan
+        spec = ctx.spec.canonical_text
+        triples = [tuple(rng.choice(fan.rays) for _ in range(3))
+                   for _ in fan.cones]
+        cones = list(fan.cones) + [c._replace(vertices=t)
+                                   for c, t in zip(fan.cones, triples)]
+        assert cone_determinants(ctx, cones) == [
+            signed_pairing_det(ctx, c.vertices) for c in cones], spec
 
 
 def test_pairing_determinant_is_the_doubled_area():

@@ -17,10 +17,12 @@ from ahilb.cli import main
 from ahilb.lattice import (
     chart,
     cross2,
+    cross3,
     det3,
     dot,
     group_elements,
     multiple,
+    scaled_dual,
     sign_fixed,
     smith_columns,
     smul,
@@ -29,6 +31,7 @@ from ahilb.lattice import (
     vsub,
 )
 from ahilb.resolution import Resolution
+from test_cli import SWEEP
 from test_tiling import cyclic_groups
 
 # Z/210 written with four generators.
@@ -265,6 +268,60 @@ def test_smith_columns_on_cyclic_context_rows():
 def test_smith_columns_rejects_dependent_rows():
     with pytest.raises(InvariantError, match="lost rank"):
         smith_columns([(1, 2, 3), (2, 4, 6), (0, 1, 1)])
+
+
+def cofactor_dual(rows, n):
+    """``scaled_dual`` by a generic route: one ``det3`` and, row by row,
+    the cross product of the other two rows, tested and divided entry by
+    entry."""
+    d = det3(rows)
+    if d == 0:
+        raise InvariantError("singular matrix")
+    out = []
+    for s in range(3):
+        cof = cross3(rows[(s + 1) % 3], rows[(s + 2) % 3])
+        if any(n * c % d for c in cof):
+            raise InvariantError(f"scaled dual of {tuple(rows)} is fractional")
+        out.append(tuple(n * c // d for c in cof))
+    return out
+
+
+@pytest.mark.parametrize("rows, n, message", [
+    # Dependent rows, of rank 2 and of rank 1.
+    (((1, 2, 3), (2, 4, 6), (0, 1, 1)), 5, "singular matrix"),
+    ([(3, 0, 0), (1, 0, 0), (0, 0, 0)], 1, "singular matrix"),
+    # det 2: only the last row's cofactor (0, 0, 1) is odd.
+    (((1, 0, 0), (0, 1, 0), (0, 0, 2)), 1,
+     "scaled dual of ((1, 0, 0), (0, 1, 0), (0, 0, 2)) is fractional"),
+    # det 2 again, now with the first row's cofactor (1, 0, 0) odd, and
+    # given as a list.
+    ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], 1,
+     "scaled dual of ((2, 0, 0), (0, 1, 0), (0, 0, 1)) is fractional"),
+])
+def test_scaled_dual_raises_on_singular_and_fractional_rows(rows, n, message):
+    for solve in (scaled_dual, cofactor_dual):
+        with pytest.raises(InvariantError) as err:
+            solve(rows, n)
+        assert str(err.value) == message, solve
+
+
+def test_scaled_dual_matches_the_cofactor_dual_on_every_context(monkeypatch):
+    # The one solve in lattice_context, seen on the columns it is given.
+    solved = []
+
+    def checked(rows, n):
+        dual = scaled_dual(rows, n)
+        assert dual == cofactor_dual(rows, n), rows
+        solved.append(rows)
+        return dual
+
+    monkeypatch.setattr(lattice, "scaled_dual", checked)
+    for text in SWEEP + PRODUCTS:
+        ctx = ctx_of(text)
+        assert len(solved) == 1, text
+        w0, w1, w2 = scaled_dual(solved.pop(), 1)
+        assert (w0, w1) == ctx.character_rows, text
+        assert det3((w0, w1, w2)) in (1, -1), text
 
 
 def check_character_map(text):

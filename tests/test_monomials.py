@@ -9,13 +9,24 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
 from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
-from ahilb.lattice import PERMS, dot, multiple, permute, smul, vadd, vneg, vsub
+from ahilb.lattice import (
+    PERMS,
+    dot,
+    multiple,
+    permute,
+    scaled_dual,
+    smul,
+    vadd,
+    vneg,
+    vsub,
+)
 from ahilb.monomials import (
     TriangleRatios,
+    _bases,
     crossing_rule_check,
     dual_basis,
+    formula_dual,
     line_ratio,
-    parallel_ratio,
     primitive_in_monomial_lattice,
     ratio_str,
     ratio_through,
@@ -25,7 +36,8 @@ from ahilb.monomials import (
 from ahilb.partition import meet
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
-from test_lattice import written_generators
+from test_fan import sweep_resolutions
+from test_lattice import cofactor_dual, written_generators
 from test_tiling import cyclic_groups
 
 
@@ -82,6 +94,47 @@ def _any_transversal(ctx, line):
         if cross2(chart(line.direction), chart(v)) != 0:
             return v
     raise AssertionError
+
+
+def parallel_ratio(base, i):
+    """Ratio of the i-th parallel lattice line on the base's positive side.
+
+    A point P there has base.P = i*n, so the shifted exponents
+    base - i*(1,1,1) vanish on it; successive tesselation lines of a
+    triangle arise this way.
+    """
+    return vsub(base, (i, i, i))
+
+
+def shifted_bases_dual(parent, cell, steps):
+    """``formula_dual`` by a generic route: each base of the parent's
+    normal form shifted by ``parallel_ratio``, negated on a down cell and
+    permuted by the inverse of the parent's permutation."""
+    bases = _bases(parent.case, parent.a, parent.b, parent.c,
+                   parent.d, parent.e, parent.f)
+    up = [parallel_ratio(base, s) for base, s in zip(bases, steps)]
+    if cell.kind == "down":
+        up = [vneg(m) for m in up]
+    inverse = tuple(parent.perm.index(u) for u in range(3))
+    return [permute(inverse, m) for m in up]
+
+
+def role_steps_by_lookup(parent, cell):
+    """``TriangleRatios.role_steps`` as a generator over the roles."""
+    return tuple(cell.steps[side] for side in parent.roles)
+
+
+def test_both_dual_routes_match_their_oracles_on_the_sweep():
+    for res in sweep_resolutions():
+        n, spec = res.ctx.n, res.ctx.spec.canonical_text
+        for cell in res.fan.cones:
+            assert (scaled_dual(cell.vertices, n)
+                    == cofactor_dual(cell.vertices, n)), (spec, cell)
+            parent = res.ratios[cell.parent]
+            steps = parent.role_steps(cell)
+            assert steps == role_steps_by_lookup(parent, cell), spec
+            assert (formula_dual(parent, cell, steps)
+                    == shifted_bases_dual(parent, cell, steps)), (spec, cell)
 
 
 def test_parallel_ratio_identity():
