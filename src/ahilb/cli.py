@@ -45,15 +45,18 @@ def _fan_json(fan: Fan) -> dict:
     }
 
 
+def _head(ctx: LatticeContext) -> dict:
+    """The fields that open the report and fan documents."""
+    return {"group": ctx.spec.canonical_text, "denominator": ctx.n,
+            "order": ctx.order}
+
+
 def build_document(ctx: LatticeContext) -> dict:
     """The full report with deterministic field and element order."""
     res = Resolution(ctx)
     part = res.partition
 
-    doc = {
-        "group": ctx.spec.canonical_text,
-        "denominator": ctx.n,
-        "order": ctx.order,
+    doc = _head(ctx) | {
         "corners": [
             {
                 "corner": i,
@@ -137,15 +140,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_fan(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
-    _dump(
-        {
-            "group": ctx.spec.canonical_text,
-            "denominator": ctx.n,
-            "order": ctx.order,
-            "fan": _fan_json(Resolution(ctx).fan),
-        },
-        args.json,
-    )
+    fan = Resolution(ctx).fan
+    _dump(_head(ctx) | {"fan": _fan_json(fan)}, args.json)
     return 0
 
 

@@ -166,103 +166,45 @@ def _rectangles(sys: ClusterSystem) -> list[tuple[int, int, int, int]]:
     return out
 
 
-class CharacterLayout:
-    """The character group A^ = Z^3 / M of one group laid out on N bits.
+def check_tripod(ctx: LatticeContext, sys: ClusterSystem) -> None:
+    """Raise unless the exponents are nonnegative and the tripod has
+    exactly N = |A| monomials.  For a system that passes
+    ``verify_cluster``, as every system ``cluster_system`` returns does,
+    that is all it takes for the tripod's characters to be pairwise
+    distinct, so that they fill the dual group and the cluster's ring is
+    the regular representation.
 
-    ``ctx.character`` gives x^p y^q z^s its Smith coordinates (r_0, r_1)
-    in Z/n x Z/m, m = N/n, and its code r_0 + n*r_1 is one of N bit
-    positions.  A set of characters is an N-bit int, m rows of n bits,
-    and translating it by a character rotates each row by r_0 and then
-    the whole int by n*r_1.  Prefix masks, the sets {j*chi_t : j < L} of
-    the axis characters chi_t, are kept as they are first asked for, so
-    one layout serves every cone of a group.
-    """
-
-    def __init__(self, ctx: LatticeContext):
-        self.n, self.m, self.order = ctx.n, ctx.order // ctx.n, ctx.order
-        self.chi = tuple(ctx.character(e)
-                         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        self.full = (1 << ctx.order) - 1
-        # Bit 0 of every row.
-        self.rows = self.full // ((1 << ctx.n) - 1)
-        self.prefixes: dict[tuple[int, int], int] = {}
-
-    def shift(self, mask: int, r0: int, r1: int) -> int:
-        """The set of characters mask translated by the character
-        (r0, r1)."""
-        n = self.n
-        if r0:
-            low = mask & self.rows * ((1 << (n - r0)) - 1)
-            mask = (low << r0) | ((mask ^ low) >> (n - r0))
-        if r1:
-            k = n * r1
-            mask = ((mask << k) & self.full) | (mask >> (self.order - k))
-        return mask
-
-    def sweep(self, mask: int, axis: int, length: int) -> int:
-        """The union of mask translated by j*chi_axis for j < length, by
-        doubling: O(log length) shifts."""
-        if length <= 0:
-            return 0
-        n, m = self.n, self.m
-        x, y = self.chi[axis]
-        out, k = mask, 1
-        for bit in bin(length)[3:]:
-            out |= self.shift(out, k * x % n, k * y % m)
-            k *= 2
-            if bit == "1":
-                out |= self.shift(mask, k * x % n, k * y % m)
-                k += 1
-        return out
-
-    def prefix(self, axis: int, length: int) -> int:
-        """The set {j*chi_axis : j < length}: the cached set one shorter
-        with the bit of (length-1)*chi_axis added, or else by ``sweep``."""
-        key = (axis, length)
-        mask = self.prefixes.get(key)
-        if mask is None:
-            shorter = None
-            if length > 0:
-                shorter = self.prefixes.get((axis, length - 1))
-            if shorter is None:
-                mask = self.sweep(1, axis, length)
-            else:
-                n, (x, y), j = self.n, self.chi[axis], length - 1
-                mask = shorter | (1 << (j * x % n + n * (j * y % self.m)))
-            self.prefixes[key] = mask
-        return mask
-
-
-def check_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
-    """Raise unless the tripod has exactly N monomials whose characters
-    are pairwise distinct, so that they fill the dual group and the
-    cluster's ring is the regular representation.
-
-    The count is the sum of the sizes of the nine disjoint staircase
-    boxes of ``_tripod_size``, in closed form.  The characters are the
-    union of the masks of the rectangles of ``_rectangles``: those
-    overlap, but their union is the staircase, and a union of characters
-    does not count multiplicities, so it is exactly the staircase's set
-    of characters.  Each rectangle's mask is the prefix mask of its
-    longer side swept along its shorter side, so no mask is translated to
-    a corner.  N monomials whose characters make N bits are pairwise
-    distinct.  The rectangle identity and the closed form need
-    nonnegative exponents, so a negative one raises before the count.
+    The count is ``_tripod_size``, in closed form; it needs nonnegative
+    exponents, so a negative one raises first.  The fill follows:
+    - Each equation reads L = p*R, where L is a leading term x^(l+1),
+      ..., xyz, R a monomial with nonnegative exponents, and L - R the
+      parameter's Laurent vector rho from ``_laurent_vectors``, which
+      ``verify_cluster`` checks lies in M, the lattice of invariant
+      monomials.
+    - The rows X = (xi, eta, zeta) form a Z-matrix: positive diagonal
+      l+1, m+1, n+1, nonpositive off the diagonal.  Its column sums are
+      k = 1 in up mode and k = 2 in down mode, by the count relations.
+      So X is a nonsingular M-matrix, X^-1 >= 0, and the weight
+      w = X^-1 (1,1,1) >= 0 pairs to 1 with xi, eta and zeta.  It pairs
+      to 3/k with pi = (1,1,1), since (1,1,1) X = k (1,1,1), and to
+      3/k - 1, which is 2 or 1/2, with lam, mu and nu, by the syzygies
+      xi + lam = (1,1,1).
+    - Rewriting L*u to R*u keeps a monomial's character and lowers its
+      weight by at least 1/2, and no monomial weighs less than 0, so
+      every monomial reduces to one in the tripod, which is the set of
+      monomials no leading term divides.
+    - Since (1,1,1) lies in M, every character is the character of some
+      monomial.  So the tripod's characters cover all N classes, and N
+      monomials make them distinct.
+    The check reads no character and does the same work for every order.
     """
     if min(sys.exponents()) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
     count = _tripod_size(sys)
-    if count != layout.order:
+    if count != ctx.order:
         raise InvariantError(
-            f"tripod has {count} monomials for a group of order {layout.order}"
+            f"tripod has {count} monomials for a group of order {ctx.order}"
         )
-    total = 0
-    for u, lu, v, lv in _rectangles(sys):
-        if lu < lv:
-            u, lu, v, lv = v, lv, u, lu
-        total |= layout.sweep(layout.prefix(u, lu), v, lv)
-    if total.bit_count() != layout.order:
-        raise InvariantError("tripod characters do not fill the dual group")
 
 
 def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
@@ -271,9 +213,12 @@ def tripod_basis(ctx: LatticeContext, sys: ClusterSystem) -> list[Vec3]:
 
     That is the union of the rectangles of ``_rectangles``, which is exact
     because check_tripod, called first, raises on a negative exponent.
-    Raises as check_tripod does.
+    ``verify_cluster`` runs next, so the characters of the monomials
+    returned fill the dual group whatever the system's origin.  Raises as
+    check_tripod, then verify_cluster, do.
     """
-    check_tripod(CharacterLayout(ctx), sys)
+    check_tripod(ctx, sys)
+    verify_cluster(ctx, sys)
     out = set()
     for u, lu, v, lv in _rectangles(sys):
         for i in range(lu):

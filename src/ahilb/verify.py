@@ -7,7 +7,10 @@ contraction-game partition, closed-form vs solved dual bases, exponent
 knock-out rule vs partition defeat data, hull chains vs continued
 fractions on every corner (and the weight formula on coprime cyclic ones),
 binomial count vs hexagonal stars, and the reverse classification of each
-chart vs the forward normal form of its cell's triangle.
+chart vs the forward normal form of its cell's triangle.  The tripod check
+is the closed-form count alone: every system the resolution holds passed
+``verify_cluster``, and its relations with that count make the tripod's
+characters fill the dual group (see ``check_tripod``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from math import gcd
 from typing import NamedTuple
 
-from .clusters import CharacterLayout, check_tripod, classify_cluster
+from .clusters import check_tripod, classify_cluster
 from .corners import (
     cyclic_matrix_product,
     hj_expand,
@@ -163,9 +166,8 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("clusters: systems verified, tripods exact, classification returns")
     def _clusters():
-        layout = CharacterLayout(ctx)
         for cell, sysm in zip(res.fan.cones, res.systems):
-            check_tripod(layout, sysm)
+            check_tripod(ctx, sysm)
             cls = classify_cluster(sysm.exponents())
             tr = res.ratios[cell.parent]
             if ((cls.mode, cls.case, cls.perm, cls.A, cls.B, cls.C,

@@ -1,6 +1,8 @@
 
 import random
+from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -9,8 +11,8 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
 from ahilb.clusters import (
     _PERMUTED,
-    CharacterLayout,
     ClusterSystem,
+    _laurent_vectors,
     _rectangles,
     _tripod_size,
     _up_exponents_from_vectors,
@@ -26,6 +28,7 @@ from ahilb.fan import build_fan
 from ahilb.lattice import (
     PERMS,
     LatticeContext,
+    det3,
     dot,
     permute,
     scaled_dual,
@@ -298,6 +301,121 @@ def residue_walk(ctx, sys):
     return keys
 
 
+class CharacterLayout:
+    """The character group A^ = Z^3 / M of one group laid out on N bits.
+
+    ``ctx.character`` gives x^p y^q z^s its Smith coordinates (r_0, r_1)
+    in Z/n x Z/m, m = N/n, and its code r_0 + n*r_1 is one of N bit
+    positions.  A set of characters is an N-bit int, m rows of n bits,
+    and translating it by a character rotates each row by r_0 and then
+    the whole int by n*r_1.  Prefix masks, the sets {j*chi_t : j < L} of
+    the axis characters chi_t, are kept as they are first asked for, so
+    one layout serves every cone of a group.
+    """
+
+    def __init__(self, ctx: LatticeContext):
+        self.n, self.m, self.order = ctx.n, ctx.order // ctx.n, ctx.order
+        self.chi = tuple(ctx.character(e)
+                         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        self.full = (1 << ctx.order) - 1
+        # Bit 0 of every row.
+        self.rows = self.full // ((1 << ctx.n) - 1)
+        self.prefixes: dict[tuple[int, int], int] = {}
+
+    def shift(self, mask: int, r0: int, r1: int) -> int:
+        """The set of characters mask translated by the character
+        (r0, r1)."""
+        n = self.n
+        if r0:
+            low = mask & self.rows * ((1 << (n - r0)) - 1)
+            mask = (low << r0) | ((mask ^ low) >> (n - r0))
+        if r1:
+            k = n * r1
+            mask = ((mask << k) & self.full) | (mask >> (self.order - k))
+        return mask
+
+    def sweep(self, mask: int, axis: int, length: int) -> int:
+        """The union of mask translated by j*chi_axis for j < length, by
+        doubling: O(log length) shifts."""
+        if length <= 0:
+            return 0
+        n, m = self.n, self.m
+        x, y = self.chi[axis]
+        out, k = mask, 1
+        for bit in bin(length)[3:]:
+            out |= self.shift(out, k * x % n, k * y % m)
+            k *= 2
+            if bit == "1":
+                out |= self.shift(mask, k * x % n, k * y % m)
+                k += 1
+        return out
+
+    def prefix(self, axis: int, length: int) -> int:
+        """The set {j*chi_axis : j < length}: the cached set one shorter
+        with the bit of (length-1)*chi_axis added, or else by ``sweep``."""
+        key = (axis, length)
+        mask = self.prefixes.get(key)
+        if mask is None:
+            shorter = None
+            if length > 0:
+                shorter = self.prefixes.get((axis, length - 1))
+            if shorter is None:
+                mask = self.sweep(1, axis, length)
+            else:
+                n, (x, y), j = self.n, self.chi[axis], length - 1
+                mask = shorter | (1 << (j * x % n + n * (j * y % self.m)))
+            self.prefixes[key] = mask
+        return mask
+
+
+def layout_tripod(layout: CharacterLayout, sys: ClusterSystem) -> None:
+    """The oracle for check_tripod, with the characters laid out: raise
+    unless the tripod has exactly N monomials whose characters are
+    pairwise distinct, so that they fill the dual group and the cluster's
+    ring is the regular representation.
+
+    The count is the sum of the sizes of the nine disjoint staircase
+    boxes of ``_tripod_size``, in closed form.  The characters are the
+    union of the masks of the rectangles of ``_rectangles``: those
+    overlap, but their union is the staircase, and a union of characters
+    does not count multiplicities, so it is exactly the staircase's set
+    of characters.  Each rectangle's mask is the prefix mask of its
+    longer side swept along its shorter side, so no mask is translated to
+    a corner.  N monomials whose characters make N bits are pairwise
+    distinct.  The rectangle identity and the closed form need
+    nonnegative exponents, so a negative one raises before the count.
+    """
+    if min(sys.exponents()) < 0:
+        raise InvariantError("cluster exponents must be nonnegative")
+    count = _tripod_size(sys)
+    if count != layout.order:
+        raise InvariantError(
+            f"tripod has {count} monomials for a group of order {layout.order}"
+        )
+    total = 0
+    for u, lu, v, lv in _rectangles(sys):
+        if lu < lv:
+            u, lu, v, lv = v, lv, u, lu
+        total |= layout.sweep(layout.prefix(u, lu), v, lv)
+    if total.bit_count() != layout.order:
+        raise InvariantError("tripod characters do not fill the dual group")
+
+
+FILL = "tripod characters do not fill the dual group"
+
+
+def check_count_settles(ctx, case, want):
+    """check_tripod against an oracle's verdict want: the same verdict and
+    message, except that a tripod whose characters do not fill passes the
+    count and fails verify_cluster instead.  So wherever verify_cluster
+    passes, check_tripod gives the oracle's verdict."""
+    if want == FILL:
+        assert verdict(check_tripod, ctx, case) is None, case
+        assert verdict(verify_cluster, ctx, case) is not None, case
+    else:
+        assert verdict(check_tripod, ctx, case) == want, case
+
+
 def code(ctx, mono):
     """The bit position r_0 + n*r_1 of the character of a monomial."""
     r0, r1 = ctx.character(mono)
@@ -330,7 +448,8 @@ def check_tripods_against_oracle(specs):
             monomials, keys = oracle_tripod(ctx, sys)
             assert tripod_basis(ctx, sys) == monomials, spec
             assert sorted(residue_walk(ctx, sys)) == keys, spec
-            assert check_tripod(layout, sys) is None, spec
+            assert check_tripod(ctx, sys) is None, spec
+            assert layout_tripod(layout, sys) is None, spec
 
 
 def test_tripod_characters_match_oracle_up_to_16():
@@ -415,18 +534,18 @@ def check_mutants_against_residue_walk(specs, make):
     verdicts = set()
     for spec in specs:
         ctx = lattice_context(parse_group_spec(spec))
-        layout = CharacterLayout(ctx)
         for sys in Resolution(ctx).systems:
             for bad in make(sys):
                 want = verdict(residue_walk, ctx, bad)
-                assert verdict(check_tripod, layout, bad) == want, (spec, bad)
+                check_count_settles(ctx, bad, want)
                 verdicts.add(want and want.split()[1])
     return verdicts
 
 
 def test_tripod_mutants_match_the_residue_walk():
-    # The bitset check and the residue walk give the same verdict and
-    # message on every mutant: single steps up to r = 12, swaps up to 10.
+    # The count check gives the residue walk's verdict and message on
+    # every mutant, except where the characters do not fill, which
+    # verify_cluster rejects: single steps up to r = 12, swaps up to 10.
     assert check_mutants_against_residue_walk(
         cyclic_groups(12) + PRODUCTS, mutants) == {None, "has"}
     assert check_mutants_against_residue_walk(
@@ -438,7 +557,7 @@ def nine_box_tripod(ctx, layout, sys):
     """The tripod check box by box: each of the nine staircase boxes is
     its longest axis's prefix mask, translated to the box's corner by
     the corner's character and swept along its other axes.  Raises as
-    check_tripod does on nonnegative exponents."""
+    layout_tripod does on nonnegative exponents."""
     count = total = 0
     for ps, qs, ss in staircase(sys):
         size = (len(ps), len(qs), len(ss))
@@ -461,7 +580,7 @@ def nine_box_tripod(ctx, layout, sys):
 
 
 def rectangle_monomials(sys):
-    """The monomials of the rectangles check_tripod ORs."""
+    """The monomials of the rectangles layout_tripod ORs."""
     out = set()
     for u, lu, v, lv in _rectangles(sys):
         for i in range(lu):
@@ -495,7 +614,8 @@ def test_tripod_matches_the_nine_box_check():
     verdicts = set()
     for ctx, layout, case in systems_and_mutants(cyclic_groups(16) + PRODUCTS):
         want = verdict(nine_box_tripod, ctx, layout, case)
-        assert verdict(check_tripod, layout, case) == want, case
+        assert verdict(layout_tripod, layout, case) == want, case
+        check_count_settles(ctx, case, want)
         verdicts.add(want and want.split()[1])
     assert verdicts == {None, "has", "characters"}
 
@@ -511,11 +631,10 @@ def test_check_tripod_reads_no_character(monkeypatch):
     for spec in ("1/101(1,7,93)", "1/4(1,3,0)+1/4(0,1,3)"):
         ctx = lattice_context(parse_group_spec(spec))
         systems = Resolution(ctx).systems
-        layout = CharacterLayout(ctx)
         with monkeypatch.context() as patch:
             patch.setattr(LatticeContext, "character", counted)
             for sys in systems:
-                check_tripod(layout, sys)
+                check_tripod(ctx, sys)
         assert calls == [], spec
 
 
@@ -526,7 +645,8 @@ def test_tripod_rejects_a_negative_exponent():
     # The first still has 11 monomials with distinct characters, the
     # second 12: the sign is tested before the count.
     for bad in (sys._replace(m=-1), sys._replace(l=11, m=-1)):
-        for check, arg in ((check_tripod, layout), (tripod_basis, ctx)):
+        for check, arg in ((check_tripod, ctx), (tripod_basis, ctx),
+                           (layout_tripod, layout)):
             with pytest.raises(InvariantError, match="^cluster exponents "
                                "must be nonnegative$"):
                 check(arg, bad)
@@ -555,6 +675,11 @@ def test_prefix_is_the_sweep_of_bit_zero(spec):
             for axis in range(3):
                 assert layout.prefix(axis, length) == layout.sweep(
                     1, axis, length), (spec, axis, length)
+
+
+@pytest.mark.deep
+def test_the_count_settles_the_fill_below_8():
+    assert min(check_count_settles_the_fill(8)) > 0
 
 
 @pytest.mark.deep
@@ -600,11 +725,10 @@ def test_tripod_with_extra_monomial_raises():
     ctx, fan, systems = systems_of("1/11(1,2,8)")
     # The chart with x^11 = xi: its tripod is 1, x, ..., x^10.
     sys = next(s for s in systems if (s.l, s.m, s.n) == (10, 0, 0))
-    layout = CharacterLayout(ctx)
-    assert check_tripod(layout, sys) is None
+    assert check_tripod(ctx, sys) is None
     with pytest.raises(InvariantError,
                        match="^tripod has 12 monomials for a group of order 11$"):
-        check_tripod(layout, sys._replace(l=sys.l + 1))
+        check_tripod(ctx, sys._replace(l=sys.l + 1))
 
 
 def test_tripod_with_colliding_characters_raises():
@@ -615,7 +739,85 @@ def test_tripod_with_colliding_characters_raises():
     other = lattice_context(parse_group_spec("1/11(0,1,10)"))
     with pytest.raises(InvariantError,
                        match="^tripod characters do not fill the dual group$"):
-        check_tripod(CharacterLayout(other), sys)
+        layout_tripod(CharacterLayout(other), sys)
+    # The count alone passes; the system's equations do not hold there.
+    assert check_tripod(other, sys) is None
+    with pytest.raises(InvariantError, match=r"^equation for eta does not "
+                       r"match characters: \(-2, 1, 0\)$"):
+        tripod_basis(other, sys)
+
+
+def test_layout_oracle_passes_on_every_sweep_cone():
+    # test_fan imports this module, so its cached resolutions are
+    # imported here.
+    from test_fan import sweep_resolutions
+    for res in sweep_resolutions():
+        layout = CharacterLayout(res.ctx)
+        for sys in res.systems:
+            assert check_tripod(res.ctx, sys) is None, res.ctx.spec
+            assert layout_tripod(layout, sys) is None, (res.ctx.spec, sys)
+
+
+def leading_terms(sys):
+    """The seven equations L = p*R as the pairs (L, R) of exponents, in
+    ``PARAM_NAMES`` order, as the module docstring writes them."""
+    a, b, c, d, e, f, l, m, n = sys.exponents()
+    return [((l + 1, 0, 0), (0, b, f)), ((0, m + 1, 0), (d, 0, c)),
+            ((0, 0, n + 1), (a, e, 0)), ((0, b + 1, f + 1), (l, 0, 0)),
+            ((d + 1, 0, c + 1), (0, m, 0)), ((a + 1, e + 1, 0), (0, 0, n)),
+            ((1, 1, 1), (0, 0, 0))]
+
+
+def descent_weight(sys):
+    """(D, W) with D = det X > 0 and w = W / D = X^-1 (1, 1, 1) for the
+    rows X = (xi, eta, zeta), by Cramer's rule."""
+    rows = _laurent_vectors(sys.exponents())[:3]
+    det = det3(rows)
+    assert det > 0, sys
+    return det, tuple(det3([r[:t] + (1,) + r[t + 1:] for r in rows])
+                      for t in range(3))
+
+
+# Three cyclic groups with all three weights nonzero, one with a weight
+# shared by two coordinates, and a product.
+THEOREM_GROUPS = ["1/11(1,2,8)", "1/7(1,2,4)", "1/9(1,1,7)", "1/12(1,3,8)",
+                  "1/2(1,1,0)+1/2(0,1,1)"]
+
+
+def check_count_settles_the_fill(bound):
+    """For every wall tuple (a, ..., f) with entries below bound, in both
+    modes: each Laurent vector is L - R, the weight w of ``check_tripod``'s
+    proof is nonnegative and lowers by at least 1/2 at every rewrite, and
+    on each of ``THEOREM_GROUPS`` a system that passes verify_cluster and
+    check_tripod passes the layout oracle.  Returns how many passed, per
+    group."""
+    contexts = [lattice_context(parse_group_spec(s)) for s in THEOREM_GROUPS]
+    layouts = [CharacterLayout(ctx) for ctx in contexts]
+    passed = [0] * len(contexts)
+    half = Fraction(1, 2)
+    for a, b, c, d, e, f in product(range(bound), repeat=6):
+        for mode, k in (("up", 0), ("down", 1)):
+            sys = ClusterSystem(mode, a, b, c, d, e, f,
+                                a + d + k, b + e + k, c + f + k)
+            rhos = _laurent_vectors(sys.exponents())
+            assert rhos == tuple(vsub(L, R) for L, R in leading_terms(sys))
+            # det > 0, so the least entry and pairing of w are those of
+            # its numerators over det.
+            det, num = descent_weight(sys)
+            assert Fraction(min(num), det) >= 0, sys
+            # Each rewrite lowers the weight by rho.w >= 1/2.
+            assert Fraction(min(dot(rho, num) for rho in rhos), det) >= half, sys
+            for t, ctx in enumerate(contexts):
+                if (verdict(check_tripod, ctx, sys) is None
+                        and verdict(verify_cluster, ctx, sys) is None):
+                    assert layout_tripod(layouts[t], sys) is None, (
+                        THEOREM_GROUPS[t], sys)
+                    passed[t] += 1
+    return passed
+
+
+def test_the_count_settles_the_fill():
+    assert min(check_count_settles_the_fill(4)) > 0
 
 
 def test_classification_paper_sign_rule():

@@ -41,8 +41,9 @@ def test_hull_family_catches_a_wrong_chain_on_a_product():
 
 @pytest.mark.deep
 def test_run_checks_passes_at_order_8009():
-    # 8009 cones with tripods of 8009 monomials each: the group where a
-    # per-monomial tripod check is quadratic in the order.
+    # 8009 cones with tripods of 8009 monomials each: a per-monomial
+    # tripod check would be quadratic in the order, and the closed-form
+    # count makes the clusters family linear.
     ctx = lattice_context(parse_group_spec("1/8009(1,100,7908)"))
     results = run_checks(Resolution(ctx))
     assert len(results) == 14
