@@ -60,7 +60,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
     # The fan's edges are its cones' sides; those on partition sides are solid.
     edges = {e for c in fan.cones for e in combinations(sorted(c.vertices), 2)}
     solid = {seg for tri in part.triangles
-             for seg, _ in unit_edges(tri.vertices, tri.r)}
+             for seg in unit_edges(tri.vertices, tri.r)}
     dotted = sorted(edges - solid)
     out += [_segment(a, b, n, 'stroke="#888888" stroke-width="1" '
                               'stroke-dasharray="4 3"')

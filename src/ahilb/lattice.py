@@ -387,7 +387,7 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
 
 def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:
     """Do a and b lie on one side of the simplex?"""
-    return any(a[t] == 0 and b[t] == 0 for t in range(3))
+    return not ((a[0] or b[0]) and (a[1] or b[1]) and (a[2] or b[2]))
 
 
 def sign_fixed(v: Vec3) -> Vec3:

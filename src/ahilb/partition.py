@@ -2,17 +2,19 @@
 regular triangles.
 
 Two independent algorithms produce the partition: enumeration of the
-regular triangles cut out by the lines, searching only line triples whose
-directions can sum to zero, two of them of pair index 1 (authoritative),
-and realization of the contraction-game triples (mandatory cross-check).
+regular triangles cut out by the lines, each read in closed form off two
+of its side lines of pair index 1 (authoritative), and realization of the
+contraction-game triples by pairwise meets (mandatory cross-check).
 A mismatch raises InvariantError: this is the package's central
 differential test.  The tiling is then checked by edge matching off the
-simplex's sides and exact areas.
+simplex's sides, as endpoint events, and exact areas.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -36,6 +38,7 @@ from .lattice import (
     sign_fixed,
     smul,
     vadd,
+    vneg,
     vsub,
 )
 from .mmp import (
@@ -177,45 +180,76 @@ def enumerate_triangles(ctx: LatticeContext,
     """Every regular triangle cut out by three of the lines; they tile the
     simplex, so this is the partition.
 
-    The search by direction is complete.  The side vectors r*u, r*v, r*w
-    of a regular triangle sum to zero, and each of u, v, w is +- the
-    direction of the line hosting that side.  Of those three signs two
-    agree, say on the hosts a, b of u, v; then d_a + d_b = +-(u + v) =
-    -+w, the third host's direction up to sign.  Hosts a and b meet at a
-    lattice point of the simplex, the vertex opposite w.  Their directions
-    are +-u and +-v, which ``_triangle_from_lines`` requires to have pair
-    index 1: |cross2(chart d_a, chart d_b)| = n^2/N (see ``pair_index``).
-    So it suffices to try, for each pair of lines of index 1 meeting at
-    such a point, the lines in the direction class of d_a + d_b as the
-    third line, each tag triple once, in sorted tag order.  About 2*L of
-    the C(L,2) pairs have index 1.
+    The search is complete.  The sides r*u, r*v, r*w of a regular
+    triangle sum to zero, and each of u, v, w is +- the direction of its
+    host line.  Two of the signs agree, say on the hosts a, b of u, v;
+    then d_a + d_b = -+w, and d_a, d_b have pair index 1:
+    |cross2(chart d_a, chart d_b)| = n^2/N (see ``pair_index``).  So it
+    suffices to try, for each of the about 2*L line pairs of index 1, the
+    lines c of direction +-(d_a + d_b).
+
+    Each try is read off in closed form.  (d_a, d_b) is a basis of the
+    translation lattice and every anchor is a corner, so chart solves of
+    determinant cross2(d_a, d_b) give integers s, alpha, beta with
+    A_b - A_a = s*d_a - t*d_b and A_c - P = alpha*d_a + beta*d_b, where
+    P = A_a + s*d_a is the meet of a and b; a remainder raises.  Line c
+    runs through P + alpha*d_a + beta*d_b along d_a + d_b, so for k =
+    alpha - beta it meets a at P + k*d_a and b at P - k*d_b.  The sides
+    k*d_a, k*d_b, k*(d_a + d_b) are |k| primitive steps of index 1: the
+    triangle of side |k| that ``_triangle_from_lines`` finds on the three
+    lines when k != 0 and the vertices lie in the simplex, else none.
     """
     ordered = [lines[t] for t in sorted(lines)]
-    by_direction: dict[Vec3, list[Tag]] = {}
+    by_direction: dict[Vec3, list[Line]] = {}
     for line in ordered:
-        by_direction.setdefault(sign_fixed(line.direction), []).append(line.tag)
+        by_direction.setdefault(sign_fixed(line.direction), []).append(line)
     unit = ctx.n * ctx.n // ctx.order
     charts = [chart(line.direction) for line in ordered]
-    trios = set()
+    found: dict[tuple, RegularTriangle] = {}
     for a, (ya, za) in enumerate(charts):
+        la = ordered[a]
         for b in range(a + 1, len(ordered)):
             yb, zb = charts[b]
-            if abs(ya * zb - za * yb) != unit:
+            det = ya * zb - za * yb
+            if abs(det) != unit:
                 continue
-            la, lb = ordered[a], ordered[b]
-            third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
-            if third is None or _simplex_point(ctx, meet(la, lb)) is None:
+            lb = ordered[b]
+            da, db = la.direction, lb.direction
+            dsum = vadd(da, db)
+            third = by_direction.get(sign_fixed(dsum))
+            if third is None:
                 continue
-            for tc in third:
-                trios.add(tuple(sorted((la.tag, lb.tag, tc))))
-    found: dict[tuple, RegularTriangle] = {}
-    for tags in sorted(trios):
-        tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
-        if tri is None:
-            continue
-        if tri.key() in found:
-            raise InvariantError("two line triples cut out the same triangle")
-        found[tri.key()] = tri
+            s, rem = divmod((lb.anchor[1] - la.anchor[1]) * zb
+                            - (lb.anchor[2] - la.anchor[2]) * yb, det)
+            p = vadd(la.anchor, smul(s, da))
+            for lc in third:
+                wy, wz = lc.anchor[1] - p[1], lc.anchor[2] - p[2]
+                alpha, ra = divmod(wy * zb - wz * yb, det)
+                beta, rb = divmod(ya * wz - za * wy, det)
+                if rem or ra or rb:
+                    raise InvariantError(
+                        f"anchors of lines {la.tag}, {lb.tag} and {lc.tag} "
+                        "are not on one lattice")
+                k = alpha - beta
+                va, vb = vsub(p, smul(k, db)), vadd(p, smul(k, da))
+                if k == 0 or min(p + va + vb) < 0:  # a vertex off the simplex
+                    continue
+                # cb is the unit step from the vertex opposite c to the one
+                # opposite b, and likewise ac and ab.
+                cb, ac, ab = (smul(k // abs(k), d) for d in (da, db, dsum))
+                if lc.tag < la.tag:
+                    tags, pts = (lc.tag, la.tag, lb.tag), (p, va, vb)
+                    dirs = (ab, cb, vneg(ac))
+                elif lc.tag < lb.tag:
+                    tags, pts = (la.tag, lc.tag, lb.tag), (va, p, vb)
+                    dirs = (cb, ab, ac)
+                else:
+                    tags, pts = (la.tag, lb.tag, lc.tag), (va, vb, p)
+                    dirs = (vneg(cb), ac, ab)
+                tri = RegularTriangle(pts, abs(k), tags, dirs)
+                if found.setdefault(tri.key(), tri).side_lines != tags:
+                    raise InvariantError(
+                        "two line triples cut out the same triangle")
     return [found[k] for k in sorted(found)]
 
 
@@ -332,26 +366,20 @@ def _within(line: Line, other: Line) -> bool:
 
 
 def unit_edges(vertices: tuple[Vec3, Vec3, Vec3], r: int):
-    """The boundary of a regular triangle of side r, counter-clockwise in
-    chart, in unit lattice steps: ((p, q), +1) for a step from p to q with
-    p < q, else ((q, p), -1).  ``_triangle_from_lines`` made each side
-    exactly r primitive steps long, so a step is (q - p)/r."""
-    a, b, c = vertices
-    if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
-        b, c = c, b
-    for p, q in ((a, b), (b, c), (c, a)):
+    """The unit lattice segments (p, q), p < q, along the sides of a
+    regular triangle of side r; each side is r primitive steps long."""
+    for p, q in combinations(sorted(vertices), 2):
         step = tuple((y - x) // r for x, y in zip(p, q))
-        pts = [vadd(p, smul(k, step)) for k in range(r + 1)]
-        for u, w in zip(pts, pts[1:]):
-            yield ((u, w), 1) if u < w else ((w, u), -1)
+        for k in range(r):
+            yield vadd(p, smul(k, step)), vadd(p, smul(k + 1, step))
 
 
 def _check_tiling(ctx: LatticeContext,
                   triangles: list[RegularTriangle]) -> None:
     """Raise unless the triangles tile the simplex S.
 
-    The doubled areas r^2 (``_triangle_from_lines`` makes the sides r
-    times directions of index 1) must sum to the simplex's N, and every
+    The doubled areas r^2 (``enumerate_triangles`` makes the sides r
+    steps of directions of index 1) must sum to the simplex's N, and every
     unit segment off the sides of S must be traversed by the triangles,
     oriented counter-clockwise as a 2-chain C, as often in one direction
     as in the other.  That suffices.  The boundary of C is then a cycle on
@@ -359,15 +387,30 @@ def _check_tiling(ctx: LatticeContext,
     the two unit segments of the sides there, so they carry equal
     coefficients, and the boundary of C is k times that of S.  C - kS has
     no boundary, so C = kS, and the areas give k = 1: every point off
-    the edges is covered once inside S and never outside it."""
+    the edges is covered once inside S and never outside it.
+
+    The counts are read off endpoint events.  On a line x + Z*e, e the
+    unit step with first nonzero coordinate positive, count (y, y + e) +1
+    per traversal toward y + e and -1 per traversal back.  A side from p
+    to q adds +1 from p up to q either way round, so +1 at p and -1 at q
+    to the count's difference along e; the counts vanish exactly when the
+    differences do.  A side lies on a side of S when its unit segments
+    do, so whole sides are skipped."""
     if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
-    count: dict[tuple[Vec3, Vec3], int] = {}
+    events: dict[tuple[Vec3, Vec3], int] = defaultdict(int)
     for tri in triangles:
-        for seg, s in unit_edges(tri.vertices, tri.r):
-            if not on_simplex_boundary(*seg):
-                count[seg] = count.get(seg, 0) + s
-    if any(count.values()):
+        a, b, c = tri.vertices
+        if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
+            b, c = c, b
+        r = tri.r
+        for p, q in ((a, b), (b, c), (c, a)):
+            if not on_simplex_boundary(p, q):
+                x, y, z = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+                e = sign_fixed((x // r, y // r, z // r))
+                events[p, e] += 1
+                events[q, e] -= 1
+    if any(events.values()):
         raise InvariantError("triangle interiors overlap")
 
 

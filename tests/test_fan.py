@@ -459,7 +459,7 @@ def test_solid_edges_match_the_segment_walk():
     # draw's solid edges are the unit steps of the partition's sides.
     for res in sweep_resolutions():
         walked = {seg for tri in res.partition.triangles
-                  for seg, _ in unit_edges(tri.vertices, tri.r)}
+                  for seg in unit_edges(tri.vertices, tri.r)}
         spec = res.ctx.spec.canonical_text
         assert walked == partition_edges(res.fan), spec
         assert walked == segment_walk_edges(res.ctx, res.partition), spec

@@ -1,19 +1,22 @@
 import os
+import re
 import subprocess
 import sys
-from itertools import combinations
-from math import ceil, log2
+from itertools import combinations, permutations
+from math import ceil, gcd, log2
 from pathlib import Path
 
 import pytest
 
 import ahilb.partition
 from ahilb import lattice_context, pair_index, parse_group_spec
+from ahilb.cli import build_document
 from ahilb.errors import InvariantError
-from ahilb.lattice import sign_fixed, smul, vadd
+from ahilb.lattice import Generator, permute, sign_fixed, smul, vadd
 from ahilb.mmp import classify_triple, run_mmp, triple_set
 from ahilb.partition import (
     ConcurrencyPoint,
+    _check_tiling,
     _within,
     crossings,
     enumerate_triangles,
@@ -291,6 +294,86 @@ def test_enumeration_looks_up_only_index_one_pairs(monkeypatch):
             if pair_index(ctx, a.direction, b.direction) == 1]
     assert lookups == sorted(unit)
     assert len(lookups) <= 1201
+
+
+def test_enumeration_and_tiling_intersect_and_walk_nothing(monkeypatch):
+    # Each triangle is read off its index-1 pair in closed form, and the
+    # tiling is checked by three endpoint events per triangle.
+    ctx = ctx_of("1/600(1,1,598)")
+    lines = rays_of(ctx)
+    calls = {}
+    for name in ("_triangle_from_lines", "primitive_vector", "multiple",
+                 "pair_index", "unit_edges"):
+        calls[name] = []
+        monkeypatch.setattr(ahilb.partition, name, counting(
+            getattr(ahilb.partition, name), calls[name]))
+    triangles = enumerate_triangles(ctx, lines)
+    _check_tiling(ctx, triangles)
+    assert len(triangles) == 600
+    assert calls == {name: [] for name in calls}
+
+
+def test_enumeration_raises_on_a_third_line_off_the_lattice():
+    # The lines of one triangle, the third rebuilt with direction d_a + d_b
+    # so that only the pair (a, b) looks a third line up.
+    ctx = ctx_of("1/11(1,2,8)")
+    lines = rays_of(ctx)
+    tri = enumerate_triangles(ctx, lines)[0]
+    a, b, c = next(
+        tags for tags in permutations(tri.side_lines)
+        if sign_fixed(vadd(lines[tags[0]].direction, lines[tags[1]].direction))
+        == sign_fixed(lines[tags[2]].direction))
+    third = lines[c]._replace(
+        direction=vadd(lines[a].direction, lines[b].direction))
+    trio = {a: lines[a], b: lines[b], c: third}
+    assert enumerate_triangles(ctx, trio) == [tri]
+    shift = (1, -1, 0)
+    assert not ctx.is_translation(shift)
+    trio[c] = third._replace(anchor=vadd(third.anchor, shift))
+    with pytest.raises(InvariantError, match=re.escape(
+            f"anchors of lines {min(a, b)}, {max(a, b)} and {c} "
+            "are not on one lattice")):
+        enumerate_triangles(ctx, trio)
+
+
+def rewritten(spec, rewrite):
+    """The cyclic group spec with its weights rewritten by rewrite."""
+    (gen,) = parse_group_spec(spec).generators
+    return Generator(gen.order, rewrite(gen.order, gen.weights)).text()
+
+
+def check_symmetry(spec):
+    """The partition of pi G is pi of the partition of G, for every
+    coordinate permutation pi; a generator rewritten by a unit gives the
+    same report apart from its group."""
+    def shape(spec, perm=(0, 1, 2)):
+        part = Resolution(ctx_of(spec)).partition
+        return {(tuple(sorted(permute(perm, v) for v in tri.vertices)), tri.r)
+                for tri in part.triangles}
+
+    for perm in permutations(range(3)):
+        image = rewritten(spec, lambda r, w: permute(perm, w))
+        assert shape(image) == shape(spec, perm), (spec, perm)
+    doc = build_document(ctx_of(spec))
+    del doc["group"]
+    order = parse_group_spec(spec).generators[0].order
+    for u in range(2, order):
+        if gcd(u, order) == 1:
+            image = rewritten(spec, lambda r, w: tuple(u * x % r for x in w))
+            other = build_document(ctx_of(image))
+            del other["group"]
+            assert other == doc, (spec, u)
+
+
+def test_partition_is_equivariant_up_to_12():
+    for spec in cyclic_groups(12):
+        check_symmetry(spec)
+
+
+@pytest.mark.deep
+def test_partition_is_equivariant_up_to_24():
+    for spec in cyclic_groups(24):
+        check_symmetry(spec)
 
 
 _TIED_REPORT = """

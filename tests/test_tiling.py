@@ -1,7 +1,9 @@
 """The partition against slow oracles: the brute force over every line
-triple, the scan of every line pair by direction sum, the pairwise
-separating-line test on every pair of triangles, and the tiling check
-with the simplex's boundary as a second 2-chain.  Also the large-order
+triple, the scan of every line pair by direction sum, the index-1 pair
+scan that intersects each candidate line triple, the pairwise
+separating-line test on every pair of triangles, the tiling check that
+walks every unit step of the triangle sides, and the tiling check with
+the simplex's boundary as a second 2-chain.  Also the large-order
 regression pins, with the Ito-Reid counts as their independent check."""
 
 from itertools import combinations, permutations
@@ -14,7 +16,9 @@ from ahilb.lattice import (
     chart,
     cross2,
     group_elements,
+    on_simplex_boundary,
     sign_fixed,
+    smul,
     vadd,
     vsub,
 )
@@ -61,6 +65,41 @@ def pair_scan_triangles(ctx, lines):
             continue
         for tc in third:
             trios.add(tuple(sorted((la.tag, lb.tag, tc))))
+    found = {}
+    for tags in sorted(trios):
+        tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
+        if tri is None:
+            continue
+        if tri.key() in found:
+            raise InvariantError("two line triples cut out the same triangle")
+        found[tri.key()] = tri
+    return [found[k] for k in sorted(found)]
+
+
+def index_one_trio_triangles(ctx, lines):
+    """For each line pair of pair index 1 meeting at a lattice point of
+    the simplex, every line in the direction class of their direction sum
+    as the third side; each tag triple intersected once by
+    ``_triangle_from_lines``, in sorted tag order.  The regular triangles
+    found, sorted by key."""
+    ordered = [lines[t] for t in sorted(lines)]
+    by_direction = {}
+    for line in ordered:
+        by_direction.setdefault(sign_fixed(line.direction), []).append(line.tag)
+    unit = ctx.n * ctx.n // ctx.order
+    charts = [chart(line.direction) for line in ordered]
+    trios = set()
+    for a, (ya, za) in enumerate(charts):
+        for b in range(a + 1, len(ordered)):
+            yb, zb = charts[b]
+            if abs(ya * zb - za * yb) != unit:
+                continue
+            la, lb = ordered[a], ordered[b]
+            third = by_direction.get(sign_fixed(vadd(la.direction, lb.direction)))
+            if third is None or _simplex_point(ctx, meet(la, lb)) is None:
+                continue
+            for tc in third:
+                trios.add(tuple(sorted((la.tag, lb.tag, tc))))
     found = {}
     for tags in sorted(trios):
         tri = _triangle_from_lines(ctx, tuple(lines[t] for t in tags))
@@ -122,6 +161,29 @@ def chain_tiles(ctx, triangles):
         raise InvariantError("triangle interiors overlap")
 
 
+def unit_step_tiling(ctx, triangles):
+    """The tiling check that walks every unit step of every triangle side,
+    counter-clockwise in chart, and counts each unit segment (u, w),
+    u < w, off the sides of the simplex +1 per step from u to w and -1
+    per step back.  Raises as ``_check_tiling`` does."""
+    if sum(t.r * t.r for t in triangles) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
+    count = {}
+    for tri in triangles:
+        a, b, c = tri.vertices
+        if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
+            b, c = c, b
+        for p, q in ((a, b), (b, c), (c, a)):
+            step = tuple((y - x) // tri.r for x, y in zip(p, q))
+            pts = [vadd(p, smul(k, step)) for k in range(tri.r + 1)]
+            for u, w in zip(pts, pts[1:]):
+                seg, s = ((u, w), 1) if u < w else ((w, u), -1)
+                if not on_simplex_boundary(*seg):
+                    count[seg] = count.get(seg, 0) + s
+    if any(count.values()):
+        raise InvariantError("triangle interiors overlap")
+
+
 def tiling_verdict(check, ctx, triangles):
     """None when check accepts the triangles, else its message."""
     try:
@@ -132,9 +194,10 @@ def tiling_verdict(check, ctx, triangles):
 
 
 def tiles(ctx, triangles):
-    """Does the package's tiling check accept the triangles?  The chain
-    oracle must give the same verdict."""
+    """Does the package's tiling check accept the triangles?  The unit-step
+    and chain oracles must give the same verdict."""
     got = tiling_verdict(_check_tiling, ctx, triangles)
+    assert got == tiling_verdict(unit_step_tiling, ctx, triangles)
     assert got == tiling_verdict(chain_tiles, ctx, triangles)
     return got is None
 
@@ -163,6 +226,7 @@ def check_against_oracles(spec):
     lines = rays(ctx, Resolution(ctx).fans)
     brute = brute_force_triangles(ctx, lines)
     assert enumerate_triangles(ctx, lines) == brute, spec
+    assert index_one_trio_triangles(ctx, lines) == brute, spec
     assert pair_scan_triangles(ctx, lines) == brute, spec
     assert pairwise_disjoint(brute), spec
     # With the area exact, edge matching, the chain oracle and the
@@ -174,13 +238,25 @@ def check_against_oracles(spec):
         assert not pairwise_disjoint(bad), spec
 
 
+def product_groups(max_order):
+    """Every 1/r(1,0,r-1)+1/s(0,1,s-1) with 1 <= r, s <= max_order."""
+    return [f"1/{r}(1,0,{r - 1})+1/{s}(0,1,{s - 1})"
+            for r in range(1, max_order + 1) for s in range(1, max_order + 1)]
+
+
 def test_sweep_counts():
     assert len(cyclic_groups(24)) == 980
     assert len(cyclic_groups(40)) == 4122
+    assert len(product_groups(8)) == 64
 
 
 def test_enumeration_matches_oracles_up_to_24():
     for spec in cyclic_groups(24):
+        check_against_oracles(spec)
+
+
+def test_enumeration_matches_oracles_on_products():
+    for spec in product_groups(8):
         check_against_oracles(spec)
 
 
@@ -214,7 +290,7 @@ def test_same_side_replacements_match_the_chain_oracle():
         for i, j in permutations(range(len(tris)), 2):
             if tris[i].r == tris[j].r:
                 bad = tris[:j] + [tris[i]] + tris[j + 1:]
-                for check in (_check_tiling, chain_tiles):
+                for check in (_check_tiling, unit_step_tiling, chain_tiles):
                     assert tiling_verdict(check, ctx, bad) == (
                         "triangle interiors overlap"), (spec, i, j)
 
