@@ -12,31 +12,23 @@ import random
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
-from .corners import CyclicWord, Tag, WordEntry
+from .corners import CyclicWord, Tag
 from .errors import InvariantError
-from .lattice import (
-    LatticeContext,
-    Vec3,
-    pair_index,
-    sign_fixed,
-    vadd,
-    vneg,
-)
+from .lattice import LatticeContext, Vec3, pair_index, sign_fixed, vneg
 
 Strategy = str | tuple[str, int] | list[int]
+Step = tuple[int, int, int]  # entry indexes (left, mid, right) in a word
+Key = tuple[Vec3, Vec3, Vec3]  # sorted sign-fixed vectors of a triple
 
 
 class RegularTriple(NamedTuple):
     """Three translation vectors, any two a lattice basis, with the sign
-    relation vectors[0] - vectors[1] + vectors[2] = 0.  ``_relation``,
-    the one constructor, raises unless the relation holds."""
+    relation vectors[0] - vectors[1] + vectors[2] = 0.  ``triple_set``,
+    the one constructor, builds it from a step whose relation the run
+    checked."""
 
     vectors: tuple[Vec3, Vec3, Vec3]
     tags: tuple[Tag, Tag, Tag]
-
-    def canonical(self) -> tuple[Vec3, Vec3, Vec3]:
-        """Vectors normalized up to sign and order (identifies +-v)."""
-        return tuple(sorted(sign_fixed(v) for v in self.vectors))
 
 
 def classify_triple(tags) -> str:
@@ -46,17 +38,6 @@ def classify_triple(tags) -> str:
     if len(corners) == 3:
         return "champion"
     return "side"
-
-
-def _relation(left: WordEntry, mid: WordEntry, right: WordEntry,
-              left_wraps: bool, right_wraps: bool) -> RegularTriple:
-    """The triple certified by contracting mid between its neighbors; a
-    neighbor reached across the end of the word is negated."""
-    lv = vneg(left.vector) if left_wraps else left.vector
-    rv = vneg(right.vector) if right_wraps else right.vector
-    if vadd(lv, rv) != mid.vector:
-        raise InvariantError("contraction relation failed; corrupted word")
-    return RegularTriple((lv, mid.vector, rv), (left.tag, mid.tag, right.tag))
 
 
 def contract_values(values: list[int], pos: int) -> list[int]:
@@ -88,72 +69,104 @@ def run_linear(values: list[int]) -> list[list[int]]:
 
 
 class MMPTrace(NamedTuple):
-    steps: tuple[RegularTriple, ...]  # one triple per contraction
-    terminal_triple: RegularTriple
+    """A full run on word: the key of every certified triple mapped to
+    its step, in the order certified, the terminal triple last."""
 
+    word: CyclicWord
+    triples: dict[Key, Step]
 
-def terminal_triple(word: CyclicWord) -> RegularTriple:
-    if word.values() != (1, 1, 1):
-        raise InvariantError("terminal triple requires the word [1,1,1]")
-    return _relation(*word.entries, False, False)
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """One step per contraction."""
+        return tuple(self.triples.values())[:-1]
 
 
 def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
                  protected: frozenset[Tag] = frozenset(),
-                 ) -> tuple[list[RegularTriple], CyclicWord]:
-    """Contract 1s until three entries are left or no entry tagged outside
-    protected is a 1.  Returns the triple of every step and the word left.
+                 full: bool = False) -> dict[Key, Step]:
+    """The one kernel of the game: contract 1s until three entries are
+    left or no entry tagged outside protected is a 1; when full, the word
+    left must be [1,1,1], whose middle entry certifies the terminal
+    triple.  Returns each certified triple's key mapped to its step.
+    strategy picks the next 1: "leftmost", ("random", seed) (drawn as
+    ``random.choice`` on the current 1s) or a list of positions in the
+    current word, to be used up exactly; others raise ValueError.
 
-    strategy picks the next 1: "leftmost" (the first in the word),
-    ("random", seed) (uniformly among them), or an explicit list of
-    positions in the current word, which must be used up exactly.
-
-    The word is never copied: each original entry keeps its value and its
-    links to the current neighbors, and the contractible entries are kept
-    in one list sorted by original index, so a step costs a bisection and
-    a list insert and delete (and a walk of O(m) links for an explicit
-    position).  Contraction keeps the entries' relative order, so the
-    current word is the live entries in original order, the list holds
-    the 1s in the order of the current word (the leftmost is its head,
-    and a seeded pick draws as ``random.choice`` on it would), and a
-    neighbor is reached across the end of the word exactly when its
-    original index lies on the wrong side.
-    """
-    entries = word.entries
-    m = len(entries)
-    values = [e.value for e in entries]
-    prev = [(i - 1) % m for i in range(m)]
-    nxt = [(i + 1) % m for i in range(m)]
+    Each entry keeps its value and links to its current neighbors; the
+    1s stay in a list sorted by index, their order in the current word,
+    and a neighbor is reached across the end of the word, and negated,
+    exactly when its index lies on the wrong side of mid.  A key is the
+    sorted sign-fixed vectors, off a table made once per run (parallel
+    lines share a direction, so the indexes would not do)."""
+    rng = positions = None
+    if (isinstance(strategy, tuple) and len(strategy) == 2
+            and strategy[0] == "random" and type(strategy[1]) is int):
+        rng = random.Random(strategy[1])
+    elif isinstance(strategy, list) and all(type(p) is int for p in strategy):
+        positions = strategy
+    elif strategy != "leftmost":
+        raise ValueError(f"unknown contraction strategy {strategy!r}")
+    values, tags, vectors = map(list, zip(*word.entries))
+    m = len(values)
+    fixed = [sign_fixed(v) for v in vectors]
+    free = [t not in protected for t in tags]
+    prev, nxt = [m - 1, *range(m - 1)], [*range(1, m), 0]
     head = 0  # the live entry of least original index
-    cands = [i for i in range(m)
-             if values[i] == 1 and entries[i].tag not in protected]
-    rng = random.Random(strategy[1]) if isinstance(strategy, tuple) else None
-    positions = strategy if isinstance(strategy, list) else None
-    triples = []
-    while m > 3 and cands:
-        if positions is not None:
-            if len(triples) == len(positions):
-                raise InvariantError(
-                    f"position list ran out after {len(triples)} steps")
-            pos = positions[len(triples)]
-            if not 0 <= pos < m:
-                raise InvariantError(
-                    f"position {pos} is outside a word of length {m}")
-            i = head
-            for _ in range(pos):
-                i = nxt[i]
-            at = bisect_left(cands, i)
-            if at == len(cands) or cands[at] != i:
-                raise InvariantError(
-                    f"entry at {pos} has value {values[i]}, not 1")
-        elif rng is not None:
-            at = rng.randrange(len(cands))
+    cands = [i for i in range(m) if values[i] == 1 and free[i]]
+    triples: dict[Key, Step] = {}
+    while True:
+        if m > 3 and cands:
+            if positions is not None:
+                if len(triples) == len(positions):
+                    raise InvariantError(
+                        f"position list ran out after {len(triples)} steps")
+                pos = positions[len(triples)]
+                if not 0 <= pos < m:
+                    raise InvariantError(
+                        f"position {pos} is outside a word of length {m}")
+                i = head
+                for _ in range(pos):
+                    i = nxt[i]
+                at = bisect_left(cands, i)
+                if at == len(cands) or cands[at] != i:
+                    raise InvariantError(
+                        f"entry at {pos} has value {values[i]}, not 1")
+            elif rng is not None:
+                at = rng.randrange(len(cands))
+            else:
+                at = 0
+            i = cands.pop(at)
+        elif positions is not None and len(positions) > len(triples):
+            raise InvariantError(
+                f"{len(positions) - len(triples)} positions left over after "
+                f"{len(triples)} steps")
+        elif not full:
+            return triples
+        elif m > 3:
+            raise InvariantError("no contractible entry before reaching [1,1,1]")
         else:
-            at = 0
-        i = cands.pop(at)
+            i = nxt[head]
+            rest = (values[head], values[i], values[nxt[i]])
+            if rest != (1, 1, 1):
+                raise InvariantError(f"terminal word is {rest}, not [1,1,1]")
         left, right = prev[i], nxt[i]
-        triples.append(_relation(entries[left], entries[i], entries[right],
-                                 left > i, right < i))
+        lx, ly, lz = vneg(vectors[left]) if left > i else vectors[left]
+        rx, ry, rz = vneg(vectors[right]) if right < i else vectors[right]
+        x, y, z = vectors[i]
+        if lx + rx != x or ly + ry != y or lz + rz != z:
+            raise InvariantError("contraction relation failed; corrupted word")
+        a, b, c = fixed[left], fixed[i], fixed[right]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        step = (left, i, right)
+        if triples.setdefault((a, b, c), step) is not step:
+            raise InvariantError("regular triple emitted twice in one run")
+        if m == 3:
+            return triples
         if values[left] <= 1 or values[right] <= 1:
             raise InvariantError("contraction would drop a strength below 1")
         nxt[left], prev[right] = right, left
@@ -162,54 +175,36 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
         m -= 1
         for nb in (left, right):
             values[nb] -= 1
-            if values[nb] == 1 and entries[nb].tag not in protected:
+            if values[nb] == 1 and free[nb]:
                 insort(cands, nb)
-    if positions is not None and len(positions) > len(triples):
-        raise InvariantError(
-            f"{len(positions) - len(triples)} positions left over after "
-            f"{len(triples)} steps")
-    rest = []
-    i = head
-    for _ in range(m):
-        rest.append(WordEntry(values[i], entries[i].tag, entries[i].vector))
-        i = nxt[i]
-    return triples, CyclicWord(tuple(rest))
 
 
 def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
-    """Contract down to [1,1,1], recording one regular triple per step plus
-    the terminal triple.
-
-    strategy: "leftmost", ("random", seed), or an explicit position list.
-    A step removes a 1 and lowers its two neighbors by one, so it lowers
-    the value sum by exactly 3, and a run that ends at [1,1,1] took
-    (sum(word.values()) - 3)/3 steps: with the terminal triple, it lists
-    sum/3 triples, pairwise distinct once ``triple_set`` accepts them.
-    """
-    steps, rest = contract_run(word, strategy)
-    if len(rest) > 3:
-        raise InvariantError("no contractible entry before reaching [1,1,1]")
-    if rest.values() != (1, 1, 1):
-        raise InvariantError(f"terminal word is {rest.values()}, not [1,1,1]")
-    return MMPTrace(tuple(steps), terminal_triple(rest))
+    """The full run down to [1,1,1].  A step lowers the value sum by 3, so
+    with the terminal triple a run lists sum(word.values())/3 triples,
+    distinct since a repeated key raises."""
+    return MMPTrace(word, contract_run(word, strategy, full=True))
 
 
-def triple_set(trace: MMPTrace) -> dict[tuple, RegularTriple]:
-    """Triples of a run keyed by canonical form; a repeat is an error."""
-    out: dict[tuple, RegularTriple] = {}
-    for triple in trace.steps + (trace.terminal_triple,):
-        key = triple.canonical()
-        if key in out:
-            raise InvariantError("regular triple emitted twice in one run")
-        out[key] = triple
+def triple_set(trace: MMPTrace) -> dict[Key, RegularTriple]:
+    """The run's triples as records, by key; a neighbor reached across
+    the end of the word is negated."""
+    entries = trace.word.entries
+    out = {}
+    for key, (left, mid, right) in trace.triples.items():
+        lv, rv = entries[left].vector, entries[right].vector
+        out[key] = RegularTriple(
+            (vneg(lv) if left > mid else lv, entries[mid].vector,
+             vneg(rv) if right < mid else rv),
+            (entries[left].tag, entries[mid].tag, entries[right].tag))
     return out
 
 
 def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
     """Raise unless any two of the triple's vectors form a lattice basis.
-    ``_relation`` built the triple, so v1 = v0 + v2, and the chart is
-    linear, so on the charts cross2(v0, v1) = cross2(v0, v2) =
-    cross2(v1, v2): one pair index settles all three."""
+    The run checked v1 = v0 + v2, and the chart is linear, so on the
+    charts cross2(v0, v1) = cross2(v0, v2) = cross2(v1, v2): one pair
+    index settles all three."""
     v = triple.vectors
     if pair_index(ctx, v[0], v[2]) != 1:
         raise InvariantError("triple vectors do not pairwise form bases")

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .corners import (
     CornerFan,
-    CyclicWord,
     Tag,
     junction_c,
     long_side as find_long_side,
@@ -42,10 +41,10 @@ from .lattice import (
     vsub,
 )
 from .mmp import (
+    MMPTrace,
     RegularTriple,
     classify_triple,
     contract_run,
-    run_mmp,
     triple_set,
     validate_triple,
 )
@@ -415,11 +414,12 @@ def _check_tiling(ctx: LatticeContext,
 
 
 def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
-                    word: CyclicWord) -> Partition:
+                    game: MMPTrace) -> Partition:
     """Enumerate the partition, cross-check it against the contraction game,
     validate coverage, and fill champions, catchment areas and defeat
-    points.  word is the cyclic word of the corner fans."""
+    points.  game is the leftmost run on the fans' cyclic word."""
     lines = rays(ctx, fans)
+    word = game.word
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
     # Every triangle is read through its sorted side-line tags.  A game
@@ -429,7 +429,7 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     # other triples are intersected here.
     index = {tuple(sorted(tri.side_lines)): t for t, tri in enumerate(enumerated)}
 
-    triples = triple_set(run_mmp(word))
+    triples = triple_set(game)
     for tr in triples.values():
         validate_triple(ctx, tr)
     keys = set()  # of the realized triangles
@@ -489,14 +489,12 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         # Eat triangles along side s: contract any 1 except the other two
         # junction entries, until none is available.
         fence = frozenset(("junction", o) for o in (1, 2, 3) if o != s)
-        eaten, _ = contract_run(word, protected=fence)
-        for tr in eaten:
-            canon = tr.canonical()
-            if canon not in triples or set(triples[canon].tags) != set(tr.tags):
+        for key, step in contract_run(word, protected=fence).items():
+            tags = tuple(word.entries[e].tag for e in step)
+            if key not in triples or set(triples[key].tags) != set(tags):
                 raise InvariantError(
-                    f"side run triple {tr.tags} is not one of the game's"
-                )
-            t = index.get(tuple(sorted(tr.tags)))
+                    f"side run triple {tags} is not one of the game's")
+            t = index.get(tuple(sorted(tags)))
             if t is None:
                 raise InvariantError("side run realized a degenerate triple")
             owner.setdefault(t, s)

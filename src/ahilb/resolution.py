@@ -1,9 +1,10 @@
 """The pipeline of one group as a single object whose stages are computed
-on first use and kept: corner fans and cyclic word -> partition and its
-crossings -> fan -> census, invariant ratios, dual bases and cluster
-systems.  The stage functions take their inputs explicitly, and the
-records they return are plain named tuples; this object is where they
-are wired together and the one place a stage is kept."""
+on first use and kept: corner fans and cyclic word -> leftmost game ->
+partition and its crossings -> fan -> census, invariant ratios, dual
+bases and cluster systems.  The stage functions take their inputs
+explicitly, and the records they return are plain named tuples; this
+object is where they are wired together and the one place a stage is
+kept."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .clusters import ClusterSystem, cluster_system
 from .corners import CornerFan, CyclicWord, corner_chain, cyclic_word
 from .fan import Fan, SurfaceClass, build_fan, surface_census
 from .lattice import JuniorPoint, LatticeContext, junior_points
+from .mmp import MMPTrace, run_mmp
 from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
 from .partition import Line, Partition, RatPoint, build_partition, crossings
 
@@ -39,8 +41,13 @@ class Resolution:
         return cyclic_word(self.fans)
 
     @cached_property
+    def game(self) -> MMPTrace:
+        """The leftmost run of the contraction game on the word."""
+        return run_mmp(self.word)
+
+    @cached_property
     def partition(self) -> Partition:
-        return build_partition(self.ctx, self.fans, self.word)
+        return build_partition(self.ctx, self.fans, self.game)
 
     @cached_property
     def crossings(self) -> list[tuple[Line, Line, RatPoint]]:

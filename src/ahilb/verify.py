@@ -29,7 +29,7 @@ from .corners import (
 from .errors import AhilbError, GroupSpecError, InvariantError
 from .fan import dp6_count, verify_fan
 from .lattice import LatticeContext, lattice_context, parse_group_spec
-from .mmp import run_mmp, triple_set
+from .mmp import run_mmp
 from .monomials import crossing_rule_check
 from .partition import knockout_report
 from .resolution import Resolution
@@ -97,14 +97,14 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("mmp: triple set is independent of contraction order")
     def _orders():
-        # run_mmp's docstring: a run lists sum/3 triples, and triple_set
-        # rejects repeats, so there is no count to check.
-        word = res.word
-        base = set(triple_set(run_mmp(word)))
+        # Against the partition's leftmost run, by keys alone: a run lists
+        # sum/3 triples and raises on a repeated key (run_mmp's docstring),
+        # so there is no count to check and no record to build.
+        base = res.game.triples.keys()
         rng = random.Random(seed)
         for _ in range(10):  # seeded random contraction orders
-            other = set(triple_set(run_mmp(word, ("random", rng.randrange(2**30)))))
-            if other != base:
+            other = run_mmp(res.word, ("random", rng.randrange(2**30)))
+            if other.triples.keys() != base:
                 raise InvariantError("randomized run emitted a different set")
 
     @check("partition: enumeration and contraction game agree, areas exact")

@@ -18,6 +18,7 @@ from ahilb.clusters import verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan
 from ahilb.lattice import LatticeContext
+from ahilb.mmp import run_mmp
 from ahilb.monomials import dual_basis
 from ahilb.partition import _check_tiling
 from ahilb.resolution import Resolution
@@ -493,6 +494,42 @@ def test_report_builds_partition_once(monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
     assert main(["report", "1/11(1,2,8)"]) == 0
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("spec, sides", [
+    ("1/11(1,2,8)", 3), ("1/15(1,2,12)", 2), ("1/2(1,1,0)+1/2(0,1,1)", 3)])
+def test_verify_plays_the_leftmost_game_once(spec, sides, monkeypatch,
+                                             capsys):
+    # The resolution keeps the leftmost run, read by the partition and
+    # the order family; the family adds exactly 10 seeded orders, and
+    # the partition one side run per short side, all on the one kernel.
+    games = _count_calls(monkeypatch, "mmp", "run_mmp")
+    runs = _count_calls(monkeypatch, "mmp", "contract_run")
+    assert main(["verify", spec]) == 0
+    strategies = [args[1] if len(args) > 1 else "leftmost" for args in games]
+    assert strategies.count("leftmost") == 1
+    seeded = [s for s in strategies if s != "leftmost"]
+    assert len(seeded) == 10 and all(s[0] == "random" for s in seeded)
+    assert len(runs) == len(games) + sides
+
+
+def test_report_plays_no_seeded_order(monkeypatch, capsys):
+    games = _count_calls(monkeypatch, "mmp", "run_mmp")
+    runs = _count_calls(monkeypatch, "mmp", "contract_run")
+    assert main(["report", "1/11(1,2,8)"]) == 0
+    assert [args[1:] for args in games] == [()]
+    assert len(runs) == 1 + 3
+
+
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/101(1,7,93)"])
+def test_seeded_run_reads_each_entry_once_and_builds_no_record(
+        spec, monkeypatch):
+    word = Resolution(lattice_context(parse_group_spec(spec))).word
+    fixed = _count_calls(monkeypatch, "lattice", "sign_fixed")
+    records = _count_calls(monkeypatch, "mmp", "RegularTriple")
+    run_mmp(word, ("random", 3))
+    assert 0 < len(fixed) <= len(word)
+    assert records == []
 
 
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/32(1,0,31)+1/32(0,1,31)"])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from test_cli import SWEEP
@@ -7,10 +8,10 @@ from test_tiling import cyclic_groups
 from ahilb import lattice_context, parse_group_spec
 from ahilb.corners import CyclicWord, WordEntry, corner_chain
 from ahilb.errors import InvariantError
-from ahilb.lattice import smul, vadd
+from ahilb.lattice import sign_fixed, smul, vadd, vneg
 from ahilb.mmp import (
+    MMPTrace,
     RegularTriple,
-    _relation,
     classify_triple,
     contract_run,
     contract_values,
@@ -30,6 +31,40 @@ def word_of(text):
     return Resolution(ctx_of(text)).word
 
 
+def relation(left: WordEntry, mid: WordEntry, right: WordEntry,
+             left_wraps: bool, right_wraps: bool) -> RegularTriple:
+    """The record path's triple: the one certified by contracting mid
+    between its neighbors, a neighbor reached across the end of the word
+    negated.  Raises unless left + right = mid."""
+    lv = vneg(left.vector) if left_wraps else left.vector
+    rv = vneg(right.vector) if right_wraps else right.vector
+    if vadd(lv, rv) != mid.vector:
+        raise InvariantError("contraction relation failed; corrupted word")
+    return RegularTriple((lv, mid.vector, rv), (left.tag, mid.tag, right.tag))
+
+
+def canonical(triple: RegularTriple) -> tuple:
+    """The record's vectors normalized up to sign and order."""
+    return tuple(sorted(sign_fixed(v) for v in triple.vectors))
+
+
+def record_triple_set(records: list[RegularTriple]) -> dict:
+    """The oracle of the run kernel's keys: records keyed by canonical
+    form, in order; a repeat is an error."""
+    out = {}
+    for triple in records:
+        key = canonical(triple)
+        if key in out:
+            raise InvariantError("regular triple emitted twice in one run")
+        out[key] = triple
+    return out
+
+
+def terminal(trace: MMPTrace) -> RegularTriple:
+    """The run's terminal triple, the last it certifies."""
+    return list(triple_set(trace).values())[-1]
+
+
 def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
     """One step of the contraction game on a copied word: contract the
     value-1 entry at pos; neighbors are decremented."""
@@ -39,8 +74,8 @@ def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
         raise InvariantError("cyclic words of length < 4 are terminal")
     if entries[pos].value != 1:
         raise InvariantError(f"entry at {pos} has value {entries[pos].value}, not 1")
-    triple = _relation(entries[(pos - 1) % m], entries[pos],
-                       entries[(pos + 1) % m], pos == 0, pos == m - 1)
+    triple = relation(entries[(pos - 1) % m], entries[pos],
+                      entries[(pos + 1) % m], pos == 0, pos == m - 1)
     new = list(entries)
     for nb in ((pos - 1) % m, (pos + 1) % m):
         e = new[nb]
@@ -101,10 +136,10 @@ def test_run_mmp_11_counts():
 def test_validate_triple_rejects_a_doubled_basis():
     # v1 = v0 + v2 still holds, but every pair spans a sublattice of index 4.
     ctx = ctx_of("1/11(1,2,8)")
-    term = run_mmp(Resolution(ctx).word).terminal_triple
+    term = terminal(run_mmp(Resolution(ctx).word))
     doubled = [WordEntry(1, tag, smul(2, v))
                for tag, v in zip(term.tags, term.vectors)]
-    triple = _relation(*doubled, False, False)
+    triple = relation(*doubled, False, False)
     with pytest.raises(InvariantError,
                        match="^triple vectors do not pairwise form bases$"):
         validate_triple(ctx, triple)
@@ -116,7 +151,7 @@ def test_run_mmp_terminal_triple_11():
     ctx = ctx_of("1/11(1,2,8)")
     fans = {i: corner_chain(ctx, i) for i in (1, 2, 3)}
     trace = run_mmp(Resolution(ctx).word, [3, 3, 6, 5, 4, 0, 4, 0])
-    term = trace.terminal_triple
+    term = terminal(trace)
     assert classify_triple(term.tags) == "champion"
     assert set(term.tags) == {("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)}
     expected = vadd(
@@ -125,7 +160,7 @@ def test_run_mmp_terminal_triple_11():
     assert expected == (0, 0, 0)
     # Any other order still emits that triple somewhere.
     leftmost = run_mmp(Resolution(ctx).word)
-    assert term.canonical() in triple_set(leftmost)
+    assert canonical(term) in triple_set(leftmost)
 
 
 def test_run_mmp_z2z2_terminal_only():
@@ -219,6 +254,54 @@ def test_explicit_positions_must_fit_the_run(positions, message):
         run_mmp(word, positions)
 
 
+@pytest.mark.parametrize("strategy", [
+    "leftmost", ("random", 5), [3, 3, 6, 5, 4, 0, 4, 0]])
+def test_strategies_of_the_three_forms_run(strategy):
+    assert len(run_mmp(word_of("1/11(1,2,8)"), strategy).steps) == 8
+
+
+@pytest.mark.parametrize("strategy", [
+    "rightmost", ("leftmost",), ("random", "abc"), ("random", 1, 2),
+    ("random", True), [3, "3"], (3, 3, 6),
+])
+def test_unknown_strategies_raise(strategy):
+    word = word_of("1/11(1,2,8)")
+    for run in (run_mmp, contract_run):
+        with pytest.raises(ValueError, match=re.escape(repr(strategy))):
+            run(word, strategy)
+
+
+def synthetic_word(values, vectors):
+    """A cyclic word of the given values and vectors, tagged as the rays
+    out of corner 1."""
+    return CyclicWord(tuple(
+        WordEntry(value, ("corner", 1, t), vector)
+        for t, (value, vector) in enumerate(zip(values, vectors), 1)))
+
+
+@pytest.mark.parametrize("values, vectors, message", [
+    # The first 1 is not the sum of its neighbors, the last one negated.
+    ([1, 2, 2, 2], [(2, -1, -1), (1, 0, -1), (0, 1, -1), (0, 1, -1)],
+     "contraction relation failed; corrupted word"),
+    # Two pairs of entries share a vector, so the second step (entry 3
+    # between entries 2 and 4, counting from 0) certifies the first's
+    # triple again.
+    ([1, 3, 2, 1, 2],
+     [(-1, -2, 3), (1, -2, 1), (-1, -2, 3), (1, -2, 1), (2, 0, -2)],
+     "regular triple emitted twice in one run"),
+    # The first step's right neighbor is a 1 already.
+    ([1, 1, 2, 2], [(1, -1, 0), (1, 0, -1), (1, 1, -2), (0, 1, -1)],
+     "contraction would drop a strength below 1"),
+    ([2, 2, 2, 2], [(1, -1, 0), (1, 0, -1), (0, 1, -1), (0, 1, -1)],
+     "no contractible entry before reaching [1,1,1]"),
+    ([1, 2, 1], [(1, -1, 0), (1, 0, -1), (0, 1, -1)],
+     "terminal word is (1, 2, 1), not [1,1,1]"),
+])
+def test_kernel_failure_messages(values, vectors, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        run_mmp(synthetic_word(values, vectors))
+
+
 def oracle_run(word, choose, protected=frozenset()):
     """The contraction game one copied word at a time: scan the whole word
     for the 1s not tagged in protected and `contract` the one that
@@ -238,26 +321,36 @@ def oracle_run(word, choose, protected=frozenset()):
     return triples, taken, cur
 
 
+def full_run(word, choose):
+    """The oracle's run down to [1,1,1]: its records, the terminal one
+    last, and the positions taken."""
+    steps, taken, rest = oracle_run(word, choose)
+    assert rest.values() == (1, 1, 1)
+    return steps + [relation(*rest.entries, False, False)], taken
+
+
 def check_engine_against_oracle(spec):
+    # The kernel's keys and the records triple_set builds off its steps,
+    # in the order certified, against the record path.
     word = word_of(spec)
-    leftmost, _, rest = oracle_run(word, lambda ones: ones[0])
-    trace = run_mmp(word)
-    assert list(trace.steps) == leftmost, spec
-    assert contract_run(word)[1] == rest, spec
-    base = set(triple_set(trace))
+    want = record_triple_set(full_run(word, lambda ones: ones[0])[0])
+    assert list(triple_set(run_mmp(word)).items()) == list(want.items()), spec
     rng = random.Random(spec)
     for seed in range(3):
-        picked, taken, _ = oracle_run(word, rng.choice)
-        assert list(run_mmp(word, taken).steps) == picked, spec
+        picked, taken = full_run(word, rng.choice)
+        assert list(triple_set(run_mmp(word, taken)).values()) == picked, spec
         # A seeded run picks among the 1s in word order, as choice does.
         drawn = run_mmp(word, ("random", seed))
-        assert list(drawn.steps) == oracle_run(
-            word, random.Random(seed).choice)[0], spec
-        assert set(triple_set(drawn)) == base, spec
+        records = full_run(word, random.Random(seed).choice)[0]
+        assert list(triple_set(drawn).items()) == list(
+            record_triple_set(records).items()), spec
+        assert drawn.triples.keys() == want.keys(), spec
     for side in (1, 2, 3):
         fence = frozenset(("junction", s) for s in (1, 2, 3) if s != side)
-        eaten, _, rest = oracle_run(word, lambda ones: ones[0], fence)
-        assert contract_run(word, protected=fence) == (eaten, rest), spec
+        eaten = oracle_run(word, lambda ones: ones[0], fence)[0]
+        got = triple_set(MMPTrace(word, contract_run(word, protected=fence)))
+        assert list(got.items()) == list(
+            record_triple_set(eaten).items()), spec
 
 
 PRODUCTS = [spec for spec in SWEEP if "+" in spec]

@@ -28,6 +28,7 @@ from ahilb.partition import (
 )
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
+from test_mmp import terminal
 from test_tiling import cyclic_groups
 
 
@@ -88,7 +89,7 @@ def test_realize_terminal_concurrency_11():
 def test_realize_whole_simplex_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
     trace = run_mmp(Resolution(ctx).word)
-    res = realize_triple(ctx, rays_of(ctx), trace.terminal_triple)
+    res = realize_triple(ctx, rays_of(ctx), terminal(trace))
     assert res.r == 2
     assert set(res.vertices) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
 
@@ -96,7 +97,7 @@ def test_realize_whole_simplex_z2z2():
 def test_realize_terminal_15_nondegenerate():
     ctx = ctx_of("1/15(1,2,12)")
     trace = run_mmp(Resolution(ctx).word)
-    res = realize_triple(ctx, rays_of(ctx), trace.terminal_triple)
+    res = realize_triple(ctx, rays_of(ctx), terminal(trace))
     assert not isinstance(res, ConcurrencyPoint)
 
 
@@ -511,11 +512,9 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
     ("1/15(1,2,12)", "find_long_side", lambda f: lambda fans: None,
      "expected a unique champion triple, found 0"),
     # The side runs eat nothing.
-    ("1/101(1,7,93)", "contract_run",
-     lambda f: lambda word, **kw: ([], word),
+    ("1/101(1,7,93)", "contract_run", lambda f: lambda word, **kw: {},
      "catchments must leave exactly the champion"),
-    ("1/11(1,2,8)", "contract_run",
-     lambda f: lambda word, **kw: ([], word),
+    ("1/11(1,2,8)", "contract_run", lambda f: lambda word, **kw: {},
      "triangles outside every catchment"),
 ])
 def test_build_partition_failure_paths(spec, name, wrap, message, monkeypatch):
