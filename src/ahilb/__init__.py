@@ -5,7 +5,6 @@ monomial data and cluster equation systems."""
 from .errors import AhilbError, GroupSpecError, InvariantError
 from .lattice import (
     GroupSpec,
-    JuniorPoint,
     LatticeContext,
     junior_points,
     lattice_context,
@@ -21,7 +20,6 @@ __all__ = [
     "GroupSpecError",
     "InvariantError",
     "GroupSpec",
-    "JuniorPoint",
     "LatticeContext",
     "junior_points",
     "lattice_context",

@@ -6,21 +6,20 @@ nonzero lattice points (its Klein polygon) is a chain of primitive vectors
 whose three-term recursion constants are the strengths: the
 Hirzebruch-Jung continued fraction of k/q.  ``corner_chain`` builds the
 chain by that recursion, without looking at any other lattice point;
-``newton_polygon`` takes the hull of the junior points, and the invariant
-suite checks that the two agree.  The three corner chains concatenate,
+``newton_polygon`` takes the hulls of the junior points at all three
+corners in one walk over the group elements, and the invariant suite
+checks that the two agree.  The three corner chains concatenate,
 with one junction constant per side, into a single cyclic word that drives
 the contraction game.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import gcd
 from typing import NamedTuple
 
 from .errors import InvariantError
 from .lattice import (
-    JuniorPoint,
     LatticeContext,
     Vec3,
     chart,
@@ -116,7 +115,8 @@ def corner_chain(ctx: LatticeContext, corner: int) -> CornerFan:
     and phi(d0) = r(v_{j+1}) - r(v_j) are at least 1, so phi >= 1 on every
     nonzero lattice point of the cone.  A basis segment holds no other
     lattice point, so the chain is every lattice point of the boundary
-    from d0 to d1, as ``newton_polygon`` finds it.
+    from d0 to d1: the hull chain that ``newton_polygon`` reads off the
+    group elements.
     """
     d0, d1 = _side_rays(ctx, corner)
     k = pair_index(ctx, d0, d1)
@@ -138,74 +138,87 @@ def corner_chain(ctx: LatticeContext, corner: int) -> CornerFan:
     return CornerFan(tuple(chain), tuple(strengths))
 
 
-def newton_polygon(ctx: LatticeContext, corner: int,
-                   points: list[JuniorPoint]) -> CornerFan:
-    """Klein polygon chain at vertex e_corner, with strengths, as the hull
-    of the junior points: the cross-check of ``corner_chain``.
+class JuniorHulls(NamedTuple):
+    """``newton_polygon``'s hull chain at each corner e_i, under the key i,
+    and its counts of junior points inside the simplex and its sides."""
 
-    The chain is every lattice point on the hull boundary facing the apex,
-    points inside hull edges (strength 2) included: the scan pops only on
-    strict right turns.  Such a point is the nearest lattice point on its
-    ray from the apex (a nearer one would lie on the apex side of the edge),
-    so it is a candidate, and in angle order it sits between the edge's ends.
+    fans: dict[int, CornerFan]
+    interior: int
+    edge: int
+
+
+def newton_polygon(ctx: LatticeContext, elements: list[Vec3]) -> JuniorHulls:
+    """Every corner's Klein polygon chain as the hull of the junior points,
+    and the junior-point counts, from one walk over the group elements
+    ``elements`` (as ``group_elements`` lists them) and the vertices: the
+    cross-checks of ``corner_chain`` and of 2*interior + edge + 1 = N.
+
+    At corner e_c let p and x be the coordinates of e_{c-1} and e_{c+1},
+    a = d0[p] and b = d1[x] for the side rays, and k0 = n/a, k1 = n/b the
+    lattice steps along the two sides.  A point q is the apex plus
+    (q[p]/a)*d0 + (q[x]/b)*d1: each coordinate in the corner basis, a cross
+    product in general, is one coordinate of q.  The hull is taken in
+    (u, w) = (q[x], q[p]), a positive scaling that keeps every turn.
+
+    Exactness.  The chain, every lattice point on the apex-facing hull
+    boundary from d0 to d1, lies in the corner triangle k1*u + k0*w <= n,
+    whose lattice points are junior points: group elements with coordinate
+    sum n, and vertices, which ``group_elements`` omits (on 1/11(1,2,8)
+    every side ray is a whole side).  Two lattice points at one u differ by
+    a multiple of d0, for which the triangle has room only at u = 0, from
+    the apex to d0; so a table indexed by u holds every point but the apex.
+    Along the chain w falls strictly (it is convex and ends at d1 with
+    w = 0, and no lattice point lies between the apex and d1), so a point
+    whose w is not below every w at a smaller u, a farther point on a ray
+    out of the apex among them, is off it.  The rest run through a monotone
+    lower chain that pops only on strict right turns, so a point inside a
+    hull edge (strength 2) stays.  The chain must run from d0 to d1 and
+    satisfy the three-term recursion with strengths >= 2.
     """
-    apex = ctx.corner(corner)
-    d0, d1 = _side_rays(ctx, corner)
-
-    # The apex-facing hull boundary lies inside the triangle (apex, apex + d0,
-    # apex + d1); of apex-collinear points only the nearest can sit on it.
-    cands: dict[Vec3, Vec3] = {}
-    for jp in points:
-        q = jp.coords
-        if q == apex:
+    n = ctx.n
+    corners = []
+    for c in (1, 2, 3):
+        d0, d1 = _side_rays(ctx, c)
+        p, x = (c + 1) % 3, c % 3
+        k0, k1 = n // d0[p], n // d1[x]
+        corners.append((c, d0, d1, p, x, k0, k1, [n + 1] * (d1[x] + 1)))
+    junior = interior = 0
+    for q in [*elements, *ctx.corners]:
+        if q[0] + q[1] + q[2] != n:
             continue
-        v = vsub(q, apex)
-        if not _in_corner_triangle(v, d0, d1):
-            continue
-        key = primitive_vector(ctx, v)
-        if key not in cands or _closer(v, cands[key]):
-            cands[key] = v
-
-    def angle_cmp(u: Vec3, w: Vec3) -> int:
-        c = cross2(chart(u), chart(w))
-        return 0 if c == 0 else (-1 if c < 0 else 1)
-
-    vecs = sorted(cands.values(), key=cmp_to_key(angle_cmp))
-    if vecs[0] != d0 or vecs[-1] != d1:
-        raise InvariantError(f"corner {corner}: side rays missing from hull input")
-
-    # Graham scan keeping left turns and collinear points.
-    chain: list[Vec3] = []
-    for v in vecs:
-        while len(chain) >= 2 and cross2(
-            chart(vsub(chain[-1], chain[-2])), chart(vsub(v, chain[-1]))
-        ) < 0:
-            chain.pop()
-        chain.append(v)
-
-    strengths = []
-    for j in range(1, len(chain) - 1):
-        a = multiple(vadd(chain[j - 1], chain[j + 1]), chain[j])
-        if a is None or a < 2:
-            raise InvariantError(
-                f"corner {corner}: hull chain violates the recursion at ray {j}"
-            )
-        strengths.append(a)
-    return CornerFan(tuple(chain), tuple(strengths))
-
-
-def _in_corner_triangle(v: Vec3, d0: Vec3, d1: Vec3) -> bool:
-    """Is v inside the cone triangle {s*d0 + t*d1 : s,t >= 0, s+t <= 1}?"""
-    d = cross2(chart(d0), chart(d1))
-    s_num = cross2(chart(v), chart(d1))
-    t_num = cross2(chart(d0), chart(v))
-    if d < 0:
-        s_num, t_num, d = -s_num, -t_num, -d
-    return s_num >= 0 and t_num >= 0 and s_num + t_num <= d
-
-
-def _closer(u: Vec3, w: Vec3) -> bool:
-    return sum(abs(t) for t in u) < sum(abs(t) for t in w)
+        junior += 1
+        if q[0] and q[1] and q[2]:
+            interior += 1
+        for _, _, _, p, x, k0, k1, w_at in corners:
+            u, w = q[x], q[p]
+            if k1 * u + k0 * w <= n and (u or w):
+                w_at[u] = w
+    fans = {}
+    for c, d0, d1, _, _, k0, k1, w_at in corners:
+        hull, least = [], n + 1  # n + 1 marks a u without a point
+        for u, w in enumerate(w_at):
+            if w >= least:
+                continue
+            least = w
+            while len(hull) > 1:
+                (u0, w0), (u1, w1) = hull[-2], hull[-1]
+                if (u1 - u0) * (w - w1) >= (w1 - w0) * (u - u1):
+                    break
+                hull.pop()
+            hull.append((u, w))
+        vecs = [tuple((w * k0 * s + u * k1 * t) // n for s, t in zip(d0, d1))
+                for u, w in hull]  # (w/a)*d0 + (u/b)*d1
+        if vecs[:1] + vecs[-1:] != [d0, d1]:
+            raise InvariantError(f"corner {c}: side rays missing from hull input")
+        strengths = []
+        for j in range(1, len(vecs) - 1):
+            k = multiple(vadd(vecs[j - 1], vecs[j + 1]), vecs[j])
+            if k is None or k < 2:
+                raise InvariantError(f"corner {c}: hull chain violates the "
+                                     f"recursion at ray {j}")
+            strengths.append(k)
+        fans[c] = CornerFan(tuple(vecs), tuple(strengths))
+    return JuniorHulls(fans, interior, junior - interior - 3)  # less vertices
 
 
 def hj_expand(r: int, alpha: int) -> list[int]:

@@ -346,27 +346,13 @@ def group_elements(ctx: LatticeContext) -> list[Vec3]:
     return elems
 
 
-class JuniorPoint(NamedTuple):
-    """A lattice point of the simplex, scaled by n, classified by position."""
-
-    coords: Vec3
-    kind: str  # "vertex" | "edge" | "interior"
-
-
-def junior_points(ctx: LatticeContext) -> list[JuniorPoint]:
-    """All lattice points of the junior simplex, sorted lexicographically."""
-    pts = []
+def junior_points(ctx: LatticeContext) -> list[Vec3]:
+    """All lattice points of the junior simplex, scaled by n and sorted:
+    the three vertices and the group elements with coordinate sum n.  A
+    vertex has two zero coordinates, a point inside a side one."""
     n = ctx.n
-    for i in range(3):
-        v = [0, 0, 0]
-        v[i] = n
-        pts.append(JuniorPoint(tuple(v), "vertex"))
-    for g in group_elements(ctx):
-        if sum(g) == n:
-            kind = "edge" if 0 in g else "interior"
-            pts.append(JuniorPoint(g, kind))
-    pts.sort(key=lambda p: p.coords)
-    return pts
+    return sorted([*ctx.corners, *(g for g in group_elements(ctx)
+                                   if sum(g) == n)])
 
 
 def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:

@@ -11,9 +11,16 @@ from __future__ import annotations
 from functools import cached_property
 
 from .clusters import ClusterSystem, cluster_system
-from .corners import CornerFan, CyclicWord, corner_chain, cyclic_word
+from .corners import (
+    CornerFan,
+    CyclicWord,
+    JuniorHulls,
+    corner_chain,
+    cyclic_word,
+    newton_polygon,
+)
 from .fan import Fan, SurfaceClass, build_fan, surface_census
-from .lattice import JuniorPoint, LatticeContext, junior_points
+from .lattice import LatticeContext, group_elements
 from .mmp import MMPTrace, run_mmp
 from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
 from .partition import Line, Partition, RatPoint, build_partition, crossings
@@ -28,9 +35,9 @@ class Resolution:
         self.ctx = ctx
 
     @cached_property
-    def points(self) -> list[JuniorPoint]:
-        """Every junior point; only the invariant suite reads them."""
-        return junior_points(self.ctx)
+    def hulls(self) -> JuniorHulls:
+        """Hull chains and junior-point counts; only ``verify`` reads them."""
+        return newton_polygon(self.ctx, group_elements(self.ctx))
 
     @cached_property
     def fans(self) -> dict[int, CornerFan]:

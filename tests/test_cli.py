@@ -399,6 +399,7 @@ class _RecordedStage:
 def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, "partition", "build_partition")
     points = _count_calls(monkeypatch, "lattice", "junior_points")
+    elements = _count_calls(monkeypatch, "lattice", "group_elements")
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
     chains = _count_calls(monkeypatch, "corners", "corner_chain")
     words = _count_calls(monkeypatch, "corners", "cyclic_word")
@@ -410,13 +411,19 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     solves = _count_calls(monkeypatch, "lattice", "scaled_dual")
     crossings = _RecordedStage("crossings")
     monkeypatch.setattr(Resolution, "crossings", crossings)
+    hulls = _RecordedStage("hulls")
+    monkeypatch.setattr(Resolution, "hulls", hulls)
     assert main(["verify", spec]) == 0
     solved = len(solves)
     assert len(builds) == 1
-    # One list of junior points, read by the count family and by the
-    # hull that cross-checks each continued-fraction chain.
-    assert len(points) == 1
-    assert len(polygons) == 3
+    # One walk over the group elements gives the three hulls that
+    # cross-check the continued-fraction chains and the junior-point
+    # counts; no list of junior points is built.
+    assert points == []
+    assert len(elements) == 1
+    assert len(polygons) == 1
+    assert len(hulls.computed) == 1
+    assert sorted(reader for reader, _ in hulls.reads) == ["_counts", "_hj"]
     assert len(chains) == 3
     assert len(words) == 1
     # The fan has one cone per group element.
@@ -535,9 +542,10 @@ def test_seeded_run_reads_each_entry_once_and_builds_no_record(
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/32(1,0,31)+1/32(0,1,31)"])
 def test_report_scans_no_junior_points(spec, monkeypatch, capsys):
     points = _count_calls(monkeypatch, "lattice", "junior_points")
+    elements = _count_calls(monkeypatch, "lattice", "group_elements")
     polygons = _count_calls(monkeypatch, "corners", "newton_polygon")
     assert main(["report", spec]) == 0
-    assert points == [] and polygons == []
+    assert points == [] and elements == [] and polygons == []
 
 
 # Every cyclic 1/r(a,b,c) with r <= 24 and 0 <= a <= b <= c < r (980

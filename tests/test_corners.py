@@ -7,6 +7,7 @@ from test_lattice import segment_points
 
 from ahilb import lattice, lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
+    CornerFan,
     CyclicWord,
     WordEntry,
     corner_chain,
@@ -20,6 +21,7 @@ from ahilb.errors import InvariantError
 from ahilb.lattice import (
     chart,
     cross2,
+    group_elements,
     junior_points,
     multiple,
     primitive_vector,
@@ -35,7 +37,7 @@ def ctx_of(text):
 
 
 def hull(ctx, i):
-    return newton_polygon(ctx, i, junior_points(ctx))
+    return newton_polygon(ctx, group_elements(ctx)).fans[i]
 
 
 def strengths(text):
@@ -239,8 +241,8 @@ def subdivided_hull_chain(ctx, corner):
     d1 = primitive_vector(ctx, vsub(ctx.corner(corner % 3 + 1), apex))
     det = cross2(chart(d0), chart(d1))
     nearest = {}
-    for jp in junior_points(ctx):
-        v = vsub(jp.coords, apex)
+    for q in junior_points(ctx):
+        v = vsub(q, apex)
         s, t = cross2(chart(v), chart(d1)), cross2(chart(d0), chart(v))
         if det < 0:
             s, t = -s, -t
@@ -277,13 +279,117 @@ def test_newton_polygon_matches_the_subdivided_hull():
                 ctx, i), (spec, i)
 
 
+def graham_hull_chain(ctx, corner, points):
+    """The corner's Klein polygon chain, with strengths, as a Graham scan
+    over the nearest of the junior points ``points`` on each ray out of
+    the corner, keeping collinear points: the oracle of ``newton_polygon``.
+    """
+    apex = ctx.corner(corner)
+    d0 = primitive_vector(ctx, vsub(ctx.corner((corner - 2) % 3 + 1), apex))
+    d1 = primitive_vector(ctx, vsub(ctx.corner(corner % 3 + 1), apex))
+
+    # The apex-facing hull boundary lies inside the triangle (apex, apex + d0,
+    # apex + d1); of apex-collinear points only the nearest can sit on it.
+    cands = {}
+    for q in points:
+        if q == apex:
+            continue
+        v = vsub(q, apex)
+        if not _in_corner_triangle(v, d0, d1):
+            continue
+        key = primitive_vector(ctx, v)
+        if key not in cands or _closer(v, cands[key]):
+            cands[key] = v
+
+    def angle_cmp(u, w):
+        c = cross2(chart(u), chart(w))
+        return 0 if c == 0 else (-1 if c < 0 else 1)
+
+    vecs = sorted(cands.values(), key=cmp_to_key(angle_cmp))
+    if vecs[0] != d0 or vecs[-1] != d1:
+        raise InvariantError(f"corner {corner}: side rays missing from hull input")
+
+    # Graham scan keeping left turns and collinear points.
+    chain = []
+    for v in vecs:
+        while len(chain) >= 2 and cross2(
+            chart(vsub(chain[-1], chain[-2])), chart(vsub(v, chain[-1]))
+        ) < 0:
+            chain.pop()
+        chain.append(v)
+
+    strengths = []
+    for j in range(1, len(chain) - 1):
+        a = multiple(vadd(chain[j - 1], chain[j + 1]), chain[j])
+        if a is None or a < 2:
+            raise InvariantError(
+                f"corner {corner}: hull chain violates the recursion at ray {j}"
+            )
+        strengths.append(a)
+    return CornerFan(tuple(chain), tuple(strengths))
+
+
+def _in_corner_triangle(v, d0, d1):
+    """Is v inside the cone triangle {s*d0 + t*d1 : s,t >= 0, s+t <= 1}?"""
+    d = cross2(chart(d0), chart(d1))
+    s_num = cross2(chart(v), chart(d1))
+    t_num = cross2(chart(d0), chart(v))
+    if d < 0:
+        s_num, t_num, d = -s_num, -t_num, -d
+    return s_num >= 0 and t_num >= 0 and s_num + t_num <= d
+
+
+def _closer(u, w):
+    return sum(abs(t) for t in u) < sum(abs(t) for t in w)
+
+
+def test_one_pass_matches_the_graham_oracle_and_the_chains():
+    # Every corner of the sweep by three routes: the one pass, the
+    # per-corner Graham scan and the continued fraction; and the pass's
+    # counts against the zero coordinates of the junior points.
+    for spec in SWEEP:
+        ctx = ctx_of(spec)
+        points = junior_points(ctx)
+        hulls = newton_polygon(ctx, group_elements(ctx))
+        for i in (1, 2, 3):
+            want = graham_hull_chain(ctx, i, points)
+            assert hulls.fans[i] == want == corner_chain(ctx, i), (spec, i)
+            # The pass keeps one point per coordinate toward e_{i+1}: no
+            # two points of the corner triangle but the apex share it.
+            apex, d0, d1 = ctx.corner(i), want.vectors[0], want.vectors[-1]
+            us = [q[i % 3] for q in points if q != apex
+                  and _in_corner_triangle(vsub(q, apex), d0, d1)]
+            assert len(us) == len(set(us)), (spec, i)
+        zeros = [q.count(0) for q in points]
+        assert (hulls.interior, hulls.edge) == (zeros.count(0),
+                                                zeros.count(1)), spec
+        assert zeros.count(2) == 3
+
+
+def test_one_pass_failure_messages():
+    ctx = ctx_of("1/15(1,2,12)")
+    elements = group_elements(ctx)
+    # The side e1 e2 has two inner lattice points, so the first ray at e2
+    # is a group element, (0, 15, 0) + (5, -5, 0), and without it the
+    # chain cannot start on the side.
+    assert (5, 10, 0) in elements
+    with pytest.raises(InvariantError,
+                       match="^corner 2: side rays missing from hull input$"):
+        newton_polygon(ctx, [q for q in elements if q != (5, 10, 0)])
+    # Without the inner ray (4, 8, 3) at e2, the hull jumps from (5, 10, 0)
+    # to (3, 6, 6), past the lattice point between them.
+    assert hull(ctx, 2).vectors[1] == (4, -7, 3)
+    with pytest.raises(InvariantError, match="^corner 2: hull chain "
+                       "violates the recursion at ray 1$"):
+        newton_polygon(ctx, [q for q in elements if q != (4, 8, 3)])
+
+
 def check_chains_against_the_hull(specs):
     for spec in specs:
         ctx = ctx_of(spec)
-        points = junior_points(ctx)
+        fans = newton_polygon(ctx, group_elements(ctx)).fans
         for i in (1, 2, 3):
-            assert corner_chain(ctx, i) == newton_polygon(
-                ctx, i, points), (spec, i)
+            assert corner_chain(ctx, i) == fans[i], (spec, i)
 
 
 def test_corner_chain_matches_the_hull():

@@ -386,6 +386,12 @@ def test_context_raises_on_a_non_invariant_row(monkeypatch):
         ctx_of("1/11(1,2,8)")
 
 
+def kind(q):
+    """A junior point's place in the simplex, read off its zero
+    coordinates."""
+    return ("interior", "edge", "vertex")[q.count(0)]
+
+
 def test_junior_points_11():
     ctx = ctx_of("1/11(1,2,8)")
     # Oracle: enumerate k*(1,2,8) mod 11 and keep coordinate sums equal to 11.
@@ -396,19 +402,16 @@ def test_junior_points_11():
             expected.add(g)
     assert expected == {(1, 2, 8), (2, 4, 5), (3, 6, 2), (6, 1, 4), (7, 3, 1)}
     pts = junior_points(ctx)
-    assert [p.coords for p in pts] == sorted(
-        expected | {(11, 0, 0), (0, 11, 0), (0, 0, 11)}
-    )
-    kinds = {p.coords: p.kind for p in pts}
-    assert sum(1 for k in kinds.values() if k == "vertex") == 3
-    assert sum(1 for k in kinds.values() if k == "edge") == 0
-    assert sum(1 for k in kinds.values() if k == "interior") == 5
+    assert pts == sorted(expected | {(11, 0, 0), (0, 11, 0), (0, 0, 11)})
+    kinds = [kind(q) for q in pts]
+    assert kinds.count("vertex") == 3
+    assert kinds.count("edge") == 0
+    assert kinds.count("interior") == 5
 
 
 def test_junior_points_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    pts = junior_points(ctx)
-    kinds = [p.kind for p in pts]
+    kinds = [kind(q) for q in junior_points(ctx)]
     assert kinds.count("vertex") == 3
     assert kinds.count("edge") == 3
     assert kinds.count("interior") == 0
@@ -417,9 +420,8 @@ def test_junior_points_z2z2():
 def test_junior_points_z3():
     ctx = ctx_of("1/3(1,1,1)")
     pts = junior_points(ctx)
-    interior = [p.coords for p in pts if p.kind == "interior"]
-    assert interior == [(1, 1, 1)]
-    assert sum(1 for p in pts if p.kind == "edge") == 0
+    assert [q for q in pts if kind(q) == "interior"] == [(1, 1, 1)]
+    assert [q for q in pts if kind(q) == "edge"] == []
 
 
 @pytest.mark.parametrize(
@@ -430,10 +432,8 @@ def test_junior_points_z3():
 def test_euler_count_relation(text):
     # 2*interior + edge + 1 = order, the area count of the simplex.
     ctx = ctx_of(text)
-    pts = junior_points(ctx)
-    interior = sum(1 for p in pts if p.kind == "interior")
-    edge = sum(1 for p in pts if p.kind == "edge")
-    assert 2 * interior + edge + 1 == ctx.order
+    kinds = [kind(q) for q in junior_points(ctx)]
+    assert 2 * kinds.count("interior") + kinds.count("edge") + 1 == ctx.order
 
 
 def test_primitive_vector_coprime_side():
@@ -461,7 +461,7 @@ def divisor_search(ctx, v):
 def check_primitive_against_divisor_search(specs):
     for text in specs:
         ctx = ctx_of(text)
-        pts = [p.coords for p in junior_points(ctx)]
+        pts = junior_points(ctx)
         for a in pts:
             for b in pts:
                 if a != b:

@@ -286,8 +286,8 @@ DOCUMENTED_FIELDS = {"fan.SurfaceClass.neighbors", "fan.SurfaceClass.c"}
 
 
 RECORDS = {
-    "lattice": {"Generator", "GroupSpec", "LatticeContext", "JuniorPoint"},
-    "corners": {"CornerFan", "WordEntry", "CyclicWord"},
+    "lattice": {"Generator", "GroupSpec", "LatticeContext"},
+    "corners": {"CornerFan", "WordEntry", "CyclicWord", "JuniorHulls"},
     "mmp": {"RegularTriple", "MMPTrace"},
     "partition": {"Line", "RegularTriangle", "ConcurrencyPoint",
                   "ChampionsReport", "Partition"},
