@@ -3,7 +3,10 @@
 Contracting an entry of value 1 rewrites a,1,b -> a-1,b-1 and certifies one
 regular triple (left + right = contracted, up to the wraparound sign).  A
 full run ends at [1,1,1]; together with the terminal triple it lists every
-regular triple exactly once, independent of contraction order.
+regular triple exactly once, independent of contraction order.  A
+triple is kept as its key, the sorted sign-fixed vectors, mapped to its
+step, the indexes of its three word entries; the partition reads the
+entries' tags as the triple's host lines.
 """
 
 from __future__ import annotations
@@ -14,21 +17,11 @@ from typing import NamedTuple
 
 from .corners import CyclicWord, Tag
 from .errors import InvariantError
-from .lattice import LatticeContext, Vec3, pair_index, sign_fixed, vneg
+from .lattice import Vec3, sign_fixed, vneg
 
 Strategy = str | tuple[str, int] | list[int]
 Step = tuple[int, int, int]  # entry indexes (left, mid, right) in a word
 Key = tuple[Vec3, Vec3, Vec3]  # sorted sign-fixed vectors of a triple
-
-
-class RegularTriple(NamedTuple):
-    """Three translation vectors, any two a lattice basis, with the sign
-    relation vectors[0] - vectors[1] + vectors[2] = 0.  ``triple_set``,
-    the one constructor, builds it from a step whose relation the run
-    checked."""
-
-    vectors: tuple[Vec3, Vec3, Vec3]
-    tags: tuple[Tag, Tag, Tag]
 
 
 def classify_triple(tags) -> str:
@@ -184,27 +177,3 @@ def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
     with the terminal triple a run lists sum(word.values())/3 triples,
     distinct since a repeated key raises."""
     return MMPTrace(word, contract_run(word, strategy, full=True))
-
-
-def triple_set(trace: MMPTrace) -> dict[Key, RegularTriple]:
-    """The run's triples as records, by key; a neighbor reached across
-    the end of the word is negated."""
-    entries = trace.word.entries
-    out = {}
-    for key, (left, mid, right) in trace.triples.items():
-        lv, rv = entries[left].vector, entries[right].vector
-        out[key] = RegularTriple(
-            (vneg(lv) if left > mid else lv, entries[mid].vector,
-             vneg(rv) if right < mid else rv),
-            (entries[left].tag, entries[mid].tag, entries[right].tag))
-    return out
-
-
-def validate_triple(ctx: LatticeContext, triple: RegularTriple) -> None:
-    """Raise unless any two of the triple's vectors form a lattice basis.
-    The run checked v1 = v0 + v2, and the chart is linear, so on the
-    charts cross2(v0, v1) = cross2(v0, v2) = cross2(v1, v2): one pair
-    index settles all three."""
-    v = triple.vectors
-    if pair_index(ctx, v[0], v[2]) != 1:
-        raise InvariantError("triple vectors do not pairwise form bases")

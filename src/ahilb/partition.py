@@ -1,11 +1,13 @@
-"""Realizing regular triples inside the simplex and the partition into
-regular triangles.
+"""The partition of the simplex into regular triangles.
 
-Two independent algorithms produce the partition: enumeration of the
-regular triangles cut out by the lines, each read in closed form off two
-of its side lines of pair index 1 (authoritative), and realization of the
-contraction-game triples by pairwise meets (mandatory cross-check).
-A mismatch raises InvariantError: this is the package's central
+Two independent routes produce it: enumeration of the regular triangles
+cut out by the lines, each read in closed form off two of its side lines
+of pair index 1 (authoritative), and the regular triples certified by
+the contraction game on the cyclic word (mandatory cross-check).  Each
+side is read as tag triples, the side lines of a triangle and the host
+lines of a game triple, and the two sets must be equal but for the
+concurrent champion, whose three lines meet in a lattice point.  A
+mismatch raises InvariantError: this is the package's central
 differential test.  The tiling is then checked by edge matching off the
 simplex's sides, as endpoint events, and exact areas.
 """
@@ -30,24 +32,15 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
-    multiple,
     on_simplex_boundary,
     pair_index,
-    primitive_vector,
     sign_fixed,
     smul,
     vadd,
     vneg,
     vsub,
 )
-from .mmp import (
-    MMPTrace,
-    RegularTriple,
-    classify_triple,
-    contract_run,
-    triple_set,
-    validate_triple,
-)
+from .mmp import MMPTrace, classify_triple, contract_run
 
 RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
@@ -103,14 +96,6 @@ def meet(l1: Line, l2: Line) -> RatPoint | None:
     return ((num[0] // g, num[1] // g, num[2] // g), d // g)
 
 
-def _simplex_point(ctx: LatticeContext, p: RatPoint | None) -> Vec3 | None:
-    """The meet p as a lattice point of the simplex, or None when it is
-    not one (or there is no meet)."""
-    if p is None or p[1] != 1 or min(p[0]) < 0:
-        return None
-    return p[0] if ctx.is_lattice_point(p[0]) else None
-
-
 class RegularTriangle(NamedTuple):
     """A lattice triangle whose sides ride on subdivision lines and whose
     primitive side directions form a regular triple.
@@ -131,47 +116,6 @@ class RegularTriangle(NamedTuple):
         """Endpoints of the side opposite vertex t."""
         others = [self.vertices[u] for u in range(3) if u != t]
         return (others[0], others[1])
-
-
-class ConcurrencyPoint(NamedTuple):
-    """Degenerate realization of the champion triple: the three host lines
-    meet in one lattice point and the 'triangle' has side zero."""
-
-    point: Vec3
-
-
-def _triangle_from_lines(ctx: LatticeContext,
-                         lines: tuple[Line, Line, Line]) -> RegularTriangle | None:
-    """The regular triangle cut out by three lines, if there is one.
-
-    One pair index settles all three.  The sides s_0 = p2 - p1,
-    s_1 = p2 - p0 and s_2 = p1 - p0 satisfy s_1 = s_0 + s_2; once they
-    have one length r (directions from ``primitive_vector`` make every
-    length positive), dividing by r gives d_1 = d_0 + d_2.  The chart is
-    linear, so on the charts cross2(d_0, d_1) = cross2(d_0, d_2) =
-    cross2(d_1, d_2), and the three pair indices are equal.
-    """
-    pts = []
-    for a, b in ((1, 2), (0, 2), (0, 1)):
-        q = _simplex_point(ctx, meet(lines[a], lines[b]))
-        if q is None:
-            return None
-        pts.append(q)
-    if len(set(pts)) != 3:
-        return None
-    sides = (vsub(pts[2], pts[1]), vsub(pts[2], pts[0]), vsub(pts[1], pts[0]))
-    dirs = tuple(primitive_vector(ctx, v) for v in sides)
-    lens = {multiple(v, d) for v, d in zip(sides, dirs)}
-    if len(lens) != 1:
-        return None
-    if pair_index(ctx, dirs[0], dirs[2]) != 1:
-        return None
-    return RegularTriangle(
-        vertices=tuple(pts),
-        r=lens.pop(),
-        side_lines=tuple(l.tag for l in lines),
-        side_directions=dirs,
-    )
 
 
 def enumerate_triangles(ctx: LatticeContext,
@@ -195,8 +139,8 @@ def enumerate_triangles(ctx: LatticeContext,
     runs through P + alpha*d_a + beta*d_b along d_a + d_b, so for k =
     alpha - beta it meets a at P + k*d_a and b at P - k*d_b.  The sides
     k*d_a, k*d_b, k*(d_a + d_b) are |k| primitive steps of index 1: the
-    triangle of side |k| that ``_triangle_from_lines`` finds on the three
-    lines when k != 0 and the vertices lie in the simplex, else none.
+    three lines cut out a regular triangle of side |k| when k != 0 and
+    the vertices lie in the simplex, else none.
     """
     ordered = [lines[t] for t in sorted(lines)]
     by_direction: dict[Vec3, list[Line]] = {}
@@ -250,29 +194,6 @@ def enumerate_triangles(ctx: LatticeContext,
                     raise InvariantError(
                         "two line triples cut out the same triangle")
     return [found[k] for k in sorted(found)]
-
-
-def realize_triple(ctx: LatticeContext, lines: dict[Tag, Line],
-                   triple: RegularTriple) -> RegularTriangle | ConcurrencyPoint:
-    """Intersect the triple's three host lines pairwise."""
-    host = tuple(lines[t] for t in triple.tags)
-    pts = [meet(host[a], host[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
-    if any(p is None for p in pts):
-        raise InvariantError("host lines of a regular triple are parallel")
-    if pts[0] == pts[1] == pts[2]:
-        q = _simplex_point(ctx, pts[0])
-        if q is None:
-            raise InvariantError(
-                "concurrency point is not a lattice point of the simplex")
-        if classify_triple(triple.tags) != "champion":
-            raise InvariantError("only the champion triple may degenerate")
-        return ConcurrencyPoint(q)
-    tri = _triangle_from_lines(ctx, host)
-    if tri is None:
-        raise InvariantError(
-            f"triple with tags {triple.tags} does not cut out a regular triangle"
-        )
-    return tri
 
 
 class ChampionsReport(NamedTuple):
@@ -413,54 +334,80 @@ def _check_tiling(ctx: LatticeContext,
         raise InvariantError("triangle interiors overlap")
 
 
+def _concurrent_champion(ctx: LatticeContext, lines: dict[Tag, Line],
+                         tags: tuple[Tag, Tag, Tag]) -> Vec3 | None:
+    """Where the lines tagged tags meet, when tags is a champion triple
+    whose lines concur; else None.  Raises when they concur off the
+    lattice points of the simplex, or when their directions do not
+    pairwise form bases (one pair index settles all three, as in
+    ``enumerate_triangles``: each direction is +- the sum of the other
+    two)."""
+    if classify_triple(tags) != "champion":
+        return None
+    host = [lines[t] for t in tags]
+    pts = {meet(host[a], host[b]) for a, b in ((1, 2), (0, 2), (0, 1))}
+    if len(pts) != 1 or None in pts:
+        return None
+    ((num, den),) = pts
+    if den != 1 or min(num) < 0 or not ctx.is_lattice_point(num):
+        raise InvariantError(
+            "concurrency point is not a lattice point of the simplex")
+    if pair_index(ctx, host[0].direction, host[1].direction) != 1:
+        raise InvariantError("triple vectors do not pairwise form bases")
+    return num
+
+
 def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
                     game: MMPTrace) -> Partition:
     """Enumerate the partition, cross-check it against the contraction game,
     validate coverage, and fill champions, catchment areas and defeat
-    points.  game is the leftmost run on the fans' cyclic word."""
+    points.  game is the leftmost run on the fans' cyclic word.
+
+    The cross-check compares tag triples: the sorted side-line tags of
+    each enumerated triangle against the sorted tags of the three word
+    entries of each game triple's step, its host lines.  The two sets
+    must be equal but for one game triple on no enumerated triangle, the
+    concurrent champion: a champion triple whose three lines meet
+    pairwise in one lattice point of the simplex and whose directions
+    have pair index 1.  Any other difference is a partition mismatch.
+
+    A game triple on an enumerated triangle's side lines is regular
+    without a test.  ``enumerate_triangles`` pairs only lines a, b whose
+    directions have pair index 1 and takes as third side a line c of
+    direction +-(d_a + d_b); the index of <d_a, d_a + d_b> and of
+    <d_b, d_a + d_b> in T is that of <d_a, d_b>, so any two side
+    directions span T.  The triple's vectors are +- its host lines'
+    directions, so any two of them form a basis.  The pair-index test
+    therefore runs only on the concurrent champion.
+    """
     lines = rays(ctx, fans)
     word = game.word
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
-    # Every triangle is read through its sorted side-line tags.  A game
-    # triple whose host lines are a triangle's side lines realizes as that
-    # triangle: _triangle_from_lines is a function of the three lines, and
-    # its key, r and None-ness do not depend on their order.  Only the
-    # other triples are intersected here.
     index = {tuple(sorted(tri.side_lines)): t for t, tri in enumerate(enumerated)}
-
-    triples = triple_set(game)
-    for tr in triples.values():
-        validate_triple(ctx, tr)
-    keys = set()  # of the realized triangles
-    point = None  # of the degenerate triple
-    for tr in triples.values():
-        t = index.get(tuple(sorted(tr.tags)))
-        res = realize_triple(ctx, lines, tr) if t is None else enumerated[t]
-        if isinstance(res, ConcurrencyPoint):
-            if point is not None:
-                raise InvariantError("two degenerate triples in one group")
-            point = res.point
-        elif res.key() in keys:
-            raise InvariantError("two triples realize the same triangle")
-        else:
-            keys.add(res.key())
-    enumerated_keys = {tri.key() for tri in enumerated}
-    if keys != enumerated_keys:
+    hosts = {key: tuple(sorted(word.entries[e].tag for e in step))
+             for key, step in game.triples.items()}
+    # Against the distinct side-line sets: a repeated triangle passes here
+    # and fails the areas of the tiling check.
+    certified = set(hosts.values())
+    unmatched = certified - index.keys()
+    point = None  # where the champion lines meet, if they concur
+    if len(unmatched) == 1:
+        point = _concurrent_champion(ctx, lines, *unmatched)
+        if point is not None:
+            unmatched = set()
+    missing = index.keys() - certified
+    if missing or unmatched:
         raise InvariantError(
-            "partition mismatch: enumeration found "
-            f"{sorted(enumerated_keys)} but the contraction game realizes "
-            f"{sorted(keys)}"
-        )
-    # So a triple outside index is degenerate: one that realizes a triangle
-    # rides on the lines through its vertex pairs, the triangle's side lines.
+            f"partition mismatch: enumerated triangles on {sorted(missing)} "
+            f"and game triples on {sorted(unmatched)} have no counterpart")
 
     _check_tiling(ctx, enumerated)
 
     # Champions.
     long_side = find_long_side(word)
-    champs = [t for t in triples.values()
-              if classify_triple(t.tags) == "champion"]
+    champs = [tags for tags in hosts.values()
+              if classify_triple(tags) == "champion"]
     if long_side is not None:
         if champs:
             raise InvariantError("champion triple found despite a long side")
@@ -473,11 +420,10 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         raise InvariantError(
             f"expected a unique champion triple, found {len(champs)}"
         )
-    elif point is not None:  # only the champion may degenerate
+    elif point is not None:
         champions = ChampionsReport("concurrent", point=point)
     else:
-        champions = ChampionsReport(
-            "cocked_hat", triangle=index[tuple(sorted(champs[0].tags))])
+        champions = ChampionsReport("cocked_hat", triangle=index[champs[0]])
 
     # Catchment areas: eat each short side on a fresh word (the other
     # junctions fence the front in).  A triangle reachable from two sides
@@ -491,10 +437,11 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         fence = frozenset(("junction", o) for o in (1, 2, 3) if o != s)
         for key, step in contract_run(word, protected=fence).items():
             tags = tuple(word.entries[e].tag for e in step)
-            if key not in triples or set(triples[key].tags) != set(tags):
+            named = tuple(sorted(tags))
+            if hosts.get(key) != named:
                 raise InvariantError(
                     f"side run triple {tags} is not one of the game's")
-            t = index.get(tuple(sorted(tags)))
+            t = index.get(named)
             if t is None:
                 raise InvariantError("side run realized a degenerate triple")
             owner.setdefault(t, s)

@@ -288,9 +288,8 @@ DOCUMENTED_FIELDS = {"fan.SurfaceClass.neighbors", "fan.SurfaceClass.c"}
 RECORDS = {
     "lattice": {"Generator", "GroupSpec", "LatticeContext"},
     "corners": {"CornerFan", "WordEntry", "CyclicWord", "JuniorHulls"},
-    "mmp": {"RegularTriple", "MMPTrace"},
-    "partition": {"Line", "RegularTriangle", "ConcurrencyPoint",
-                  "ChampionsReport", "Partition"},
+    "mmp": {"MMPTrace"},
+    "partition": {"Line", "RegularTriangle", "ChampionsReport", "Partition"},
     "fan": {"BasicTriangle", "Fan", "SurfaceClass"},
     "monomials": {"TriangleRatios", "DualBasis"},
     "clusters": {"ClusterSystem", "Classification"},
@@ -322,7 +321,7 @@ def test_records_are_the_named_tuples():
     found = {_qualname(cls) for cls in _package_records()}
     assert found == {f"{module}.{name}" for module, names in RECORDS.items()
                      for name in names}
-    assert len(found) == 22
+    assert len(found) == 20
 
 
 def test_records_define_no_tuple_dunder_but_len():

@@ -1,5 +1,6 @@
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 from test_cli import SWEEP
@@ -8,17 +9,14 @@ from test_tiling import cyclic_groups
 from ahilb import lattice_context, parse_group_spec
 from ahilb.corners import CyclicWord, WordEntry, corner_chain
 from ahilb.errors import InvariantError
-from ahilb.lattice import sign_fixed, smul, vadd, vneg
+from ahilb.lattice import pair_index, sign_fixed, vadd, vneg
 from ahilb.mmp import (
     MMPTrace,
-    RegularTriple,
     classify_triple,
     contract_run,
     contract_values,
     run_linear,
     run_mmp,
-    triple_set,
-    validate_triple,
 )
 from ahilb.resolution import Resolution
 
@@ -29,6 +27,29 @@ def ctx_of(text):
 
 def word_of(text):
     return Resolution(ctx_of(text)).word
+
+
+class RegularTriple(NamedTuple):
+    """Three translation vectors, any two a lattice basis, with the sign
+    relation vectors[0] - vectors[1] + vectors[2] = 0, and the tags of
+    the word entries they come from."""
+
+    vectors: tuple
+    tags: tuple
+
+
+def triple_set(trace: MMPTrace) -> dict:
+    """The run's triples as records, by key; a neighbor reached across
+    the end of the word is negated."""
+    entries = trace.word.entries
+    out = {}
+    for key, (left, mid, right) in trace.triples.items():
+        lv, rv = entries[left].vector, entries[right].vector
+        out[key] = RegularTriple(
+            (vneg(lv) if left > mid else lv, entries[mid].vector,
+             vneg(rv) if right < mid else rv),
+            (entries[left].tag, entries[mid].tag, entries[right].tag))
+    return out
 
 
 def relation(left: WordEntry, mid: WordEntry, right: WordEntry,
@@ -130,19 +151,7 @@ def test_run_mmp_11_counts():
     triples = triple_set(trace)
     assert len(triples) == 9
     for t in triples.values():
-        validate_triple(ctx, t)
-
-
-def test_validate_triple_rejects_a_doubled_basis():
-    # v1 = v0 + v2 still holds, but every pair spans a sublattice of index 4.
-    ctx = ctx_of("1/11(1,2,8)")
-    term = terminal(run_mmp(Resolution(ctx).word))
-    doubled = [WordEntry(1, tag, smul(2, v))
-               for tag, v in zip(term.tags, term.vectors)]
-    triple = relation(*doubled, False, False)
-    with pytest.raises(InvariantError,
-                       match="^triple vectors do not pairwise form bases$"):
-        validate_triple(ctx, triple)
+        assert pair_index(ctx, t.vectors[0], t.vectors[2]) == 1
 
 
 def test_run_mmp_terminal_triple_11():

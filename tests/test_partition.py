@@ -13,9 +13,8 @@ from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.cli import build_document
 from ahilb.errors import InvariantError
 from ahilb.lattice import Generator, permute, sign_fixed, smul, vadd
-from ahilb.mmp import classify_triple, run_mmp, triple_set
+from ahilb.mmp import classify_triple, run_mmp
 from ahilb.partition import (
-    ConcurrencyPoint,
     _check_tiling,
     _within,
     crossings,
@@ -24,12 +23,16 @@ from ahilb.partition import (
     line_extent,
     meet,
     rays,
-    realize_triple,
 )
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
-from test_mmp import terminal
-from test_tiling import cyclic_groups
+from test_mmp import terminal, triple_set
+from test_tiling import (
+    ConcurrencyPoint,
+    cyclic_groups,
+    product_groups,
+    realize_triple,
+)
 
 
 def ctx_of(text):
@@ -303,8 +306,7 @@ def test_enumeration_and_tiling_intersect_and_walk_nothing(monkeypatch):
     ctx = ctx_of("1/600(1,1,598)")
     lines = rays_of(ctx)
     calls = {}
-    for name in ("_triangle_from_lines", "primitive_vector", "multiple",
-                 "pair_index", "unit_edges"):
+    for name in ("pair_index", "unit_edges"):
         calls[name] = []
         monkeypatch.setattr(ahilb.partition, name, counting(
             getattr(ahilb.partition, name), calls[name]))
@@ -467,50 +469,105 @@ def test_line_extent_needs_one_segment_from_the_corner():
                            if set(side) == first or (1, 2, 8) not in side])
 
 
-# Game triples whose host lines are no enumerated triangle's side lines:
-# the concurrency point of 1/11(1,2,8); none where the champions form a
-# cocked hat (1/101(1,7,93)) or a long side exists.
-INTERSECTED = {"1/11(1,2,8)": 1, "1/15(1,2,12)": 0, "1/30(25,2,3)": 0,
-               "1/101(1,7,93)": 0}
+def realized_partition(ctx, lines, game):
+    """The game's side of the partition realized triple by triple, the
+    oracle of the tag comparison in ``build_partition``: the vectors of
+    every triple must pairwise form bases, and its host lines are
+    intersected pairwise by ``realize_triple``.  Returns the keys of the
+    triangles realized, sorted, and the concurrency point or None."""
+    keys, point = set(), None
+    for triple in triple_set(game).values():
+        if pair_index(ctx, triple.vectors[0], triple.vectors[2]) != 1:
+            raise InvariantError("triple vectors do not pairwise form bases")
+        res = realize_triple(ctx, lines, triple)
+        if isinstance(res, ConcurrencyPoint):
+            if point is not None:
+                raise InvariantError("two degenerate triples in one group")
+            point = res.point
+        elif res.key() in keys:
+            raise InvariantError("two triples realize the same triangle")
+        else:
+            keys.add(res.key())
+    return sorted(keys), point
 
 
-@pytest.mark.parametrize("spec", sorted(INTERSECTED))
+def check_realized(spec):
+    res = Resolution(ctx_of(spec))
+    part = res.partition
+    keys, point = realized_partition(res.ctx, part.lines, res.game)
+    assert keys == [tri.key() for tri in part.triangles], spec
+    assert point == part.champions.point, spec
+
+
+def test_realized_partition_matches_the_tag_comparison():
+    for spec in SWEEP:
+        check_realized(spec)
+
+
+@pytest.mark.deep
+def test_realized_partition_matches_the_tag_comparison_up_to_40():
+    for spec in cyclic_groups(40) + product_groups(8) + ["1/2000(1,1,1998)"]:
+        check_realized(spec)
+
+
+# Meets in build_partition: the three pairwise meets of the concurrent
+# champion of 1/11(1,2,8), the one game triple on no enumerated triangle;
+# none where the champions form a cocked hat (1/101(1,7,93)) or a long
+# side exists.
+MEETS = {"1/11(1,2,8)": 3, "1/15(1,2,12)": 0, "1/30(25,2,3)": 0,
+         "1/101(1,7,93)": 0}
+
+
+@pytest.mark.parametrize("spec", sorted(MEETS))
 def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
     # A game triple whose host lines are an enumerated triangle's side
-    # lines takes that triangle; only the others are intersected, once
-    # each.  The champion and the side runs reuse the game's realizations.
-    ctx = ctx_of(spec)
+    # lines is matched by their tags; only the others are intersected.
     calls = []
+    monkeypatch.setattr(ahilb.partition, "meet", counting(meet, calls))
+    Resolution(ctx_of(spec)).partition
+    assert len(calls) == MEETS[spec]
 
-    def counted(*args):
-        calls.append(args)
-        return realize_triple(*args)
 
-    monkeypatch.setattr(ahilb.partition, "realize_triple", counted)
-    Resolution(ctx).partition
-    named = {tuple(sorted(tri.side_lines))
-             for tri in enumerate_triangles(ctx, rays_of(ctx))}
-    triples = triple_set(run_mmp(Resolution(ctx).word)).values()
-    unnamed = [tr for tr in triples if tuple(sorted(tr.tags)) not in named]
-    assert [args[2] for args in calls] == unnamed
-    assert len(unnamed) == INTERSECTED[spec]
+def without_first_triple(game):
+    return game._replace(triples=dict(list(game.triples.items())[1:]))
 
 
 @pytest.mark.parametrize("spec, name, wrap, message", [
     # The two sides of the differential disagree.
     ("1/11(1,2,8)", "enumerate_triangles",
      lambda f: lambda *a: f(*a)[:-1], "partition mismatch"),
-    ("1/11(1,2,8)", "triple_set",
-     lambda f: lambda *a: dict(list(f(*a).items())[1:]), "partition mismatch"),
-    # A repeated triangle leaves the key sets equal; the areas catch it.
+    ("1/11(1,2,8)", "resolution.run_mmp",
+     lambda f: lambda word: without_first_triple(f(word)),
+     "partition mismatch"),
+    # A repeated triangle leaves the side-line sets equal; the areas
+    # catch it.
     ("1/11(1,2,8)", "enumerate_triangles",
      lambda f: lambda *a: f(*a) + f(*a)[:1],
      "triangle areas do not exhaust the simplex"),
+    # The game triple on no enumerated triangle is no concurrent champion:
+    # it is no champion, its lines do not concur (each meet moved along
+    # its second line), they concur off the lattice, or its directions
+    # span a sublattice of index 4.
+    ("1/11(1,2,8)", "classify_triple", lambda f: lambda tags: "side",
+     "partition mismatch"),
+    ("1/11(1,2,8)", "meet",
+     lambda f: lambda a, b: (vadd(f(a, b)[0], b.direction), 1),
+     "partition mismatch"),
+    ("1/11(1,2,8)", "meet", lambda f: lambda a, b: (f(a, b)[0], 2),
+     "concurrency point is not a lattice point of the simplex"),
+    ("1/11(1,2,8)", "pair_index",
+     lambda f: lambda ctx, v, w: f(ctx, smul(2, v), smul(2, w)),
+     "triple vectors do not pairwise form bases"),
     # The champion disagrees with the long side.
     ("1/11(1,2,8)", "find_long_side", lambda f: lambda fans: (1, 2),
      "champion triple found despite a long side"),
     ("1/15(1,2,12)", "find_long_side", lambda f: lambda fans: None,
      "expected a unique champion triple, found 0"),
+    # A side run's step is not on the game triple's host lines.
+    ("1/11(1,2,8)", "contract_run",
+     lambda f: lambda word, **kw: {key: step[:2] + step[:1] for key, step
+                                   in f(word, **kw).items()},
+     "side run triple .* is not one of the game's"),
     # The side runs eat nothing.
     ("1/101(1,7,93)", "contract_run", lambda f: lambda word, **kw: {},
      "catchments must leave exactly the champion"),
@@ -518,9 +575,10 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
      "triangles outside every catchment"),
 ])
 def test_build_partition_failure_paths(spec, name, wrap, message, monkeypatch):
-    # wrap takes the real function and returns its faulty replacement.
-    ctx = ctx_of(spec)
-    monkeypatch.setattr(ahilb.partition, name,
-                        wrap(getattr(ahilb.partition, name)))
+    # wrap takes the real function and returns its faulty replacement;
+    # name is looked up in ahilb.partition unless it names its module.
+    module, _, attr = name.rpartition(".")
+    owner = sys.modules[f"ahilb.{module or 'partition'}"]
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
     with pytest.raises(InvariantError, match=message):
-        Resolution(ctx).partition
+        Resolution(ctx_of(spec)).partition

@@ -1,12 +1,14 @@
-"""The partition against slow oracles: the brute force over every line
-triple, the scan of every line pair by direction sum, the index-1 pair
-scan that intersects each candidate line triple, the pairwise
-separating-line test on every pair of triangles, the tiling check that
-walks every unit step of the triangle sides, and the tiling check with
-the simplex's boundary as a second 2-chain.  Also the large-order
-regression pins, with the Ito-Reid counts as their independent check."""
+"""The partition against slow oracles: the realization of a line triple
+by pairwise meets, the brute force over every line triple, the scan of
+every line pair by direction sum, the index-1 pair scan that intersects
+each candidate line triple, the pairwise separating-line test on every
+pair of triangles, the tiling check that walks every unit step of the
+triangle sides, and the tiling check with the simplex's boundary as a
+second 2-chain.  Also the large-order regression pins, with the
+Ito-Reid counts as their independent check."""
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import pytest
 
@@ -16,22 +18,98 @@ from ahilb.lattice import (
     chart,
     cross2,
     group_elements,
+    multiple,
     on_simplex_boundary,
+    pair_index,
+    primitive_vector,
     sign_fixed,
     smul,
     vadd,
     vsub,
 )
+from ahilb.mmp import classify_triple
 from ahilb.partition import (
+    RegularTriangle,
     _check_tiling,
-    _simplex_point,
-    _triangle_from_lines,
     enumerate_triangles,
     meet,
     rays,
 )
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks
+
+
+def _simplex_point(ctx, p):
+    """The meet p as a lattice point of the simplex, or None when it is
+    not one (or there is no meet)."""
+    if p is None or p[1] != 1 or min(p[0]) < 0:
+        return None
+    return p[0] if ctx.is_lattice_point(p[0]) else None
+
+
+def _triangle_from_lines(ctx, lines):
+    """The regular triangle cut out by three lines, if there is one: the
+    three pairwise meets, lattice points of the simplex, as vertices.
+
+    One pair index settles all three.  The sides s_0 = p2 - p1,
+    s_1 = p2 - p0 and s_2 = p1 - p0 satisfy s_1 = s_0 + s_2; once they
+    have one length r (directions from ``primitive_vector`` make every
+    length positive), dividing by r gives d_1 = d_0 + d_2.  The chart is
+    linear, so on the charts cross2(d_0, d_1) = cross2(d_0, d_2) =
+    cross2(d_1, d_2), and the three pair indices are equal.
+    """
+    pts = []
+    for a, b in ((1, 2), (0, 2), (0, 1)):
+        q = _simplex_point(ctx, meet(lines[a], lines[b]))
+        if q is None:
+            return None
+        pts.append(q)
+    if len(set(pts)) != 3:
+        return None
+    sides = (vsub(pts[2], pts[1]), vsub(pts[2], pts[0]), vsub(pts[1], pts[0]))
+    dirs = tuple(primitive_vector(ctx, v) for v in sides)
+    lens = {multiple(v, d) for v, d in zip(sides, dirs)}
+    if len(lens) != 1:
+        return None
+    if pair_index(ctx, dirs[0], dirs[2]) != 1:
+        return None
+    return RegularTriangle(
+        vertices=tuple(pts),
+        r=lens.pop(),
+        side_lines=tuple(l.tag for l in lines),
+        side_directions=dirs,
+    )
+
+
+class ConcurrencyPoint(NamedTuple):
+    """Degenerate realization of the champion triple: the three host lines
+    meet in one lattice point and the 'triangle' has side zero."""
+
+    point: tuple
+
+
+def realize_triple(ctx, lines, triple):
+    """Intersect the three host lines of a game triple, a record with
+    tags, pairwise: a ConcurrencyPoint for the champion whose lines
+    concur, else the regular triangle they cut out.  Raises otherwise."""
+    host = tuple(lines[t] for t in triple.tags)
+    pts = [meet(host[a], host[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
+    if any(p is None for p in pts):
+        raise InvariantError("host lines of a regular triple are parallel")
+    if pts[0] == pts[1] == pts[2]:
+        q = _simplex_point(ctx, pts[0])
+        if q is None:
+            raise InvariantError(
+                "concurrency point is not a lattice point of the simplex")
+        if classify_triple(triple.tags) != "champion":
+            raise InvariantError("only the champion triple may degenerate")
+        return ConcurrencyPoint(q)
+    tri = _triangle_from_lines(ctx, host)
+    if tri is None:
+        raise InvariantError(
+            f"triple with tags {triple.tags} does not cut out a regular triangle"
+        )
+    return tri
 
 
 def brute_force_triangles(ctx, lines):
