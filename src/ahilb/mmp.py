@@ -6,20 +6,21 @@ full run ends at [1,1,1]; together with the terminal triple it lists every
 regular triple exactly once, independent of contraction order.  A
 triple is kept as its key, the sorted sign-fixed vectors, mapped to its
 step, the indexes of its three word entries; the partition reads the
-entries' tags as the triple's host lines.
+entries' tags as the triple's host lines.  The game is played leftmost
+(the partition's run), in orders drawn by a seeded generator (verify's
+order family) and fenced by two junctions (the partition's side runs).
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, insort
+from bisect import insort
+from random import Random
 from typing import NamedTuple
 
 from .corners import CyclicWord, Tag
 from .errors import InvariantError
 from .lattice import Vec3, sign_fixed, vneg
 
-Strategy = str | tuple[str, int] | list[int]
 Step = tuple[int, int, int]  # entry indexes (left, mid, right) in a word
 Key = tuple[Vec3, Vec3, Vec3]  # sorted sign-fixed vectors of a triple
 
@@ -74,16 +75,15 @@ class MMPTrace(NamedTuple):
         return tuple(self.triples.values())[:-1]
 
 
-def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
-                 protected: frozenset[Tag] = frozenset(),
-                 full: bool = False) -> dict[Key, Step]:
+def contract_run(word: CyclicWord, protected: frozenset[Tag] = frozenset(),
+                 rng: Random | None = None) -> dict[Key, Step]:
     """The one kernel of the game: contract 1s until three entries are
-    left or no entry tagged outside protected is a 1; when full, the word
-    left must be [1,1,1], whose middle entry certifies the terminal
-    triple.  Returns each certified triple's key mapped to its step.
-    strategy picks the next 1: "leftmost", ("random", seed) (drawn as
-    ``random.choice`` on the current 1s) or a list of positions in the
-    current word, to be used up exactly; others raise ValueError.
+    left or no entry tagged outside protected is a 1.  Returns each
+    certified triple's key mapped to its step.  With nothing protected
+    the run is full, and the word left must be [1,1,1], whose middle
+    entry certifies the terminal triple; a fenced run returns once it is
+    stuck.  The next 1 is the leftmost one or, given rng, drawn as
+    ``rng.choice`` on the current 1s would.
 
     Each entry keeps its value and links to its current neighbors; the
     1s stay in a list sorted by index, their order in the current word,
@@ -91,14 +91,6 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
     exactly when its index lies on the wrong side of mid.  A key is the
     sorted sign-fixed vectors, off a table made once per run (parallel
     lines share a direction, so the indexes would not do)."""
-    rng = positions = None
-    if (isinstance(strategy, tuple) and len(strategy) == 2
-            and strategy[0] == "random" and type(strategy[1]) is int):
-        rng = random.Random(strategy[1])
-    elif isinstance(strategy, list) and all(type(p) is int for p in strategy):
-        positions = strategy
-    elif strategy != "leftmost":
-        raise ValueError(f"unknown contraction strategy {strategy!r}")
     values, tags, vectors = map(list, zip(*word.entries))
     m = len(values)
     fixed = [sign_fixed(v) for v in vectors]
@@ -109,31 +101,8 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
     triples: dict[Key, Step] = {}
     while True:
         if m > 3 and cands:
-            if positions is not None:
-                if len(triples) == len(positions):
-                    raise InvariantError(
-                        f"position list ran out after {len(triples)} steps")
-                pos = positions[len(triples)]
-                if not 0 <= pos < m:
-                    raise InvariantError(
-                        f"position {pos} is outside a word of length {m}")
-                i = head
-                for _ in range(pos):
-                    i = nxt[i]
-                at = bisect_left(cands, i)
-                if at == len(cands) or cands[at] != i:
-                    raise InvariantError(
-                        f"entry at {pos} has value {values[i]}, not 1")
-            elif rng is not None:
-                at = rng.randrange(len(cands))
-            else:
-                at = 0
-            i = cands.pop(at)
-        elif positions is not None and len(positions) > len(triples):
-            raise InvariantError(
-                f"{len(positions) - len(triples)} positions left over after "
-                f"{len(triples)} steps")
-        elif not full:
+            i = cands.pop(0 if rng is None else rng.randrange(len(cands)))
+        elif protected:
             return triples
         elif m > 3:
             raise InvariantError("no contractible entry before reaching [1,1,1]")
@@ -172,8 +141,8 @@ def contract_run(word: CyclicWord, strategy: Strategy = "leftmost",
                 insort(cands, nb)
 
 
-def run_mmp(word: CyclicWord, strategy: Strategy = "leftmost") -> MMPTrace:
-    """The full run down to [1,1,1].  A step lowers the value sum by 3, so
-    with the terminal triple a run lists sum(word.values())/3 triples,
-    distinct since a repeated key raises."""
-    return MMPTrace(word, contract_run(word, strategy, full=True))
+def run_mmp(word: CyclicWord, rng: Random | None = None) -> MMPTrace:
+    """The full run down to [1,1,1], leftmost or drawn by rng.  A step
+    lowers the value sum by 3, so with the terminal triple a run lists
+    sum(word.values())/3 triples, distinct since a repeated key raises."""
+    return MMPTrace(word, contract_run(word, rng=rng))

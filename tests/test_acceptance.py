@@ -17,6 +17,7 @@ from ahilb.mmp import run_linear, run_mmp
 from ahilb.monomials import dual_basis, line_ratio, ratio_str, triangle_ratios
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks, run_random_suite
+from test_mmp import canonical, positions_run, triple_set
 
 
 def _report(num, desc, fn):
@@ -41,7 +42,7 @@ def test_acceptance_1_group_11_1_2_8():
         word = Resolution(ctx).word
         assert word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
-        triples = run_mmp(word).triples
+        triples = triple_set(run_mmp(word))
         assert len(triples) == 9
         # The champion triple is f_{1,2} + f_{2,2} + f_{3,1} = 0; eating
         # the three sides in turn leaves it as the terminal triple.
@@ -49,12 +50,11 @@ def test_acceptance_1_group_11_1_2_8():
         assert vadd(
             vadd(fans[1].vectors[2], fans[2].vectors[2]), fans[3].vectors[1]
         ) == (0, 0, 0)
-        by_sides = run_mmp(word, [3, 3, 6, 5, 4, 0, 4, 0])
-        key, step = list(by_sides.triples.items())[-1]
-        assert {word.entries[e].tag for e in step} == {
+        term = positions_run(word, [3, 3, 6, 5, 4, 0, 4, 0])[-1]
+        assert set(term.tags) == {
             ("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)
         }
-        assert triples.get(key) == step
+        assert triples[canonical(term)] == term
 
         part = Resolution(ctx).partition
         assert len(part.triangles) == 8

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from functools import cached_property
@@ -508,15 +509,16 @@ def test_report_builds_partition_once(monkeypatch, capsys):
 def test_verify_plays_the_leftmost_game_once(spec, sides, monkeypatch,
                                              capsys):
     # The resolution keeps the leftmost run, read by the partition and
-    # the order family; the family adds exactly 10 seeded orders, and
-    # the partition one side run per short side, all on the one kernel.
+    # the order family; the family adds exactly 10 orders drawn from one
+    # generator, and the partition one side run per short side, all on
+    # the one kernel.
     games = _count_calls(monkeypatch, "mmp", "run_mmp")
     runs = _count_calls(monkeypatch, "mmp", "contract_run")
     assert main(["verify", spec]) == 0
-    strategies = [args[1] if len(args) > 1 else "leftmost" for args in games]
-    assert strategies.count("leftmost") == 1
-    seeded = [s for s in strategies if s != "leftmost"]
-    assert len(seeded) == 10 and all(s[0] == "random" for s in seeded)
+    assert sum(len(args) == 1 for args in games) == 1
+    rngs = [args[1] for args in games if len(args) > 1]
+    assert len(rngs) == 10 and type(rngs[0]) is random.Random
+    assert all(rng is rngs[0] for rng in rngs)
     assert len(runs) == len(games) + sides
 
 
@@ -533,7 +535,7 @@ def test_seeded_run_reads_each_entry_once_and_builds_no_record(
         spec, monkeypatch):
     word = Resolution(lattice_context(parse_group_spec(spec))).word
     fixed = _count_calls(monkeypatch, "lattice", "sign_fixed")
-    trace = run_mmp(word, ("random", 3))
+    trace = run_mmp(word, random.Random(3))
     assert 0 < len(fixed) <= len(word)
     # A step is kept as the indexes of its three word entries.
     assert all(type(e) is int for step in trace.triples.values()

@@ -159,17 +159,16 @@ def test_run_mmp_terminal_triple_11():
     # champion triple f_{1,2} + f_{2,2} + f_{3,1} = 0.
     ctx = ctx_of("1/11(1,2,8)")
     fans = {i: corner_chain(ctx, i) for i in (1, 2, 3)}
-    trace = run_mmp(Resolution(ctx).word, [3, 3, 6, 5, 4, 0, 4, 0])
-    term = terminal(trace)
+    word = Resolution(ctx).word
+    term = positions_run(word, [3, 3, 6, 5, 4, 0, 4, 0])[-1]
     assert classify_triple(term.tags) == "champion"
     assert set(term.tags) == {("corner", 1, 2), ("corner", 2, 2), ("corner", 3, 1)}
     expected = vadd(
         vadd(fans[1].vectors[2], fans[2].vectors[2]), fans[3].vectors[1]
     )
     assert expected == (0, 0, 0)
-    # Any other order still emits that triple somewhere.
-    leftmost = run_mmp(Resolution(ctx).word)
-    assert canonical(term) in triple_set(leftmost)
+    # Any other order still emits that triple, as the same record.
+    assert triple_set(run_mmp(word))[canonical(term)] == term
 
 
 def test_run_mmp_z2z2_terminal_only():
@@ -201,7 +200,7 @@ def test_strategy_independence_and_side_deletion_words():
     # Eating from one side at a time: two steps along e1e2, or three along
     # e2e3, starting fresh each time; the intermediate words are pinned.
     word = word_of("1/11(1,2,8)")
-    leftmost = triple_set(run_mmp(word, "leftmost"))
+    leftmost = triple_set(run_mmp(word))
     targets = [
         (1, 3, 3, 1, 3, 2, 2, 1, 6, 2),
         (1, 3, 2, 2, 2, 2, 1, 6, 2),
@@ -209,10 +208,8 @@ def test_strategy_independence_and_side_deletion_words():
         (1, 3, 4, 1, 2, 3, 1, 4, 2),
         (1, 3, 4, 1, 2, 2, 3, 2),
     ]
-    via = {}
-    for strategy in ("leftmost", ("random", 1), ("random", 7), ("random", 42)):
-        via[str(strategy)] = set(triple_set(run_mmp(word, strategy)).keys())
-    assert all(v == set(leftmost.keys()) for v in via.values())
+    for rng in (None, random.Random(1), random.Random(7), random.Random(42)):
+        assert triple_set(run_mmp(word, rng)).keys() == leftmost.keys()
     w1, _ = contract(word, 3)
     assert w1.values() == targets[0]
     w2, _ = contract(w1, 3)
@@ -230,7 +227,7 @@ def test_strategy_independence_random_groups():
         word = word_of(text)
         base = set(triple_set(run_mmp(word)).keys())
         for seed in range(10):
-            assert set(triple_set(run_mmp(word, ("random", seed))).keys()) == base
+            assert set(triple_set(run_mmp(word, random.Random(seed)))) == base
 
 
 def test_count_law():
@@ -248,36 +245,6 @@ def test_cyclic_word_131313():
     trace = run_mmp(word)
     assert len(trace.steps) == 3
     assert len(triple_set(trace)) == 4
-
-
-@pytest.mark.parametrize("positions, message", [
-    ([3, 3, 6], "position list ran out after 3 steps"),
-    ([3, 11], "position 11 is outside a word of length 10"),
-    ([-1], "position -1 is outside a word of length 11"),
-    ([3, 3, 6, 5, 4, 0, 4, 0, 0], "1 positions left over after 8 steps"),
-])
-def test_explicit_positions_must_fit_the_run(positions, message):
-    word = word_of("1/11(1,2,8)")
-    assert len(word) == 11
-    with pytest.raises(InvariantError, match=f"^{message}$"):
-        run_mmp(word, positions)
-
-
-@pytest.mark.parametrize("strategy", [
-    "leftmost", ("random", 5), [3, 3, 6, 5, 4, 0, 4, 0]])
-def test_strategies_of_the_three_forms_run(strategy):
-    assert len(run_mmp(word_of("1/11(1,2,8)"), strategy).steps) == 8
-
-
-@pytest.mark.parametrize("strategy", [
-    "rightmost", ("leftmost",), ("random", "abc"), ("random", 1, 2),
-    ("random", True), [3, "3"], (3, 3, 6),
-])
-def test_unknown_strategies_raise(strategy):
-    word = word_of("1/11(1,2,8)")
-    for run in (run_mmp, contract_run):
-        with pytest.raises(ValueError, match=re.escape(repr(strategy))):
-            run(word, strategy)
 
 
 def synthetic_word(values, vectors):
@@ -338,22 +305,80 @@ def full_run(word, choose):
     return steps + [relation(*rest.entries, False, False)], taken
 
 
+def positions_run(word, positions):
+    """The oracle's full run taking the listed positions of the current
+    word in turn: its records, the terminal one last.  Each position must
+    be one of the current 1s, and the list must be used up."""
+    taken = []
+
+    def choose(ones):
+        k = len(taken)
+        if k == len(positions):
+            raise InvariantError(f"position list ran out after {k} steps")
+        pos, m = positions[k], len(word) - k
+        if not 0 <= pos < m:
+            raise InvariantError(
+                f"position {pos} is outside a word of length {m}")
+        if pos not in ones:
+            raise InvariantError(f"entry at {pos} is not a 1")
+        taken.append(pos)
+        return pos
+
+    records = full_run(word, choose)[0]
+    if len(taken) < len(positions):
+        raise InvariantError(f"{len(positions) - len(taken)} positions left "
+                             f"over after {len(taken)} steps")
+    return records
+
+
+@pytest.mark.parametrize("positions, message", [
+    ([3, 3, 6], "position list ran out after 3 steps"),
+    ([3, 11], "position 11 is outside a word of length 10"),
+    ([-1], "position -1 is outside a word of length 11"),
+    ([3, 3, 6, 5, 4, 0, 4, 0, 0], "1 positions left over after 8 steps"),
+    ([3, 1], "entry at 1 is not a 1"),
+])
+def test_explicit_positions_must_fit_the_run(positions, message):
+    # The by-sides order of the paper is played on the oracle, which
+    # takes a listed order only when it fits the run exactly.
+    word = word_of("1/11(1,2,8)")
+    assert len(word) == 11
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        positions_run(word, positions)
+
+
+def test_fenced_run_returns_when_stuck():
+    # One step leaves [2,2,2,2]: fenced, the run returns that step; with
+    # nothing protected it is a full run, and the stall raises.
+    word = synthetic_word(
+        [1, 3, 2, 2, 3],
+        [(0, 1, -1), (1, 0, -1), (1, 1, -2), (0, 1, -1), (1, -1, 0)])
+    fence = frozenset({("corner", 1, 3)})
+    assert list(contract_run(word, fence).values()) == [(4, 0, 1)]
+    with pytest.raises(InvariantError, match=re.escape(
+            "no contractible entry before reaching [1,1,1]")):
+        contract_run(word)
+
+
 def check_engine_against_oracle(spec):
     # The kernel's keys and the records triple_set builds off its steps,
     # in the order certified, against the record path.
     word = word_of(spec)
     want = record_triple_set(full_run(word, lambda ones: ones[0])[0])
     assert list(triple_set(run_mmp(word)).items()) == list(want.items()), spec
-    rng = random.Random(spec)
     for seed in range(3):
-        picked, taken = full_run(word, rng.choice)
-        assert list(triple_set(run_mmp(word, taken)).values()) == picked, spec
         # A seeded run picks among the 1s in word order, as choice does.
-        drawn = run_mmp(word, ("random", seed))
+        drawn = run_mmp(word, random.Random(seed))
         records = full_run(word, random.Random(seed).choice)[0]
         assert list(triple_set(drawn).items()) == list(
             record_triple_set(records).items()), spec
         assert drawn.triples.keys() == want.keys(), spec
+    # Ten runs drawing from one generator, as verify's order family does.
+    kernel, oracle = random.Random(spec), random.Random(spec)
+    for _ in range(10):
+        records = full_run(word, oracle.choice)[0]
+        assert list(triple_set(run_mmp(word, kernel)).items()) == list(
+            record_triple_set(records).items()), spec
     for side in (1, 2, 3):
         fence = frozenset(("junction", s) for s in (1, 2, 3) if s != side)
         eaten = oracle_run(word, lambda ones: ones[0], fence)[0]

@@ -4,6 +4,7 @@ import pytest
 
 import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
+from ahilb.cli import main
 from ahilb.resolution import Resolution
 from ahilb.verify import (
     CheckResult,
@@ -95,3 +96,44 @@ def test_random_failures_end_in_their_repro(monkeypatch):
     for line, (spec, seed) in zip(failures, seen):
         assert line.startswith(f"{spec}: fake: always fails: boom")
         assert line.endswith(f'ahilb verify "{spec}" --seed {seed}')
+
+
+def dropping_first_triple(run_mmp):
+    """run_mmp, except that a run drawn by a generator loses its first
+    triple."""
+    def run(word, rng=None):
+        trace = run_mmp(word, rng)
+        if rng is None:
+            return trace
+        return trace._replace(triples=dict(list(trace.triples.items())[1:]))
+    return run
+
+
+def other_winner(rule):
+    """crossing_rule_check, except that it names the wrong line."""
+    def check(ctx, la, lb):
+        return lb.tag if rule(ctx, la, lb) == la.tag else la.tag
+    return check
+
+
+@pytest.mark.parametrize("name, wrap, line", [
+    ("run_mmp", dropping_first_triple,
+     "mmp: triple set is independent of contraction order: "
+     "FAIL (randomized run emitted a different set)"),
+    ("cyclic_matrix_product", lambda f: lambda word: ((1, 0), (0, 1)),
+     "corners: cyclic word matrix product is minus the identity: "
+     "FAIL (word (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2) product is wrong)"),
+    ("crossing_rule_check", other_winner,
+     "monomials: exponent knock-out rule matches defeat data: "
+     "FAIL (rule says ('corner', 1, 1), partition says None at (1, 2, 8) "
+     "for ('corner', 1, 1) x ('corner', 2, 4))"),
+])
+def test_verify_reports_a_failing_family(name, wrap, line, monkeypatch,
+                                         capsys):
+    # name is the one verify imports; only its family fails.
+    monkeypatch.setattr(ahilb.verify, name, wrap(getattr(ahilb.verify, name)))
+    assert main(["verify", "1/11(1,2,8)"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [out for out in lines if ": FAIL (" in out]
+    assert failed == [line]
+    assert sum(out.endswith(": pass") for out in lines) == 13
