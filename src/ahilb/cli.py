@@ -66,8 +66,9 @@ def build_document(ctx: LatticeContext) -> dict:
             for i in (1, 2, 3)
         ],
         "cyclic_word": [
-            {"value": e.value, "tag": list(e.tag), "vector": list(e.vector)}
-            for e in res.word.entries
+            {"value": value, "tag": list(tag), "vector": list(vector)}
+            for value, tag, vector in zip(res.word.values, res.word.tags,
+                                          res.word.vectors)
         ],
     }
     champions = part.champions

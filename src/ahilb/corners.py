@@ -28,6 +28,7 @@ from .lattice import (
     multiple,
     pair_index,
     primitive_vector,
+    sign_fixed,
     smul,
     vadd,
     vneg,
@@ -242,20 +243,16 @@ def hj_expand(r: int, alpha: int) -> list[int]:
     return out
 
 
-class WordEntry(NamedTuple):
-    value: int
-    tag: Tag
-    vector: Vec3  # chain representative; one full cycle is a half turn
-
-
 class CyclicWord(NamedTuple):
-    entries: tuple[WordEntry, ...]
+    """The cyclic word as three columns: entry j is values[j], tags[j]
+    and vectors[j], its chain representative (one cycle is a half turn)."""
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.entries)
+    values: tuple[int, ...]
+    tags: tuple[Tag, ...]
+    vectors: tuple[Vec3, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
 
 def junction_c(side: int, fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
@@ -275,8 +272,8 @@ def long_side(word: CyclicWord) -> tuple[int, int] | None:
     """The long side as (side, c): the word's junction entry whose value c
     is at least 2, or None when every side is short.  Raises
     InvariantError when more than one side is long."""
-    longs = [(e.tag[1], e.value) for e in word.entries
-             if e.tag[0] == "junction" and e.value >= 2]
+    longs = [(tag[1], value) for value, tag in zip(word.values, word.tags)
+             if tag[0] == "junction" and value >= 2]
     if len(longs) > 1:
         raise InvariantError("more than one long side")
     return longs[0] if longs else None
@@ -290,47 +287,52 @@ def cyclic_word(fans: dict[int, CornerFan]) -> CyclicWord:
     blade signs so that consecutive entries satisfy
     v_{j-1} + v_{j+1} = value_j * v_j, with a sign flip on wraparound.
     """
-    entries: list[WordEntry] = []
-    signs = {1: 1, 2: -1, 3: 1}
-    for i in (1, 2, 3):
+    values, tags, vectors = [], [], []
+    for i, sgn in ((1, 1), (2, -1), (3, 1)):
         side_in = (i + 1) % 3 + 1  # side (i-1, i)
         c, vec = junction_c(side_in, fans)
-        sgn = signs[i]
-        entries.append(WordEntry(c, ("junction", side_in), smul(sgn, vec)))
         fan = fans[i]
-        for j in range(1, fan.k + 1):
-            entries.append(
-                WordEntry(fan.strengths[j - 1], ("corner", i, j),
-                          smul(sgn, fan.vectors[j]))
-            )
-    word = CyclicWord(tuple(entries))
+        values += [c, *fan.strengths]
+        tags += [("junction", side_in),
+                 *(("corner", i, j) for j in range(1, fan.k + 1))]
+        vectors += [smul(sgn, v) for v in (vec, *fan.vectors[1:-1])]
+    word = CyclicWord(tuple(values), tuple(tags), tuple(vectors))
     validate_chain(word)
     return word
 
 
 def validate_chain(word: CyclicWord) -> None:
-    """Check the three-term relation at every entry (wrap flips sign)."""
-    ent = word.entries
-    m = len(ent)
-    for j, e in enumerate(ent):
-        left = ent[(j - 1) % m].vector
-        right = ent[(j + 1) % m].vector
+    """Check that no two entries are parallel, then the three-term
+    relation at every entry (wrap flips sign).
+
+    On corner chains none are: by the relation each consecutive pair has
+    the same nonzero determinant, so the vectors turn one way, and the
+    three corner sweeps add up to the simplex's angle sum, a half turn
+    from v_0 to -v_0.  So a regular triple is named by its entry indexes
+    as well as by its vectors.  The vectors are primitive, so two are
+    parallel exactly when their sign-fixed vectors are equal.
+    """
+    first: dict[Vec3, int] = {}
+    for j, v in enumerate(word.vectors):
+        i = first.setdefault(sign_fixed(v), j)
+        if i != j:
+            raise InvariantError(f"cyclic word entries {i} and {j} are parallel")
+    values, vectors, m = word.values, word.vectors, len(word)
+    for j in range(m):
+        left, right = vectors[j - 1], vectors[(j + 1) % m]
         if j == 0:
             left = vneg(left)
         if j == m - 1:
             right = vneg(right)
-        if vadd(left, right) != smul(e.value, e.vector):
+        if vadd(left, right) != smul(values[j], vectors[j]):
             raise InvariantError(f"cyclic word chain relation fails at entry {j}")
 
 
 def cyclic_matrix_product(word: CyclicWord) -> tuple:
     """Product of the basis-change matrices [[0,1],[-1,value]] over one full
-    cycle.  Equals minus the identity: the cycle is a half turn."""
-    m = ((1, 0), (0, 1))
-    for e in word.entries:
-        step = ((0, 1), (-1, e.value))
-        m = tuple(
-            tuple(sum(m[r][t] * step[t][c] for t in range(2)) for c in range(2))
-            for r in range(2)
-        )
-    return m
+    cycle, by the row recurrence (a, b) -> (-b, a + value*b).  Equals
+    minus the identity: the cycle is a half turn."""
+    a, b, c, d = 1, 0, 0, 1
+    for v in word.values:
+        a, b, c, d = -b, a + v * b, -d, c + v * d
+    return ((a, b), (c, d))

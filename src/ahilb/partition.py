@@ -379,14 +379,17 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     directions span T.  The triple's vectors are +- its host lines'
     directions, so any two of them form a basis.  The pair-index test
     therefore runs only on the concurrent champion.
+
+    A side run's step must be a game triple's by its sorted entry
+    indexes, which name it (``validate_chain``).
     """
     lines = rays(ctx, fans)
     word = game.word
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
     index = {tuple(sorted(tri.side_lines)): t for t, tri in enumerate(enumerated)}
-    hosts = {key: tuple(sorted(word.entries[e].tag for e in step))
-             for key, step in game.triples.items()}
+    hosts = {tuple(sorted(step)): tuple(sorted(word.tags[e] for e in step))
+             for step in game.triples}
     # Against the distinct side-line sets: a repeated triangle passes here
     # and fails the areas of the tiling check.
     certified = set(hosts.values())
@@ -435,10 +438,10 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
         # Eat triangles along side s: contract any 1 except the other two
         # junction entries, until none is available.
         fence = frozenset(("junction", o) for o in (1, 2, 3) if o != s)
-        for key, step in contract_run(word, protected=fence).items():
-            tags = tuple(word.entries[e].tag for e in step)
-            named = tuple(sorted(tags))
-            if hosts.get(key) != named:
+        for step in contract_run(word, protected=fence):
+            named = hosts.get(tuple(sorted(step)))
+            if named is None:
+                tags = tuple(word.tags[e] for e in step)
                 raise InvariantError(
                     f"side run triple {tags} is not one of the game's")
             t = index.get(named)

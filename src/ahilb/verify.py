@@ -83,7 +83,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
     @check("corners: cyclic word matrix product is minus the identity")
     def _product():
         if cyclic_matrix_product(res.word) != ((-1, 0), (0, -1)):
-            raise InvariantError(f"word {res.word.values()} product is wrong")
+            raise InvariantError(f"word {res.word.values} product is wrong")
 
     @check("corners: at most one long side")
     def _long():
@@ -91,14 +91,15 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("mmp: triple set is independent of contraction order")
     def _orders():
-        # Against the partition's leftmost run, by keys alone: a run lists
-        # sum/3 triples and raises on a repeated key (run_mmp's docstring),
-        # so there is no count to check and no record to build.  One
-        # generator draws all 10 orders, so the seed replays them.
-        base = res.game.triples.keys()
+        # Against the partition's leftmost run, as sets of sorted entry
+        # indexes, which name the triples (validate_chain): a run lists
+        # sum/3 distinct ones (run_mmp's docstring), so there is no count
+        # to check.  One generator draws all 10 orders; the seed replays them.
+        base = {tuple(sorted(step)) for step in res.game.triples}
         rng = random.Random(seed)
         for _ in range(10):
-            if run_mmp(res.word, rng).triples.keys() != base:
+            if {tuple(sorted(step))
+                    for step in run_mmp(res.word, rng).triples} != base:
                 raise InvariantError("randomized run emitted a different set")
 
     @check("partition: enumeration and contraction game agree, areas exact")

@@ -40,7 +40,7 @@ def test_acceptance_1_group_11_1_2_8():
         assert corner_chain(ctx, 2).strengths == (2, 3, 2, 2)
         assert corner_chain(ctx, 3).strengths == (6, 2)
         word = Resolution(ctx).word
-        assert word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
+        assert word.values == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
         triples = triple_set(run_mmp(word))
         assert len(triples) == 9
@@ -74,7 +74,7 @@ def test_acceptance_2_group_15_1_2_12():
     def body():
         ctx = ctx_of("1/15(1,2,12)")
         part = Resolution(ctx).partition
-        assert Resolution(ctx).word.values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
+        assert Resolution(ctx).word.values == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
         assert len(part.triangles) == 9
         assert sorted(t.r for t in part.triangles) == [1] * 7 + [2, 2]
         # No triangle is deleted along the long side: its catchment is

@@ -1,15 +1,16 @@
 import tracemalloc
 from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 from test_cli import SWEEP
 from test_lattice import segment_points
+from test_tiling import cyclic_groups
 
 from ahilb import lattice, lattice_context, pair_index, parse_group_spec
 from ahilb.corners import (
     CornerFan,
     CyclicWord,
-    WordEntry,
     corner_chain,
     cyclic_matrix_product,
     hj_expand,
@@ -21,6 +22,7 @@ from ahilb.errors import InvariantError
 from ahilb.lattice import (
     chart,
     cross2,
+    cross3,
     group_elements,
     junior_points,
     multiple,
@@ -168,26 +170,25 @@ def test_junction_c_z2z2():
 
 def test_cyclic_word_11():
     ctx = ctx_of("1/11(1,2,8)")
-    assert Resolution(ctx).word.values() == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
+    assert Resolution(ctx).word.values == (1, 3, 4, 1, 2, 3, 2, 2, 1, 6, 2)
 
 
 def test_cyclic_word_15():
     ctx = ctx_of("1/15(1,2,12)")
-    assert Resolution(ctx).word.values() == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
+    assert Resolution(ctx).word.values == (1, 3, 2, 2, 2, 2, 2, 2, 1, 8, 2)
 
 
 def test_cyclic_word_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
-    assert Resolution(ctx).word.values() == (1, 1, 1)
+    assert Resolution(ctx).word.values == (1, 1, 1)
 
 
 def test_cyclic_word_half_exponent_group():
     # 1/2(0,1,1): the side e2 e3 carries the midpoint, so it is the long one.
     ctx = ctx_of("1/2(0,1,1)")
     word = Resolution(ctx).word
-    assert word.values() == (1, 2, 1, 2)
-    tags = [e.tag for e in word.entries]
-    assert tags[3] == ("junction", 2)
+    assert word.values == (1, 2, 1, 2)
+    assert word.tags[3] == ("junction", 2)
 
 
 def test_matrix_product_is_minus_identity():
@@ -198,6 +199,27 @@ def test_matrix_product_is_minus_identity():
     ):
         word = Resolution(ctx_of(text)).word
         assert cyclic_matrix_product(word) == ((-1, 0), (0, -1))
+
+
+def check_no_parallel_entries(specs):
+    """No two entries of a group's word are parallel: every pair of its
+    vectors has a nonzero cross product, so a regular triple is named by
+    its entry indexes."""
+    for spec in specs:
+        vectors = Resolution(ctx_of(spec)).word.vectors
+        assert all(cross3(a, b) != (0, 0, 0)
+                   for a, b in combinations(vectors, 2)), spec
+
+
+def test_word_entries_are_pairwise_non_parallel():
+    check_no_parallel_entries(SWEEP)
+
+
+@pytest.mark.deep
+def test_word_entries_are_pairwise_non_parallel_up_to_40():
+    check_no_parallel_entries(cyclic_groups(40)
+                              + [s for s in SWEEP if "+" in s]
+                              + ["1/2000(1,1,1998)"])
 
 
 def test_at_most_one_long_side():
@@ -224,10 +246,10 @@ def test_long_side_is_the_junction_entry_of_value_two():
 
 
 def test_long_side_rejects_two_long_sides():
-    word = CyclicWord(tuple(
-        WordEntry(value, tag, (0, 0, 0)) for value, tag in (
-            (2, ("junction", 3)), (1, ("corner", 1, 1)),
-            (2, ("junction", 1)), (1, ("junction", 2)))))
+    word = CyclicWord(
+        (2, 1, 2, 1),
+        (("junction", 3), ("corner", 1, 1), ("junction", 1), ("junction", 2)),
+        ((0, 0, 0),) * 4)
     with pytest.raises(InvariantError, match="more than one long side"):
         long_side(word)
 

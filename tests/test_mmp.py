@@ -7,7 +7,7 @@ from test_cli import SWEEP
 from test_tiling import cyclic_groups
 
 from ahilb import lattice_context, parse_group_spec
-from ahilb.corners import CyclicWord, WordEntry, corner_chain
+from ahilb.corners import CyclicWord, corner_chain, validate_chain
 from ahilb.errors import InvariantError
 from ahilb.lattice import pair_index, sign_fixed, vadd, vneg
 from ahilb.mmp import (
@@ -39,29 +39,30 @@ class RegularTriple(NamedTuple):
 
 
 def triple_set(trace: MMPTrace) -> dict:
-    """The run's triples as records, by key; a neighbor reached across
-    the end of the word is negated."""
-    entries = trace.word.entries
-    out = {}
-    for key, (left, mid, right) in trace.triples.items():
-        lv, rv = entries[left].vector, entries[right].vector
-        out[key] = RegularTriple(
-            (vneg(lv) if left > mid else lv, entries[mid].vector,
-             vneg(rv) if right < mid else rv),
-            (entries[left].tag, entries[mid].tag, entries[right].tag))
-    return out
+    """The run's triples as records, by key, off its steps; a neighbor
+    reached across the end of the word is negated."""
+    return record_triple_set([
+        relation(trace.word, left, mid, right, left > mid, right < mid)
+        for left, mid, right in trace.triples])
 
 
-def relation(left: WordEntry, mid: WordEntry, right: WordEntry,
+def index_set(trace: MMPTrace) -> set:
+    """The run's triples as sorted entry indexes, as verify compares them."""
+    return {tuple(sorted(step)) for step in trace.triples}
+
+
+def relation(word: CyclicWord, left: int, mid: int, right: int,
              left_wraps: bool, right_wraps: bool) -> RegularTriple:
-    """The record path's triple: the one certified by contracting mid
-    between its neighbors, a neighbor reached across the end of the word
-    negated.  Raises unless left + right = mid."""
-    lv = vneg(left.vector) if left_wraps else left.vector
-    rv = vneg(right.vector) if right_wraps else right.vector
-    if vadd(lv, rv) != mid.vector:
+    """The record path's triple: the one certified by contracting entry
+    mid of word between entries left and right, a neighbor reached across
+    the end of the word negated.  Raises unless left + right = mid."""
+    lv, mv, rv = (word.vectors[e] for e in (left, mid, right))
+    lv = vneg(lv) if left_wraps else lv
+    rv = vneg(rv) if right_wraps else rv
+    if vadd(lv, rv) != mv:
         raise InvariantError("contraction relation failed; corrupted word")
-    return RegularTriple((lv, mid.vector, rv), (left.tag, mid.tag, right.tag))
+    return RegularTriple((lv, mv, rv),
+                         tuple(word.tags[e] for e in (left, mid, right)))
 
 
 def canonical(triple: RegularTriple) -> tuple:
@@ -70,7 +71,7 @@ def canonical(triple: RegularTriple) -> tuple:
 
 
 def record_triple_set(records: list[RegularTriple]) -> dict:
-    """The oracle of the run kernel's keys: records keyed by canonical
+    """The oracle of the run kernel's triples: records keyed by canonical
     form, in order; a repeat is an error."""
     out = {}
     for triple in records:
@@ -89,22 +90,21 @@ def terminal(trace: MMPTrace) -> RegularTriple:
 def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
     """One step of the contraction game on a copied word: contract the
     value-1 entry at pos; neighbors are decremented."""
-    entries = word.entries
-    m = len(entries)
+    values, tags, vectors = (list(column) for column in word)
+    m = len(values)
     if m < 4:
         raise InvariantError("cyclic words of length < 4 are terminal")
-    if entries[pos].value != 1:
-        raise InvariantError(f"entry at {pos} has value {entries[pos].value}, not 1")
-    triple = relation(entries[(pos - 1) % m], entries[pos],
-                      entries[(pos + 1) % m], pos == 0, pos == m - 1)
-    new = list(entries)
+    if values[pos] != 1:
+        raise InvariantError(f"entry at {pos} has value {values[pos]}, not 1")
+    triple = relation(word, (pos - 1) % m, pos, (pos + 1) % m,
+                      pos == 0, pos == m - 1)
     for nb in ((pos - 1) % m, (pos + 1) % m):
-        e = new[nb]
-        if e.value <= 1:
+        if values[nb] <= 1:
             raise InvariantError("contraction would drop a strength below 1")
-        new[nb] = WordEntry(e.value - 1, e.tag, e.vector)
-    del new[pos]
-    return CyclicWord(tuple(new)), triple
+        values[nb] -= 1
+    for column in (values, tags, vectors):
+        del column[pos]
+    return CyclicWord(tuple(values), tuple(tags), tuple(vectors)), triple
 
 
 def test_contract_values_middle():
@@ -131,7 +131,7 @@ def test_contract_cyclic_wraps():
     # Contract the first junction: the final entry (value 2) and the first
     # strength (3) are its cyclic neighbors.
     new, triple = contract(word, 0)
-    assert new.values() == (2, 4, 1, 2, 3, 2, 2, 1, 6, 1)
+    assert new.values == (2, 4, 1, 2, 3, 2, 2, 1, 6, 1)
     # The emitted relation is left + right = contracted with wrap sign.
     assert vadd(triple.vectors[0], triple.vectors[2]) == triple.vectors[1]
 
@@ -146,7 +146,7 @@ def test_run_mmp_11_counts():
     ctx = ctx_of("1/11(1,2,8)")
     word = Resolution(ctx).word
     trace = run_mmp(word)
-    assert sum(word.values()) == 27
+    assert sum(word.values) == 27
     assert len(trace.steps) == 8
     triples = triple_set(trace)
     assert len(triples) == 9
@@ -185,14 +185,14 @@ def test_run_mmp_z2z2_terminal_only():
 def test_run_mmp_15_nine_triples():
     word = word_of("1/15(1,2,12)")
     trace = run_mmp(word)
-    assert sum(word.values()) == 27
+    assert sum(word.values) == 27
     assert len(triple_set(trace)) == 9
 
 
 def test_run_mmp_30_five_triples():
     word = word_of("1/30(25,2,3)")
     trace = run_mmp(word)
-    assert sum(word.values()) == 15
+    assert sum(word.values) == 15
     assert len(triple_set(trace)) == 5
 
 
@@ -211,15 +211,15 @@ def test_strategy_independence_and_side_deletion_words():
     for rng in (None, random.Random(1), random.Random(7), random.Random(42)):
         assert triple_set(run_mmp(word, rng)).keys() == leftmost.keys()
     w1, _ = contract(word, 3)
-    assert w1.values() == targets[0]
+    assert w1.values == targets[0]
     w2, _ = contract(w1, 3)
-    assert w2.values() == targets[1]
+    assert w2.values == targets[1]
     w3, _ = contract(word, 8)
-    assert w3.values() == targets[2]
+    assert w3.values == targets[2]
     w4, _ = contract(w3, 7)
-    assert w4.values() == targets[3]
+    assert w4.values == targets[3]
     w5, _ = contract(w4, 6)
-    assert w5.values() == targets[4]
+    assert w5.values == targets[4]
 
 
 def test_strategy_independence_random_groups():
@@ -233,7 +233,7 @@ def test_strategy_independence_random_groups():
 def test_count_law():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)", "1/101(1,7,93)"):
         word = word_of(text)
-        s = sum(word.values())
+        s = sum(word.values)
         assert len(triple_set(run_mmp(word))) == s // 3
 
 
@@ -241,7 +241,7 @@ def test_cyclic_word_131313():
     # 1/3(1,1,1): strength sum 12, so three contractions then the terminal
     # triple; the three lines from the corners meet at the center.
     word = word_of("1/3(1,1,1)")
-    assert word.values() == (1, 3, 1, 3, 1, 3)
+    assert word.values == (1, 3, 1, 3, 1, 3)
     trace = run_mmp(word)
     assert len(trace.steps) == 3
     assert len(triple_set(trace)) == 4
@@ -250,21 +250,15 @@ def test_cyclic_word_131313():
 def synthetic_word(values, vectors):
     """A cyclic word of the given values and vectors, tagged as the rays
     out of corner 1."""
-    return CyclicWord(tuple(
-        WordEntry(value, ("corner", 1, t), vector)
-        for t, (value, vector) in enumerate(zip(values, vectors), 1)))
+    return CyclicWord(tuple(values),
+                      tuple(("corner", 1, t) for t in range(1, len(values) + 1)),
+                      tuple(vectors))
 
 
 @pytest.mark.parametrize("values, vectors, message", [
     # The first 1 is not the sum of its neighbors, the last one negated.
     ([1, 2, 2, 2], [(2, -1, -1), (1, 0, -1), (0, 1, -1), (0, 1, -1)],
      "contraction relation failed; corrupted word"),
-    # Two pairs of entries share a vector, so the second step (entry 3
-    # between entries 2 and 4, counting from 0) certifies the first's
-    # triple again.
-    ([1, 3, 2, 1, 2],
-     [(-1, -2, 3), (1, -2, 1), (-1, -2, 3), (1, -2, 1), (2, 0, -2)],
-     "regular triple emitted twice in one run"),
     # The first step's right neighbor is a 1 already.
     ([1, 1, 2, 2], [(1, -1, 0), (1, 0, -1), (1, 1, -2), (0, 1, -1)],
      "contraction would drop a strength below 1"),
@@ -278,6 +272,22 @@ def test_kernel_failure_messages(values, vectors, message):
         run_mmp(synthetic_word(values, vectors))
 
 
+@pytest.mark.parametrize("word, message", [
+    # Two pairs of entries share a vector; on this word the kernel would
+    # certify the first step's triple again at the second.
+    (synthetic_word(
+        [1, 3, 2, 1, 2],
+        [(-1, -2, 3), (1, -2, 1), (-1, -2, 3), (1, -2, 1), (2, 0, -2)]),
+     "cyclic word entries 0 and 2 are parallel"),
+    # The word of 1/3(1,1,1) with its first value raised.
+    (CyclicWord((2, 3, 1, 3, 1, 3), *word_of("1/3(1,1,1)")[1:]),
+     "cyclic word chain relation fails at entry 0"),
+])
+def test_validate_chain_failure_messages(word, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        validate_chain(word)
+
+
 def oracle_run(word, choose, protected=frozenset()):
     """The contraction game one copied word at a time: scan the whole word
     for the 1s not tagged in protected and `contract` the one that
@@ -286,8 +296,8 @@ def oracle_run(word, choose, protected=frozenset()):
     triples, taken = [], []
     cur = word
     while len(cur) > 3:
-        ones = [t for t, e in enumerate(cur.entries)
-                if e.value == 1 and e.tag not in protected]
+        ones = [t for t, (value, tag) in enumerate(zip(cur.values, cur.tags))
+                if value == 1 and tag not in protected]
         if not ones:
             break
         pos = choose(ones)
@@ -301,8 +311,8 @@ def full_run(word, choose):
     """The oracle's run down to [1,1,1]: its records, the terminal one
     last, and the positions taken."""
     steps, taken, rest = oracle_run(word, choose)
-    assert rest.values() == (1, 1, 1)
-    return steps + [relation(*rest.entries, False, False)], taken
+    assert rest.values == (1, 1, 1)
+    return steps + [relation(rest, 0, 1, 2, False, False)], taken
 
 
 def positions_run(word, positions):
@@ -354,25 +364,27 @@ def test_fenced_run_returns_when_stuck():
         [1, 3, 2, 2, 3],
         [(0, 1, -1), (1, 0, -1), (1, 1, -2), (0, 1, -1), (1, -1, 0)])
     fence = frozenset({("corner", 1, 3)})
-    assert list(contract_run(word, fence).values()) == [(4, 0, 1)]
+    assert contract_run(word, fence) == ((4, 0, 1),)
     with pytest.raises(InvariantError, match=re.escape(
             "no contractible entry before reaching [1,1,1]")):
         contract_run(word)
 
 
 def check_engine_against_oracle(spec):
-    # The kernel's keys and the records triple_set builds off its steps,
-    # in the order certified, against the record path.
+    # The records triple_set builds off the kernel's steps, keyed by
+    # canonical vectors and in the order certified, against the record
+    # path; the index sets of the seeded runs against the leftmost one's.
     word = word_of(spec)
     want = record_triple_set(full_run(word, lambda ones: ones[0])[0])
-    assert list(triple_set(run_mmp(word)).items()) == list(want.items()), spec
+    leftmost = run_mmp(word)
+    assert list(triple_set(leftmost).items()) == list(want.items()), spec
     for seed in range(3):
         # A seeded run picks among the 1s in word order, as choice does.
         drawn = run_mmp(word, random.Random(seed))
         records = full_run(word, random.Random(seed).choice)[0]
         assert list(triple_set(drawn).items()) == list(
             record_triple_set(records).items()), spec
-        assert drawn.triples.keys() == want.keys(), spec
+        assert index_set(drawn) == index_set(leftmost), spec
     # Ten runs drawing from one generator, as verify's order family does.
     kernel, oracle = random.Random(spec), random.Random(spec)
     for _ in range(10):

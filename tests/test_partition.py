@@ -172,7 +172,7 @@ def test_semiregular_group_word_and_partition():
     r, c = 2, 3
     ctx = ctx_of(f"1/{r}(1,{r-1},0)+1/{r*c}(0,1,{r*c-1})")
     word = Resolution(ctx).word
-    vals = list(word.values())
+    vals = list(word.values)
     assert sorted(vals) == sorted([1] + [2] * (c - 1) + [1, c])
     part = Resolution(ctx).partition
     assert sorted(t.r for t in part.triangles) == [r] * c
@@ -529,7 +529,7 @@ def test_build_partition_realizes_each_triple_once(spec, monkeypatch):
 
 
 def without_first_triple(game):
-    return game._replace(triples=dict(list(game.triples.items())[1:]))
+    return game._replace(triples=game.triples[1:])
 
 
 @pytest.mark.parametrize("spec, name, wrap, message", [
@@ -565,13 +565,20 @@ def without_first_triple(game):
      "expected a unique champion triple, found 0"),
     # A side run's step is not on the game triple's host lines.
     ("1/11(1,2,8)", "contract_run",
-     lambda f: lambda word, **kw: {key: step[:2] + step[:1] for key, step
-                                   in f(word, **kw).items()},
+     lambda f: lambda word, **kw: tuple(step[:2] + step[:1]
+                                        for step in f(word, **kw)),
      "side run triple .* is not one of the game's"),
+    # A side run certifies the concurrent champion, a game triple on no
+    # enumerated triangle.
+    ("1/11(1,2,8)", "contract_run",
+     lambda f: lambda word, **kw: tuple(
+         step for step in f(word) if classify_triple(
+             [word.tags[e] for e in step]) == "champion"),
+     "side run realized a degenerate triple"),
     # The side runs eat nothing.
-    ("1/101(1,7,93)", "contract_run", lambda f: lambda word, **kw: {},
+    ("1/101(1,7,93)", "contract_run", lambda f: lambda word, **kw: (),
      "catchments must leave exactly the champion"),
-    ("1/11(1,2,8)", "contract_run", lambda f: lambda word, **kw: {},
+    ("1/11(1,2,8)", "contract_run", lambda f: lambda word, **kw: (),
      "triangles outside every catchment"),
 ])
 def test_build_partition_failure_paths(spec, name, wrap, message, monkeypatch):

@@ -105,7 +105,7 @@ def dropping_first_triple(run_mmp):
         trace = run_mmp(word, rng)
         if rng is None:
             return trace
-        return trace._replace(triples=dict(list(trace.triples.items())[1:]))
+        return trace._replace(triples=trace.triples[1:])
     return run
 
 
