@@ -21,7 +21,7 @@ from .lattice import (
     sign_fixed,
 )
 from .monomials import primitive_in_monomial_lattice, ratio_str
-from .partition import Partition, interior_lines, unit_edges
+from .partition import Partition, unit_edges
 
 SIZE = 520.0
 MARGIN = 45.0
@@ -69,7 +69,7 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
             for a, b in sorted(solid)]
 
     # Strength labels on the interior lines, placed a third of the way out.
-    for line in interior_lines(part):
+    for line in part.lines.values():
         xa, ya = _project(line.anchor, n)
         xb, yb = _project(line.defeat_point, n)
         lx, ly = xa + (xb - xa) / 3.0, ya + (yb - ya) / 3.0

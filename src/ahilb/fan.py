@@ -4,7 +4,6 @@ fan, crepancy checks and the census of exceptional surfaces."""
 from __future__ import annotations
 
 from math import comb
-from operator import is_not
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -90,9 +89,9 @@ def build_fan(part: Partition) -> Fan:
     so as many cones as the group order (build_partition checked that the
     r^2 sum to it).
 
-    Every cone vertex is interned into one sorted ray table, so the cones
-    share its tuples and the edge and star bookkeeping runs on table
-    indexes, which compare as the points do.
+    Every cone vertex is indexed in one sorted ray table, and the edge
+    and star bookkeeping runs on table indexes, which compare as the
+    points do.  The cones are the tesselations' own cells.
     A down cell is the point reflection of an up cell, a rotation by pi,
     so every cell has its parent's orientation, and one cross2 per
     triangle orients its cells counter-clockwise in the chart.  At each
@@ -114,15 +113,12 @@ def build_fan(part: Partition) -> Fan:
     nexts: list[dict[int, int]] = [{} for _ in rays]
     cones = []
     for tri, tes in cells:
+        cones += tes
         w1, w2, w3 = tri.vertices
         ccw = cross2(chart(vsub(w2, w1)), chart(vsub(w3, w1))) > 0
         for c in tes:
             v0, v1, v2 = c.vertices
             a, b, d = index[v0], index[v1], index[v2]
-            shared = (rays[a], rays[b], rays[d])
-            if any(map(is_not, shared, c.vertices)):
-                c = c._replace(vertices=shared)
-            cones.append(c)
             if not ccw:
                 b, d = d, b
             for x, u, w in ((a, b, d), (b, d, a), (d, a, b)):

@@ -20,12 +20,7 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .corners import (
-    CornerFan,
-    Tag,
-    junction_c,
-    long_side as find_long_side,
-)
+from .corners import CyclicWord, Tag, long_side as find_long_side
 from .errors import InvariantError
 from .lattice import (
     LatticeContext,
@@ -46,8 +41,9 @@ RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
 
 class Line(NamedTuple):
-    """A ray of the subdivision: out of a corner for interior lines, or a
-    side of the simplex.  defeat_point is filled after the partition."""
+    """The line of one word entry: out of a corner for interior lines, or
+    a side of the simplex for junctions.  defeat_point is filled on the
+    interior lines of the partition."""
 
     tag: Tag
     anchor: Vec3
@@ -56,19 +52,17 @@ class Line(NamedTuple):
     defeat_point: Vec3 | None = None
 
 
-def rays(ctx: LatticeContext, fans: dict[int, CornerFan]) -> dict[Tag, Line]:
-    """One line per interior corner ray plus the three sides."""
+def rays(ctx: LatticeContext, word: CyclicWord) -> dict[Tag, Line]:
+    """One line per word entry, in word order: the interior rays of every
+    corner and the three sides.  An entry tagged (kind, i, ...) runs out
+    of e_i along its vector or the negative, whichever leaves e_i (lowers
+    coordinate i), with the entry's value as its strength; the junction
+    (side) e_s e_{s+1} thus runs from e_s toward e_{s+1}."""
     lines: dict[Tag, Line] = {}
-    for i in (1, 2, 3):
-        fan = fans[i]
-        for j in range(1, fan.k + 1):
-            tag = ("corner", i, j)
-            lines[tag] = Line(tag, ctx.corner(i), fan.vectors[j],
-                              fan.strengths[j - 1])
-    for s in (1, 2, 3):
-        c, _ = junction_c(s, fans)
-        tag = ("junction", s)
-        lines[tag] = Line(tag, ctx.corner(s), fans[s].vectors[-1], c)
+    for value, tag, vec in zip(word.values, word.tags, word.vectors):
+        i = tag[1]
+        lines[tag] = Line(tag, ctx.corner(i),
+                          vec if vec[i - 1] < 0 else vneg(vec), value)
     return lines
 
 
@@ -209,7 +203,7 @@ class ChampionsReport(NamedTuple):
 
 class Partition(NamedTuple):
     """The regular triangles sorted by key, the knock-out outcome, and the
-    lines with their defeat points."""
+    interior lines, in tag order, with their defeat points."""
 
     triangles: tuple[RegularTriangle, ...]
     champions: ChampionsReport
@@ -247,7 +241,7 @@ def crossings(part: Partition) -> list[tuple[Line, Line, RatPoint]]:
     per crossing, and a sort of the K crossings.
     """
     fans = {i: [] for i in (1, 2, 3)}
-    for line in interior_lines(part):
+    for line in part.lines.values():
         fans[line.tag[1]].append(line)
     pairs = []
     for i in (1, 2, 3):
@@ -357,11 +351,11 @@ def _concurrent_champion(ctx: LatticeContext, lines: dict[Tag, Line],
     return num
 
 
-def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
-                    game: MMPTrace) -> Partition:
-    """Enumerate the partition, cross-check it against the contraction game,
-    validate coverage, and fill champions, catchment areas and defeat
-    points.  game is the leftmost run on the fans' cyclic word.
+def build_partition(ctx: LatticeContext, game: MMPTrace) -> Partition:
+    """Enumerate the partition on the lines of game's word, cross-check it
+    against the contraction game, validate coverage, and fill champions,
+    catchment areas and the interior lines' defeat points.  game is the
+    leftmost run on the cyclic word.
 
     The cross-check compares tag triples: the sorted side-line tags of
     each enumerated triangle against the sorted tags of the three word
@@ -383,8 +377,8 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     A side run's step must be a game triple's by its sorted entry
     indexes, which name it (``validate_chain``).
     """
-    lines = rays(ctx, fans)
     word = game.word
+    lines = rays(ctx, word)
 
     enumerated = enumerate_triangles(ctx, lines)  # sorted by key
     index = {tuple(sorted(tri.side_lines)): t for t, tri in enumerate(enumerated)}
@@ -463,15 +457,13 @@ def build_partition(ctx: LatticeContext, fans: dict[int, CornerFan],
     for tri in enumerated:
         for t, tag in enumerate(tri.side_lines):
             sides.setdefault(tag, []).append(tri.side_of(t))
-    for tag, line in lines.items():
-        if tag[0] == "corner":
-            lines[tag] = line._replace(
-                defeat_point=line_extent(line, sides.get(tag, [])))
     return Partition(
         triangles=tuple(enumerated),
         champions=champions,
         catchment=catchment,
-        lines=lines,
+        lines={tag: line._replace(
+                   defeat_point=line_extent(line, sides.get(tag, [])))
+               for tag, line in lines.items() if tag[0] == "corner"},
     )
 
 
@@ -548,16 +540,11 @@ def knockout_report(part: Partition,
                     f"extent {'ends' if dies else 'continues'}"
                 )
     # Every interior defeat point lies on the boundary or at a crossing.
-    for line in interior_lines(part):
+    for line in part.lines.values():
         end = line.defeat_point
         if 0 in end:
             continue
         if line.tag not in events.get((end, 1), ()):
             violations.append(f"line {line.tag} dies at {end} with no rival")
     return violations
-
-
-def interior_lines(part: Partition) -> list[Line]:
-    """The lines out of the corners, in tag order."""
-    return [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
 

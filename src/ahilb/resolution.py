@@ -54,7 +54,7 @@ class Resolution:
 
     @cached_property
     def partition(self) -> Partition:
-        return build_partition(self.ctx, self.fans, self.game)
+        return build_partition(self.ctx, self.game)
 
     @cached_property
     def crossings(self) -> list[tuple[Line, Line, RatPoint]]:

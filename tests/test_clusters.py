@@ -1,5 +1,6 @@
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -997,6 +998,13 @@ def test_classification_rejects_bad_counts():
         bad[7] += 1
     with pytest.raises(InvariantError):
         classify_cluster(tuple(bad))
+
+
+def test_classification_rejects_exponents_of_no_mode():
+    with pytest.raises(InvariantError, match=re.escape(
+            "exponents (0, 0, 0, 0, 0, 0, 1, 0, 0) satisfy neither the up "
+            "nor the down relations")):
+        classify_cluster((0, 0, 0, 0, 0, 0, 1, 0, 0))
 
 
 def test_mode_exclusivity():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import cmp_to_key
 from itertools import combinations
@@ -166,6 +167,20 @@ def test_junction_c_z2z2():
     ctx = ctx_of("1/2(1,1,0)+1/2(0,1,1)")
     fans = Resolution(ctx).fans
     assert [junction_c(s, fans)[0] for s in (1, 2, 3)] == [1, 1, 1]
+
+
+def test_junction_c_rejects_a_perturbed_fan():
+    # Moving the first interior ray at e2 off the chain leaves side e1 e2
+    # with no multiple of its side ray between the neighbouring rays.
+    ctx = ctx_of("1/11(1,2,8)")
+    fans = dict(Resolution(ctx).fans)
+    vectors = list(fans[2].vectors)
+    vectors[1] = vadd(vectors[1], (-1, 0, 1))
+    fans[2] = fans[2]._replace(vectors=tuple(vectors))
+    assert junction_c(2, fans)[0] == 1
+    with pytest.raises(InvariantError, match=re.escape(
+            "side 1: no junction constant (corner fan bug)")):
+        junction_c(1, fans)
 
 
 def test_cyclic_word_11():

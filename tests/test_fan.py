@@ -1,4 +1,5 @@
 import random
+import re
 from functools import cache, cmp_to_key
 from itertools import combinations
 from math import comb
@@ -159,6 +160,24 @@ def test_census_valencies_in_range():
         ctx, part, fan = pipeline(text)
         for s in surface_census(fan):
             assert 3 <= s.valency <= 6
+
+
+@pytest.mark.parametrize("arms, message", [
+    ([(1, 0), (0, 1)], "vertex (1, 1, 1) has valency 2"),
+    # At the first arm its neighbours sum to (1, 2), off its line.
+    ([(1, 0), (0, 1), (1, 1)], "star relation at (1, 1, 1) is not integral"),
+    # Arms on one line: the relations hold with b = (0, -2, 0).
+    ([(1, 0), (-1, 0), (1, 0)], "valency-3 star at (1, 1, 1) is not a plane"),
+    ([(1, 0), (-1, 0), (1, 0), (-1, 0)],
+     "valency-4 star at (1, 1, 1) is not a scroll: [-2, -2, -2, -2]"),
+])
+def test_census_rejects_a_bad_star(arms, message):
+    # A synthetic fan with the one star around (1, 1, 1), its neighbours
+    # at the given chart offsets.
+    v = (1, 1, 1)
+    star = tuple((1, 1 + dy, 1 + dz) for dy, dz in arms)
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        surface_census(Fan(rays=(), cones=(), stars={v: star}))
 
 
 def test_census_star_relations():

@@ -33,7 +33,7 @@ from ahilb.monomials import (
     sign_roles,
     triangle_ratios,
 )
-from ahilb.partition import meet
+from ahilb.partition import meet, rays
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
 from test_fan import sweep_resolutions
@@ -55,13 +55,18 @@ def test_line_ratio_e3_line_of_11():
     assert ratio_str(m) == "x^2:y"
 
 
+def word_lines(text):
+    ctx = lattice_context(parse_group_spec(text))
+    return ctx, rays(ctx, Resolution(ctx).word)
+
+
 def test_line_ratio_simplex_side_is_pure_power():
-    ctx, part = pipeline("1/11(1,2,8)")
-    m = line_ratio(ctx, part.lines[("junction", 1)], (0, 0, 11))
+    ctx, lines = word_lines("1/11(1,2,8)")
+    m = line_ratio(ctx, lines[("junction", 1)], (0, 0, 11))
     assert m == (0, 0, 11)
     assert ratio_str(m) == "z^11"
     # Each side carries the pure power of order N for a coprime group.
-    m2 = line_ratio(ctx, part.lines[("junction", 2)], (11, 0, 0))
+    m2 = line_ratio(ctx, lines[("junction", 2)], (11, 0, 0))
     assert m2 == (11, 0, 0)
 
 
@@ -75,8 +80,8 @@ def test_line_ratio_sign_convention():
 
 
 def test_line_ratios_are_invariant_and_primitive():
-    ctx, part = pipeline("1/30(25,2,3)")
-    for tag, line in part.lines.items():
+    ctx, lines = word_lines("1/30(25,2,3)")
+    for line in lines.values():
         m = line_ratio(ctx, line, _any_transversal(ctx, line))
         assert ctx.is_invariant_monomial(m)
         # Primitive: no proper invariant divisor.
@@ -456,7 +461,7 @@ def test_crossing_rule_matches_partition_everywhere():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/101(1,7,93)", "1/13(1,5,7)"):
         ctx, part = pipeline(text)
-        inner = [l for t, l in part.lines.items() if t[0] == "corner"]
+        inner = list(part.lines.values())
         fars = {
             l.tag: multiple(vsub(l.defeat_point, l.anchor), l.direction)
             for l in inner

@@ -12,9 +12,11 @@ import ahilb.partition
 from ahilb import lattice_context, pair_index, parse_group_spec
 from ahilb.cli import build_document
 from ahilb.errors import InvariantError
+from ahilb.corners import junction_c
 from ahilb.lattice import Generator, permute, sign_fixed, smul, vadd
 from ahilb.mmp import classify_triple, run_mmp
 from ahilb.partition import (
+    Line,
     _check_tiling,
     _within,
     crossings,
@@ -26,6 +28,7 @@ from ahilb.partition import (
 )
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
+from test_lattice import PRODUCTS
 from test_mmp import terminal, triple_set
 from test_tiling import (
     ConcurrencyPoint,
@@ -40,7 +43,46 @@ def ctx_of(text):
 
 
 def rays_of(ctx):
-    return rays(ctx, Resolution(ctx).fans)
+    return rays(ctx, Resolution(ctx).word)
+
+
+def fan_lines(ctx, fans):
+    """The lines built from the corner fans instead of the word: one per
+    interior corner ray, with its strength, and one per side, from its
+    first corner along the side with the junction constant: the oracle
+    for ``rays``."""
+    lines = {}
+    for i in (1, 2, 3):
+        fan = fans[i]
+        for j in range(1, fan.k + 1):
+            tag = ("corner", i, j)
+            lines[tag] = Line(tag, ctx.corner(i), fan.vectors[j],
+                              fan.strengths[j - 1])
+    for s in (1, 2, 3):
+        c, _ = junction_c(s, fans)
+        tag = ("junction", s)
+        lines[tag] = Line(tag, ctx.corner(s), fans[s].vectors[-1], c)
+    return lines
+
+
+def check_word_lines(spec):
+    res = Resolution(ctx_of(spec))
+    assert rays(res.ctx, res.word) == fan_lines(res.ctx, res.fans), spec
+    corners = sorted(tag for tag in res.word.tags if tag[0] == "corner")
+    assert list(res.partition.lines) == corners, spec
+    assert all(line.defeat_point is not None
+               for line in res.partition.lines.values()), spec
+
+
+def test_word_lines_match_the_fan_oracle():
+    for spec in SWEEP:
+        check_word_lines(spec)
+
+
+@pytest.mark.deep
+def test_word_lines_match_the_fan_oracle_up_to_40():
+    for spec in cyclic_groups(40) + product_groups(8) + PRODUCTS:
+        check_word_lines(spec)
 
 
 def test_rays_counts():
@@ -219,7 +261,7 @@ def pairwise_crossings(part):
     """Every pair of interior lines from different corners, met and kept
     when the meet is strictly inside the simplex and within both lines'
     extents, in sorted tag order: the oracle for ``crossings``."""
-    interior = [l for t, l in sorted(part.lines.items()) if t[0] == "corner"]
+    interior = [line for _, line in sorted(part.lines.items())]
     out = []
     for la, lb in combinations(interior, 2):
         if la.tag[1] == lb.tag[1]:
@@ -244,8 +286,8 @@ def check_crossings(spec, shifts=False):
     part = Resolution(ctx_of(spec)).partition
     parts = [part]
     if shifts:
-        parts += [shifted(part, tag, steps) for tag in sorted(part.lines)
-                  if tag[0] == "corner" for steps in (-1, 1)]
+        parts += [shifted(part, tag, steps) for tag in part.lines
+                  for steps in (-1, 1)]
     for p in parts:
         assert crossing_rows(crossings(p)) == crossing_rows(
             pairwise_crossings(p)), spec
@@ -428,9 +470,7 @@ def test_defeat_points_are_lattice_points():
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/101(1,7,93)"):
         ctx = ctx_of(text)
         part = Resolution(ctx).partition
-        for tag, line in part.lines.items():
-            if tag[0] != "corner":
-                continue
+        for line in part.lines.values():
             assert line.defeat_point is not None
             assert ctx.is_lattice_point(line.defeat_point)
 
@@ -494,7 +534,8 @@ def realized_partition(ctx, lines, game):
 def check_realized(spec):
     res = Resolution(ctx_of(spec))
     part = res.partition
-    keys, point = realized_partition(res.ctx, part.lines, res.game)
+    keys, point = realized_partition(res.ctx, rays(res.ctx, res.word),
+                                     res.game)
     assert keys == [tri.key() for tri in part.triangles], spec
     assert point == part.champions.point, spec
 

@@ -301,7 +301,7 @@ def swapped(triangles):
 
 def check_against_oracles(spec):
     ctx = lattice_context(parse_group_spec(spec))
-    lines = rays(ctx, Resolution(ctx).fans)
+    lines = rays(ctx, Resolution(ctx).word)
     brute = brute_force_triangles(ctx, lines)
     assert enumerate_triangles(ctx, lines) == brute, spec
     assert index_one_trio_triangles(ctx, lines) == brute, spec
@@ -405,7 +405,7 @@ def age_counts(ctx):
 def test_large_order_pins(spec, lines, triangles, cones, surfaces):
     ctx = lattice_context(parse_group_spec(spec))
     res = Resolution(ctx)
-    counts = (len(res.partition.lines), len(res.partition.triangles),
+    counts = (len(res.word), len(res.partition.triangles),
               len(res.fan.cones), len(res.census))
     assert counts == (lines, triangles, cones, surfaces)
     # Ito-Reid: one exceptional divisor per age-1 element, one compact
