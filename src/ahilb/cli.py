@@ -17,7 +17,7 @@ import json
 import sys
 from functools import cache
 
-from .clusters import cluster_system, equations_text
+from .clusters import equations_text
 from .draw import render_svg
 from .errors import GroupSpecError, InvariantError, OutputError
 from .fan import Fan, dp6_count
@@ -165,8 +165,7 @@ def _cmd_clusters(args) -> int:
     if args.triangle is None:
         wanted = enumerate(res.systems)
     else:
-        idx = args.triangle
-        wanted = [(idx, cluster_system(ctx, res.dual(idx)))]
+        wanted = [(args.triangle, res.system(args.triangle))]
     docs = [
         {
             "cone": idx,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import InvariantError
 from .lattice import PERMS, LatticeContext, Vec3, permute
-from .monomials import DualBasis, ratio_str, sign_roles
+from .monomials import ratio_str, sign_roles
 
 PARAM_NAMES = ("xi", "eta", "zeta", "lam", "mu", "nu", "pi")
 
@@ -69,13 +69,14 @@ def _up_exponents_from_vectors(vecs: tuple[Vec3, Vec3, Vec3]) -> tuple[int, ...]
     return (a, b, c, d, e, f, l, m, n)
 
 
-def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
-    """The equation system of one basic triangle, read off its dual basis."""
-    cell, monomials = dual.cell, dual.monomials
-    up = cell.kind == "up"
+def cluster_system(ctx: LatticeContext, kind: str,
+                   monomials: tuple[Vec3, Vec3, Vec3]) -> ClusterSystem:
+    """The equation system of one basic triangle of the given kind, read
+    off its dual basis, the rows ``dual_basis`` returns."""
+    up = kind == "up"
     at = sign_roles(monomials, 1 if up else -1)
     if at is None:
-        raise InvariantError(f"dual monomials lack the {cell.kind} sign pattern")
+        raise InvariantError(f"dual monomials lack the {kind} sign pattern")
     x, y, z = at
     xi, eta, zeta = monomials[x], monomials[y], monomials[z]
     if not up:
@@ -86,7 +87,7 @@ def cluster_system(ctx: LatticeContext, dual: DualBasis) -> ClusterSystem:
     exps = _up_exponents_from_vectors((xi, eta, zeta))
     if min(exps) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
-    sys = ClusterSystem(cell.kind, *exps)
+    sys = ClusterSystem(kind, *exps)
     verify_cluster(ctx, sys)
     return sys
 

@@ -12,6 +12,7 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
+    det3,
     on_simplex_boundary,
     vadd,
     vsub,
@@ -173,7 +174,8 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
     Every cone vertex is a ray, so a vertex off the lattice is reported
     there, and a lattice point pairs to a multiple of n with every row of
     the monomial basis B.  The quotients form the matrix P*B^T/n, P the
-    rows of the cone's vertices.  |det B| = N, the index of M in Z^3, and
+    rows of the cone's vertices, whose determinant det P * det B / n^3
+    ``cone_determinants`` reads.  |det B| = N, the index of M in Z^3, and
     det P = n*cross2 of two sides' charts (P's rows sum to n, the sides'
     cross product is a multiple of (1, 1, 1)), so |det| = |cross2|*N/n^2:
     the pair index of two sides, twice the lattice area, 1 on a basic
@@ -198,26 +200,13 @@ def verify_fan(ctx: LatticeContext, fan: Fan) -> list[str]:
 
 
 def cone_determinants(ctx: LatticeContext, cones) -> list[int]:
-    """Per cone, the determinant ``verify_fan`` tests: that of the matrix
-    of quotients p.B_t // n, p the cone's vertices and B_t the rows of the
-    monomial basis, with the quotients and the cofactors written out."""
-    n = ctx.n
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ctx.monomial_basis
-    out = []
-    for cone in cones:
-        (x, y, z), (u, v, w), (r, s, t) = cone.vertices
-        p0 = (x * a0 + y * a1 + z * a2) // n
-        p1 = (x * b0 + y * b1 + z * b2) // n
-        p2 = (x * c0 + y * c1 + z * c2) // n
-        q0 = (u * a0 + v * a1 + w * a2) // n
-        q1 = (u * b0 + v * b1 + w * b2) // n
-        q2 = (u * c0 + v * c1 + w * c2) // n
-        s0 = (r * a0 + s * a1 + t * a2) // n
-        s1 = (r * b0 + s * b1 + t * b2) // n
-        s2 = (r * c0 + s * c1 + t * c2) // n
-        out.append(p0 * (q1 * s2 - q2 * s1) + p1 * (q2 * s0 - q0 * s2)
-                   + p2 * (q0 * s1 - q1 * s0))
-    return out
+    """Per cone, the determinant ``verify_fan`` tests: that of P*B^T/n,
+    the matrix of the pairings p.B_t / n of the cone's vertices p with
+    the rows B_t of the monomial basis.  It is det P * det B / n^3, with
+    the same sign, and the division is exact on lattice points: each
+    entry of P*B^T is then a multiple of n."""
+    basis, cube = det3(ctx.monomial_basis), ctx.n ** 3
+    return [det3(cone.vertices) * basis // cube for cone in cones]
 
 
 class SurfaceClass(NamedTuple):

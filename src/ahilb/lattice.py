@@ -233,11 +233,6 @@ class LatticeContext(NamedTuple):
         return ((p * a + q * b + s * c) % n,
                 (p * d + q * e + s * f) % (order // n))
 
-    def is_invariant_monomial(self, m: Vec3) -> bool:
-        """Does the Laurent exponent m pair integrally with every group
-        element?"""
-        return self.character(m) == (0, 0)
-
 
 def smith_columns(rows) -> tuple[tuple[int, int, int], tuple[Vec3, Vec3, Vec3]]:
     """Smith form of the lattice spanned by the rows, which must span a

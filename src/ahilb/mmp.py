@@ -34,34 +34,6 @@ def classify_triple(tags) -> str:
     return "side"
 
 
-def contract_values(values: list[int], pos: int) -> list[int]:
-    """Bare linear (half-plane) value-list contraction: a missing neighbor
-    at either end is the fixed anchor ray and absorbs nothing."""
-    if values[pos] != 1:
-        raise InvariantError(f"entry at {pos} has value {values[pos]}, not 1")
-    out = list(values)
-    for nb in (pos - 1, pos + 1):
-        if not 0 <= nb < len(out):
-            continue
-        if out[nb] <= 1:
-            raise InvariantError("contraction would drop a strength below 1")
-        out[nb] -= 1
-    del out[pos]
-    return out
-
-
-def run_linear(values: list[int]) -> list[list[int]]:
-    """Leftmost-first linear contraction chain; returns every word from the
-    input down to the terminal [1,1]."""
-    chain = [list(values)]
-    cur = list(values)
-    while cur != [1, 1]:
-        pos = cur.index(1)
-        cur = contract_values(cur, pos)
-        chain.append(cur)
-    return chain
-
-
 class MMPTrace(NamedTuple):
     """A full run on word: the step of every certified triple, in the
     order certified, the terminal triple last."""

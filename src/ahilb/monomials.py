@@ -191,18 +191,9 @@ def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios
     )
 
 
-class DualBasis(NamedTuple):
-    """Monomial basis dual to a basic triangle's cone, with monomials[t]
-    pairing to n exactly on vertices[t] of the cell."""
-
-    cell: BasicTriangle
-    monomials: tuple[Vec3, Vec3, Vec3]
-
-
-def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
-                 steps: tuple[int, int, int]) -> list[Vec3]:
+def formula_dual(parent: TriangleRatios, cell: BasicTriangle) -> list[Vec3]:
     """Closed-form dual basis from the parent normal form and the cell's
-    role-aligned depths (i, j, k).
+    role-aligned depths (i, j, k), ``parent.role_steps(cell)``.
 
     Row t is the role-t base of ``_bases`` shifted by its depth s: a point
     P of the s-th parallel lattice line on the base's positive side has
@@ -213,7 +204,7 @@ def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
     u, v, w = perm.index(0), perm.index(1), perm.index(2)
     xi, eta, zeta = _bases(parent.case, parent.a, parent.b, parent.c,
                            parent.d, parent.e, parent.f)
-    i, j, k = steps
+    i, j, k = parent.role_steps(cell)
     if cell.kind == "up":
         return [(xi[u] - i, xi[v] - i, xi[w] - i),
                 (eta[u] - j, eta[v] - j, eta[w] - j),
@@ -224,9 +215,10 @@ def formula_dual(parent: TriangleRatios, cell: BasicTriangle,
 
 
 def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
-               cell: BasicTriangle) -> DualBasis:
-    """Dual basis of a basic triangle, computed by exact linear solve and
-    by the closed formulas; a disagreement is a hard error.
+               cell: BasicTriangle) -> tuple[Vec3, Vec3, Vec3]:
+    """The monomial basis dual to a basic triangle's cone: row t pairs to
+    n exactly on vertices[t] of the cell.  Computed by exact linear solve
+    and by the closed formulas; a disagreement is a hard error.
 
     Their agreement settles the rest.  The closed-form rows are the
     parent's side ratios, invariant by ``ratio_through``, shifted by
@@ -239,13 +231,13 @@ def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
     basis multiplies to xyz.
     """
     direct = scaled_dual(cell.vertices, ctx.n)
-    formula = formula_dual(parent, cell, parent.role_steps(cell))
+    formula = formula_dual(parent, cell)
     if sorted(direct) != sorted(formula):
         raise InvariantError(
             f"dual bases disagree on cell {cell.vertices}: "
             f"solve {sorted(direct)} vs formulas {sorted(formula)}"
         )
-    return DualBasis(cell, tuple(direct))
+    return tuple(direct)
 
 
 def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None:

@@ -1,10 +1,10 @@
 """The pipeline of one group as a single object whose stages are computed
 on first use and kept: corner fans and cyclic word -> leftmost game ->
-partition and its crossings -> fan -> census, invariant ratios, dual
-bases and cluster systems.  The stage functions take their inputs
-explicitly, and the records they return are plain named tuples; this
-object is where they are wired together and the one place a stage is
-kept."""
+partition and its crossings -> fan -> census, invariant ratios and
+cluster systems.  Each cone's dual basis is read inside its chart's
+call and not kept.  The stage functions take their inputs explicitly,
+and the records they return are plain named tuples; this object is
+where they are wired together and the one place a stage is kept."""
 
 from __future__ import annotations
 
@@ -22,14 +22,14 @@ from .corners import (
 from .fan import Fan, SurfaceClass, build_fan, surface_census
 from .lattice import LatticeContext, group_elements
 from .mmp import MMPTrace, run_mmp
-from .monomials import DualBasis, TriangleRatios, dual_basis, triangle_ratios
+from .monomials import TriangleRatios, dual_basis, triangle_ratios
 from .partition import Line, Partition, RatPoint, build_partition, crossings
 
 
 class Resolution:
     """Every stage of the resolution of one group, each computed at most
-    once.  A stage that raises is not kept, so reading it again raises
-    again."""
+    once; ``system`` reads one cone's chart alone, without keeping it.
+    A stage that raises is not kept, so reading it again raises again."""
 
     def __init__(self, ctx: LatticeContext):
         self.ctx = ctx
@@ -76,16 +76,14 @@ class Resolution:
         return [triangle_ratios(self.ctx, tri)
                 for tri in self.partition.triangles]
 
-    def dual(self, idx: int) -> DualBasis:
-        """Dual basis of fan cone idx (not kept)."""
+    def system(self, idx: int) -> ClusterSystem:
+        """Cluster system of fan cone idx, read off the cone's dual basis,
+        which ``dual_basis`` checks against its closed form (not kept)."""
         cell = self.fan.cones[idx]
-        return dual_basis(self.ctx, self.ratios[cell.parent], cell)
-
-    @cached_property
-    def duals(self) -> list[DualBasis]:
-        return [self.dual(idx) for idx in range(len(self.fan.cones))]
+        rows = dual_basis(self.ctx, self.ratios[cell.parent], cell)
+        return cluster_system(self.ctx, cell.kind, rows)
 
     @cached_property
     def systems(self) -> list[ClusterSystem]:
         """One cluster system per fan cone, in the order of fan.cones."""
-        return [cluster_system(self.ctx, db) for db in self.duals]
+        return [self.system(idx) for idx in range(len(self.fan.cones))]

@@ -13,11 +13,11 @@ from ahilb.clusters import cluster_system, tripod_basis, verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan, dp6_count, surface_census, verify_fan
 from ahilb.lattice import vadd, vsub
-from ahilb.mmp import run_linear, run_mmp
+from ahilb.mmp import run_mmp
 from ahilb.monomials import dual_basis, line_ratio, ratio_str, triangle_ratios
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks, run_random_suite
-from test_mmp import canonical, positions_run, triple_set
+from test_mmp import canonical, positions_run, run_linear, triple_set
 
 
 def _report(num, desc, fn):
@@ -130,19 +130,19 @@ def test_acceptance_5_maximal_groups():
             assert verify_fan(ctx, fan) == []
             parent = triangle_ratios(ctx, part.triangles[0])
             for cell in fan.cones:
-                db = dual_basis(ctx, parent, cell)
+                rows = dual_basis(ctx, parent, cell)
                 mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
                 if cell.kind == "up":
                     i, j, k = mins
-                    assert set(db.monomials) == {
+                    assert set(rows) == {
                         (r - i, -i, -i), (-j, r - j, -j), (-k, -k, r - k)
                     }
                 else:
                     i, j, k = (v + 1 for v in mins)
-                    assert set(db.monomials) == {
+                    assert set(rows) == {
                         (-(r - i), i, i), (j, -(r - j), j), (k, k, -(r - k))
                     }
-                sysm = cluster_system(ctx, db)
+                sysm = cluster_system(ctx, cell.kind, rows)
                 verify_cluster(ctx, sysm)
                 if cell.kind == "up":
                     i, j, k = mins

@@ -162,6 +162,20 @@ def test_clusters_command_text(capsys):
     assert "xyz = pi" in out
 
 
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/2(1,1,0)+1/4(0,1,3)"])
+def test_clusters_triangle_is_its_entry_of_the_whole_list(spec, tmp_path):
+    # One cone's system read alone is the one the list holds.
+    whole, one = tmp_path / "whole.json", tmp_path / "one.json"
+    assert main(["clusters", spec, "--json", str(whole)]) == 0
+    systems = json.loads(whole.read_text())["systems"]
+    assert len(systems) == lattice_context(parse_group_spec(spec)).order
+    for idx, entry in enumerate(systems):
+        assert main(["clusters", spec, "--triangle", str(idx),
+                     "--json", str(one)]) == 0
+        doc = json.loads(one.read_text())
+        assert doc["systems"] == [entry], (spec, idx)
+
+
 def test_clusters_bad_id(capsys):
     assert main(["clusters", "1/2(1,1,0)+1/2(0,1,1)", "--triangle", "7"]) == 1
     assert "0..3" in capsys.readouterr().err

@@ -36,10 +36,10 @@ from ahilb.lattice import (
     vadd,
     vsub,
 )
-from ahilb.monomials import DualBasis, dual_basis, sign_roles, triangle_ratios
+from ahilb.monomials import dual_basis, sign_roles, triangle_ratios
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
-from test_lattice import written_generators
+from test_lattice import is_invariant_monomial, written_generators
 from test_tiling import cyclic_groups
 
 
@@ -55,8 +55,8 @@ def systems_of(text):
     ctx, part, fan, parents = pipeline(text)
     out = []
     for cell in fan.cones:
-        db = dual_basis(ctx, parents[cell.parent], cell)
-        out.append(cluster_system(ctx, db))
+        rows = dual_basis(ctx, parents[cell.parent], cell)
+        out.append(cluster_system(ctx, cell.kind, rows))
     return ctx, fan, out
 
 
@@ -65,8 +65,8 @@ def test_cluster_system_zrzr_up_pattern():
     for r in (2, 3):
         ctx, part, fan, parents = pipeline(f"1/{r}(1,{r-1},0)+1/{r}(0,1,{r-1})")
         for cell in fan.cones:
-            db = dual_basis(ctx, parents[0], cell)
-            sys = cluster_system(ctx, db)
+            rows = dual_basis(ctx, parents[0], cell)
+            sys = cluster_system(ctx, cell.kind, rows)
             mins = tuple(min(v[t] for v in cell.vertices) for t in range(3))
             if cell.kind == "up":
                 i, j, k = mins
@@ -80,33 +80,46 @@ def test_cluster_system_zrzr_up_pattern():
                 assert (sys.n, sys.a + 1, sys.e + 1) == (r - k, k, k)
 
 
+def dual_bases(res):
+    """Per fan cone, its kind and the rows ``dual_basis`` returns."""
+    return [(cell.kind, dual_basis(res.ctx, res.ratios[cell.parent], cell))
+            for cell in res.fan.cones]
+
+
+def test_one_cone_system_is_the_kept_one_on_the_sweep():
+    for spec in SWEEP:
+        res = Resolution(lattice_context(parse_group_spec(spec)))
+        systems = res.systems
+        assert [res.system(idx) for idx in range(len(systems))] == systems, (
+            spec)
+
+
 def test_cluster_system_reads_the_sign_of_the_cell_kind():
     # Every dual basis has its kind's sign pattern and lacks the other's.
     res = Resolution(lattice_context(parse_group_spec("1/11(1,2,8)")))
-    assert {d.cell.kind for d in res.duals} == {"up", "down"}
-    for dual in res.duals:
-        other = "down" if dual.cell.kind == "up" else "up"
-        swapped = DualBasis(dual.cell._replace(kind=other), dual.monomials)
+    duals = dual_bases(res)
+    assert {kind for kind, _ in duals} == {"up", "down"}
+    for kind, rows in duals:
+        other = "down" if kind == "up" else "up"
         message = f"^dual monomials lack the {other} sign pattern$"
         with pytest.raises(InvariantError, match=message):
-            cluster_system(res.ctx, swapped)
+            cluster_system(res.ctx, other, rows)
 
 
-def role_vector_system(ctx, dual):
+def role_vector_system(ctx, kind, rows):
     """``cluster_system`` by a generic route: the role-ordered monomials
     gathered by a generator and, on a down cell, subtracted from
     (1, 1, 1) by ``vsub``.  Raises as cluster_system does."""
-    cell = dual.cell
-    at = sign_roles(dual.monomials, 1 if cell.kind == "up" else -1)
+    at = sign_roles(rows, 1 if kind == "up" else -1)
     if at is None:
-        raise InvariantError(f"dual monomials lack the {cell.kind} sign pattern")
-    roles = tuple(dual.monomials[t] for t in at)
-    if cell.kind == "down":
+        raise InvariantError(f"dual monomials lack the {kind} sign pattern")
+    roles = tuple(rows[t] for t in at)
+    if kind == "down":
         roles = tuple(vsub((1, 1, 1), v) for v in roles)
     exps = _up_exponents_from_vectors(roles)
     if min(exps) < 0:
         raise InvariantError("cluster exponents must be nonnegative")
-    sys = ClusterSystem(cell.kind, *exps)
+    sys = ClusterSystem(kind, *exps)
     verify_cluster(ctx, sys)
     return sys
 
@@ -117,22 +130,21 @@ def test_cluster_system_matches_the_role_vector_route():
     verdicts = set()
     for spec in cyclic_groups(16) + PRODUCTS:
         res = Resolution(lattice_context(parse_group_spec(spec)))
-        for dual in res.duals:
-            cell, rows = dual
-            other = "down" if cell.kind == "up" else "up"
-            cases = [dual, DualBasis(cell._replace(kind=other), rows)]
+        for kind, rows in dual_bases(res):
+            other = "down" if kind == "up" else "up"
+            cases = [(kind, rows), (other, rows)]
             for t in range(3):
                 for step in ((1, -1, 0), (0, 1, -1), (-1, 0, 1)):
                     moved = list(rows)
                     moved[t] = vadd(rows[t], step)
-                    cases.append(DualBasis(cell, tuple(moved)))
+                    cases.append((kind, tuple(moved)))
             for case in cases:
-                want = verdict(role_vector_system, res.ctx, case)
-                assert verdict(cluster_system, res.ctx, case) == want, (
+                want = verdict(role_vector_system, res.ctx, *case)
+                assert verdict(cluster_system, res.ctx, *case) == want, (
                     spec, case)
                 verdicts.add(want and " ".join(want.split()[:2]))
-            assert cluster_system(res.ctx, dual) == role_vector_system(
-                res.ctx, dual), spec
+            assert cluster_system(res.ctx, kind, rows) == role_vector_system(
+                res.ctx, kind, rows), spec
     assert verdicts == {None, "dual monomials", "cluster exponents",
                         "up count", "down count"}
 
@@ -147,8 +159,8 @@ def test_cluster_corner_triangle_redundant_system():
     ]
     assert corner_cells
     cell = corner_cells[0]
-    db = dual_basis(ctx, parents[cell.parent], cell)
-    sys = cluster_system(ctx, db)
+    rows = dual_basis(ctx, parents[cell.parent], cell)
+    sys = cluster_system(ctx, cell.kind, rows)
     assert sys.mode == "up"
     assert 0 in (sys.l, sys.m, sys.n)  # one pure power is linear
 
@@ -201,8 +213,8 @@ def test_tripod_z2z2_up_cell():
         c for c in fan.cones
         if c.kind == "up" and min(v[0] for v in c.vertices) == 1
     )
-    db = dual_basis(ctx, parents[0], cell)
-    sys = cluster_system(ctx, db)
+    rows = dual_basis(ctx, parents[0], cell)
+    sys = cluster_system(ctx, cell.kind, rows)
     basis = tripod_basis(ctx, sys)
     assert basis == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
     gens = written_generators(ctx)
@@ -509,7 +521,7 @@ def four_part_verify(ctx, sys):
         if vadd(v[p], v[q]) != (1, 1, 1):
             raise InvariantError(f"syzygy {q}*{p} = pi fails")
     for name, vec in v.items():
-        if not ctx.is_invariant_monomial(vec):
+        if not is_invariant_monomial(ctx, vec):
             raise InvariantError(
                 f"equation for {name} does not match characters: {vec}"
             )
@@ -847,8 +859,8 @@ def test_classification_round_trips_to_host():
     for text in ("1/11(1,2,8)", "1/30(25,2,3)", "1/2(1,1,0)+1/2(0,1,1)"):
         ctx, part, fan, parents = pipeline(text)
         for cell in fan.cones:
-            db = dual_basis(ctx, parents[cell.parent], cell)
-            sys = cluster_system(ctx, db)
+            rows = dual_basis(ctx, parents[cell.parent], cell)
+            sys = cluster_system(ctx, cell.kind, rows)
             cls = classify_cluster(sys.exponents())
             assert cls.mode == cell.kind
             r = part.triangles[cell.parent].r

@@ -9,9 +9,10 @@ off the context it builds, one Smith form per group.
 
 Every module-level function and every non-dunder method has a reader:
 its name is referenced somewhere in the package outside its own body,
-or it is listed in `ahilb.__all__`, or it is named in backticks in
-README.md. A method that overrides a base class method counts as read.
-The package's result records are the 19 `typing.NamedTuple` classes
+or it is listed in `ahilb.__all__`, or the benchmark traces it (a
+function named in `SPANS` of perfbench/tracing.py). A method that
+overrides a base class method counts as read.
+The package's result records are the 18 `typing.NamedTuple` classes
 named in `RECORDS`, and no module imports `dataclasses`, so a fresh
 `import ahilb.cli` loads neither `dataclasses` nor `inspect`. A record
 defines no tuple dunder of its own but `CyclicWord.__len__`. Every record
@@ -200,14 +201,19 @@ def test_one_smith_form_per_group():
     assert _callers("smith_columns") == ["lattice.lattice_context"]
 
 
-def test_traced_spans_name_module_level_functions():
-    # The benchmark's --trace 1 wraps these by module and name; a renamed
-    # or nested function would leave its span silently empty.
+def _traced_spans() -> dict[str, tuple[str, str]]:
+    """The benchmark's SPANS: span name -> (module, function)."""
     spec = importlib.util.spec_from_file_location("tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.SPANS
+
+
+def test_traced_spans_name_module_level_functions():
+    # The benchmark's --trace 1 wraps these by module and name; a renamed
+    # or nested function would leave its span silently empty.
     missing = []
-    for span, (module, name) in tracing.SPANS.items():
+    for span, (module, name) in _traced_spans().items():
         mod = importlib.import_module(f"ahilb.{module}")
         fn = vars(mod).get(name)
         if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__
@@ -232,12 +238,6 @@ def _readme_spans() -> list[str]:
     return re.findall(r"`([^`]+)`", text)
 
 
-def _readme_names() -> set[str]:
-    """Identifiers inside inline backtick spans of README.md."""
-    return {name for span in _readme_spans()
-            for name in re.findall(r"[A-Za-z_]\w*", span)}
-
-
 def _overrides(module: str, cls: str, name: str) -> bool:
     klass = getattr(importlib.import_module(f"ahilb.{module}"), cls)
     return any(name in vars(base) for base in klass.__mro__[1:])
@@ -245,11 +245,12 @@ def _overrides(module: str, cls: str, name: str) -> bool:
 
 def _package_names() -> tuple[dict[str, ast.Module], Counter, set[str]]:
     """The package's module trees, the names read in them, and the names
-    listed in `ahilb.__all__` or named in README.md."""
+    listed in `ahilb.__all__` or traced by the benchmark."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     total = sum((_references(tree) for tree in trees.values()), Counter())
-    return trees, total, set(ahilb.__all__) | _readme_names()
+    traced = {name for _, name in _traced_spans().values()}
+    return trees, total, set(ahilb.__all__) | traced
 
 
 def _unread_functions() -> list[str]:
@@ -291,7 +292,7 @@ RECORDS = {
     "mmp": {"MMPTrace"},
     "partition": {"Line", "RegularTriangle", "ChampionsReport", "Partition"},
     "fan": {"BasicTriangle", "Fan", "SurfaceClass"},
-    "monomials": {"TriangleRatios", "DualBasis"},
+    "monomials": {"TriangleRatios"},
     "clusters": {"ClusterSystem", "Classification"},
     "verify": {"CheckResult"},
 }
@@ -321,7 +322,7 @@ def test_records_are_the_named_tuples():
     found = {_qualname(cls) for cls in _package_records()}
     assert found == {f"{module}.{name}" for module, names in RECORDS.items()
                      for name in names}
-    assert len(found) == 19
+    assert len(found) == 18
 
 
 def test_records_define_no_tuple_dunder_but_len():

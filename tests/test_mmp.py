@@ -10,14 +10,7 @@ from ahilb import lattice_context, parse_group_spec
 from ahilb.corners import CyclicWord, corner_chain, validate_chain
 from ahilb.errors import InvariantError
 from ahilb.lattice import pair_index, sign_fixed, vadd, vneg
-from ahilb.mmp import (
-    MMPTrace,
-    classify_triple,
-    contract_run,
-    contract_values,
-    run_linear,
-    run_mmp,
-)
+from ahilb.mmp import MMPTrace, classify_triple, contract_run, run_mmp
 from ahilb.resolution import Resolution
 
 
@@ -105,6 +98,34 @@ def contract(word: CyclicWord, pos: int) -> tuple[CyclicWord, RegularTriple]:
     for column in (values, tags, vectors):
         del column[pos]
     return CyclicWord(tuple(values), tuple(tags), tuple(vectors)), triple
+
+
+def contract_values(values: list[int], pos: int) -> list[int]:
+    """Bare linear (half-plane) value-list contraction: a missing neighbor
+    at either end is the fixed anchor ray and absorbs nothing."""
+    if values[pos] != 1:
+        raise InvariantError(f"entry at {pos} has value {values[pos]}, not 1")
+    out = list(values)
+    for nb in (pos - 1, pos + 1):
+        if not 0 <= nb < len(out):
+            continue
+        if out[nb] <= 1:
+            raise InvariantError("contraction would drop a strength below 1")
+        out[nb] -= 1
+    del out[pos]
+    return out
+
+
+def run_linear(values: list[int]) -> list[list[int]]:
+    """Leftmost-first linear contraction chain; returns every word from the
+    input down to the terminal [1,1]."""
+    chain = [list(values)]
+    cur = list(values)
+    while cur != [1, 1]:
+        pos = cur.index(1)
+        cur = contract_values(cur, pos)
+        chain.append(cur)
+    return chain
 
 
 def test_contract_values_middle():
