@@ -33,15 +33,9 @@ from .verify import run_checks, run_random_suite
 
 def _fan_json(fan: Fan) -> dict:
     return {
-        "rays": [list(r) for r in fan.rays],
-        "cones": [
-            {
-                "vertices": [list(v) for v in c.vertices],
-                "kind": c.kind,
-                "parent": c.parent,
-            }
-            for c in fan.cones
-        ],
+        "rays": fan.rays,
+        "cones": [{"vertices": c.vertices, "kind": c.kind, "parent": c.parent}
+                  for c in fan.cones],
     }
 
 
@@ -52,21 +46,20 @@ def _head(ctx: LatticeContext) -> dict:
 
 
 def build_document(ctx: LatticeContext) -> dict:
-    """The full report with deterministic field and element order."""
+    """The full report with deterministic field and element order.  It
+    holds the records' own tuples, not list copies of them: ``json.dumps``
+    writes a tuple as the same array a list would make."""
     res = Resolution(ctx)
     part = res.partition
 
     doc = _head(ctx) | {
         "corners": [
-            {
-                "corner": i,
-                "vectors": [list(v) for v in res.fans[i].vectors],
-                "strengths": list(res.fans[i].strengths),
-            }
+            {"corner": i, "vectors": res.fans[i].vectors,
+             "strengths": res.fans[i].strengths}
             for i in (1, 2, 3)
         ],
         "cyclic_word": [
-            {"value": value, "tag": list(tag), "vector": list(vector)}
+            {"value": value, "tag": tag, "vector": vector}
             for value, tag, vector in zip(res.word.values, res.word.tags,
                                           res.word.vectors)
         ],
@@ -78,17 +71,17 @@ def build_document(ctx: LatticeContext) -> dict:
              for t in members}
     doc["partition"] = [
         {
-            "vertices": [list(v) for v in tri.vertices],
+            "vertices": tri.vertices,
             "side": tri.r,
             "case": res.ratios[t].case,
             "catchment": owner.get(t),
-            "lines": [list(tag) for tag in tri.side_lines],
+            "lines": tri.side_lines,
         }
         for t, tri in enumerate(part.triangles)
     ]
     champ = {"kind": champions.kind}
     if champions.point is not None:
-        champ["point"] = list(champions.point)
+        champ["point"] = champions.point
     if champions.triangle is not None:
         champ["triangle"] = champions.triangle
     if champions.side is not None:
@@ -97,12 +90,7 @@ def build_document(ctx: LatticeContext) -> dict:
     doc["champions"] = champ
     doc["fan"] = _fan_json(res.fan)
     doc["census"] = [
-        {
-            "vertex": list(s.vertex),
-            "valency": s.valency,
-            "b": list(s.b),
-            "label": s.label,
-        }
+        {"vertex": s.vertex, "valency": s.valency, "b": s.b, "label": s.label}
         for s in res.census
     ]
     doc["dp6_count"] = dp6_count(part)

@@ -78,12 +78,17 @@ class Resolution:
 
     def system(self, idx: int) -> ClusterSystem:
         """Cluster system of fan cone idx, read off the cone's dual basis,
-        which ``dual_basis`` checks against its closed form (not kept)."""
+        which ``dual_basis`` checks against its closed form, and off the
+        normal form of the cone's own triangle alone (neither kept)."""
         cell = self.fan.cones[idx]
-        rows = dual_basis(self.ctx, self.ratios[cell.parent], cell)
-        return cluster_system(self.ctx, cell.kind, rows)
+        parent = triangle_ratios(self.ctx, self.partition.triangles[cell.parent])
+        return cluster_system(self.ctx, cell.kind,
+                              dual_basis(self.ctx, parent, cell))
 
     @cached_property
     def systems(self) -> list[ClusterSystem]:
-        """One cluster system per fan cone, in the order of fan.cones."""
-        return [self.system(idx) for idx in range(len(self.fan.cones))]
+        """``system`` of every fan cone, in order, off the kept ``ratios``."""
+        ratios = self.ratios
+        return [cluster_system(self.ctx, cell.kind,
+                               dual_basis(self.ctx, ratios[cell.parent], cell))
+                for cell in self.fan.cones]

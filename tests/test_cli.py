@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import cached_property
 from hashlib import sha256
 from importlib import resources
@@ -162,6 +163,29 @@ def test_clusters_command_text(capsys):
     assert "xyz = pi" in out
 
 
+# SHA-256 of the stdout of clusters in text mode, whose vertices print
+# as Python lists.
+PINNED_CLUSTERS_TEXT = {
+    ("1/11(1,2,8)",):
+        "7a38f7f5cce58ba531a196f20cc935b920c73ab90ad292b3ef296ce617a1a09a",
+    ("1/2(1,1,0)+1/4(0,1,3)", "--triangle", "1"):
+        "371082f1c1cdb303e649efbbc01571519d4f7702d033cede13461cb62402dd3c",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_CLUSTERS_TEXT))
+def test_clusters_text_pinned(args, capsys):
+    assert main(["clusters", *args]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()).hexdigest() == PINNED_CLUSTERS_TEXT[args]
+
+
+def test_clusters_triangle_reads_one_normal_form(monkeypatch, capsys):
+    ratios = _count_calls(monkeypatch, "resolution", "triangle_ratios")
+    assert main(["clusters", "1/1001(1,37,963)", "--triangle", "0"]) == 0
+    assert len(ratios) == 1
+
+
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/2(1,1,0)+1/4(0,1,3)"])
 def test_clusters_triangle_is_its_entry_of_the_whole_list(spec, tmp_path):
     # One cone's system read alone is the one the list holds.
@@ -269,14 +293,33 @@ def test_svg_deterministic():
     )
 
 
-def test_documents_validate_against_schema():
+def test_documents_validate_against_schema(tmp_path):
+    # The bytes report --json writes: the document in memory holds tuples,
+    # which json.dumps writes as arrays but jsonschema does not take for one.
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(
         resources.files("ahilb").joinpath("schema.json").read_text()
     )
+    path = tmp_path / "report.json"
     for text in ("1/11(1,2,8)", "1/15(1,2,12)", "1/30(25,2,3)",
                  "1/2(1,1,0)+1/2(0,1,1)", "1/1(0,0,0)", "1/101(1,7,93)"):
-        jsonschema.validate(doc_of(text), schema)
+        assert main(["report", text, "--json", str(path)]) == 0
+        jsonschema.validate(json.loads(path.read_text()), schema)
+
+
+def test_document_holds_no_list_copies():
+    # Peak traced memory of build_document on 1/1001(1,37,963), after the
+    # lattice context, Python 3.11 on x86-64: 2.01 MiB when every vertex,
+    # ray, tag and star was copied into a list, 1.48 MiB with the records'
+    # own tuples.
+    ctx = lattice_context(parse_group_spec("1/1001(1,37,963)"))
+    tracemalloc.start()
+    try:
+        build_document(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20
 
 
 def test_long_side_key_only_when_present():

@@ -323,6 +323,7 @@ def test_records_are_the_named_tuples():
     assert found == {f"{module}.{name}" for module, names in RECORDS.items()
                      for name in names}
     assert len(found) == 18
+    assert f"{len(found)} in all" in README.read_text(encoding="utf-8")
 
 
 def test_records_define_no_tuple_dunder_but_len():
