@@ -7,7 +7,7 @@ whose three-term recursion constants are the strengths: the
 Hirzebruch-Jung continued fraction of k/q.  ``corner_chain`` builds the
 chain by that recursion, without looking at any other lattice point;
 ``newton_polygon`` takes the hulls of the junior points at all three
-corners in one walk over the group elements, and the invariant suite
+corners in one walk over ``junior_points``, and the invariant suite
 checks that the two agree.  The three corner chains concatenate,
 with one junction constant per side, into a single cyclic word that drives
 the contraction game.
@@ -117,7 +117,7 @@ def corner_chain(ctx: LatticeContext, corner: int) -> CornerFan:
     nonzero lattice point of the cone.  A basis segment holds no other
     lattice point, so the chain is every lattice point of the boundary
     from d0 to d1: the hull chain that ``newton_polygon`` reads off the
-    group elements.
+    junior points.
     """
     d0, d1 = _side_rays(ctx, corner)
     k = pair_index(ctx, d0, d1)
@@ -148,11 +148,11 @@ class JuniorHulls(NamedTuple):
     edge: int
 
 
-def newton_polygon(ctx: LatticeContext, elements: list[Vec3]) -> JuniorHulls:
+def newton_polygon(ctx: LatticeContext, points: list[Vec3]) -> JuniorHulls:
     """Every corner's Klein polygon chain as the hull of the junior points,
-    and the junior-point counts, from one walk over the group elements
-    ``elements`` (as ``group_elements`` lists them) and the vertices: the
-    cross-checks of ``corner_chain`` and of 2*interior + edge + 1 = N.
+    and the junior-point counts, from one walk over ``points`` (as
+    ``junior_points`` returns them, in any order): the cross-checks of
+    ``corner_chain`` and of 2*interior + edge + 1 = N.
 
     At corner e_c let p and x be the coordinates of e_{c-1} and e_{c+1},
     a = d0[p] and b = d1[x] for the side rays, and k0 = n/a, k1 = n/b the
@@ -163,11 +163,11 @@ def newton_polygon(ctx: LatticeContext, elements: list[Vec3]) -> JuniorHulls:
 
     Exactness.  The chain, every lattice point on the apex-facing hull
     boundary from d0 to d1, lies in the corner triangle k1*u + k0*w <= n,
-    whose lattice points are junior points: group elements with coordinate
-    sum n, and vertices, which ``group_elements`` omits (on 1/11(1,2,8)
-    every side ray is a whole side).  Two lattice points at one u differ by
-    a multiple of d0, for which the triangle has room only at u = 0, from
-    the apex to d0; so a table indexed by u holds every point but the apex.
+    whose lattice points are junior points, vertices included (on
+    1/11(1,2,8) every side ray is a whole side).  Two lattice points at one
+    u differ by a multiple of d0, for which the triangle has room only at
+    u = 0, from the apex to d0; so a table indexed by u holds every point
+    but the apex, whatever the order of ``points``.
     Along the chain w falls strictly (it is convex and ends at d1 with
     w = 0, and no lattice point lies between the apex and d1), so a point
     whose w is not below every w at a smaller u, a farther point on a ray
@@ -183,11 +183,8 @@ def newton_polygon(ctx: LatticeContext, elements: list[Vec3]) -> JuniorHulls:
         p, x = (c + 1) % 3, c % 3
         k0, k1 = n // d0[p], n // d1[x]
         corners.append((c, d0, d1, p, x, k0, k1, [n + 1] * (d1[x] + 1)))
-    junior = interior = 0
-    for q in [*elements, *ctx.corners]:
-        if q[0] + q[1] + q[2] != n:
-            continue
-        junior += 1
+    interior = 0
+    for q in points:
         if q[0] and q[1] and q[2]:
             interior += 1
         for _, _, _, p, x, k0, k1, w_at in corners:
@@ -219,7 +216,7 @@ def newton_polygon(ctx: LatticeContext, elements: list[Vec3]) -> JuniorHulls:
                                      f"recursion at ray {j}")
             strengths.append(k)
         fans[c] = CornerFan(tuple(vecs), tuple(strengths))
-    return JuniorHulls(fans, interior, junior - interior - 3)  # less vertices
+    return JuniorHulls(fans, interior, len(points) - interior - 3)
 
 
 def hj_expand(r: int, alpha: int) -> list[int]:

@@ -11,8 +11,8 @@ group, that of n*L: its invariants give the group order, its columns the
 monomial lattice M and their inverse the character map.  Membership,
 invariance, the primitive step and the index of two translations follow
 by closed forms (see ``is_translation``, ``LatticeContext.character``,
-``primitive_vector`` and ``pair_index``), so no group element is built
-unless ``group_elements`` is asked for them.
+``primitive_vector`` and ``pair_index``).  Only ``group_elements`` walks
+the group, lazily, and in the package only ``junior_points`` reads it.
 
 The lattice geometry the other modules share lives here, once:
 ``on_simplex_boundary`` (does a segment lie along a side of the simplex),
@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from itertools import permutations
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import GroupSpecError, InvariantError
 
@@ -187,7 +187,7 @@ class LatticeContext(NamedTuple):
     lies in it exactly when it pairs to a multiple of n with the rows of
     the monomial basis (``is_lattice_point``, ``is_translation``); the
     indexes of the translation lattice T have a closed form
-    (``pair_index``); ``group_elements`` enumerates the group on request.
+    (``pair_index``); ``group_elements`` walks the group on request.
     """
 
     spec: GroupSpec
@@ -324,27 +324,28 @@ def lattice_context(spec: GroupSpec, max_order: int = DEFAULT_ORDER_CAP) -> Latt
     )
 
 
-def group_elements(ctx: LatticeContext) -> list[Vec3]:
-    """Every group element once, as a residue triple scaled to n.
+def group_elements(ctx: LatticeContext) -> Iterator[Vec3]:
+    """Every group element once, as a residue triple scaled to n, yielded
+    by running sums mod n: no list of the N elements is built.
 
     The rows W_t of V^-1 make n*L = <W_0, (n^2/N)*W_1, n*W_2> and
     n*Z^3 = <n*W_t>, so the elements are the sums z_0*W_0 +
-    z_1*(n^2/N)*W_1 over 0 <= z_0 < n and 0 <= z_1 < N/n.
+    z_1*(n^2/N)*W_1 over 0 <= z_0 < n (inner loop) and 0 <= z_1 < N/n.
     """
     n = ctx.n
-    w0, w1 = ctx.character_rows
-    elems = [(0, 0, 0)]
-    for u, count in ((w0, n), (smul(n * n // ctx.order, w1), ctx.order // n)):
-        steps = [smul(z, u) for z in range(1, count)]
-        elems += [((e[0] + s[0]) % n, (e[1] + s[1]) % n, (e[2] + s[2]) % n)
-                  for s in steps for e in elems]
-    return elems
+    (a, b, c), w1 = ctx.character_rows
+    d, e, f = smul(n * n // ctx.order, w1)
+    for z1 in range(ctx.order // n):
+        x, y, z = z1 * d % n, z1 * e % n, z1 * f % n
+        for _ in range(n):
+            yield (x, y, z)
+            x, y, z = (x + a) % n, (y + b) % n, (z + c) % n
 
 
 def junior_points(ctx: LatticeContext) -> list[Vec3]:
-    """All lattice points of the junior simplex, scaled by n and sorted:
-    the three vertices and the group elements with coordinate sum n.  A
-    vertex has two zero coordinates, a point inside a side one."""
+    """All lattice points of the junior simplex, the hull pass's input,
+    scaled by n and sorted: the vertices and the group elements with
+    coordinate sum n.  A vertex has two zero coordinates, a side point one."""
     n = ctx.n
     return sorted([*ctx.corners, *(g for g in group_elements(ctx)
                                    if sum(g) == n)])

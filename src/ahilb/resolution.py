@@ -20,7 +20,7 @@ from .corners import (
     newton_polygon,
 )
 from .fan import Fan, SurfaceClass, build_fan, surface_census
-from .lattice import LatticeContext, group_elements
+from .lattice import LatticeContext, junior_points
 from .mmp import MMPTrace, run_mmp
 from .monomials import TriangleRatios, dual_basis, triangle_ratios
 from .partition import Line, Partition, RatPoint, build_partition, crossings
@@ -36,8 +36,8 @@ class Resolution:
 
     @cached_property
     def hulls(self) -> JuniorHulls:
-        """Hull chains and junior-point counts; only ``verify`` reads them."""
-        return newton_polygon(self.ctx, group_elements(self.ctx))
+        """The junior points' hulls and counts; only ``verify`` reads them."""
+        return newton_polygon(self.ctx, junior_points(self.ctx))
 
     @cached_property
     def fans(self) -> dict[int, CornerFan]:

@@ -5,7 +5,7 @@ Every check is exact integer arithmetic; a failure anywhere is reported
 with the offending group.  Differential pairs covered here: enumeration vs
 contraction-game partition, closed-form vs solved dual bases, exponent
 knock-out rule vs partition defeat data, hull chains (one walk over the
-group elements gives all three, and the junior-point count) vs continued
+junior points gives all three, and the junior-point count) vs continued
 fractions on every corner (and the weight formula on coprime cyclic ones),
 binomial count vs hexagonal stars, and the reverse classification of each
 chart vs the forward normal form of its cell's triangle.  The tripod check

@@ -474,10 +474,11 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
     assert main(["verify", spec]) == 0
     solved = len(solves)
     assert len(builds) == 1
-    # One walk over the group elements gives the three hulls that
-    # cross-check the continued-fraction chains and the junior-point
-    # counts; no list of junior points is built.
-    assert points == []
+    # The hull pass reads the junior points, and no list of the group
+    # elements is built: one lazy walk over the group gives them. The
+    # pass gives the three hulls that cross-check the continued-fraction
+    # chains and the junior-point counts.
+    assert len(points) == 1
     assert len(elements) == 1
     assert len(polygons) == 1
     assert len(hulls.computed) == 1

@@ -1,7 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import cmp_to_key
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from test_cli import SWEEP
@@ -24,7 +28,6 @@ from ahilb.lattice import (
     chart,
     cross2,
     cross3,
-    group_elements,
     junior_points,
     multiple,
     primitive_vector,
@@ -40,7 +43,7 @@ def ctx_of(text):
 
 
 def hull(ctx, i):
-    return newton_polygon(ctx, group_elements(ctx)).fans[i]
+    return newton_polygon(ctx, junior_points(ctx)).fans[i]
 
 
 def strengths(text):
@@ -387,7 +390,7 @@ def test_one_pass_matches_the_graham_oracle_and_the_chains():
     for spec in SWEEP:
         ctx = ctx_of(spec)
         points = junior_points(ctx)
-        hulls = newton_polygon(ctx, group_elements(ctx))
+        hulls = newton_polygon(ctx, junior_points(ctx))
         for i in (1, 2, 3):
             want = graham_hull_chain(ctx, i, points)
             assert hulls.fans[i] == want == corner_chain(ctx, i), (spec, i)
@@ -405,26 +408,26 @@ def test_one_pass_matches_the_graham_oracle_and_the_chains():
 
 def test_one_pass_failure_messages():
     ctx = ctx_of("1/15(1,2,12)")
-    elements = group_elements(ctx)
+    points = junior_points(ctx)
     # The side e1 e2 has two inner lattice points, so the first ray at e2
-    # is a group element, (0, 15, 0) + (5, -5, 0), and without it the
+    # is a junior point, (0, 15, 0) + (5, -5, 0), and without it the
     # chain cannot start on the side.
-    assert (5, 10, 0) in elements
+    assert (5, 10, 0) in points
     with pytest.raises(InvariantError,
                        match="^corner 2: side rays missing from hull input$"):
-        newton_polygon(ctx, [q for q in elements if q != (5, 10, 0)])
+        newton_polygon(ctx, [q for q in points if q != (5, 10, 0)])
     # Without the inner ray (4, 8, 3) at e2, the hull jumps from (5, 10, 0)
     # to (3, 6, 6), past the lattice point between them.
     assert hull(ctx, 2).vectors[1] == (4, -7, 3)
     with pytest.raises(InvariantError, match="^corner 2: hull chain "
                        "violates the recursion at ray 1$"):
-        newton_polygon(ctx, [q for q in elements if q != (4, 8, 3)])
+        newton_polygon(ctx, [q for q in points if q != (4, 8, 3)])
 
 
 def check_chains_against_the_hull(specs):
     for spec in specs:
         ctx = ctx_of(spec)
-        fans = newton_polygon(ctx, group_elements(ctx)).fans
+        fans = newton_polygon(ctx, junior_points(ctx)).fans
         for i in (1, 2, 3):
             assert corner_chain(ctx, i) == fans[i], (spec, i)
 
@@ -446,8 +449,9 @@ def test_corner_chain_matches_the_hull_up_to_40():
 
 
 def test_near_cap_group_reaches_its_word_without_its_elements(monkeypatch):
-    # Enumerating the 999,983 elements peaks at about 330 MiB of traced
-    # memory; the chains and the word take about 5 MiB.
+    # Listing the 999,983 elements peaked at about 330 MiB of traced
+    # memory, and walking them for the junior points still peaks at about
+    # 84 MiB; the chains and the word take about 5 MiB.
     def refuse(*args):
         raise AssertionError("group elements enumerated")
 
@@ -464,3 +468,40 @@ def test_near_cap_group_reaches_its_word_without_its_elements(monkeypatch):
     assert len(word) == 114 + 9906 + 4 + 3
     assert cyclic_matrix_product(word) == ((-1, 0), (0, -1))
     assert peak < 16 * 2**20
+
+
+def test_hull_stage_walks_the_group_without_listing_it():
+    # The hull pass over 1/30011(1,100,29910) reads its 15,008 junior
+    # points. Listing the 30,011 group elements first peaked at 9.70 MiB
+    # of traced memory; walking them lazily peaks at 3.01 MiB.
+    ctx = ctx_of("1/30011(1,100,29910)")
+    tracemalloc.start()
+    try:
+        Resolution(ctx).hulls
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
+_NEAR_CAP_HULLS = """
+import resource
+from ahilb import lattice_context, parse_group_spec
+from ahilb.resolution import Resolution
+Resolution(lattice_context(parse_group_spec("1/999983(1,100,999882)"))).hulls
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.deep
+def test_near_cap_hull_stage_stays_small():
+    # A child process, since tracing this group's walk takes some 20 s:
+    # listing the 999,983 elements first peaked at 344 MiB of process
+    # memory, walking them lazily at 121 MiB.  ru_maxrss is in KiB.
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEAR_CAP_HULLS],
+        capture_output=True, text=True, check=True,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(lattice.__file__).parent.parent)},
+    )
+    assert int(proc.stdout) <= 200 * 1024

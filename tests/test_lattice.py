@@ -174,7 +174,7 @@ def test_context_trivial_group():
     ctx = ctx_of("1/1(0,0,0)")
     assert ctx.n == 1
     assert ctx.order == 1
-    assert group_elements(ctx) == [(0, 0, 0)]
+    assert list(group_elements(ctx)) == [(0, 0, 0)]
 
 
 def searched_context(text):
@@ -213,7 +213,7 @@ def test_exponent_from_generators_matches_element_search():
               "1/3(1,1,1)+1/3(2,2,2)", Z210]
     for text in specs:
         ctx = ctx_of(text)
-        elements = group_elements(ctx)
+        elements = list(group_elements(ctx))
         assert len(elements) == ctx.order, text
         got = (ctx.n, written_generators(ctx), frozenset(elements),
                ctx.monomial_basis)
