@@ -138,7 +138,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("monomials: dual bases solve and closed form agree")
     def _duals():
-        # Each system is read off a dual basis dual_basis has checked.
+        # dual_basis runs on small kinds' cells and larger kinds' corners.
         res.systems
 
     @check("monomials: exponent knock-out rule matches defeat data")

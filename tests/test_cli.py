@@ -186,9 +186,11 @@ def test_clusters_triangle_reads_one_normal_form(monkeypatch, capsys):
     assert len(ratios) == 1
 
 
-@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/2(1,1,0)+1/4(0,1,3)"])
+@pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/2(1,1,0)+1/4(0,1,3)",
+                                  "1/4(1,0,3)+1/4(0,1,3)"])
 def test_clusters_triangle_is_its_entry_of_the_whole_list(spec, tmp_path):
-    # One cone's system read alone is the one the list holds.
+    # One cone's system read alone is the one the list holds, also where
+    # both are written out by additions (the last group's side-4 triangle).
     whole, one = tmp_path / "whole.json", tmp_path / "one.json"
     assert main(["clusters", spec, "--json", str(whole)]) == 0
     systems = json.loads(whole.read_text())["systems"]
@@ -510,16 +512,20 @@ def test_verify_computes_each_stage_once(spec, monkeypatch, capsys):
 @pytest.mark.parametrize("spec", ["1/11(1,2,8)", "1/32(1,0,31)+1/32(0,1,31)"])
 def test_report_computes_each_chart_once(spec, monkeypatch, capsys):
     # One pass over the cones, with nothing kept from another call: the
-    # lattice context's solve and one per cone, and one dual basis, one
-    # cluster system and one verification of it per cone.
+    # lattice context's solve, and the per-cone route (one solve, dual
+    # basis, cluster system and verification of it) on every cell of a
+    # (triangle, kind) with at most three cells and at the three corner
+    # cells of a larger one.  1/11(1,2,8) has no larger one; the product's
+    # one triangle of side 32 has 528 up and 496 down cells.
     order = lattice_context(parse_group_spec(spec)).order
+    routed = {"1/11(1,2,8)": order, "1/32(1,0,31)+1/32(0,1,31)": 6}[spec]
     solves = _count_calls(monkeypatch, "lattice", "scaled_dual")
     duals = _count_calls(monkeypatch, "monomials", "dual_basis")
     systems = _count_calls(monkeypatch, "clusters", "cluster_system")
     checked = _count_calls(monkeypatch, "clusters", "verify_cluster")
     assert main(["report", spec]) == 0
     assert (len(solves), len(duals), len(systems), len(checked)) == (
-        order + 1, order, order, order)
+        routed + 1, routed, routed, routed)
 
 
 def test_settled_checks_do_no_work(monkeypatch):

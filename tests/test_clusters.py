@@ -7,6 +7,8 @@ from itertools import product
 
 import pytest
 
+import ahilb.monomials
+import ahilb.resolution
 import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
@@ -25,7 +27,7 @@ from ahilb.clusters import (
     verify_cluster,
 )
 from ahilb.errors import InvariantError
-from ahilb.fan import build_fan
+from ahilb.fan import build_fan, tesselate
 from ahilb.lattice import (
     PERMS,
     LatticeContext,
@@ -37,7 +39,8 @@ from ahilb.lattice import (
     vsub,
 )
 from ahilb.monomials import dual_basis, sign_roles, triangle_ratios
-from ahilb.resolution import Resolution
+from ahilb.resolution import Resolution, kind_charts
+from ahilb.verify import run_checks
 from test_cli import SWEEP
 from test_lattice import is_invariant_monomial, written_generators
 from test_tiling import cyclic_groups
@@ -51,13 +54,18 @@ def pipeline(text):
     return ctx, part, fan, parents
 
 
+def per_cone_systems(res):
+    """The per-cone route on every fan cone: its dual basis solved and
+    checked against the closed form by ``dual_basis``, then its cluster
+    system read, sign-tested and verified by ``cluster_system``."""
+    return [cluster_system(res.ctx, cell.kind,
+                           dual_basis(res.ctx, res.ratios[cell.parent], cell))
+            for cell in res.fan.cones]
+
+
 def systems_of(text):
-    ctx, part, fan, parents = pipeline(text)
-    out = []
-    for cell in fan.cones:
-        rows = dual_basis(ctx, parents[cell.parent], cell)
-        out.append(cluster_system(ctx, cell.kind, rows))
-    return ctx, fan, out
+    res = resolution(text)
+    return res.ctx, res.fan, per_cone_systems(res)
 
 
 def test_cluster_system_zrzr_up_pattern():
@@ -1038,3 +1046,176 @@ def test_equations_text_shape():
     assert len(lines) == 8
     assert lines[6].startswith("xyz = pi")
     assert "xi" in lines[0]
+
+
+# Charts by (triangle, kind): certified at the corner cells of a kind with
+# more than three cells and written out by additions on the others.
+CELLS = ["1/1001(1,37,963)", "1/32(1,0,31)+1/32(0,1,31)"]
+LINES = ["1/96(1,1,94)", "1/120(1,2,117)"]
+# One triangle of side 4: 10 up cells and 6 down cells.
+SIDE_4 = "1/4(1,0,3)+1/4(0,1,3)"
+CLUSTERS_FAMILY = (
+    "clusters: systems verified, tripods exact, classification returns")
+
+
+def resolution(spec):
+    return Resolution(lattice_context(parse_group_spec(spec)))
+
+
+def check_systems_match_the_per_cone_route(specs):
+    for spec in specs:
+        res = resolution(spec)
+        assert res.systems == per_cone_systems(res), spec
+
+
+def test_systems_match_the_per_cone_route():
+    check_systems_match_the_per_cone_route(SWEEP + CELLS + LINES + [SIDE_4])
+
+
+@pytest.mark.deep
+def test_systems_match_the_per_cone_route_up_to_30():
+    check_systems_match_the_per_cone_route(
+        cyclic_groups(30) + PRODUCTS + ["1/2003(1,100,1902)"])
+
+
+def test_side_4_has_a_template_of_each_kind(monkeypatch):
+    # Six corner cells run the per-cone route; the other ten are added up.
+    res = resolution(SIDE_4)
+    routed = []
+    route = ahilb.resolution.dual_basis
+
+    def recorded(ctx, parent, cell):
+        routed.append((cell.kind, cell.steps))
+        return route(ctx, parent, cell)
+
+    monkeypatch.setattr(ahilb.resolution, "dual_basis", recorded)
+    assert len(res.systems) == 16
+    assert sorted(routed) == [
+        ("down", (1, 1, 3)), ("down", (1, 3, 1)), ("down", (3, 1, 1)),
+        ("up", (0, 0, 3)), ("up", (0, 3, 0)), ("up", (3, 0, 0))]
+
+
+def raises(read) -> bool:
+    try:
+        read()
+    except InvariantError:
+        return True
+    return False
+
+
+def clusters_verdict(res) -> bool:
+    (ok,) = [r.ok for r in run_checks(res) if r.name == CLUSTERS_FAMILY]
+    return ok
+
+
+def doubled_i_step(ctx, parent, cells):
+    """Mutant: a template whose i step is twice the true one."""
+    chart = kind_charts(ctx, parent, cells)
+    if len(cells) <= 3:
+        return chart
+    return lambda cell: chart(cell._replace(
+        steps=(2 * cell.steps[0], *cell.steps[1:])))
+
+
+def swapped_kinds(ctx, parent, cells):
+    """Mutant: each kind's cells written out by the other kind's template,
+    certified at the other kind's corner cells."""
+    if len(cells) <= 3:
+        return kind_charts(ctx, parent, cells)
+    t, kind = cells[0][:2]
+    tri = triangles_of(ctx.spec.canonical_text)[t]
+    other = [c for c in tesselate(tri, t) if c.kind != kind]
+    return kind_charts(ctx, parent, other)
+
+
+@cache
+def triangles_of(spec):
+    return resolution(spec).partition.triangles
+
+
+@pytest.mark.parametrize("mutant", [doubled_i_step, swapped_kinds])
+@pytest.mark.parametrize("spec", [SIDE_4, CELLS[0]])
+def test_a_wrong_template_fails_the_oracle_and_verify(spec, mutant,
+                                                      monkeypatch):
+    monkeypatch.setattr(ahilb.resolution, "kind_charts", mutant)
+    res = resolution(spec)
+    assert res.systems != per_cone_systems(res)
+    assert not clusters_verdict(res)
+
+
+def test_a_one_cell_certificate_misses_a_formula_fault(monkeypatch):
+    # The fault: every cell's closed form is that of its kind's first
+    # corner cell.  Affine (constant), and right at that corner only.
+    want = per_cone_systems(resolution(SIDE_4))
+    formula = ahilb.monomials.formula_dual
+
+    def first_corner(cell):
+        lo = int(cell.kind == "down")
+        return (sum(cell.steps) - 2 * lo, lo, lo)
+
+    monkeypatch.setattr(ahilb.monomials, "formula_dual",
+                        lambda parent, cell: formula(parent, cell._replace(
+                            steps=first_corner(cell))))
+    # Three corner cells: the solve disagrees at the other two.
+    assert raises(lambda: resolution(SIDE_4).systems)
+
+    # Mutant: the solve runs at the first corner only, and the other
+    # corners read the closed form unchecked.
+    route = ahilb.resolution.dual_basis
+
+    def one_cell(ctx, parent, cell):
+        if cell.steps == first_corner(cell):
+            return route(ctx, parent, cell)
+        return tuple(ahilb.monomials.formula_dual(parent, cell))
+
+    monkeypatch.setattr(ahilb.resolution, "dual_basis", one_cell)
+    res = resolution(SIDE_4)
+    assert not raises(lambda: res.systems)
+    assert res.systems != want
+
+
+def test_an_interior_sign_test_misses_a_negative_corner(monkeypatch):
+    # The crafted case: on the up cells of SIDE_4 (n = 4), b and m move by
+    # 4*(i + j - k), along xi's and eta's y entries.  Counts hold, y^4 is
+    # invariant, and the rows stay affine; b < 0 at the corner (0, 0, 3)
+    # alone of the corners, and not at the interior cell (1, 1, 1).
+    route = ahilb.resolution.dual_basis
+
+    def crafted(ctx, parent, cell):
+        rows = [list(row) for row in route(ctx, parent, cell)]
+        if cell.kind == "up":
+            i, j, k = cell.steps
+            x, y, _ = sign_roles(rows)
+            rows[x][1] -= 4 * (i + j - k)
+            rows[y][1] += 4 * (i + j - k)
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(ahilb.resolution, "dual_basis", crafted)
+    with pytest.raises(InvariantError, match="lack the up sign pattern"):
+        resolution(SIDE_4).systems
+
+    def interior_sign_test(ctx, parent, cells):
+        """Mutant: the sign test runs at the cell farthest from the sides
+        alone; the corners are read in its roles, unsigned."""
+        if len(cells) <= 3:
+            return kind_charts(ctx, parent, cells)
+        inner = max(cells, key=lambda c: min(c.steps))
+        rows = crafted(ctx, parent, inner)
+        cluster_system(ctx, inner.kind, rows)
+        roles = sign_roles(rows, 1 if inner.kind == "up" else -1)
+
+        def unsigned(ctx, kind, rows):
+            vecs = [rows[t] for t in roles]
+            if kind == "down":
+                vecs = [vsub((1, 1, 1), v) for v in vecs]
+            sysm = ClusterSystem(kind, *_up_exponents_from_vectors(vecs))
+            verify_cluster(ctx, sysm)
+            return sysm
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ahilb.resolution, "cluster_system", unsigned)
+            return kind_charts(ctx, parent, cells)
+
+    monkeypatch.setattr(ahilb.resolution, "kind_charts", interior_sign_test)
+    systems = resolution(SIDE_4).systems
+    assert min(min(sysm.exponents()) for sysm in systems) < 0

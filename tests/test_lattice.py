@@ -1,5 +1,7 @@
 import tracemalloc
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 
 import pytest
 
@@ -328,6 +330,35 @@ def test_scaled_dual_matches_the_cofactor_dual_on_every_context(monkeypatch):
         w0, w1, w2 = scaled_dual(solved.pop(), 1)
         assert (w0, w1) == ctx.character_rows, text
         assert det3((w0, w1, w2)) in (1, -1), text
+
+
+def test_scaled_dual_of_a_translate_shifts_by_the_invariant():
+    # The translation lemma behind the chart templates: a cell of a
+    # (triangle, kind) with more than three cells is its kind's corner
+    # cell (lo, lo, lo + d) moved by T with (1,1,1).T = 0, and its solved
+    # rows are the corner's rows D_s less (D_s.T/n)(1,1,1).
+    checked = 0
+    for text in SWEEP + ["1/4(1,0,3)+1/4(0,1,3)"]:
+        ctx = ctx_of(text)
+        for _, group in groupby(Resolution(ctx).fan.cones,
+                                key=itemgetter(0, 1)):
+            cells = list(group)
+            if len(cells) <= 3:
+                continue
+            lo = int(cells[0].kind == "down")
+            (corner,) = [c for c in cells if c.steps[:2] == (lo, lo)]
+            rows = scaled_dual(corner.vertices, ctx.n)
+            for cell in cells:
+                (T,) = {vsub(v, w)
+                        for v, w in zip(cell.vertices, corner.vertices)}
+                assert sum(T) == 0, text
+                shifts = [divmod(dot(row, T), ctx.n) for row in rows]
+                assert all(rest == 0 for _, rest in shifts), text
+                assert scaled_dual(cell.vertices, ctx.n) == [
+                    vsub(row, (q, q, q)) for row, (q, _) in zip(rows, shifts)
+                ], (text, cell.steps)
+                checked += 1
+    assert checked == 1749 + 16
 
 
 def check_character_map(text):
