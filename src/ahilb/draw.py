@@ -18,9 +18,10 @@ from .lattice import (
     Vec3,
     cross3,
     on_simplex_boundary,
+    primitive_in_monomial_lattice,
     sign_fixed,
 )
-from .monomials import primitive_in_monomial_lattice, ratio_str
+from .monomials import ratio_str
 from .partition import Partition, unit_edges
 
 SIZE = 520.0

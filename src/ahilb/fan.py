@@ -40,11 +40,11 @@ def tesselate(tri: RegularTriangle, parent_index: int) -> list[BasicTriangle]:
     """The r^2 unimodular cells of a side-r regular triangle, the one at
     parent_index in the partition: C(r+1, 2) up cells, then C(r, 2) down
     cells.  Each side is exactly r times its primitive direction, so the
-    grid steps (w2 - w1)/r and (w3 - w1)/r are side_directions[2], [1].
+    grid steps are ``tri.step(0, 1)`` and ``tri.step(0, 2)``.
     The (r+1)(r+2)/2 grid points are computed once, and each cell picks
     three of them, so the cells share their vertex tuples."""
     r = tri.r
-    u, w = tri.side_directions[2], tri.side_directions[1]
+    u, w = tri.step(0, 1), tri.step(0, 2)
     # grid[beta][gamma] = w1 + beta*u + gamma*w: barycentric steps
     # (alpha, beta, gamma) with alpha = r - beta - gamma.
     grid = []

@@ -16,8 +16,9 @@ the group, lazily, and in the package only ``junior_points`` reads it.
 
 The lattice geometry the other modules share lives here, once:
 ``on_simplex_boundary`` (does a segment lie along a side of the simplex),
-``sign_fixed`` (a direction up to sign) and ``pair_index`` (the index of
-the sublattice two translations span).
+``sign_fixed`` (a direction up to sign), ``pair_index`` (the index of
+the sublattice two translations span) and
+``primitive_in_monomial_lattice`` (the invariant monomial on a ray).
 """
 
 from __future__ import annotations
@@ -365,6 +366,18 @@ def primitive_vector(ctx: LatticeContext, v: Vec3) -> Vec3:
         raise InvariantError(f"{v} is not a translation of the junior lattice")
     k = gcd(*(dot(v, m) // ctx.n for m in ctx.monomial_basis))
     return (v[0] // k, v[1] // k, v[2] // k)
+
+
+def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
+    """Scale m to the primitive invariant exponent vector on its ray."""
+    if m == (0, 0, 0):
+        raise InvariantError("zero exponent vector")
+    g = gcd(*m)
+    base = (m[0] // g, m[1] // g, m[2] // g)
+    # k*base is invariant exactly when the order of its character divides k.
+    r0, r1 = ctx.character(base)
+    n, rest = ctx.n, ctx.order // ctx.n
+    return smul(lcm(n // gcd(n, r0), rest // gcd(rest, r1)), base)
 
 
 def on_simplex_boundary(a: Vec3, b: Vec3) -> bool:

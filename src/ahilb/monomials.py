@@ -4,9 +4,9 @@ basic triangles, and the exponent form of the knock-out rule.
 A ratio is stored as a signed Laurent exponent triple: positive entries
 make the numerator, negative entries the denominator.  Every emitted ratio
 is invariant under the group and primitive in the invariant lattice.
-``ratio_through`` computes the ratio of the line through two points for
-line and triangle side ratios; ``draw._edge_ratio`` computes each fan
-edge's ratio itself, signed by ``sign_fixed`` instead of by a point.
+``partition.rays`` computes each line's ratio once, and a triangle carries
+its sides'; ``draw._edge_ratio`` computes each fan edge's ratio itself,
+signed by ``sign_fixed`` instead of by a point.
 A side's role is the one coordinate where its ratio is positive, read by
 ``sign_roles`` once per triangle (and per chart by ``cluster_system``);
 ``_bases`` is the one template of both normal forms, read and written;
@@ -15,7 +15,7 @@ A side's role is the one coordinate where its ratio is positive, read by
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import permutations
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -25,47 +25,11 @@ from .lattice import (
     LatticeContext,
     Vec3,
     cross3,
-    dot,
     multiple,
     permute,
     scaled_dual,
-    smul,
-    vadd,
-    vneg,
 )
 from .partition import Line, RegularTriangle
-
-
-def primitive_in_monomial_lattice(ctx: LatticeContext, m: Vec3) -> Vec3:
-    """Scale m to the primitive invariant exponent vector on its ray."""
-    if m == (0, 0, 0):
-        raise InvariantError("zero exponent vector")
-    g = gcd(*m)
-    base = (m[0] // g, m[1] // g, m[2] // g)
-    # k*base is invariant exactly when the order of its character divides k.
-    r0, r1 = ctx.character(base)
-    n, rest = ctx.n, ctx.order // ctx.n
-    return smul(lcm(n // gcd(n, r0), rest // gcd(rest, r1)), base)
-
-
-def ratio_through(ctx: LatticeContext, p: Vec3, q: Vec3,
-                  positive_at: Vec3) -> Vec3:
-    """Primitive invariant generator of the exponents vanishing on the line
-    through p and q, signed to evaluate positively at positive_at."""
-    raw = cross3(p, q)
-    if raw == (0, 0, 0):
-        raise InvariantError("line data is degenerate")
-    m = primitive_in_monomial_lattice(ctx, raw)
-    val = dot(m, positive_at)
-    if val == 0:
-        raise InvariantError("positive_side is parallel to the line")
-    return m if val > 0 else vneg(m)
-
-
-def line_ratio(ctx: LatticeContext, line: Line, positive_side: Vec3) -> Vec3:
-    """ratio_through two points of the line."""
-    return ratio_through(ctx, line.anchor, vadd(line.anchor, line.direction),
-                         positive_side)
 
 
 # The coordinate of a vector's one entry of the sign asked for, keyed by
@@ -107,8 +71,8 @@ class TriangleRatios(NamedTuple):
     2 = z-like).  The integers satisfy, with r the triangle side,
     d - a = e - b - c = f = r   (case a)
     d - a = e - b = f - c = r   (case b)
-    and the side directions are the ``_bases`` lines' directions divided
-    by one common constant, which ``_match_case`` checks and does not keep.
+    and the side steps are the ``_bases`` lines' directions divided by one
+    common positive constant, which ``_match_case`` checks and drops.
     """
 
     case: str
@@ -128,11 +92,12 @@ class TriangleRatios(NamedTuple):
         return (steps[x], steps[y], steps[z])
 
 
-def _match_case(ctx, tri, side_ratios, at, perm, case):
+def _match_case(ctx, tri, steps, at, perm, case):
     """Try to read the permuted side ratios in the given normal form; at is
-    ``sign_roles`` of the unpermuted ratios, so role u is side at[perm[u]]."""
+    ``sign_roles`` of the unpermuted ratios, so role u is side at[perm[u]];
+    steps[s, t] is ``tri.step(s, t)``."""
     roles = permute(perm, at)
-    xi, eta, zeta = (permute(perm, side_ratios[t]) for t in roles)
+    xi, eta, zeta = (permute(perm, tri.side_ratios[t]) for t in roles)
     d, b = xi[0], -xi[1]
     if case == "a":
         a, e = -eta[0], eta[1]
@@ -149,21 +114,20 @@ def _match_case(ctx, tri, side_ratios, at, perm, case):
             return None
     elif not (d - a == e - b == f - c == tri.r):
         return None
-    # The side directions must be nonzero integer multiples, equal up to
-    # sign, of the directions cross3(base, (1, 1, 1)) of the lines where the
-    # bases vanish.
-    ks = {abs(multiple(cross3(base, (1, 1, 1)),
-                       permute(perm, tri.side_directions[t])) or 0)
-          for base, t in zip(bases, roles)}
-    if len(ks) != 1 or 0 in ks:
+    # The steps, from the vertices, must check the ratios, from the lines.
+    # The normal form orients the vertices in role order positively, as
+    # det(xi, eta, zeta) is f*(de - ab) (case a) or def - abc (case b), so
+    # cross3(base, (1, 1, 1)) is one positive K times the permuted step
+    # from role u+1's vertex to role u+2's, for each role u.
+    ks = {multiple(cross3(base, (1, 1, 1)),
+                   permute(perm, steps[roles[u - 2], roles[u - 1]])) or 0
+          for u, base in enumerate(bases)}
+    if len(ks) != 1 or min(ks) <= 0:
         return None
     (K,) = ks
-    # Side directions are scaled by n, so the unscaled proportionality
-    # constant de-ab (= the other two minor sums) equals K*n.
-    if case == "a" and not (
-        K * ctx.n == d * e - a * b == a * c + a * f + e * f
-        == b * f + c * d + d * f
-    ):
+    # Points are scaled by n, so K*n is de - ab and the other minor sums.
+    if case == "a" and not (K * ctx.n == d * e - a * b
+                            == a * c + a * f + e * f == b * f + c * d + d * f):
         return None
     return TriangleRatios(case, perm, roles, a, b, c, d, e, f)
 
@@ -174,16 +138,14 @@ def triangle_ratios(ctx: LatticeContext, tri: RegularTriangle) -> TriangleRatios
     Searches the six coordinate permutations, corner case first; ties are
     canonicalized to the corner case with the smallest permutation.
     """
-    # Each side's ratio, positive on the triangle, indexed like vertices.
-    side_ratios = [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
-                   for t in range(3)]
     # A permutation moves the signs with the coordinates, so a triangle
     # without the sign pattern fits no normal form.
-    at = sign_roles(side_ratios)
+    at = sign_roles(tri.side_ratios)
     if at is not None:
+        steps = {(s, t): tri.step(s, t) for s, t in permutations(range(3), 2)}
         for case in ("a", "b"):
             for perm in PERMS:
-                res = _match_case(ctx, tri, side_ratios, at, perm, case)
+                res = _match_case(ctx, tri, steps, at, perm, case)
                 if res is not None:
                     return res
     raise InvariantError(
@@ -221,7 +183,7 @@ def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
     and by the closed formulas; a disagreement is a hard error.
 
     Their agreement settles the rest.  The closed-form rows are the
-    parent's side ratios, invariant by ``ratio_through``, shifted by
+    parent's side ratios, invariant by ``partition.rays``, shifted by
     multiples of (1, 1, 1) and perhaps negated, so they are invariant, and
     so are the solved rows equal to them.  The solved rows pair to n with
     their own vertex and to 0 with the other two, so their sum pairs to n
@@ -240,11 +202,11 @@ def dual_basis(ctx: LatticeContext, parent: TriangleRatios,
     return tuple(direct)
 
 
-def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None:
+def crossing_rule_check(l1: Line, l2: Line) -> tuple | None:
     """Which of two crossing interior lines continues past the meet, read
-    off from the invariant ratios: after relabeling the pair of corners
-    to (e1, e3), the line with the strictly smaller exponent of the third
-    coordinate continues; equal exponents kill both."""
+    off from their ratios, ``Line.ratio``: after relabeling the pair of
+    corners to (e1, e3), the line with the strictly smaller exponent of
+    the third coordinate continues; equal exponents kill both."""
     if l1.tag[0] != "corner" or l2.tag[0] != "corner":
         raise InvariantError("the exponent rule applies to interior lines")
     i, k = l1.tag[1], l2.tag[1]
@@ -257,12 +219,10 @@ def crossing_rule_check(ctx: LatticeContext, l1: Line, l2: Line) -> tuple | None
     shared = next(t for t in range(3) if t not in (first - 1, last - 1))
 
     def normalized(line):
-        own = line.tag[1]
-        # Positive on the corner that precedes the line's own corner.
-        m = line_ratio(ctx, line, ctx.corner((own + 1) % 3 + 1))
-        if m[own - 1] != 0:
+        # Positive on the corner before the line's own, zero on its own.
+        if line.ratio[line.tag[1] - 1] != 0:
             raise InvariantError("ratio normalization failed")
-        return m
+        return line.ratio
 
     m_first = normalized(by_corner[first])
     m_last = normalized(by_corner[last])

@@ -27,8 +27,11 @@ from .lattice import (
     Vec3,
     chart,
     cross2,
+    cross3,
+    dot,
     on_simplex_boundary,
     pair_index,
+    primitive_in_monomial_lattice,
     sign_fixed,
     smul,
     vadd,
@@ -41,14 +44,15 @@ RatPoint = tuple[Vec3, int]  # numerator triple over a positive denominator
 
 
 class Line(NamedTuple):
-    """The line of one word entry: out of a corner for interior lines, or
-    a side of the simplex for junctions.  defeat_point is filled on the
-    interior lines of the partition."""
+    """The line of one word entry, with its ratio (see ``rays``): out of a
+    corner for interior lines, or a side of the simplex for junctions.
+    defeat_point is filled on the interior lines of the partition."""
 
     tag: Tag
     anchor: Vec3
     direction: Vec3  # primitive
     strength: int
+    ratio: Vec3
     defeat_point: Vec3 | None = None
 
 
@@ -57,12 +61,16 @@ def rays(ctx: LatticeContext, word: CyclicWord) -> dict[Tag, Line]:
     corner and the three sides.  An entry tagged (kind, i, ...) runs out
     of e_i along its vector or the negative, whichever leaves e_i (lowers
     coordinate i), with the entry's value as its strength; the junction
-    (side) e_s e_{s+1} thus runs from e_s toward e_{s+1}."""
+    (side) e_s e_{s+1} thus runs from e_s toward e_{s+1}.  Its ratio, the
+    primitive invariant exponents vanishing on it, is signed positive at
+    e_{i-1}, which no line out of e_i, interior or junction, runs through."""
     lines: dict[Tag, Line] = {}
     for value, tag, vec in zip(word.values, word.tags, word.vectors):
         i = tag[1]
-        lines[tag] = Line(tag, ctx.corner(i),
-                          vec if vec[i - 1] < 0 else vneg(vec), value)
+        corner = ctx.corner(i)
+        m = primitive_in_monomial_lattice(ctx, cross3(corner, vec))
+        lines[tag] = Line(tag, corner, vec if vec[i - 1] < 0 else vneg(vec),
+                          value, m if m[i - 2] > 0 else vneg(m))
     return lines
 
 
@@ -94,17 +102,24 @@ class RegularTriangle(NamedTuple):
     """A lattice triangle whose sides ride on subdivision lines and whose
     primitive side directions form a regular triple.
 
-    vertices[t] is the vertex opposite side_lines[t]; side_directions[t]
-    points along that side.  Equivalent to the side-r standard triangle.
+    vertices[t] is the vertex opposite side_lines[t]; side_ratios[t] is
+    that line's ratio, signed positive at vertices[t] with one ``dot``.
+    The pairing is never 0, because k != 0 puts the vertex off that line.
+    Equivalent to the side-r standard triangle.
     """
 
     vertices: tuple[Vec3, Vec3, Vec3]
     r: int
     side_lines: tuple[Tag, Tag, Tag]
-    side_directions: tuple[Vec3, Vec3, Vec3]
+    side_ratios: tuple[Vec3, Vec3, Vec3]
 
     def key(self) -> tuple[Vec3, Vec3, Vec3]:
         return tuple(sorted(self.vertices))
+
+    def step(self, s: int, t: int) -> Vec3:
+        """The unit step (vertices[t] - vertices[s])/r along a side."""
+        p, q, r = self.vertices[s], self.vertices[t], self.r
+        return ((q[0] - p[0]) // r, (q[1] - p[1]) // r, (q[2] - p[2]) // r)
 
     def side_of(self, t: int) -> tuple[Vec3, Vec3]:
         """Endpoints of the side opposite vertex t."""
@@ -152,8 +167,7 @@ def enumerate_triangles(ctx: LatticeContext,
                 continue
             lb = ordered[b]
             da, db = la.direction, lb.direction
-            dsum = vadd(da, db)
-            third = by_direction.get(sign_fixed(dsum))
+            third = by_direction.get(sign_fixed(vadd(da, db)))
             if third is None:
                 continue
             s, rem = divmod((lb.anchor[1] - la.anchor[1]) * zb
@@ -171,19 +185,16 @@ def enumerate_triangles(ctx: LatticeContext,
                 va, vb = vsub(p, smul(k, db)), vadd(p, smul(k, da))
                 if k == 0 or min(p + va + vb) < 0:  # a vertex off the simplex
                     continue
-                # cb is the unit step from the vertex opposite c to the one
-                # opposite b, and likewise ac and ab.
-                cb, ac, ab = (smul(k // abs(k), d) for d in (da, db, dsum))
                 if lc.tag < la.tag:
-                    tags, pts = (lc.tag, la.tag, lb.tag), (p, va, vb)
-                    dirs = (ab, cb, vneg(ac))
+                    hosts, pts = (lc, la, lb), (p, va, vb)
                 elif lc.tag < lb.tag:
-                    tags, pts = (la.tag, lc.tag, lb.tag), (va, p, vb)
-                    dirs = (cb, ab, ac)
+                    hosts, pts = (la, lc, lb), (va, p, vb)
                 else:
-                    tags, pts = (la.tag, lb.tag, lc.tag), (va, vb, p)
-                    dirs = (vneg(cb), ac, ab)
-                tri = RegularTriangle(pts, abs(k), tags, dirs)
+                    hosts, pts = (la, lb, lc), (va, vb, p)
+                tags = (hosts[0].tag, hosts[1].tag, hosts[2].tag)
+                tri = RegularTriangle(pts, abs(k), tags, tuple(
+                    h.ratio if dot(h.ratio, v) > 0 else vneg(h.ratio)
+                    for h, v in zip(hosts, pts)))
                 if found.setdefault(tri.key(), tri).side_lines != tags:
                     raise InvariantError(
                         "two line triples cut out the same triangle")

@@ -144,7 +144,7 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
     @check("monomials: exponent knock-out rule matches defeat data")
     def _crossings():
         for la, lb, x in res.crossings:
-            winner = crossing_rule_check(ctx, la, lb)
+            winner = crossing_rule_check(la, lb)
             # Within its extent a line ends at x exactly when x is its
             # defeat point.
             ends_a = x == (la.defeat_point, 1)

@@ -12,12 +12,13 @@ from ahilb.corners import corner_chain
 from ahilb.clusters import cluster_system, tripod_basis, verify_cluster
 from ahilb.draw import render_svg
 from ahilb.fan import build_fan, dp6_count, surface_census, verify_fan
-from ahilb.lattice import vadd, vsub
+from ahilb.lattice import vadd, vneg, vsub
 from ahilb.mmp import run_mmp
-from ahilb.monomials import dual_basis, line_ratio, ratio_str, triangle_ratios
+from ahilb.monomials import dual_basis, ratio_str, triangle_ratios
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks, run_random_suite
 from test_mmp import canonical, positions_run, run_linear, triple_set
+from test_monomials import line_ratio
 
 
 def _report(num, desc, fn):
@@ -65,6 +66,8 @@ def test_acceptance_1_group_11_1_2_8():
         line = part.lines[("corner", 3, 1)]
         m = line_ratio(ctx, line, vsub(ctx.corner(1), ctx.corner(3)))
         assert m == (2, -1, 0) and ratio_str(m) == "x^2:y"
+        # rays signs it positive at e2, the corner before e3.
+        assert line.ratio == vneg(m)
 
     _report(1, "1/11(1,2,8) corner data, word, partition, champions, ratio",
             body)

@@ -528,6 +528,21 @@ def test_report_computes_each_chart_once(spec, monkeypatch, capsys):
         routed + 1, routed, routed, routed)
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+@pytest.mark.parametrize("spec, entries", [
+    ("1/96(1,1,94)", 98), ("1/1001(1,37,963)", 63), ("1/11(1,2,8)", 11)])
+def test_each_line_ratio_is_computed_once(command, spec, entries,
+                                          monkeypatch, capsys):
+    # rays computes one ratio per word entry; the triangle normal forms
+    # and the exponent rule read them.
+    assert len(Resolution(lattice_context(parse_group_spec(spec))).word) \
+        == entries
+    ratios = _count_calls(monkeypatch, "lattice",
+                          "primitive_in_monomial_lattice")
+    assert main([command, spec]) == 0
+    assert len(ratios) == entries
+
+
 def test_settled_checks_do_no_work(monkeypatch):
     # The tiling check walks no side of the simplex, the dual basis asks
     # no character once the two routes agree, and a cluster system asks

@@ -625,7 +625,7 @@ def check_pair_index_on_triangle_sides(specs):
         for tri in Resolution(ctx).partition.triangles:
             a, b, c = tri.vertices
             sides = [vsub(b, a), vsub(c, b), vsub(a, c)]
-            sides += list(tri.side_directions)
+            sides += [tri.step(0, 1), tri.step(1, 2), tri.step(2, 0)]
             for v in sides:
                 for w in sides:
                     assert pair_index(ctx, v, w) == _index_oracle(ctx, v, w)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -11,9 +11,11 @@ from ahilb.errors import InvariantError
 from ahilb.fan import build_fan
 from ahilb.lattice import (
     PERMS,
+    cross3,
     dot,
     multiple,
     permute,
+    primitive_in_monomial_lattice,
     scaled_dual,
     smul,
     vadd,
@@ -23,21 +25,21 @@ from ahilb.lattice import (
 from ahilb.monomials import (
     TriangleRatios,
     _bases,
+    _match_case,
     crossing_rule_check,
     dual_basis,
     formula_dual,
-    line_ratio,
-    primitive_in_monomial_lattice,
     ratio_str,
-    ratio_through,
     sign_roles,
     triangle_ratios,
 )
-from ahilb.partition import meet, rays
+from ahilb.partition import crossings, meet, rays
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
+from test_clusters import CELLS, LINES
 from test_fan import sweep_resolutions
 from test_lattice import (
+    PRODUCTS,
     cofactor_dual,
     is_invariant_monomial,
     written_generators,
@@ -49,6 +51,58 @@ def pipeline(text):
     ctx = lattice_context(parse_group_spec(text))
     part = Resolution(ctx).partition
     return ctx, part
+
+
+def ratio_through(ctx, p, q, positive_at):
+    """Primitive invariant generator of the exponents vanishing on the line
+    through p and q, signed to evaluate positively at positive_at: the
+    oracle for ``RegularTriangle.side_ratios``."""
+    raw = cross3(p, q)
+    if raw == (0, 0, 0):
+        raise InvariantError("line data is degenerate")
+    m = primitive_in_monomial_lattice(ctx, raw)
+    val = dot(m, positive_at)
+    if val == 0:
+        raise InvariantError("positive_side is parallel to the line")
+    return m if val > 0 else vneg(m)
+
+
+def line_ratio(ctx, line, positive_side):
+    """ratio_through two points of the line: the oracle for ``Line.ratio``
+    with positive_side the corner before the line's own."""
+    return ratio_through(ctx, line.anchor, vadd(line.anchor, line.direction),
+                         positive_side)
+
+
+def check_ratios_against_the_oracles(resolutions):
+    """Every line's ratio is ``line_ratio`` at the corner before its own,
+    and every triangle side's is ``ratio_through`` its endpoints, signed at
+    the opposite vertex."""
+    for res in resolutions:
+        ctx, spec = res.ctx, res.ctx.spec.canonical_text
+        for tag, line in rays(ctx, res.word).items():
+            before = ctx.corner((tag[1] + 1) % 3 + 1)
+            assert line.ratio == line_ratio(ctx, line, before), (spec, tag)
+        for tri in res.partition.triangles:
+            assert tri.side_ratios == tuple(
+                ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
+                for t in range(3)), (spec, tri.vertices)
+
+
+def resolutions_of(specs):
+    return [Resolution(lattice_context(parse_group_spec(spec)))
+            for spec in specs]
+
+
+def test_ratios_match_the_oracles():
+    check_ratios_against_the_oracles(sweep_resolutions())
+    check_ratios_against_the_oracles(resolutions_of(LINES + CELLS))
+
+
+@pytest.mark.deep
+def test_ratios_match_the_oracles_up_to_30():
+    check_ratios_against_the_oracles(
+        resolutions_of(cyclic_groups(30) + PRODUCTS))
 
 
 def test_line_ratio_e3_line_of_11():
@@ -195,9 +249,7 @@ def test_triangle_ratios_whole_simplex_zrzr():
         tr = triangle_ratios(ctx, tri)
         assert (tr.a, tr.b, tr.c) == (0, 0, 0)
         assert (tr.d, tr.e, tr.f) == (r, r, r)
-        sides = [ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
-                 for t in range(3)]
-        assert sorted(sides) == sorted([(r, 0, 0), (0, r, 0), (0, 0, r)])
+        assert sorted(tri.side_ratios) == [(0, 0, r), (0, r, 0), (r, 0, 0)]
 
 
 def test_triangle_ratios_equalities_everywhere():
@@ -251,7 +303,8 @@ def branch_match(ctx, tri, side_ratios, perm, case):
         raws = [(b, d, -(b + d)), (-(c + e), c, e), (f, -(a + f), a)]
     ks = []
     for role in range(3):
-        v = permute(perm, tri.side_directions[roles[role]])
+        ends = [u for u in range(3) if u != roles[role]]
+        v = permute(perm, tri.step(*ends))
         k = multiple(raws[role], v)
         if not k:
             return None
@@ -324,22 +377,65 @@ def leak_at_a_zero(m):
 @pytest.mark.parametrize("corrupt", [
     lambda m: (1, 1, -2),  # positive at two coordinates
     leak_at_a_zero,
-], ids=["no-sign-pattern", "zero-entry-leaks"])
-def test_corrupt_side_ratios_fit_no_normal_form(monkeypatch, corrupt):
-    ctx, part = pipeline("1/11(1,2,8)")
-    ratio_through = ahilb.monomials.ratio_through
-    monkeypatch.setattr(ahilb.monomials, "ratio_through",
-                        lambda *args: corrupt(ratio_through(*args)))
-    for tri in part.triangles:
-        with pytest.raises(InvariantError,
-                           match="fits neither ratio normal form"):
-            triangle_ratios(ctx, tri)
+    # Signed at a vertex on the side, where it pairs to 0: negated.
+    vneg,
+], ids=["no-sign-pattern", "zero-entry-leaks", "signed-at-the-wrong-vertex"])
+def test_corrupt_side_ratios_fit_no_normal_form(corrupt):
+    for spec in ("1/11(1,2,8)", "1/101(1,7,93)"):
+        ctx, part = pipeline(spec)
+        for tri in part.triangles:
+            bad = tri._replace(
+                side_ratios=tuple(map(corrupt, tri.side_ratios)))
+            with pytest.raises(InvariantError,
+                               match="fits neither ratio normal form"):
+                triangle_ratios(ctx, bad)
+
+
+def test_steps_with_their_ends_swapped_fit_no_normal_form():
+    # The steps run from role u+1's vertex to role u+2's; reversed, they
+    # are a negative multiple of the directions the ratios give.
+    for spec in ("1/11(1,2,8)", "1/101(1,7,93)", "1/30(25,2,3)",
+                 "1/3(1,2,0)+1/3(0,1,2)"):
+        ctx, part = pipeline(spec)
+        for tri in part.triangles:
+            at = sign_roles(tri.side_ratios)
+            steps = {(s, t): tri.step(s, t)
+                     for s, t in permutations(range(3), 2)}
+            swapped = {(s, t): steps[t, s] for s, t in steps}
+            fits = [(case, perm) for case in ("a", "b") for perm in PERMS
+                    if _match_case(ctx, tri, steps, at, perm, case)]
+            assert fits, (spec, tri.vertices)
+            assert not any(_match_case(ctx, tri, swapped, at, perm, case)
+                           for case in ("a", "b") for perm in PERMS), spec
+
+
+def check_case_b_is_the_cocked_hat(resolutions):
+    """A triangle's normal form is case b exactly when it is the cocked-hat
+    champion, whose three side lines leave three different corners."""
+    for res in resolutions:
+        champions = res.partition.champions
+        hat = champions.triangle if champions.kind == "cocked_hat" else None
+        for t, (tri, tr) in enumerate(zip(res.partition.triangles,
+                                          res.ratios)):
+            assert tr.case == ("b" if t == hat else "a"), (
+                res.ctx.spec.canonical_text, t)
+        if hat is not None:
+            sides = res.partition.triangles[hat].side_lines
+            assert sorted(tag[1] for tag in sides) == [1, 2, 3]
 
 
 def test_champion_triangle_is_cyclic_case():
-    ctx, part = pipeline("1/101(1,7,93)")
-    tri = part.triangles[part.champions.triangle]
-    assert triangle_ratios(ctx, tri).case == "b"
+    check_case_b_is_the_cocked_hat(sweep_resolutions())
+    check_case_b_is_the_cocked_hat(
+        resolutions_of(LINES + CELLS + ["1/101(1,7,93)"]))
+
+
+@pytest.mark.deep
+def test_champion_triangle_is_cyclic_case_at_scale():
+    specs = [f"1/{r}(1,0,{r - 1})+1/{s}(0,1,{s - 1})"
+             for r in range(2, 9) for s in range(2, 9)]
+    specs.append("1/2003(1,100,1902)")
+    check_case_b_is_the_cocked_hat(resolutions_of(specs))
 
 
 def test_dual_basis_zrzr_up_and_down():
@@ -433,7 +529,7 @@ def test_crossing_rule_paper_example():
     ctx, part = pipeline("1/11(1,2,8)")
     l11 = part.lines[("corner", 1, 1)]
     l32 = part.lines[("corner", 3, 2)]
-    assert crossing_rule_check(ctx, l11, l32) == ("corner", 1, 1)
+    assert crossing_rule_check(l11, l32) == ("corner", 1, 1)
 
 
 def test_crossing_rule_equal_strengths_die():
@@ -441,15 +537,36 @@ def test_crossing_rule_equal_strengths_die():
     ctx, part = pipeline("1/3(1,1,1)")
     l1 = part.lines[("corner", 1, 1)]
     l2 = part.lines[("corner", 2, 1)]
-    assert crossing_rule_check(ctx, l1, l2) is None
+    assert crossing_rule_check(l1, l2) is None
 
 
 def test_crossing_rule_rejects_same_corner():
     ctx, part = pipeline("1/11(1,2,8)")
     with pytest.raises(InvariantError):
-        crossing_rule_check(
-            ctx, part.lines[("corner", 2, 1)], part.lines[("corner", 2, 2)]
-        )
+        crossing_rule_check(part.lines[("corner", 2, 1)],
+                            part.lines[("corner", 2, 2)])
+
+
+def test_crossing_rule_rejects_a_ratio_signed_at_the_following_corner():
+    # An interior line separates the corners before and after its own, so
+    # its ratio signed at the one after is the negative: one exponent the
+    # rule reads turns negative.
+    for spec in ("1/11(1,2,8)", "1/101(1,7,93)"):
+        ctx, part = pipeline(spec)
+        for la, lb, _ in crossings(part):
+            for flipped in ((la._replace(ratio=vneg(la.ratio)), lb),
+                            (la, lb._replace(ratio=vneg(lb.ratio)))):
+                with pytest.raises(InvariantError,
+                                   match="non-positive exponent"):
+                    crossing_rule_check(*flipped)
+
+
+def test_crossing_rule_rejects_a_ratio_not_vanishing_at_its_corner():
+    ctx, part = pipeline("1/11(1,2,8)")
+    la, lb, _ = crossings(part)[0]
+    bad = la._replace(ratio=vadd(la.ratio, (1, 1, 1)))
+    with pytest.raises(InvariantError, match="ratio normalization failed"):
+        crossing_rule_check(bad, lb)
 
 
 def _param_at(line, p):
@@ -479,7 +596,7 @@ def test_crossing_rule_matches_partition_everywhere():
             ta, tb = _param_at(la, x), _param_at(lb, x)
             if min(ta, tb) < 0 or ta > fars[la.tag] or tb > fars[lb.tag]:
                 continue
-            winner = crossing_rule_check(ctx, la, lb)
+            winner = crossing_rule_check(la, lb)
             geom = None
             if ta < fars[la.tag] and tb == fars[lb.tag]:
                 geom = la.tag

@@ -30,6 +30,7 @@ from ahilb.resolution import Resolution
 from test_cli import SWEEP
 from test_lattice import PRODUCTS
 from test_mmp import terminal, triple_set
+from test_monomials import line_ratio
 from test_tiling import (
     ConcurrencyPoint,
     cyclic_groups,
@@ -49,20 +50,23 @@ def rays_of(ctx):
 def fan_lines(ctx, fans):
     """The lines built from the corner fans instead of the word: one per
     interior corner ray, with its strength, and one per side, from its
-    first corner along the side with the junction constant: the oracle
-    for ``rays``."""
+    first corner along the side with the junction constant, and each
+    ratio by ``line_ratio`` at the corner before the line's own: the
+    oracle for ``rays``."""
     lines = {}
     for i in (1, 2, 3):
         fan = fans[i]
         for j in range(1, fan.k + 1):
             tag = ("corner", i, j)
             lines[tag] = Line(tag, ctx.corner(i), fan.vectors[j],
-                              fan.strengths[j - 1])
+                              fan.strengths[j - 1], None)
     for s in (1, 2, 3):
         c, _ = junction_c(s, fans)
         tag = ("junction", s)
-        lines[tag] = Line(tag, ctx.corner(s), fans[s].vectors[-1], c)
-    return lines
+        lines[tag] = Line(tag, ctx.corner(s), fans[s].vectors[-1], c, None)
+    return {tag: line._replace(ratio=line_ratio(
+                ctx, line, ctx.corner((tag[1] + 1) % 3 + 1)))
+            for tag, line in lines.items()}
 
 
 def check_word_lines(spec):

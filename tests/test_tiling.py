@@ -17,6 +17,7 @@ from ahilb.errors import InvariantError
 from ahilb.lattice import (
     chart,
     cross2,
+    dot,
     group_elements,
     multiple,
     on_simplex_boundary,
@@ -25,6 +26,7 @@ from ahilb.lattice import (
     sign_fixed,
     smul,
     vadd,
+    vneg,
     vsub,
 )
 from ahilb.mmp import classify_triple
@@ -77,7 +79,8 @@ def _triangle_from_lines(ctx, lines):
         vertices=tuple(pts),
         r=lens.pop(),
         side_lines=tuple(l.tag for l in lines),
-        side_directions=dirs,
+        side_ratios=tuple(l.ratio if dot(l.ratio, p) > 0 else vneg(l.ratio)
+                          for l, p in zip(lines, pts)),
     )
 
 

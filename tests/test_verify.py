@@ -111,8 +111,8 @@ def dropping_first_triple(run_mmp):
 
 def other_winner(rule):
     """crossing_rule_check, except that it names the wrong line."""
-    def check(ctx, la, lb):
-        return lb.tag if rule(ctx, la, lb) == la.tag else la.tag
+    def check(la, lb):
+        return lb.tag if rule(la, lb) == la.tag else la.tag
     return check
 
 
