@@ -22,7 +22,7 @@ from .lattice import (
     sign_fixed,
 )
 from .monomials import ratio_str
-from .partition import Partition, unit_edges
+from .partition import Partition
 
 SIZE = 520.0
 MARGIN = 45.0
@@ -58,10 +58,12 @@ def render_svg(ctx: LatticeContext, part: Partition, fan: Fan,
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
     ]
 
-    # The fan's edges are its cones' sides; those on partition sides are solid.
+    # The fan's edges are its cones' sides.  Those on partition sides are
+    # solid: the side opposite vertices[t] of an up cell with steps[t] = 0.
     edges = {e for c in fan.cones for e in combinations(sorted(c.vertices), 2)}
-    solid = {seg for tri in part.triangles
-             for seg in unit_edges(tri.vertices, tri.r)}
+    solid = {tuple(sorted(c.vertices[:t] + c.vertices[t + 1:]))
+             for c in fan.cones if c.kind == "up"
+             for t in range(3) if c.steps[t] == 0}
     dotted = sorted(edges - solid)
     out += [_segment(a, b, n, 'stroke="#888888" stroke-width="1" '
                               'stroke-dasharray="4 3"')

@@ -10,12 +10,9 @@ from .errors import InvariantError
 from .lattice import (
     LatticeContext,
     Vec3,
-    chart,
-    cross2,
     det3,
     on_simplex_boundary,
     vadd,
-    vsub,
 )
 from .partition import Partition, RegularTriangle
 
@@ -94,8 +91,8 @@ def build_fan(part: Partition) -> Fan:
     and star bookkeeping runs on table indexes, which compare as the
     points do.  The cones are the tesselations' own cells.
     A down cell is the point reflection of an up cell, a rotation by pi,
-    so every cell has its parent's orientation, and one cross2 per
-    triangle orients its cells counter-clockwise in the chart.  At each
+    so every cell has its parent's orientation, and the triangle's
+    ``ccw`` orients its cells counter-clockwise in the chart.  At each
     vertex x of a cone (x, u, w) so oriented, x's successor map takes u to
     w: the cone is the wedge from u to w around x.  A cone on the left of
     the directed edge x -> u puts the key u at x; one on its right puts
@@ -108,20 +105,17 @@ def build_fan(part: Partition) -> Fan:
     it once around gives the star in counter-clockwise order with no
     angle sort.
     """
-    cells = [(tri, tesselate(tri, t)) for t, tri in enumerate(part.triangles)]
+    cells = [(tri.ccw(), tesselate(tri, t))
+             for t, tri in enumerate(part.triangles)]
     rays = sorted({v for _, tes in cells for c in tes for v in c.vertices})
     index = {v: i for i, v in enumerate(rays)}
     nexts: list[dict[int, int]] = [{} for _ in rays]
     cones = []
-    for tri, tes in cells:
+    for ccw, tes in cells:
         cones += tes
-        w1, w2, w3 = tri.vertices
-        ccw = cross2(chart(vsub(w2, w1)), chart(vsub(w3, w1))) > 0
         for c in tes:
-            v0, v1, v2 = c.vertices
+            v0, v1, v2 = c.vertices if ccw else c.vertices[::-1]
             a, b, d = index[v0], index[v1], index[v2]
-            if not ccw:
-                b, d = d, b
             for x, u, w in ((a, b, d), (b, d, a), (d, a, b)):
                 succ = nexts[x]
                 if u in succ:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -28,6 +27,7 @@ from .lattice import (
     chart,
     cross2,
     cross3,
+    det3,
     dot,
     on_simplex_boundary,
     pair_index,
@@ -121,10 +121,15 @@ class RegularTriangle(NamedTuple):
         p, q, r = self.vertices[s], self.vertices[t], self.r
         return ((q[0] - p[0]) // r, (q[1] - p[1]) // r, (q[2] - p[2]) // r)
 
+    def ccw(self) -> bool:
+        """Do the vertices run counter-clockwise in the chart?  On the
+        junior plane det3 of three points is n times the cross2 of two
+        sides' charts, as in ``verify_fan``."""
+        return det3(self.vertices) > 0
+
     def side_of(self, t: int) -> tuple[Vec3, Vec3]:
         """Endpoints of the side opposite vertex t."""
-        others = [self.vertices[u] for u in range(3) if u != t]
-        return (others[0], others[1])
+        return self.vertices[:t] + self.vertices[t + 1:]
 
 
 def enumerate_triangles(ctx: LatticeContext,
@@ -290,51 +295,40 @@ def _within(line: Line, other: Line) -> bool:
     return gap >= 0 if d > 0 else gap <= 0
 
 
-def unit_edges(vertices: tuple[Vec3, Vec3, Vec3], r: int):
-    """The unit lattice segments (p, q), p < q, along the sides of a
-    regular triangle of side r; each side is r primitive steps long."""
-    for p, q in combinations(sorted(vertices), 2):
-        step = tuple((y - x) // r for x, y in zip(p, q))
-        for k in range(r):
-            yield vadd(p, smul(k, step)), vadd(p, smul(k + 1, step))
-
-
 def _check_tiling(ctx: LatticeContext,
                   triangles: list[RegularTriangle]) -> None:
     """Raise unless the triangles tile the simplex S.
 
-    The doubled areas r^2 (``enumerate_triangles`` makes the sides r
-    steps of directions of index 1) must sum to the simplex's N, and every
-    unit segment off the sides of S must be traversed by the triangles,
-    oriented counter-clockwise as a 2-chain C, as often in one direction
-    as in the other.  That suffices.  The boundary of C is then a cycle on
-    the sides of S.  At each lattice point of those sides it meets only
-    the two unit segments of the sides there, so they carry equal
-    coefficients, and the boundary of C is k times that of S.  C - kS has
-    no boundary, so C = kS, and the areas give k = 1: every point off
-    the edges is covered once inside S and never outside it.
+    The doubled areas r^2 (``enumerate_triangles`` makes the sides r steps
+    of directions of index 1) must sum to the simplex's N, and every unit
+    segment off the sides of S must be traversed by the triangles, oriented
+    by ``ccw`` as a 2-chain C, as often in one direction as in the other.
+    That suffices.  The boundary of C is then a cycle on the sides of S.  At
+    each lattice point of those sides it meets only the two unit segments of
+    the sides there, so they carry equal coefficients, and the boundary of C
+    is k times that of S.  C - kS has no boundary, so C = kS, and the areas
+    give k = 1: every point off the edges is covered once inside S and never
+    outside it.  Any consistent orientation of all triangles passes:
+    reversing every one flips the sign of every event.
 
     The counts are read off endpoint events.  On a line x + Z*e, e the
     unit step with first nonzero coordinate positive, count (y, y + e) +1
     per traversal toward y + e and -1 per traversal back.  A side from p
     to q adds +1 from p up to q either way round, so +1 at p and -1 at q
-    to the count's difference along e; the counts vanish exactly when the
-    differences do.  A side lies on a side of S when its unit segments
-    do, so whole sides are skipped."""
+    to the count's difference along e, read off ``step``; the counts
+    vanish exactly when the differences do.  A side lies on a side of S
+    when its unit segments do, so whole sides are skipped."""
     if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
     events: dict[tuple[Vec3, Vec3], int] = defaultdict(int)
     for tri in triangles:
-        a, b, c = tri.vertices
-        if cross2(chart(vsub(b, a)), chart(vsub(c, a))) < 0:
-            b, c = c, b
-        r = tri.r
-        for p, q in ((a, b), (b, c), (c, a)):
-            if not on_simplex_boundary(p, q):
-                x, y, z = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-                e = sign_fixed((x // r, y // r, z // r))
-                events[p, e] += 1
-                events[q, e] -= 1
+        v = tri.vertices
+        for s, t in (((0, 1), (1, 2), (2, 0)) if tri.ccw()
+                     else ((0, 2), (2, 1), (1, 0))):
+            if not on_simplex_boundary(v[s], v[t]):
+                e = sign_fixed(tri.step(s, t))
+                events[v[s], e] += 1
+                events[v[t], e] -= 1
     if any(events.values()):
         raise InvariantError("triangle interiors overlap")
 

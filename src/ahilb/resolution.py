@@ -100,10 +100,11 @@ class Resolution:
 def kind_charts(ctx: LatticeContext, parent: TriangleRatios,
                 cells: list[BasicTriangle]):
     """The chart reader of one (triangle, kind)'s cells.  Up to three take
-    the per-cone route each, ``dual_basis`` then ``cluster_system``.  More
-    take it at the corner cells, one step d above the other two, both lo
-    (0 up, 1 down); the rest add up the affine map through the corners,
-    which is the route's system on every cell:
+    the per-cone route each, ``dual_basis`` then ``cluster_system``: the
+    affine route solves as many corner cells and adds its setup, and
+    small groups are mostly such kinds.  More take it at the corner cells,
+    one step d above the other two, both lo (0 up, 1 down); the rest add
+    up the affine map through the corners, the route's system on each:
     1. A cell is a translate V + T of a corner cell, (1,1,1).T = 0, and
        its solved rows are D_s - (D_s.T/n)(1,1,1), as (1,1,1).V_t = n: the
        solve is affine in the cell, as is ``formula_dual``, so agreeing at

@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 from test_cli import PINNED, SWEEP
-from test_clusters import PRODUCTS
+import test_lattice
+from test_clusters import CELLS, LINES, PRODUCTS
 from test_lattice import segment_points
+from test_tiling import cyclic_groups
 
 import ahilb.fan
 from ahilb import junior_points, lattice_context, parse_group_spec
@@ -33,7 +35,7 @@ from ahilb.lattice import (
     vadd,
     vsub,
 )
-from ahilb.partition import unit_edges
+from ahilb.draw import _segment, render_svg
 from ahilb.resolution import Resolution
 
 
@@ -363,10 +365,14 @@ def segment_walk_edges(ctx, part):
     return edges
 
 
+def resolutions_of(specs):
+    return [Resolution(lattice_context(parse_group_spec(spec)))
+            for spec in specs]
+
+
 @cache
 def sweep_resolutions():
-    return [Resolution(lattice_context(parse_group_spec(spec)))
-            for spec in SWEEP]
+    return resolutions_of(SWEEP)
 
 
 def vertex_stars(fan):
@@ -471,14 +477,55 @@ def partition_edges(fan):
     }
 
 
+def unit_edges(vertices, r):
+    """The unit lattice segments (p, q), p < q, along the sides of a
+    regular triangle of side r; each side is r primitive steps long."""
+    for p, q in combinations(sorted(vertices), 2):
+        step = tuple((y - x) // r for x, y in zip(p, q))
+        for k in range(r):
+            yield vadd(p, smul(k, step)), vadd(p, smul(k + 1, step))
+
+
 def test_solid_edges_match_the_segment_walk():
-    # draw's solid edges are the unit steps of the partition's sides.
-    for res in sweep_resolutions():
-        walked = {seg for tri in res.partition.triangles
-                  for seg in unit_edges(tri.vertices, tri.r)}
-        spec = res.ctx.spec.canonical_text
-        assert walked == partition_edges(res.fan), spec
-        assert walked == segment_walk_edges(res.ctx, res.partition), spec
+    # draw's solid edges are the unit steps of the partition's sides, by
+    # either walk, and it draws each once.
+    style = 'stroke="black" stroke-width="2"'
+    for res in sweep_resolutions() + resolutions_of(LINES + CELLS):
+        ctx, part, spec = res.ctx, res.partition, res.ctx.spec.canonical_text
+        drawn = [line for line in render_svg(ctx, part, res.fan).splitlines()
+                 if line.startswith("<line") and 'stroke="black"' in line]
+        assert len(drawn) == len(set(drawn)), spec
+        for walked in ({seg for tri in part.triangles
+                        for seg in unit_edges(tri.vertices, tri.r)},
+                       segment_walk_edges(ctx, part)):
+            assert set(drawn) == {_segment(a, b, ctx.n, style)
+                                  for a, b in walked}, spec
+        assert partition_edges(res.fan) == segment_walk_edges(ctx, part), spec
+
+
+def chart_ccw(tri):
+    """Do tri's vertices run counter-clockwise in the chart, by the cross
+    product of two sides' charts?"""
+    v0, v1, v2 = tri.vertices
+    return cross2(chart(vsub(v1, v0)), chart(vsub(v2, v0))) > 0
+
+
+def assert_ccw_matches_the_chart(resolutions):
+    for res in resolutions:
+        for tri in res.partition.triangles:
+            assert tri.ccw() == chart_ccw(tri), (
+                res.ctx.spec.canonical_text, tri.vertices)
+
+
+def test_ccw_matches_the_chart_cross_product():
+    assert_ccw_matches_the_chart(sweep_resolutions())
+    assert_ccw_matches_the_chart(resolutions_of(LINES + CELLS))
+
+
+@pytest.mark.deep
+def test_ccw_matches_the_chart_cross_product_up_to_30():
+    assert_ccw_matches_the_chart(
+        resolutions_of(cyclic_groups(30) + test_lattice.PRODUCTS))
 
 
 def test_verify_fan_detects_a_ray_off_the_lattice():

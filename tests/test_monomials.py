@@ -37,7 +37,7 @@ from ahilb.partition import crossings, meet, rays
 from ahilb.resolution import Resolution
 from test_cli import SWEEP
 from test_clusters import CELLS, LINES
-from test_fan import sweep_resolutions
+from test_fan import resolutions_of, sweep_resolutions
 from test_lattice import (
     PRODUCTS,
     cofactor_dual,
@@ -87,11 +87,6 @@ def check_ratios_against_the_oracles(resolutions):
             assert tri.side_ratios == tuple(
                 ratio_through(ctx, *tri.side_of(t), tri.vertices[t])
                 for t in range(3)), (spec, tri.vertices)
-
-
-def resolutions_of(specs):
-    return [Resolution(lattice_context(parse_group_spec(spec)))
-            for spec in specs]
 
 
 def test_ratios_match_the_oracles():

@@ -17,6 +17,7 @@ from ahilb.lattice import Generator, permute, sign_fixed, smul, vadd
 from ahilb.mmp import classify_triple, run_mmp
 from ahilb.partition import (
     Line,
+    RegularTriangle,
     _check_tiling,
     _within,
     crossings,
@@ -348,18 +349,20 @@ def test_enumeration_looks_up_only_index_one_pairs(monkeypatch):
 
 def test_enumeration_and_tiling_intersect_and_walk_nothing(monkeypatch):
     # Each triangle is read off its index-1 pair in closed form, and the
-    # tiling is checked by three endpoint events per triangle.
+    # tiling is checked by three endpoint events per triangle, each keyed
+    # by one unit step of the triangle's side.
     ctx = ctx_of("1/600(1,1,598)")
     lines = rays_of(ctx)
-    calls = {}
-    for name in ("pair_index", "unit_edges"):
-        calls[name] = []
-        monkeypatch.setattr(ahilb.partition, name, counting(
-            getattr(ahilb.partition, name), calls[name]))
+    pairs, steps = [], []
+    monkeypatch.setattr(ahilb.partition, "pair_index",
+                        counting(ahilb.partition.pair_index, pairs))
+    monkeypatch.setattr(RegularTriangle, "step",
+                        counting(RegularTriangle.step, steps))
     triangles = enumerate_triangles(ctx, lines)
+    assert len(triangles) == 600 and steps == []
     _check_tiling(ctx, triangles)
-    assert len(triangles) == 600
-    assert calls == {name: [] for name in calls}
+    assert pairs == []
+    assert 0 < len(steps) <= 3 * len(triangles)
 
 
 def test_enumeration_raises_on_a_third_line_off_the_lattice():

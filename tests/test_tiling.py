@@ -7,16 +7,19 @@ triangle sides, and the tiling check with the simplex's boundary as a
 second 2-chain.  Also the large-order regression pins, with the
 Ito-Reid counts as their independent check."""
 
+import json
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
+from ahilb.cli import build_document
 from ahilb.errors import InvariantError
 from ahilb.lattice import (
     chart,
     cross2,
+    det3,
     dot,
     group_elements,
     multiple,
@@ -389,6 +392,46 @@ def test_tiling_check_ignores_vertex_order():
         _check_tiling(ctx, tris)
         _check_tiling(ctx, [tri._replace(vertices=tri.vertices[::-1])
                             for tri in tris])
+
+
+def report_of(spec):
+    return json.dumps(build_document(lattice_context(parse_group_spec(spec))))
+
+
+def test_tiling_check_reads_the_orientation(monkeypatch):
+    # Walking every triangle's sides as (0, 1), (1, 2), (2, 0), whichever
+    # way its vertices run, leaves unmatched events.
+    monkeypatch.setattr(RegularTriangle, "ccw", lambda tri: True)
+    for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/96(1,1,94)",
+                 "1/1001(1,37,963)"):
+        with pytest.raises(InvariantError, match="triangle interiors overlap"):
+            report_of(spec)
+
+
+def test_tiling_check_reads_unit_steps(monkeypatch):
+    # A whole side as the event key fails wherever a triangle has r > 1;
+    # every triangle of 1/96(1,1,94) has r = 1, where side and step agree.
+    report = report_of("1/96(1,1,94)")
+    monkeypatch.setattr(RegularTriangle, "step", lambda tri, s, t: vsub(
+        tri.vertices[t], tri.vertices[s]))
+    assert report_of("1/96(1,1,94)") == report
+    for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/1001(1,37,963)"):
+        with pytest.raises(InvariantError, match="triangle interiors overlap"):
+            report_of(spec)
+
+
+def test_tiling_check_passes_any_consistent_orientation(monkeypatch):
+    # Every triangle taken clockwise flips the sign of every event, so the
+    # tiling check passes; the fan reads the same orientation, so its
+    # stars run clockwise and the report changes.
+    for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/1001(1,37,963)"):
+        ctx, tris = triangles_of(spec)
+        report = report_of(spec)
+        with monkeypatch.context() as patched:
+            patched.setattr(RegularTriangle, "ccw",
+                            lambda tri: det3(tri.vertices) < 0)
+            _check_tiling(ctx, tris)
+            assert report_of(spec) != report, spec
 
 
 def age_counts(ctx):
