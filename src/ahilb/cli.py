@@ -31,12 +31,34 @@ from .resolution import Resolution
 from .verify import run_checks, run_random_suite
 
 
-def _fan_json(fan: Fan) -> dict:
-    return {
-        "rays": fan.rays,
-        "cones": [{"vertices": c.vertices, "kind": c.kind, "parent": c.parent}
-                  for c in fan.cones],
-    }
+def _json(value) -> str:
+    """Compact JSON text of a small document or section."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _extend(doc: dict, members: str, *values) -> str:
+    """The JSON text of doc followed by more members, given as a %-format
+    template and its values; the text is written in one copy."""
+    return ("%s," + members + "}") % (_json(doc)[:-1], *values)
+
+
+# One row per record of the per-cone sections, filled in by name.  The
+# only strings written raw are the package's own ASCII words: the cone
+# kinds and the census labels.  A star's b has as many entries as its
+# valency, 3 to 6, so the census row has one form per valency.
+_CONE = ('{"vertices":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],'
+         '"kind":"%s","parent":%d}')
+_STAR = '{"vertex":[%%d,%%d,%%d],"valency":%%d,"b":[%s],"label":"%%s"}'
+_STARS = {t: _STAR % ",".join(["%d"] * t) for t in range(3, 7)}
+_CLUSTER = ('{"cone":%d,"mode":"%s","exponents":{"a":%d,"b":%d,"c":%d,'
+            '"d":%d,"e":%d,"f":%d,"l":%d,"m":%d,"n":%d}}')
+
+
+def _fan_text(fan: Fan) -> str:
+    """The fan section: its rays, and one _CONE row per cone."""
+    cones = ",".join([_CONE % (*u, *v, *w, c.kind, c.parent)
+                      for c in fan.cones for u, v, w in (c.vertices,)])
+    return f'{{"rays":{_json(fan.rays)},"cones":[{cones}]}}'
 
 
 def _head(ctx: LatticeContext) -> dict:
@@ -45,10 +67,12 @@ def _head(ctx: LatticeContext) -> dict:
             "order": ctx.order}
 
 
-def build_document(ctx: LatticeContext) -> dict:
-    """The full report with deterministic field and element order.  It
-    holds the records' own tuples, not list copies of them: ``json.dumps``
-    writes a tuple as the same array a list would make."""
+def build_document(ctx: LatticeContext) -> str:
+    """The full report as JSON text, with deterministic field and element
+    order and no trailing newline.  The small sections are one
+    ``json.dumps`` of a dict that holds the records' own tuples; the fan's
+    cones, the census and the clusters, one record per cone or star, are
+    written as rows of _CONE, _STARS and _CLUSTER."""
     res = Resolution(ctx)
     part = res.partition
 
@@ -88,21 +112,14 @@ def build_document(ctx: LatticeContext) -> dict:
         champ["side"] = champions.side
         champ["c"] = champions.c
     doc["champions"] = champ
-    doc["fan"] = _fan_json(res.fan)
-    doc["census"] = [
-        {"vertex": s.vertex, "valency": s.valency, "b": s.b, "label": s.label}
-        for s in res.census
-    ]
-    doc["dp6_count"] = dp6_count(part)
-    doc["clusters"] = [
-        {
-            "cone": idx,
-            "mode": sysm.mode,
-            "exponents": dict(zip("abcdeflmn", sysm.exponents())),
-        }
-        for idx, sysm in enumerate(res.systems)
-    ]
-    return doc
+    census = ",".join([_STARS[s.valency] % (*s.vertex, s.valency, *s.b,
+                                            s.label)
+                       for s in res.census])
+    clusters = ",".join([_CLUSTER % (idx, sysm.mode, *sysm.exponents())
+                         for idx, sysm in enumerate(res.systems)])
+    return _extend(doc, '"fan":%s,"census":[%s],"dp6_count":%d,'
+                   '"clusters":[%s]', _fan_text(res.fan), census,
+                   dp6_count(part), clusters)
 
 
 def _write(path: str, text: str) -> None:
@@ -113,8 +130,7 @@ def _write(path: str, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _dump(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, separators=(",", ":"))
+def _dump(text: str, path: str | None) -> None:
     if path is not None:
         _write(path, text + "\n")
     else:
@@ -130,7 +146,7 @@ def _cmd_report(args) -> int:
 def _cmd_fan(args) -> int:
     ctx = lattice_context(parse_group_spec(args.spec))
     fan = Resolution(ctx).fan
-    _dump(_head(ctx) | {"fan": _fan_json(fan)}, args.json)
+    _dump(_extend(_head(ctx), '"fan":%s', _fan_text(fan)), args.json)
     return 0
 
 
@@ -165,7 +181,8 @@ def _cmd_clusters(args) -> int:
         for idx, sysm in wanted
     ]
     if args.json is not None:
-        _dump({"group": ctx.spec.canonical_text, "systems": docs}, args.json)
+        _dump(_json({"group": ctx.spec.canonical_text, "systems": docs}),
+              args.json)
     else:
         for d in docs:
             sys.stdout.write(

@@ -252,6 +252,12 @@ class CyclicWord(NamedTuple):
         return len(self.values)
 
 
+# _replace builds the changed word through _make, and the named tuple's
+# own _make takes len, the entry count, for the field count.  NamedTuple
+# does not let a class body define _make.
+CyclicWord._make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
 def junction_c(side: int, fans: dict[int, CornerFan]) -> tuple[int, Vec3]:
     """Junction constant c of side (i, i+1) and the side's inward vector at
     e_{i+1}; the side is long exactly when c >= 2."""

@@ -10,6 +10,7 @@ from .errors import InvariantError
 from .lattice import (
     LatticeContext,
     Vec3,
+    cross2,
     det3,
     on_simplex_boundary,
     vadd,
@@ -227,7 +228,14 @@ def surface_census(fan: Fan) -> list[SurfaceClass]:
     The star relation is solved in the chart: the differences of points
     of the junior plane have coordinate sum 0, so a difference is fixed by
     its chart and u_{t-1} + u_{t+1} - 2v = b_t (u_t - v) holds exactly when
-    it holds in the chart."""
+    it holds in the chart.
+
+    The star must also run counter-clockwise, each arm u_t turning
+    counter-clockwise from u_{t-1}: a star read clockwise gives the same
+    b's in reverse order, so no other test here would see it.  Once the
+    relations hold, one turn settles it, since every turn has the same
+    cross product: cross(u_t, u_{t+1}) = cross(u_t, b_t u_t - u_{t-1})
+    = cross(u_{t-1}, u_t), the arms taken relative to v."""
     out = []
     for v, star in fan.stars.items():
         t = len(star)
@@ -246,6 +254,8 @@ def surface_census(fan: Fan) -> list[SurfaceClass]:
             bs.append(b)
         cs = tuple(b - 2 for b in bs)
         label = _surface_label(v, t, bs)
+        if cross2(arms[-1], arms[0]) <= 0:
+            raise InvariantError(f"star at {v} is not counter-clockwise")
         out.append(SurfaceClass(v, t, star, tuple(bs), cs, label))
     return out
 

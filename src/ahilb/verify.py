@@ -126,7 +126,8 @@ def run_checks(res: Resolution, seed: int = 0) -> list[CheckResult]:
 
     @check("fan: census valencies and surface counts")
     def _census():
-        # surface_census raises on a valency outside 3..6.
+        # surface_census raises on a valency outside 3..6 or a star that
+        # does not run counter-clockwise.
         want = dp6_count(res.partition)
         got = sum(1 for s in res.census if s.label == "dP6")
         if want != got:

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import json
 import time
 
 from ahilb import lattice_context, parse_group_spec
@@ -188,8 +187,7 @@ def test_acceptance_8_determinism():
             svgs = []
             for _ in range(2):
                 ctx = ctx_of(text)
-                docs.append(json.dumps(build_document(ctx),
-                                       separators=(",", ":")))
+                docs.append(build_document(ctx))
                 part = Resolution(ctx).partition
                 fan = build_fan(part)
                 svgs.append(render_svg(ctx, part, fan, ratios=True))

@@ -272,6 +272,17 @@ def test_long_side_rejects_two_long_sides():
         long_side(word)
 
 
+def test_word_replace_changes_one_column():
+    # len(word) is its entry count, 11 here, not its 3 fields.
+    word = Resolution(ctx_of("1/11(1,2,8)")).word
+    assert len(word) == 11
+    values = tuple(v + 1 for v in word.values)
+    changed = word._replace(values=values)
+    assert type(changed) is CyclicWord
+    assert changed == CyclicWord(values, word.tags, word.vectors)
+    assert CyclicWord._make(word) == word
+
+
 def subdivided_hull_chain(ctx, corner):
     """The corner chain by a Graham scan that pops collinear points too,
     followed by subdividing every hull edge at its lattice points; returns

@@ -172,6 +172,8 @@ def test_census_valencies_in_range():
     ([(1, 0), (-1, 0), (1, 0)], "valency-3 star at (1, 1, 1) is not a plane"),
     ([(1, 0), (-1, 0), (1, 0), (-1, 0)],
      "valency-4 star at (1, 1, 1) is not a scroll: [-2, -2, -2, -2]"),
+    # A plane's star read clockwise: b = (-1, -1, -1) either way.
+    ([(1, 0), (-1, -1), (0, 1)], "star at (1, 1, 1) is not counter-clockwise"),
 ])
 def test_census_rejects_a_bad_star(arms, message):
     # A synthetic fan with the one star around (1, 1, 1), its neighbours

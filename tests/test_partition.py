@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -406,13 +407,13 @@ def check_symmetry(spec):
     for perm in permutations(range(3)):
         image = rewritten(spec, lambda r, w: permute(perm, w))
         assert shape(image) == shape(spec, perm), (spec, perm)
-    doc = build_document(ctx_of(spec))
+    doc = json.loads(build_document(ctx_of(spec)))
     del doc["group"]
     order = parse_group_spec(spec).generators[0].order
     for u in range(2, order):
         if gcd(u, order) == 1:
             image = rewritten(spec, lambda r, w: tuple(u * x % r for x in w))
-            other = build_document(ctx_of(image))
+            other = json.loads(build_document(ctx_of(image)))
             del other["group"]
             assert other == doc, (spec, u)
 

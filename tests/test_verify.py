@@ -5,6 +5,7 @@ import pytest
 import ahilb.verify
 from ahilb import lattice_context, parse_group_spec
 from ahilb.cli import main
+from ahilb.partition import RegularTriangle
 from ahilb.resolution import Resolution
 from ahilb.verify import (
     CheckResult,
@@ -24,6 +25,19 @@ def test_run_checks_names_are_stable():
         "partition", "partition", "fan", "fan", "monomials", "monomials",
         "monomials", "clusters",
     ]
+
+
+def test_census_family_catches_clockwise_stars(monkeypatch, capsys):
+    # With every triangle taken clockwise the tiling and the fan checks
+    # pass and the stars run clockwise; their b's are the right ones in
+    # reverse order, so only the census's orientation test sees it.
+    ccw = RegularTriangle.ccw
+    monkeypatch.setattr(RegularTriangle, "ccw", lambda tri: not ccw(tri))
+    assert main(["verify", "1/30(25,2,3)"]) == 2
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if not line.endswith(": pass")]
+    assert failed == ["fan: census valencies and surface counts: FAIL "
+                      "(star at (5, 4, 21) is not counter-clockwise)"]
 
 
 def test_hull_family_catches_a_wrong_chain_on_a_product():
