@@ -105,6 +105,20 @@ def build_fan(part: Partition) -> Fan:
     other end: the map is a permutation of the neighbours, and following
     it once around gives the star in counter-clockwise order with no
     angle sort.
+
+    The edge matching is also the one certificate that the partition
+    tiles the simplex S.  A cell edge is a primitive lattice segment (a
+    side is r primitive steps), so cell edges on one line coincide or
+    share at most an endpoint: index pairs match edges as segments.  By
+    the two raises, an edge off the boundary of S has a cone on each
+    side, and one on it at most one, inside S.  So the cells, oriented by
+    ``ccw``, form a 2-chain C whose boundary is a 0/1 cycle on the
+    boundary of S, equal on the two unit segments at each lattice point
+    there: that of S, or 0, which would leave no cell, but the areas
+    (build_partition's only tiling check, the one guard against an empty
+    fan) rule it out.  So C = S: each point off the edges is covered
+    once.  Any consistent orientation of all cells passes (C = -S); the
+    census rejects clockwise stars.
     """
     cells = [(tri.ccw(), tesselate(tri, t))
              for t, tri in enumerate(part.triangles)]

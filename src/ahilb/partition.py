@@ -8,14 +8,14 @@ side is read as tag triples, the side lines of a triangle and the host
 lines of a game triple, and the two sets must be equal but for the
 concurrent champion, whose three lines meet in a lattice point.  A
 mismatch raises InvariantError: this is the package's central
-differential test.  The tiling is then checked by edge matching off the
-simplex's sides, as endpoint events, and exact areas.
+differential test.  The partition checks that the triangles' areas
+exhaust the simplex; the fan's edge matching over their tesselations
+(``fan.build_fan``) certifies that they tile it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
 from math import gcd
 from typing import NamedTuple
 
@@ -29,7 +29,6 @@ from .lattice import (
     cross3,
     det3,
     dot,
-    on_simplex_boundary,
     pair_index,
     primitive_in_monomial_lattice,
     sign_fixed,
@@ -295,44 +294,6 @@ def _within(line: Line, other: Line) -> bool:
     return gap >= 0 if d > 0 else gap <= 0
 
 
-def _check_tiling(ctx: LatticeContext,
-                  triangles: list[RegularTriangle]) -> None:
-    """Raise unless the triangles tile the simplex S.
-
-    The doubled areas r^2 (``enumerate_triangles`` makes the sides r steps
-    of directions of index 1) must sum to the simplex's N, and every unit
-    segment off the sides of S must be traversed by the triangles, oriented
-    by ``ccw`` as a 2-chain C, as often in one direction as in the other.
-    That suffices.  The boundary of C is then a cycle on the sides of S.  At
-    each lattice point of those sides it meets only the two unit segments of
-    the sides there, so they carry equal coefficients, and the boundary of C
-    is k times that of S.  C - kS has no boundary, so C = kS, and the areas
-    give k = 1: every point off the edges is covered once inside S and never
-    outside it.  Any consistent orientation of all triangles passes:
-    reversing every one flips the sign of every event.
-
-    The counts are read off endpoint events.  On a line x + Z*e, e the
-    unit step with first nonzero coordinate positive, count (y, y + e) +1
-    per traversal toward y + e and -1 per traversal back.  A side from p
-    to q adds +1 from p up to q either way round, so +1 at p and -1 at q
-    to the count's difference along e, read off ``step``; the counts
-    vanish exactly when the differences do.  A side lies on a side of S
-    when its unit segments do, so whole sides are skipped."""
-    if sum(t.r * t.r for t in triangles) != ctx.order:
-        raise InvariantError("triangle areas do not exhaust the simplex")
-    events: dict[tuple[Vec3, Vec3], int] = defaultdict(int)
-    for tri in triangles:
-        v = tri.vertices
-        for s, t in (((0, 1), (1, 2), (2, 0)) if tri.ccw()
-                     else ((0, 2), (2, 1), (1, 0))):
-            if not on_simplex_boundary(v[s], v[t]):
-                e = sign_fixed(tri.step(s, t))
-                events[v[s], e] += 1
-                events[v[t], e] -= 1
-    if any(events.values()):
-        raise InvariantError("triangle interiors overlap")
-
-
 def _concurrent_champion(ctx: LatticeContext, lines: dict[Tag, Line],
                          tags: tuple[Tag, Tag, Tag]) -> Vec3 | None:
     """Where the lines tagged tags meet, when tags is a champion triple
@@ -358,9 +319,10 @@ def _concurrent_champion(ctx: LatticeContext, lines: dict[Tag, Line],
 
 def build_partition(ctx: LatticeContext, game: MMPTrace) -> Partition:
     """Enumerate the partition on the lines of game's word, cross-check it
-    against the contraction game, validate coverage, and fill champions,
+    against the contraction game, check the areas, and fill champions,
     catchment areas and the interior lines' defeat points.  game is the
-    leftmost run on the cyclic word.
+    leftmost run on the cyclic word.  That the triangles tile the simplex
+    is certified by ``fan.build_fan``.
 
     The cross-check compares tag triples: the sorted side-line tags of
     each enumerated triangle against the sorted tags of the three word
@@ -390,7 +352,7 @@ def build_partition(ctx: LatticeContext, game: MMPTrace) -> Partition:
     hosts = {tuple(sorted(step)): tuple(sorted(word.tags[e] for e in step))
              for step in game.triples}
     # Against the distinct side-line sets: a repeated triangle passes here
-    # and fails the areas of the tiling check.
+    # and fails the area check below.
     certified = set(hosts.values())
     unmatched = certified - index.keys()
     point = None  # where the champion lines meet, if they concur
@@ -404,7 +366,8 @@ def build_partition(ctx: LatticeContext, game: MMPTrace) -> Partition:
             f"partition mismatch: enumerated triangles on {sorted(missing)} "
             f"and game triples on {sorted(unmatched)} have no counterpart")
 
-    _check_tiling(ctx, enumerated)
+    if sum(t.r * t.r for t in enumerated) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
 
     # Champions.
     long_side = find_long_side(word)
@@ -481,6 +444,8 @@ def line_extent(line: Line, sides: list[tuple[Vec3, Vec3]]) -> Vec3:
     coordinate at every step, so that coordinate orders its points.  Every
     interior line hosts a side: the tiling triangle in the sector at e_i
     between the line and a neighboring ray has its sides on both rays.
+    That tiling is certified by ``fan.build_fan``, after this runs; a
+    partition that does not tile may raise here first.
     """
     tag = line.tag
     own = tag[1] - 1

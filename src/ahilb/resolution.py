@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 
 from .clusters import ClusterSystem, cluster_system
 from .corners import (
@@ -83,7 +82,8 @@ class Resolution:
         cone's own triangle and the charts of its own kind (neither kept)."""
         cell = self.fan.cones[idx]
         parent = triangle_ratios(self.ctx, self.partition.triangles[cell.parent])
-        cells = [c for c in self.fan.cones if c[:2] == cell[:2]]
+        cells = [c for c in self.fan.cones
+                 if (c.parent, c.kind) == (cell.parent, cell.kind)]
         return kind_charts(self.ctx, parent, cells)(cell)
 
     @cached_property
@@ -91,7 +91,8 @@ class Resolution:
         """``system`` of every fan cone, in order, off the kept ``ratios``;
         the fan keeps each (triangle, kind)'s cells together."""
         out = []
-        for (t, _), group in groupby(self.fan.cones, key=itemgetter(0, 1)):
+        for (t, _), group in groupby(self.fan.cones,
+                                 key=lambda c: (c.parent, c.kind)):
             cells = list(group)
             out += map(kind_charts(self.ctx, self.ratios[t], cells), cells)
         return out

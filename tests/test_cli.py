@@ -22,7 +22,6 @@ from ahilb.fan import build_fan
 from ahilb.lattice import LatticeContext
 from ahilb.mmp import run_mmp
 from ahilb.monomials import dual_basis
-from ahilb.partition import _check_tiling
 from ahilb.resolution import Resolution
 from ahilb.verify import run_checks
 from test_tiling import cyclic_groups
@@ -546,12 +545,12 @@ def test_each_line_ratio_is_computed_once(command, spec, entries,
 
 
 def test_settled_checks_do_no_work(monkeypatch):
-    # The tiling check walks no side of the simplex, the dual basis asks
-    # no character once the two routes agree, and a cluster system asks
-    # one per equation.
+    # The fan's edge matching, the tiling certificate, walks no side of
+    # the simplex, the dual basis asks no character once the two routes
+    # agree, and a cluster system asks one per equation.
     ctx = lattice_context(parse_group_spec("1/11(1,2,8)"))
     res = Resolution(ctx)
-    triangles, ratios, systems = res.partition.triangles, res.ratios, res.systems
+    ratios, systems = res.ratios, res.systems
     steps = _count_calls(monkeypatch, "lattice", "primitive_vector")
     character = LatticeContext.character
     characters = []
@@ -561,7 +560,7 @@ def test_settled_checks_do_no_work(monkeypatch):
         return character(self, v)
 
     monkeypatch.setattr(LatticeContext, "character", counted)
-    _check_tiling(ctx, list(triangles))
+    build_fan(res.partition)
     assert steps == []
     for cell in res.fan.cones:
         dual_basis(ctx, ratios[cell.parent], cell)

@@ -19,8 +19,8 @@ from ahilb.mmp import classify_triple, run_mmp
 from ahilb.partition import (
     Line,
     RegularTriangle,
-    _check_tiling,
     _within,
+    build_partition,
     crossings,
     enumerate_triangles,
     knockout_report,
@@ -350,20 +350,17 @@ def test_enumeration_looks_up_only_index_one_pairs(monkeypatch):
 
 def test_enumeration_and_tiling_intersect_and_walk_nothing(monkeypatch):
     # Each triangle is read off its index-1 pair in closed form, and the
-    # tiling is checked by three endpoint events per triangle, each keyed
-    # by one unit step of the triangle's side.
+    # partition checks only the areas: the fan's edge matching certifies
+    # the tiling, so no side is divided into unit steps here.
     ctx = ctx_of("1/600(1,1,598)")
-    lines = rays_of(ctx)
+    game = Resolution(ctx).game
     pairs, steps = [], []
     monkeypatch.setattr(ahilb.partition, "pair_index",
                         counting(ahilb.partition.pair_index, pairs))
     monkeypatch.setattr(RegularTriangle, "step",
                         counting(RegularTriangle.step, steps))
-    triangles = enumerate_triangles(ctx, lines)
-    assert len(triangles) == 600 and steps == []
-    _check_tiling(ctx, triangles)
-    assert pairs == []
-    assert 0 < len(steps) <= 3 * len(triangles)
+    assert len(build_partition(ctx, game).triangles) == 600
+    assert pairs == [] and steps == []
 
 
 def test_enumeration_raises_on_a_third_line_off_the_lattice():

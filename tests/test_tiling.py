@@ -2,20 +2,26 @@
 by pairwise meets, the brute force over every line triple, the scan of
 every line pair by direction sum, the index-1 pair scan that intersects
 each candidate line triple, the pairwise separating-line test on every
-pair of triangles, the tiling check that walks every unit step of the
-triangle sides, and the tiling check with the simplex's boundary as a
-second 2-chain.  Also the large-order regression pins, with the
-Ito-Reid counts as their independent check."""
+pair of triangles, and three tiling checks: endpoint events on the
+triangle sides, the walk over every unit step of the sides, and the
+simplex's boundary as a second 2-chain.  The package's own tiling
+certificate, the area check and the fan's edge matching, must agree
+with them.  Also the large-order regression pins, with the Ito-Reid
+counts as their independent check."""
 
+from collections import defaultdict
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 import pytest
 
 from ahilb import lattice_context, parse_group_spec
-from ahilb.cli import build_document
+from ahilb.cli import build_document, main
 from ahilb.errors import InvariantError
+from ahilb.fan import build_fan
 from ahilb.lattice import (
+    LatticeContext,
+    Vec3,
     chart,
     cross2,
     det3,
@@ -33,8 +39,8 @@ from ahilb.lattice import (
 )
 from ahilb.mmp import classify_triple
 from ahilb.partition import (
+    Partition,
     RegularTriangle,
-    _check_tiling,
     enumerate_triangles,
     meet,
     rays,
@@ -224,7 +230,7 @@ def chain_tiles(ctx, triangles):
     doubled areas must sum to N, and every unit segment, those on the
     sides of S included, must be traversed by the triangles, oriented
     counter-clockwise, as often as by the boundary of S.  Every side is
-    walked by ``segment_points``.  Raises as ``_check_tiling`` does."""
+    walked by ``segment_points``.  Raises as ``event_tiling`` does."""
     # test_lattice imports this module, so its helper is read here.
     from test_lattice import segment_points
 
@@ -248,7 +254,7 @@ def unit_step_tiling(ctx, triangles):
     """The tiling check that walks every unit step of every triangle side,
     counter-clockwise in chart, and counts each unit segment (u, w),
     u < w, off the sides of the simplex +1 per step from u to w and -1
-    per step back.  Raises as ``_check_tiling`` does."""
+    per step back.  Raises as ``event_tiling`` does."""
     if sum(t.r * t.r for t in triangles) != ctx.order:
         raise InvariantError("triangle areas do not exhaust the simplex")
     count = {}
@@ -267,6 +273,58 @@ def unit_step_tiling(ctx, triangles):
         raise InvariantError("triangle interiors overlap")
 
 
+def event_tiling(ctx: LatticeContext,
+                 triangles: list[RegularTriangle]) -> None:
+    """Raise unless the triangles tile the simplex S.
+
+    The doubled areas r^2 (``enumerate_triangles`` makes the sides r steps
+    of directions of index 1) must sum to the simplex's N, and every unit
+    segment off the sides of S must be traversed by the triangles, oriented
+    by ``ccw`` as a 2-chain C, as often in one direction as in the other.
+    That suffices.  The boundary of C is then a cycle on the sides of S.  At
+    each lattice point of those sides it meets only the two unit segments of
+    the sides there, so they carry equal coefficients, and the boundary of C
+    is k times that of S.  C - kS has no boundary, so C = kS, and the areas
+    give k = 1: every point off the edges is covered once inside S and never
+    outside it.  Any consistent orientation of all triangles passes:
+    reversing every one flips the sign of every event.
+
+    The counts are read off endpoint events.  On a line x + Z*e, e the
+    unit step with first nonzero coordinate positive, count (y, y + e) +1
+    per traversal toward y + e and -1 per traversal back.  A side from p
+    to q adds +1 from p up to q either way round, so +1 at p and -1 at q
+    to the count's difference along e, read off ``step``; the counts
+    vanish exactly when the differences do.  A side lies on a side of S
+    when its unit segments do, so whole sides are skipped."""
+    if sum(t.r * t.r for t in triangles) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
+    events: dict[tuple[Vec3, Vec3], int] = defaultdict(int)
+    for tri in triangles:
+        v = tri.vertices
+        for s, t in (((0, 1), (1, 2), (2, 0)) if tri.ccw()
+                     else ((0, 2), (2, 1), (1, 0))):
+            if not on_simplex_boundary(v[s], v[t]):
+                e = sign_fixed(tri.step(s, t))
+                events[v[s], e] += 1
+                events[v[t], e] -= 1
+    if any(events.values()):
+        raise InvariantError("triangle interiors overlap")
+
+
+def fan_of(triangles):
+    """``build_fan`` on a partition holding just the triangles, which is
+    all it reads."""
+    return build_fan(Partition(tuple(triangles), None, {}, {}))
+
+
+def fan_tiling(ctx, triangles):
+    """The package's tiling certificate: ``build_partition``'s area check,
+    then the fan's edge matching."""
+    if sum(t.r * t.r for t in triangles) != ctx.order:
+        raise InvariantError("triangle areas do not exhaust the simplex")
+    fan_of(triangles)
+
+
 def tiling_verdict(check, ctx, triangles):
     """None when check accepts the triangles, else its message."""
     try:
@@ -277,12 +335,15 @@ def tiling_verdict(check, ctx, triangles):
 
 
 def tiles(ctx, triangles):
-    """Does the package's tiling check accept the triangles?  The unit-step
-    and chain oracles must give the same verdict."""
-    got = tiling_verdict(_check_tiling, ctx, triangles)
+    """Does the package's tiling certificate accept the triangles?  The
+    event, unit-step and chain oracles must give one verdict, and the
+    certificate must accept exactly when they do."""
+    got = tiling_verdict(event_tiling, ctx, triangles)
     assert got == tiling_verdict(unit_step_tiling, ctx, triangles)
     assert got == tiling_verdict(chain_tiles, ctx, triangles)
-    return got is None
+    accepted = tiling_verdict(fan_tiling, ctx, triangles) is None
+    assert accepted == (got is None)
+    return accepted
 
 
 def cyclic_groups(max_order):
@@ -361,36 +422,110 @@ def test_tiling_check_catches_a_duplicate():
     bad[ones[1]] = tris[ones[0]]
     assert sum(tri.r ** 2 for tri in bad) == ctx.order
     with pytest.raises(InvariantError, match="triangle interiors overlap"):
-        _check_tiling(ctx, bad)
+        event_tiling(ctx, bad)
+    with pytest.raises(InvariantError,
+                       match="^an edge borders more than two cones$"):
+        fan_tiling(ctx, bad)
     assert not pairwise_disjoint(bad)
 
 
 def test_same_side_replacements_match_the_chain_oracle():
     # Any triangle in place of another of its side keeps the areas exact;
-    # both checks reject every such list with the same message.
+    # the oracles reject every such list with one message, and the fan
+    # finds the copy's cells on a third cone of their edges.
     for spec in cyclic_groups(12):
         ctx, tris = triangles_of(spec)
         for i, j in permutations(range(len(tris)), 2):
             if tris[i].r == tris[j].r:
                 bad = tris[:j] + [tris[i]] + tris[j + 1:]
-                for check in (_check_tiling, unit_step_tiling, chain_tiles):
+                for check in (event_tiling, unit_step_tiling, chain_tiles):
                     assert tiling_verdict(check, ctx, bad) == (
                         "triangle interiors overlap"), (spec, i, j)
+                assert tiling_verdict(fan_tiling, ctx, bad) == (
+                    "an edge borders more than two cones"), (spec, i, j)
 
 
 def test_tiling_check_catches_a_gap():
+    # The areas catch a missing triangle; the fan alone finds its sides
+    # bordering one cone.
     ctx, tris = triangles_of("1/11(1,2,8)")
     for t in range(len(tris)):
+        rest = tris[:t] + tris[t + 1:]
         with pytest.raises(InvariantError):
-            _check_tiling(ctx, tris[:t] + tris[t + 1:])
+            event_tiling(ctx, rest)
+        with pytest.raises(InvariantError, match="do not exhaust"):
+            fan_tiling(ctx, rest)
+        with pytest.raises(InvariantError, match="borders only one cone"):
+            fan_of(rest)
 
 
 def test_tiling_check_ignores_vertex_order():
     for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/101(1,7,93)"):
         ctx, tris = triangles_of(spec)
-        _check_tiling(ctx, tris)
-        _check_tiling(ctx, [tri._replace(vertices=tri.vertices[::-1])
-                            for tri in tris])
+        reversed_tris = [tri._replace(vertices=tri.vertices[::-1])
+                         for tri in tris]
+        for check in (event_tiling, fan_tiling):
+            check(ctx, tris)
+            check(ctx, reversed_tris)
+
+
+def broken_partitions(tris):
+    """Every list with one triangle replaced by another of its side, which
+    keeps the areas exact, then every list with one triangle removed."""
+    for i, j in permutations(range(len(tris)), 2):
+        if tris[i].r == tris[j].r:
+            yield tris[:j] + [tris[i]] + tris[j + 1:]
+    for t in range(len(tris)):
+        yield tris[:t] + tris[t + 1:]
+
+
+def certificate_coverage(specs):
+    """How many broken partitions of the specs' partitions there are, and
+    how many the fan alone accepts.  The certificate rejects every one,
+    and the fan accepts only empty lists, which the areas reject."""
+    broken = accepted = 0
+    for spec in specs:
+        ctx, tris = triangles_of(spec)
+        for bad in broken_partitions(tris):
+            broken += 1
+            assert tiling_verdict(fan_tiling, ctx, bad) is not None, spec
+            try:
+                fan_of(bad)
+            except InvariantError:
+                continue
+            assert bad == [], spec
+            accepted += 1
+    return broken, accepted
+
+
+def test_the_certificate_rejects_every_broken_partition():
+    # 6,164 same-side replacements and the single removals; the 18 groups
+    # of one triangle leave the empty list.
+    specs = cyclic_groups(12) + product_groups(6)
+    assert len(specs) == 190
+    assert certificate_coverage(specs) == (6164 + sum(
+        len(triangles_of(spec)[1]) for spec in specs), 18)
+
+
+@pytest.mark.deep
+def test_the_certificate_rejects_every_broken_partition_up_to_24():
+    certificate_coverage(cyclic_groups(24))
+
+
+def test_verify_names_the_fan_on_a_partition_that_does_not_tile(
+        monkeypatch, capsys):
+    # The partition checks only the areas, so with every triangle taken
+    # counter-clockwise its families pass and the fan's edge matching
+    # fails.
+    monkeypatch.setattr(RegularTriangle, "ccw", lambda tri: True)
+    assert main(["verify", "1/30(25,2,3)"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    for name in ("enumeration and contraction game agree, areas exact",
+                 "knock-out bookkeeping consistent at every crossing",
+                 "catchments tile the complement of the champions"):
+        assert f"partition: {name}: pass" in out
+    assert ("fan: crepant, unimodular, complete: FAIL "
+            "(an edge borders more than two cones)") in out
 
 
 def report_of(spec):
@@ -398,37 +533,41 @@ def report_of(spec):
 
 
 def test_tiling_check_reads_the_orientation(monkeypatch):
-    # Walking every triangle's sides as (0, 1), (1, 2), (2, 0), whichever
-    # way its vertices run, leaves unmatched events.
+    # Taking every triangle's cells as listed, whichever way they run, puts
+    # two cones on one side of some edge.
     monkeypatch.setattr(RegularTriangle, "ccw", lambda tri: True)
     for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/96(1,1,94)",
                  "1/1001(1,37,963)"):
-        with pytest.raises(InvariantError, match="triangle interiors overlap"):
+        with pytest.raises(InvariantError,
+                           match="^an edge borders more than two cones$"):
             report_of(spec)
 
 
 def test_tiling_check_reads_unit_steps(monkeypatch):
-    # A whole side as the event key fails wherever a triangle has r > 1;
-    # every triangle of 1/96(1,1,94) has r = 1, where side and step agree.
+    # A whole side as the grid step leaves a triangle of r > 1 with cells
+    # past its sides, whose edges border one cone; every triangle of
+    # 1/96(1,1,94) has r = 1, where side and step agree.
     report = report_of("1/96(1,1,94)")
     monkeypatch.setattr(RegularTriangle, "step", lambda tri, s, t: vsub(
         tri.vertices[t], tri.vertices[s]))
     assert report_of("1/96(1,1,94)") == report
     for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/1001(1,37,963)"):
-        with pytest.raises(InvariantError, match="triangle interiors overlap"):
-            report_of(spec)
+        res = Resolution(lattice_context(parse_group_spec(spec)))
+        with pytest.raises(InvariantError, match="borders only one cone"):
+            res.fan
 
 
 def test_tiling_check_passes_any_consistent_orientation(monkeypatch):
-    # Every triangle taken clockwise flips the sign of every event, so the
-    # tiling check passes; the fan reads the same orientation, so its
-    # stars run clockwise, and the census rejects them.
+    # Every triangle taken clockwise flips the sign of every event and
+    # every edge of the fan, so both tiling checks pass; the stars then run
+    # clockwise, and the census rejects them.
     for spec in ("1/11(1,2,8)", "1/30(25,2,3)", "1/1001(1,37,963)"):
         ctx, tris = triangles_of(spec)
         with monkeypatch.context() as patched:
             patched.setattr(RegularTriangle, "ccw",
                             lambda tri: det3(tri.vertices) < 0)
-            _check_tiling(ctx, tris)
+            event_tiling(ctx, tris)
+            assert len(fan_of(tris).cones) == ctx.order
             with pytest.raises(InvariantError,
                                match="is not counter-clockwise"):
                 report_of(spec)
